@@ -19,6 +19,7 @@ from .errors import (
     GqsbError,
     MissingDataset,
     NoConvergence,
+    NonFiniteWeight,
     NotGQSB,
     NotPolarizing,
     NotSymmetric,
@@ -53,25 +54,25 @@ from .signed_graph import (
     validate_gqsb,
 )
 from .operators import (
+    EigenDecomposition,
     OperatorBundle,
+    default_zero_tol,
     gauge_matrices,
     generalized_adjacency,
     generalized_degree,
     generalized_laplacian,
     opposing_laplacian,
     repelling_laplacian,
+    sym_eigen,
     z_transform_network,
 )
 from .spectral import (
-    EigenDecomposition,
     PolarizationCertificate,
     Verdict,
     certify,
-    default_zero_tol,
     effective_resistance,
     pseudoinverse,
     psd_simple_zero,
-    sym_eigen,
 )
 from .dynamics import (
     DIVERGENCE_LIMIT,

@@ -14,8 +14,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import OutcomeKind, assess, integrate, predict_final
 from .errors import GqsbError, TooLarge
 from .fileio import (
@@ -23,11 +21,11 @@ from .fileio import (
     ScenarioConfig,
     certificate_dict,
     enumerate_dict,
-    load_state_file,
     outcome_dict,
     render_json,
     report_to_json,
     run_pipeline,
+    start_state,
     trajectory_to_csv,
     _resolve_network,
 )
@@ -50,7 +48,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", default=None,
                        help="bundled-dataset relabeling 'coop,intra_neg,inter_neg'")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
         if dominant:
             p.add_argument("--dominant", required=True,
                            help="dominant group as 'i,j,...' node list")
@@ -184,10 +181,7 @@ def _cmd_simulate(args) -> int:
     g, _, _ = _resolve_network(config)
     b = bipartition_from_dominant(g, config.dominant_nodes)
     bundle = generalized_laplacian(g, b, config.gamma)
-    if config.x0_path is not None:
-        x0 = load_state_file(config.x0_path, g.n)
-    else:
-        x0 = np.random.default_rng(config.seed).uniform(-1.0, 1.0, g.n)
+    x0 = start_state(config, g.n)
     traj = integrate(bundle, x0, dt=config.dt, t_max=config.t_max,
                      stop_tol=config.stop_tol)
     outcome = assess(traj, b, config.gamma)
@@ -203,10 +197,7 @@ def _cmd_predict(args) -> int:
     g, _, _ = _resolve_network(config)
     b = bipartition_from_dominant(g, config.dominant_nodes)
     bundle = generalized_laplacian(g, b, config.gamma)
-    if config.x0_path is not None:
-        x0 = load_state_file(config.x0_path, g.n)
-    else:
-        x0 = np.random.default_rng(config.seed).uniform(-1.0, 1.0, g.n)
+    x0 = start_state(config, g.n)
     final = predict_final(bundle, x0)
     _emit(args, "final_state.json",
           render_json({"x_final": [float(v) for v in final]}) + "\n")

@@ -23,6 +23,10 @@ class ZeroWeight(GqsbError):
     """An edge carries weight zero; signed graphs require nonzero ties."""
 
 
+class NonFiniteWeight(GqsbError):
+    """An edge weight is NaN or infinite."""
+
+
 class TooLarge(GqsbError):
     """The input exceeds the size bound of an exact algorithm."""
 

@@ -9,6 +9,7 @@ digits, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .dynamics import OutcomeReport, Trajectory, assess, integrate
 from .errors import MissingDataset, ParseError
+from .operators import generalized_laplacian
 from .signed_graph import (
     Bipartition,
     SignedGraph,
@@ -73,6 +75,8 @@ def loads_network(text: str, name: str = "<string>") -> SignedGraph:
             raise ParseError(f"edge ({i}, {j}) outside 0..{n - 1}", name, lineno)
         if w == 0.0:
             raise ParseError(f"edge ({i}, {j}) has zero weight", name, lineno)
+        if not math.isfinite(w):
+            raise ParseError(f"edge ({i}, {j}) has non-finite weight {w}", name, lineno)
         key = (min(i, j), max(i, j))
         if key in pairs:
             raise ParseError(f"node pair {key} appears twice", name, lineno)
@@ -180,6 +184,14 @@ def load_state_file(path, n: int) -> np.ndarray:
     return np.array(values)
 
 
+def start_state(config: ScenarioConfig, n: int) -> np.ndarray:
+    """The scenario's start state: the ``x0_path`` file when given,
+    otherwise a uniform draw in [-1, 1] seeded by ``seed``."""
+    if config.x0_path is not None:
+        return load_state_file(config.x0_path, n)
+    return np.random.default_rng(config.seed).uniform(-1.0, 1.0, n)
+
+
 @dataclass(frozen=True)
 class Report:
     """Everything the pipeline derives for one scenario."""
@@ -207,16 +219,13 @@ def run_pipeline(config: ScenarioConfig) -> Report:
     p = len(positive_components(g))
     count = (1 << (p - 1)) - 1 if p >= 2 else 0
     cert = certify(g, b, config.gamma)
-    if config.x0_path is not None:
-        x0 = load_state_file(config.x0_path, g.n)
-    else:
-        x0 = np.random.default_rng(config.seed).uniform(-1.0, 1.0, g.n)
+    x0 = start_state(config, g.n)
     traj = None
     outcome = None
     if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS,
                         Verdict.NEUTRAL_CONSENSUS):
         traj = integrate(
-            _bundle_for(g, b, config.gamma),
+            generalized_laplacian(g, b, config.gamma),
             x0,
             dt=config.dt,
             t_max=config.t_max,
@@ -250,12 +259,6 @@ def run_pipeline(config: ScenarioConfig) -> Report:
         x0=x0,
         provenance=provenance,
     )
-
-
-def _bundle_for(g: SignedGraph, b: Bipartition, gamma: float):
-    from .operators import generalized_laplacian
-
-    return generalized_laplacian(g, b, gamma)
 
 
 def format_float(x: float) -> str:

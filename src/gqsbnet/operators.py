@@ -7,17 +7,22 @@ amplified by the dominance coefficient in one direction and attenuated in
 the other, while the degree term counts same-subset ties as signed and
 cross-subset ties with flipped sign.  A diagonal coordinate gauge turns the
 resulting flow matrix into a symmetric zero-row-sum Laplacian of a partner
-network whose cross-subset ties are cooperative; spectra are computed there.
+network whose cross-subset ties are cooperative; spectra are computed there,
+by the deterministic symmetric eigendecomposition defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadGamma, NotGQSB
+from .errors import BadGamma, DimensionMismatch, NoConvergence, NotGQSB, NotSymmetric
 from .signed_graph import Bipartition, SignedGraph, validate_gqsb
+
+_SYMMETRY_RTOL = 1e-12
+_RESIDUAL_RTOL = 1e-8
 
 
 def repelling_laplacian(g: SignedGraph) -> np.ndarray:
@@ -91,6 +96,57 @@ def generalized_adjacency(g: SignedGraph, b: Bipartition, gamma: float) -> np.nd
 
 
 @dataclass(frozen=True)
+class EigenDecomposition:
+    """Eigenvalues ascending, orthonormal eigenvectors in matching columns,
+    and the threshold below which an eigenvalue counts as zero."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    zero_tol: float
+
+    @property
+    def zero_count(self) -> int:
+        return int(np.count_nonzero(np.abs(self.eigenvalues) <= self.zero_tol))
+
+
+def default_zero_tol(eigenvalues: np.ndarray) -> float:
+    """Scale-aware zero threshold: 1e-9 times max(1, spectral radius)."""
+    radius = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
+    return 1e-9 * max(1.0, radius)
+
+
+def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix.
+
+    Deterministic output: eigenvalues ascend and each eigenvector is signed
+    so its largest-magnitude entry is positive.  Raises NotSymmetric when
+    the input is asymmetric beyond 1e-12 relative, NoConvergence when the
+    solver's residuals miss the contract bound.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+    if m.size and float(np.max(np.abs(m - m.T))) > _SYMMETRY_RTOL * scale:
+        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
+    sym = (m + m.T) / 2.0
+    values, vectors = np.linalg.eigh(sym)
+    for k in range(vectors.shape[1]):
+        lead = int(np.argmax(np.abs(vectors[:, k])))
+        if vectors[lead, k] < 0:
+            vectors[:, k] = -vectors[:, k]
+    bound = _RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
+    residual = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
+    if residual.size and float(residual.max()) > bound:
+        raise NoConvergence(f"eigen residual {residual.max():.3e} exceeds {bound:.3e}")
+    if zero_tol is None:
+        zero_tol = default_zero_tol(values)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenDecomposition(values, vectors, float(zero_tol))
+
+
+@dataclass(frozen=True)
 class OperatorBundle:
     """Operator set for one (graph, bipartition, coefficient) triple.
 
@@ -115,6 +171,15 @@ class OperatorBundle:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def partner(self) -> EigenDecomposition:
+        """Decomposition of ``z_laplacian``, computed on first use and kept.
+
+        Step selection, integration and the closed form all read this one
+        decomposition.
+        """
+        return sym_eigen(self.z_laplacian)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ special cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     BadIndex,
     BadPartition,
     DuplicateEdge,
+    NonFiniteWeight,
     SelfLoop,
     TooLarge,
     ZeroWeight,
@@ -35,9 +37,10 @@ UNBALANCED = "Unbalanced-signed"
 class SignedGraph:
     """Undirected signed graph on nodes ``0 .. n-1``.
 
-    Edges are canonical ``(i, j, w)`` triples with ``i < j`` and ``w != 0``,
-    stored sorted.  At most one edge per node pair, no self-loops.  The
-    constructor normalizes orientation and ordering and validates the rest.
+    Edges are canonical ``(i, j, w)`` triples with ``i < j`` and ``w`` finite
+    and nonzero, stored sorted.  At most one edge per node pair, no
+    self-loops.  The constructor normalizes orientation and ordering and
+    validates the rest.
     """
 
     n: int
@@ -58,6 +61,8 @@ class SignedGraph:
                 raise BadIndex(f"edge ({i}, {j}) outside 0..{self.n - 1}")
             if w == 0.0:
                 raise ZeroWeight(f"edge ({i}, {j}) has zero weight")
+            if not math.isfinite(w):
+                raise NonFiniteWeight(f"edge ({i}, {j}) has non-finite weight {w}")
             if (i, j) in seen:
                 raise DuplicateEdge(f"node pair ({i}, {j}) appears twice")
             seen.add((i, j))

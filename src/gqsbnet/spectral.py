@@ -1,4 +1,4 @@
-"""Symmetric spectra, pseudoinverses, and polarization certificates.
+"""Pseudoinverses, effective resistances, and polarization certificates.
 
 The certificate machinery decides, ahead of any simulation, whether the
 dominance-scaled flow drives opinions to a split steady state: the gauge
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSymmetric
-from .operators import OperatorBundle, generalized_laplacian, z_transform_network
+from .errors import DimensionMismatch
+from .operators import generalized_laplacian, sym_eigen, z_transform_network
 from .signed_graph import (
     Bipartition,
     Edge,
@@ -25,9 +25,6 @@ from .signed_graph import (
     spanning_forest,
 )
 
-_SYMMETRY_RTOL = 1e-12
-_RESIDUAL_RTOL = 1e-8
-
 
 class Verdict(str, enum.Enum):
     ASYMMETRIC_POLARIZATION = "AsymmetricPolarization"
@@ -35,57 +32,6 @@ class Verdict(str, enum.Enum):
     CONSENSUS = "Consensus"
     DIVERGENCE = "Divergence"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending, orthonormal eigenvectors in matching columns,
-    and the threshold below which an eigenvalue counts as zero."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    zero_tol: float
-
-    @property
-    def zero_count(self) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues) <= self.zero_tol))
-
-
-def default_zero_tol(eigenvalues: np.ndarray) -> float:
-    """Scale-aware zero threshold: 1e-9 times max(1, spectral radius)."""
-    radius = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
-    return 1e-9 * max(1.0, radius)
-
-
-def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Deterministic output: eigenvalues ascend and each eigenvector is signed
-    so its largest-magnitude entry is positive.  Raises NotSymmetric when
-    the input is asymmetric beyond 1e-12 relative, NoConvergence when the
-    solver's residuals miss the contract bound.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > _SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    sym = (m + m.T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    bound = _RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    residual = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
-    if residual.size and float(residual.max()) > bound:
-        raise NoConvergence(f"eigen residual {residual.max():.3e} exceeds {bound:.3e}")
-    if zero_tol is None:
-        zero_tol = default_zero_tol(values)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(values, vectors, float(zero_tol))
 
 
 def pseudoinverse(matrix: np.ndarray, zero_tol: float | None = None) -> np.ndarray:

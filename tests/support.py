@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from gqsbnet import Bipartition, SignedGraph
+from gqsbnet import (
+    DIVERGENCE_LIMIT,
+    BadStep,
+    Bipartition,
+    SignedGraph,
+    Termination,
+    Trajectory,
+    default_step,
+)
 
 
 def all_splits(n):
@@ -218,3 +226,52 @@ def random_sb_instance(rng, n_max=10):
                     edges[(i, j)] = float(rng.uniform(0.5, 3.0))
     g = SignedGraph.from_edge_list(n, [(i, j, w) for (i, j), w in edges.items()])
     return g, Bipartition(n, frozenset(range(r)))
+
+
+def reference_rk4(bundle, x0, dt=None, t_max=1000.0, stop_tol=1e-10,
+                  record_every=None):
+    """Step-by-step fixed-step RK4 of x' = -L x, one Python iteration per
+    step: the integrator's oracle, with the same arguments, step grid, stop
+    rules and recording rule as ``integrate``."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if dt is None:
+        dt = default_step(bundle)
+    dt = float(dt)
+    if not dt > 0 or not np.isfinite(dt):
+        raise BadStep(f"step size must be a positive real, got {dt}")
+    # scale down a hair so t_max/dt landing a rounding error above an
+    # integer does not buy a whole extra step
+    steps = max(1, int(np.ceil((t_max / dt) * (1.0 - 1e-14))))
+    if record_every is None:
+        record_every = max(1, steps // 2048)
+    lap = bundle.laplacian
+
+    times = [0.0]
+    states = [x.copy()]
+    status = Termination.MAX_TIME
+    done = 0
+    for k in range(steps):
+        velocity = lap @ x
+        if float(np.max(np.abs(velocity))) <= stop_tol:
+            status = Termination.CONVERGED
+            break
+        k1 = -dt * velocity
+        k2 = -dt * (lap @ (x + 0.5 * k1))
+        k3 = -dt * (lap @ (x + 0.5 * k2))
+        k4 = -dt * (lap @ (x + k3))
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        done = k + 1
+        if float(np.max(np.abs(x))) > DIVERGENCE_LIMIT:
+            status = Termination.DIVERGED
+            break
+        if done % record_every == 0:
+            times.append(done * dt)
+            states.append(x.copy())
+    if times[-1] != done * dt:
+        times.append(done * dt)
+        states.append(x.copy())
+    t_arr = np.array(times)
+    s_arr = np.vstack(states)
+    t_arr.setflags(write=False)
+    s_arr.setflags(write=False)
+    return Trajectory(t_arr, s_arr, status)

@@ -70,6 +70,9 @@ class TestParsing:
             ("3 1\n0 5 2\n", 2, "outside"),
             ("3 1\n0 1 0\n", 2, "zero weight"),
             ("3 2\n0 1 2\n1 0 -1\n", 3, "twice"),
+            ("3 1\n0 1 nan\n", 2, "non-finite"),
+            ("3 1\n0 1 inf\n", 2, "non-finite"),
+            ("3 1\n0 1 -inf\n", 2, "non-finite"),
         ],
     )
     def test_bad_lines(self, text, line, needle):
@@ -312,6 +315,13 @@ class TestCli:
         code = main(["classify", "--network", str(tmp_path / "ghost.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exit_one(self, tmp_path, capsys, weight):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 2\n0 1 -1\n1 2 {weight}\n")
+        assert main(["classify", "--network", str(path)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1

@@ -17,7 +17,7 @@ from gqsbnet import (
     integrate,
     predict_final,
 )
-from support import random_gqsb_instance
+from support import random_gqsb_instance, reference_rk4
 
 
 @pytest.fixture
@@ -119,6 +119,92 @@ class TestIntegrate:
 
     def test_default_step_uses_spectral_radius(self, worked_bundle):
         assert default_step(worked_bundle) == pytest.approx(1e-3 / 9.0, rel=1e-9)
+
+
+def _recorded(dense, t_max, dt, record_every):
+    """What a run records, cut from the same run recorded at every step:
+    every ``record_every``-th step (auto-chosen as in ``integrate`` when
+    None) and the final state."""
+    if record_every is None:
+        steps = max(1, int(np.ceil((t_max / dt) * (1.0 - 1e-14))))
+        record_every = max(1, steps // 2048)
+    rows = np.arange(dense.times.size)
+    keep = (rows % record_every == 0) | (rows == rows[-1])
+    return dense.times[keep], dense.states[keep]
+
+
+def _assert_matches_reference(bundle, x0, dt, t_max):
+    """integrate against the step-by-step RK4 oracle: same termination,
+    identical times, states within 1e-9 of each row's scale."""
+    x0 = np.asarray(x0, dtype=float)
+    dense = reference_rk4(bundle, x0, dt=dt, t_max=t_max, record_every=1)
+    for record_every in (None, 1, 5):
+        got = integrate(bundle, x0, dt=dt, t_max=t_max, record_every=record_every)
+        times, states = _recorded(dense, t_max, dt, record_every)
+        assert got.terminated is dense.terminated
+        assert np.array_equal(got.times, times)
+        scale = np.maximum(np.max(np.abs(states), axis=1), np.max(np.abs(x0)))
+        assert np.all(np.max(np.abs(got.states - states), axis=1) <= 1e-9 * scale)
+    return dense.terminated
+
+
+class TestAgainstReference:
+    def test_random_draws(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(200):
+            g, b = random_gqsb_instance(rng)
+            bundle = generalized_laplacian(g, b, float(rng.uniform(0.5, 3.0)))
+            x0 = rng.uniform(-1.0, 1.0, bundle.n)
+            h = default_step(bundle)
+            # short horizons keep the oracle's Python loop affordable
+            for dt, t_max in ((h, 100 * h), (200 * h, 300 * 200 * h), (2000 * h, 1000.0)):
+                seen.add(_assert_matches_reference(bundle, x0, dt, t_max))
+        assert seen == set(Termination)
+
+    def test_edgeless_network(self):
+        bundle = generalized_laplacian(SignedGraph(2), Bipartition(2, frozenset({0})), 2.0)
+        kind = _assert_matches_reference(bundle, [0.3, -0.7], default_step(bundle), 1000.0)
+        assert kind is Termination.CONVERGED
+
+    def test_stationary_start(self, worked_bundle):
+        kind = _assert_matches_reference(worked_bundle, [-2.0, -2.0, 1.0],
+                                         default_step(worked_bundle), 1000.0)
+        assert kind is Termination.CONVERGED
+
+    def test_last_step_is_not_tested_for_settling(self, worked_bundle):
+        x0 = [1.0, 0.0, 0.0]
+        settle = integrate(worked_bundle, x0, dt=0.01).times[-1]
+        kind = _assert_matches_reference(worked_bundle, x0, 0.01, settle)
+        assert kind is Termination.MAX_TIME
+
+    def test_default_step_stops_within_one_step(self):
+        # at the default step the velocity falls so slowly that the loop's
+        # rounding may move the step on which it crosses stop_tol
+        g = SignedGraph.from_edge_list(2, [(0, 1, -1.0)])
+        bundle = generalized_laplacian(g, Bipartition(2, frozenset({0})), 2.0)
+        x0 = [1.0, 0.0]
+        ref = reference_rk4(bundle, x0)
+        got = integrate(bundle, x0)
+        dt = default_step(bundle)
+        assert got.terminated is ref.terminated is Termination.CONVERGED
+        assert abs(round(got.times[-1] / dt) - round(ref.times[-1] / dt)) <= 1
+        assert np.allclose(got.states[-1], ref.states[-1], rtol=0.0, atol=1e-9)
+
+    def test_one_eigh_per_bundle(self, worked_bundle, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        default_step(worked_bundle)
+        integrate(worked_bundle, [1.0, 0.0, 0.0])
+        integrate(worked_bundle, [0.2, 0.5, -0.1], dt=0.01)
+        closed_form_state(worked_bundle, [1.0, 0.0, 0.0], 2.0)
+        assert len(calls) == 1
 
 
 class TestClosedForm:

@@ -12,6 +12,7 @@ from gqsbnet import (
     BadPartition,
     Bipartition,
     DuplicateEdge,
+    NonFiniteWeight,
     SelfLoop,
     SignedGraph,
     TooLarge,
@@ -74,6 +75,11 @@ class TestSignedGraph:
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
             SignedGraph.from_edge_list(2, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(NonFiniteWeight):
+            SignedGraph.from_edge_list(2, [(0, 1, weight)])
 
     def test_empty_graph(self):
         g = SignedGraph(0)
