@@ -62,15 +62,20 @@ from .operators import (
     generalized_degree,
     generalized_laplacian,
     opposing_laplacian,
+    partner_laplacian,
+    partner_network,
     repelling_laplacian,
     sym_eigen,
     z_transform_network,
 )
 from .spectral import (
+    PartnerCore,
     PolarizationCertificate,
     Verdict,
     certify,
+    clear_partner_cache,
     effective_resistance,
+    partner_core,
     pseudoinverse,
     psd_simple_zero,
 )

@@ -2,7 +2,8 @@
 
 Subcommands cover the pipeline stages one by one (classify, bipartitions,
 spectrum, certify, simulate, predict), the full report, and a coefficient
-sweep that fans scenarios out to a process pool.  Exit codes: 0 on success,
+sweep that runs in process on one loaded network and one partner
+decomposition.  Exit codes: 0 on success,
 2 when a certificate or outcome lands on Inconclusive or Divergence, 1 on
 any error.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .dynamics import OutcomeKind, assess, integrate, predict_final
@@ -20,11 +20,13 @@ from .fileio import (
     HIGHLAND_SENTINEL,
     ScenarioConfig,
     certificate_dict,
+    classification_dict,
     enumerate_dict,
     outcome_dict,
     render_json,
     report_to_json,
     run_pipeline,
+    run_sweep,
     start_state,
     trajectory_to_csv,
     _resolve_network,
@@ -73,7 +75,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sweep, dynamics=True)
     sweep.add_argument("--dominant", required=True)
     sweep.add_argument("--gammas", required=True, help="comma-separated coefficients")
-    sweep.add_argument("--workers", type=int, default=None)
     return top
 
 
@@ -135,9 +136,7 @@ def _network_only(args):
 
 def _cmd_classify(args) -> int:
     g = _network_only(args)
-    doc = enumerate_dict(g)
-    del doc["bipartitions"]
-    _emit(args, "classification.json", render_json(doc) + "\n")
+    _emit(args, "classification.json", render_json(classification_dict(g)) + "\n")
     return 0
 
 
@@ -160,7 +159,7 @@ def _cmd_spectrum(args) -> int:
         b = bipartition_from_dominant(g, _parse_nodes(args.dominant))
         _warn_gamma(args.gamma)
         bundle = generalized_laplacian(g, b, args.gamma)
-        doc["scaled"] = list(map(float, sym_eigen(bundle.z_laplacian).eigenvalues))
+        doc["scaled"] = list(map(float, bundle.partner.eigenvalues))
     _emit(args, "spectrum.json", render_json(doc) + "\n")
     return 0
 
@@ -216,34 +215,16 @@ def _cmd_report(args) -> int:
     return 2 if verdict in _BAD_VERDICTS else 0
 
 
-def _sweep_one(payload) -> tuple[str, str]:
-    config, gamma = payload
-    report = run_pipeline(ScenarioConfig(**{**config, "gamma": gamma}))
-    tag = format(gamma, "g").replace(".", "p")
-    return f"report_gamma_{tag}.json", report_to_json(report)
-
-
 def _cmd_sweep(args) -> int:
     gammas = [float(f) for f in args.gammas.replace(",", " ").split()]
     if not gammas:
         raise ValueError("--gammas needs at least one value")
-    base = _config(args, gamma=gammas[0])
-    payload = {
-        "network_path": base.network_path,
-        "dominant_nodes": base.dominant_nodes,
-        "weights": base.weights,
-        "x0_path": base.x0_path,
-        "seed": base.seed,
-        "dt": base.dt,
-        "t_max": base.t_max,
-        "stop_tol": base.stop_tol,
-    }
-    jobs = [(payload, gamma) for gamma in gammas]
-    # Scenarios are independent; workers share nothing and write nothing.
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(_sweep_one, jobs))
-    for name, text in results:
-        _emit(args, name, text)
+    reports = run_sweep(_config(args, gamma=gammas[0]), gammas)
+    # render every report before writing any, so a failure writes nothing
+    texts = [report_to_json(report) for report in reports]
+    for gamma, text in zip(gammas, texts):
+        tag = format(gamma, "g").replace(".", "p")
+        _emit(args, f"report_gamma_{tag}.json", text)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -172,7 +173,7 @@ def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:
 
 
 def load_state_file(path, n: int) -> np.ndarray:
-    """Read a start state: n reals, whitespace or comma separated."""
+    """Read a start state: n finite reals, whitespace or comma separated."""
     text = Path(path).read_text()
     fields = text.replace(",", " ").split()
     try:
@@ -181,6 +182,9 @@ def load_state_file(path, n: int) -> np.ndarray:
         raise ParseError("start state entries must be reals", str(path))
     if len(values) != n:
         raise ParseError(f"expected {n} entries, found {len(values)}", str(path))
+    for k, v in enumerate(values, start=1):
+        if not math.isfinite(v):
+            raise ParseError(f"entry {k} is not finite: {v}", str(path))
     return np.array(values)
 
 
@@ -207,6 +211,68 @@ class Report:
     provenance: dict
 
 
+def _bipartition_count(p: int) -> int:
+    # each cooperative component goes wholly to one side; mirrors collapse
+    return (1 << (p - 1)) - 1 if p >= 2 else 0
+
+
+def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
+    """One report per coefficient, as ``run_pipeline`` gives it with
+    ``config.gamma`` replaced.
+
+    The network is loaded and hashed once.  The gauge partner does not
+    depend on the coefficient, so every coefficient reads the one partner
+    decomposition that ``spectral.partner_core`` keeps.
+    """
+    g, label, path = _resolve_network(config)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    b = bipartition_from_dominant(g, config.dominant_nodes)
+    p = len(positive_components(g))
+    classification = classify(g)
+    for gamma in gammas:
+        cert = certify(g, b, gamma)
+        x0 = start_state(config, g.n)
+        traj = None
+        outcome = None
+        if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS,
+                            Verdict.NEUTRAL_CONSENSUS):
+            traj = integrate(
+                generalized_laplacian(g, b, gamma),
+                x0,
+                dt=config.dt,
+                t_max=config.t_max,
+                stop_tol=config.stop_tol,
+            )
+            outcome = assess(traj, b, gamma)
+        provenance = {
+            "tool": "gqsbnet",
+            "version": __version__,
+            "network": label,
+            "network_sha256": digest,
+            "dominant_nodes": list(config.dominant_nodes),
+            "gamma": float(gamma),
+            "weights": [float(w) for w in config.weights]
+            if config.network_path == HIGHLAND_SENTINEL
+            else None,
+            "x0_path": config.x0_path,
+            "seed": None if config.x0_path is not None else config.seed,
+            "dt": config.dt,
+            "t_max": config.t_max,
+            "stop_tol": config.stop_tol,
+        }
+        yield Report(
+            classification=classification,
+            p=p,
+            bipartition_count=_bipartition_count(p),
+            bipartition=b,
+            certificate=cert,
+            outcome=outcome,
+            trajectory=traj,
+            x0=x0,
+            provenance=provenance,
+        )
+
+
 def run_pipeline(config: ScenarioConfig) -> Report:
     """Load, classify, certify, and (when safe) simulate one scenario.
 
@@ -214,51 +280,7 @@ def run_pipeline(config: ScenarioConfig) -> Report:
     the report then carries no outcome.  Identical configs and inputs give
     identical reports.
     """
-    g, label, path = _resolve_network(config)
-    b = bipartition_from_dominant(g, config.dominant_nodes)
-    p = len(positive_components(g))
-    count = (1 << (p - 1)) - 1 if p >= 2 else 0
-    cert = certify(g, b, config.gamma)
-    x0 = start_state(config, g.n)
-    traj = None
-    outcome = None
-    if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS,
-                        Verdict.NEUTRAL_CONSENSUS):
-        traj = integrate(
-            generalized_laplacian(g, b, config.gamma),
-            x0,
-            dt=config.dt,
-            t_max=config.t_max,
-            stop_tol=config.stop_tol,
-        )
-        outcome = assess(traj, b, config.gamma)
-    provenance = {
-        "tool": "gqsbnet",
-        "version": __version__,
-        "network": label,
-        "network_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-        "dominant_nodes": list(config.dominant_nodes),
-        "gamma": float(config.gamma),
-        "weights": [float(w) for w in config.weights]
-        if config.network_path == HIGHLAND_SENTINEL
-        else None,
-        "x0_path": config.x0_path,
-        "seed": None if config.x0_path is not None else config.seed,
-        "dt": config.dt,
-        "t_max": config.t_max,
-        "stop_tol": config.stop_tol,
-    }
-    return Report(
-        classification=classify(g),
-        p=p,
-        bipartition_count=count,
-        bipartition=b,
-        certificate=cert,
-        outcome=outcome,
-        trajectory=traj,
-        x0=x0,
-        provenance=provenance,
-    )
+    return next(run_sweep(config, [config.gamma]))
 
 
 def format_float(x: float) -> str:
@@ -267,6 +289,15 @@ def format_float(x: float) -> str:
         raise ValueError("reports cannot carry NaN or infinities")
     out = format(float(x), ".15g")
     return "0" if out in ("-0", "-0.0") else out
+
+
+def _float_row(values) -> str:
+    """``format_float`` over a sequence of floats, in bulk."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("reports cannot carry NaN or infinities")
+    # + 0.0 turns -0.0 into 0.0, as format_float does
+    return ", ".join(["%.15g" % (v + 0.0) for v in arr.tolist()])
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -284,8 +315,10 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
+        types = set(map(type, obj))
+        if all(issubclass(t, (float, np.floating)) for t in types):
+            return "[" + _float_row(obj) + "]"
+        if not any(issubclass(t, (dict, list, tuple)) for t in types):
             return "[" + ", ".join(render_json(v, indent + 1) for v in obj) + "]"
         rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in obj)
         return "[\n" + rows + "\n" + pad + "]"
@@ -373,13 +406,22 @@ def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def classification_dict(g: SignedGraph) -> dict:
+    """Balance class, cooperative component count ``p`` and the number of
+    antagonistic bipartitions, counted from ``p`` without listing them."""
+    p = len(positive_components(g))
+    return {
+        "classification": classify(g),
+        "p": p,
+        "bipartition_count": _bipartition_count(p),
+    }
+
+
 def enumerate_dict(g: SignedGraph) -> dict:
     """Classification summary plus the full bipartition listing."""
     parts = enumerate_gqsb_bipartitions(g)
     return {
-        "classification": classify(g),
-        "p": len(positive_components(g)),
-        "bipartition_count": len(parts),
+        **classification_dict(g),
         "bipartitions": [
             {"v1": sorted(b.v1), "v2": sorted(b.v2)} for b in parts
         ],

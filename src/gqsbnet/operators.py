@@ -65,12 +65,15 @@ def gauge_matrices(gamma: float, b: Bipartition):
     return np.diag(scale), np.diag(sign), np.diag(coord)
 
 
+def _conjugated(a: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    # Sign-conjugated adjacency: same-subset weights kept signed,
+    # cross-subset weights flipped.
+    return sign[:, None] * a * sign[None, :]
+
+
 def _degree_vector(g: SignedGraph, b: Bipartition) -> np.ndarray:
-    # Row sums of sign-conjugated adjacency: same-subset weights kept
-    # signed, cross-subset weights flipped.  Entries can be negative.
-    a = g.adjacency()
-    sign = np.where(b.mask(), -1.0, 1.0)
-    return (sign[:, None] * a * sign[None, :]).sum(axis=1)
+    # Row sums of the sign-conjugated adjacency.  Entries can be negative.
+    return _conjugated(g.adjacency(), np.where(b.mask(), -1.0, 1.0)).sum(axis=1)
 
 
 def generalized_degree(g: SignedGraph, b: Bipartition) -> np.ndarray:
@@ -164,7 +167,6 @@ class OperatorBundle:
     scale_gauge: np.ndarray
     sign_gauge: np.ndarray
     coord_gauge: np.ndarray
-    z_adjacency: np.ndarray
     z_laplacian: np.ndarray
     permutation: tuple[int, ...]
 
@@ -176,10 +178,16 @@ class OperatorBundle:
     def partner(self) -> EigenDecomposition:
         """Decomposition of ``z_laplacian``, computed on first use and kept.
 
-        Step selection, integration and the closed form all read this one
-        decomposition.
+        ``z_laplacian`` does not depend on the coefficient, so this is the
+        decomposition that ``spectral.partner_core`` keeps for the bundle's
+        (graph, bipartition): certification, prediction, step selection,
+        integration and the closed form all read that one decomposition,
+        at every coefficient.
         """
-        return sym_eigen(self.z_laplacian)
+        from .spectral import partner_core  # spectral imports this module
+
+        core = partner_core(self.graph, self.partition, z_laplacian=self.z_laplacian)
+        return core.decomposition
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -200,7 +208,7 @@ def generalized_laplacian(g: SignedGraph, b: Bipartition, gamma: float) -> Opera
     a = g.adjacency()
     scale, sign, coord = _gauge_diagonals(gamma, b)
     scaled = scale[:, None] * a / scale[None, :]
-    conjugated = sign[:, None] * a * sign[None, :]
+    conjugated = _conjugated(a, sign)
     deg = conjugated.sum(axis=1)
     lap = np.diag(deg) - scaled
     z_lap = np.diag(deg) - conjugated
@@ -215,18 +223,29 @@ def generalized_laplacian(g: SignedGraph, b: Bipartition, gamma: float) -> Opera
         scale_gauge=_frozen(scale),
         sign_gauge=_frozen(sign),
         coord_gauge=_frozen(coord),
-        z_adjacency=_frozen(conjugated),
         z_laplacian=_frozen(z_lap),
         permutation=perm,
     )
 
 
-def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
+def partner_laplacian(g: SignedGraph, b: Bipartition) -> np.ndarray:
+    """The gauge partner Laplacian on its own, without a coefficient.
+
+    Equal, bit for bit, to ``z_laplacian`` of every bundle on (g, b).
+    """
+    _require_gqsb(g, b)
+    conjugated = _conjugated(g.adjacency(), np.where(b.mask(), -1.0, 1.0))
+    return np.diag(conjugated.sum(axis=1)) - conjugated
+
+
+def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
     """The gauge partner as a graph: cross-subset edges flip sign (they
     were antagonistic, so they turn cooperative), same-subset edges stay."""
-    v1 = bundle.partition.v1
-    edges = tuple(
-        (i, j, -w if (i in v1) != (j in v1) else w)
-        for i, j, w in bundle.graph.edges
-    )
-    return SignedGraph(bundle.graph.n, edges)
+    v1 = b.v1
+    edges = tuple((i, j, -w if (i in v1) != (j in v1) else w) for i, j, w in g.edges)
+    return SignedGraph(g.n, edges)
+
+
+def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
+    """The bundle's gauge partner as a graph (see ``partner_network``)."""
+    return partner_network(bundle.graph, bundle.partition)

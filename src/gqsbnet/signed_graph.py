@@ -240,6 +240,10 @@ def validate_gqsb(g: SignedGraph, b: Bipartition) -> bool:
     return all(w < 0 for i, j, w in g.edges if (i in v1) != (j in v1))
 
 
+def _no_antagonism_within(g: SignedGraph, v1: frozenset[int]) -> bool:
+    return not any(w < 0 and (i in v1) == (j in v1) for i, j, w in g.edges)
+
+
 def is_structurally_balanced(g: SignedGraph) -> Bipartition | None:
     """Detect the fully balanced case: a unique two-faction split with
     cooperative ties inside factions and antagonism across.
@@ -249,13 +253,9 @@ def is_structurally_balanced(g: SignedGraph) -> Bipartition | None:
     Returns the bipartition with node 0's side first, else None.
     """
     comps = positive_components(g)
-    if len(comps) != 2:
+    if len(comps) != 2 or not _no_antagonism_within(g, comps[0]):
         return None
-    v1 = comps[0]
-    for i, j, w in g.edges:
-        if w < 0 and (i in v1) == (j in v1):
-            return None
-    return Bipartition(g.n, v1)
+    return Bipartition(g.n, comps[0])
 
 
 def is_qsb(g: SignedGraph) -> Bipartition | None:
@@ -264,21 +264,11 @@ def is_qsb(g: SignedGraph) -> Bipartition | None:
 
     Uniqueness holds exactly when the cooperative subgraph has two
     components; each subset is then one component, so a cooperative path
-    exists inside it by construction.  Returns that bipartition or None.
+    joins any two of its nodes and the path condition always holds.
+    Returns that bipartition or None.
     """
     comps = positive_components(g)
-    if len(comps) != 2:
-        return None
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    v1 = comps[0]
-    for i, j, w in g.edges:
-        # Same-subset antagonists must be linked through cooperative ties.
-        if w < 0 and (i in v1) == (j in v1) and comp_of[i] != comp_of[j]:
-            return None
-    return Bipartition(g.n, v1)
+    return Bipartition(g.n, comps[0]) if len(comps) == 2 else None
 
 
 def enumerate_gqsb_bipartitions(g: SignedGraph) -> tuple[Bipartition, ...]:
@@ -308,16 +298,14 @@ def enumerate_gqsb_bipartitions(g: SignedGraph) -> tuple[Bipartition, ...]:
 def classify(g: SignedGraph) -> str:
     """Label the network SB, QSB, GQSB, or Unbalanced-signed.
 
-    The labels narrow: SB and QSB need a unique antagonistic bipartition,
+    The labels narrow: SB and QSB need a unique antagonistic bipartition
+    (two cooperative components; SB also has no antagonism inside either),
     GQSB needs at least one, and the rest admit none at all.
     """
-    if is_structurally_balanced(g) is not None:
-        return SB
-    if is_qsb(g) is not None:
-        return QSB
-    if len(positive_components(g)) >= 2:
-        return GQSB
-    return UNBALANCED
+    comps = positive_components(g)
+    if len(comps) == 2:
+        return SB if _no_antagonism_within(g, comps[0]) else QSB
+    return GQSB if len(comps) > 2 else UNBALANCED
 
 
 def neighbor_sets(g: SignedGraph, b: Bipartition, i: int) -> NeighborSets:

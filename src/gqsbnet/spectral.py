@@ -5,26 +5,39 @@ dominance-scaled flow drives opinions to a split steady state: the gauge
 partner Laplacian must be positive semidefinite with a simple zero
 eigenvalue, which on a connected network is equivalent to positive
 definiteness of the forest resistance matrix built from the pseudoinverse.
+
+The partner Laplacian does not depend on the dominance coefficient, so
+everything derived from it holds for every coefficient on one (graph,
+bipartition).  That part is computed once and kept in a single-entry memo
+(``partner_core``); a certificate adds only the coefficient's verdict and
+null vectors.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .operators import generalized_laplacian, sym_eigen, z_transform_network
+from .operators import (
+    EigenDecomposition,
+    _gauge_diagonals,
+    partner_laplacian,
+    partner_network,
+    sym_eigen,
+)
 from .signed_graph import (
     Bipartition,
     Edge,
+    SignDecomposition,
     SignedGraph,
     connected_components,
     incidence_matrix,
     spanning_forest,
 )
-
 
 class Verdict(str, enum.Enum):
     ASYMMETRIC_POLARIZATION = "AsymmetricPolarization"
@@ -34,12 +47,25 @@ class Verdict(str, enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def pseudoinverse(matrix: np.ndarray, zero_tol: float | None = None) -> np.ndarray:
+def _decomposed(matrix: np.ndarray | EigenDecomposition,
+                zero_tol: float | None) -> EigenDecomposition:
+    # A decomposition passed in place of its matrix is used as it is, with
+    # zero_tol, when given, replacing its threshold.
+    if isinstance(matrix, EigenDecomposition):
+        return matrix if zero_tol is None else replace(matrix, zero_tol=float(zero_tol))
+    return sym_eigen(matrix, zero_tol)
+
+
+def pseudoinverse(
+    matrix: np.ndarray | EigenDecomposition, zero_tol: float | None = None
+) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via its spectrum.
 
     Eigenvalues within ``zero_tol`` of zero are dropped, the rest inverted.
+    ``matrix`` may also be the matrix's ``EigenDecomposition``, which
+    saves the solve.
     """
-    dec = sym_eigen(matrix, zero_tol)
+    dec = _decomposed(matrix, zero_tol)
     keep = np.abs(dec.eigenvalues) > dec.zero_tol
     v = dec.eigenvectors[:, keep]
     return (v / dec.eigenvalues[keep]) @ v.T
@@ -56,7 +82,7 @@ def psd_simple_zero(matrix: np.ndarray, zero_tol: float | None = None) -> bool:
 
 
 def effective_resistance(
-    laplacian: np.ndarray,
+    laplacian: np.ndarray | EigenDecomposition,
     forest: tuple[Edge, ...],
     incidence_block: np.ndarray,
     zero_tol: float | None = None,
@@ -64,20 +90,103 @@ def effective_resistance(
     """Resistance matrix of the forest edges through the given Laplacian.
 
     Quadratic form of the pseudoinverse over the forest's incidence
-    columns.  An empty forest yields the empty matrix, which downstream
-    checks treat as positive definite.
+    columns.  ``laplacian`` may also be its ``EigenDecomposition``.  An
+    empty forest yields the empty matrix, which downstream checks treat as
+    positive definite.
     """
+    n = (laplacian.eigenvalues if isinstance(laplacian, EigenDecomposition)
+         else laplacian).shape[0]
     block = np.asarray(incidence_block, dtype=float)
-    if block.ndim != 2 or block.shape != (laplacian.shape[0], len(forest)):
+    if block.ndim != 2 or block.shape != (n, len(forest)):
         raise DimensionMismatch(
             f"incidence block shape {block.shape} does not match "
-            f"{laplacian.shape[0]} nodes x {len(forest)} forest edges"
+            f"{n} nodes x {len(forest)} forest edges"
         )
     if not forest:
         return np.zeros((0, 0))
     pinv = pseudoinverse(laplacian, zero_tol)
     gram = block.T @ pinv @ block
     return (gram + gram.T) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class PartnerCore:
+    """The coefficient-free part of a certificate for one (graph,
+    bipartition, zero_tol).
+
+    ``decomposition`` is the gauge partner Laplacian's; the pseudoinverse
+    is taken from it, not from a second solve.  The partner's antagonistic
+    forest, its resistance matrix with that matrix's spectrum, and
+    connectivity are computed on first use.  Besides the eigenvectors,
+    nothing n x n is kept: no operator and no pseudoinverse.
+    """
+
+    graph: SignedGraph
+    partition: Bipartition
+    zero_tol: float | None
+    decomposition: EigenDecomposition
+
+    @cached_property
+    def connected(self) -> bool:
+        return len(connected_components(self.graph)) == 1
+
+    @cached_property
+    def forest_edges(self) -> tuple[Edge, ...]:
+        return spanning_forest(partner_network(self.graph, self.partition)).forest_edges
+
+    @cached_property
+    def resistance(self) -> np.ndarray:
+        forest = self.forest_edges
+        # incidence of the forest columns alone
+        inc = incidence_matrix(self.graph, SignDecomposition((), (), forest, ()))
+        r = effective_resistance(self.decomposition, forest, inc.matrix)
+        r.setflags(write=False)
+        return r
+
+    @cached_property
+    def resistance_eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of ``resistance``; empty with no forest."""
+        if not self.forest_edges:
+            return np.zeros(0)
+        return sym_eigen(self.resistance).eigenvalues
+
+
+# The one kept core; a core for another key replaces it.  Callers read it
+# once into a local, so a concurrent replacement costs a recomputation and
+# never hands out a core for the wrong key.
+_kept: PartnerCore | None = None
+
+
+def partner_core(
+    g: SignedGraph,
+    b: Bipartition,
+    zero_tol: float | None = None,
+    z_laplacian: np.ndarray | None = None,
+) -> PartnerCore:
+    """The coefficient-free part of the certificate for (g, b, zero_tol).
+
+    Kept in a single-entry memo, so certificates, predictions and
+    integrations at any number of coefficients on one (graph, bipartition)
+    share one eigendecomposition.  ``z_laplacian`` is the partner
+    Laplacian when the caller already holds it (an ``OperatorBundle``
+    does); otherwise it is built here.
+    """
+    global _kept
+    kept = _kept
+    if kept is not None and (kept.graph, kept.partition, kept.zero_tol) == (g, b, zero_tol):
+        return kept
+    # drop the old core before building the new one, so two never coexist
+    kept = _kept = None
+    if z_laplacian is None:
+        z_laplacian = partner_laplacian(g, b)
+    core = _kept = PartnerCore(g, b, zero_tol, sym_eigen(z_laplacian, zero_tol))
+    return core
+
+
+def clear_partner_cache() -> None:
+    """Drop the kept ``partner_core``, freeing its n x n eigenvectors."""
+    global _kept
+    _kept = None
 
 
 @dataclass(frozen=True)
@@ -119,23 +228,20 @@ def certify(
     split is a plain sign-flipped agreement, reported as Consensus.
     Disconnected or spectrally degenerate cases are Inconclusive.
     """
-    bundle = generalized_laplacian(g, b, gamma)
-    partner = z_transform_network(bundle)
-    dec = spanning_forest(partner)
-    inc = incidence_matrix(partner, dec)
-    nf = len(dec.forest_edges)
-    eig = sym_eigen(bundle.z_laplacian, zero_tol)
+    _, _, coord = _gauge_diagonals(gamma, b)
+    gamma = float(gamma)
+    core = partner_core(g, b, zero_tol)
+    eig = core.decomposition
     tol = eig.zero_tol
-    resistance = effective_resistance(
-        bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf], zero_tol=tol
-    )
-    if nf:
-        res_min = float(sym_eigen(resistance).eigenvalues[0])
-        res_pd = res_min > tol
+    if core.forest_edges:
+        res_eigs = core.resistance_eigenvalues
+        res_min = float(res_eigs[0])
+        # scale-free: relative to the matrix's own largest eigenvalue
+        res_pd = res_min > 1e-9 * float(np.max(np.abs(res_eigs)))
     else:
         res_min = None
         res_pd = True
-    connected = len(connected_components(g)) == 1
+    connected = core.connected
     w = eig.eigenvalues
     zero_mult = eig.zero_count
 
@@ -154,17 +260,16 @@ def certify(
     else:
         verdict = Verdict.INCONCLUSIVE
 
-    null_right = np.where(b.mask(), -bundle.gamma, 1.0)
-    null_left = bundle.coord_gauge / g.n
+    null_right = np.where(b.mask(), -gamma, 1.0)
+    null_left = coord / g.n
     null_right.setflags(write=False)
-    resistance.setflags(write=False)
     return PolarizationCertificate(
         connected=connected,
         spectrum=tuple(float(x) for x in w),
         zero_multiplicity=zero_mult,
-        gamma=bundle.gamma,
-        forest_edges=dec.forest_edges,
-        resistance=resistance,
+        gamma=gamma,
+        forest_edges=core.forest_edges,
+        resistance=core.resistance,
         resistance_min_eig=res_min,
         verdict=verdict,
         null_right=null_right,

@@ -13,10 +13,19 @@ from gqsbnet import (
     DIVERGENCE_LIMIT,
     BadStep,
     Bipartition,
+    PolarizationCertificate,
     SignedGraph,
     Termination,
     Trajectory,
+    Verdict,
+    connected_components,
     default_step,
+    effective_resistance,
+    generalized_laplacian,
+    incidence_matrix,
+    spanning_forest,
+    sym_eigen,
+    z_transform_network,
 )
 
 
@@ -275,3 +284,58 @@ def reference_rk4(bundle, x0, dt=None, t_max=1000.0, stop_tol=1e-10,
     t_arr.setflags(write=False)
     s_arr.setflags(write=False)
     return Trajectory(t_arr, s_arr, status)
+
+
+def reference_certify(g, b, gamma, zero_tol=None):
+    """Certificate computed afresh with three eigendecompositions
+    (the partner Laplacian, again inside the pseudoinverse, and the
+    resistance matrix) and the full incidence matrix: the oracle for the
+    shared partner decomposition.  The resistance matrix counts as
+    positive definite above the partner Laplacian's zero tolerance."""
+    bundle = generalized_laplacian(g, b, gamma)
+    partner = z_transform_network(bundle)
+    dec = spanning_forest(partner)
+    inc = incidence_matrix(partner, dec)
+    nf = len(dec.forest_edges)
+    eig = sym_eigen(bundle.z_laplacian, zero_tol)
+    tol = eig.zero_tol
+    resistance = effective_resistance(
+        bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf], zero_tol=tol
+    )
+    if nf:
+        res_min = float(sym_eigen(resistance).eigenvalues[0])
+        res_pd = res_min > tol
+    else:
+        res_min = None
+        res_pd = True
+    connected = len(connected_components(g)) == 1
+    w = eig.eigenvalues
+    zero_mult = eig.zero_count
+
+    if not connected:
+        verdict = Verdict.INCONCLUSIVE
+    elif w.size and float(w[0]) < -tol:
+        verdict = Verdict.DIVERGENCE
+    elif zero_mult == 0:
+        verdict = Verdict.NEUTRAL_CONSENSUS
+    elif zero_mult == 1 and res_pd:
+        v1 = b.v1
+        plain_split = gamma == 1.0 and not any(
+            w_ < 0 and (i in v1) == (j in v1) for i, j, w_ in g.edges
+        )
+        verdict = Verdict.CONSENSUS if plain_split else Verdict.ASYMMETRIC_POLARIZATION
+    else:
+        verdict = Verdict.INCONCLUSIVE
+
+    return PolarizationCertificate(
+        connected=connected,
+        spectrum=tuple(float(x) for x in w),
+        zero_multiplicity=zero_mult,
+        gamma=bundle.gamma,
+        forest_edges=dec.forest_edges,
+        resistance=resistance,
+        resistance_min_eig=res_min,
+        verdict=verdict,
+        null_right=np.where(b.mask(), -bundle.gamma, 1.0),
+        null_left=bundle.coord_gauge / g.n,
+    )

@@ -33,7 +33,8 @@ from gqsbnet import (
     trajectory_to_csv,
 )
 from gqsbnet.cli import main
-from gqsbnet.fileio import format_float, render_json
+from gqsbnet.fileio import enumerate_dict, format_float, render_json
+from support import random_bloc_graph
 
 ALLNEG = "3 3\n0 1 -1\n0 2 -3\n1 2 -3\n"
 UNSTABLE = "3 3\n0 1 -5\n0 2 -1\n1 2 -1\n"
@@ -123,6 +124,15 @@ class TestParsing:
         path.write_text("0.5 huh")
         with pytest.raises(ParseError):
             load_state_file(path, 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_state_file_non_finite(self, tmp_path, value):
+        path = tmp_path / "x0.txt"
+        path.write_text(f"0.5 {value} 0.25")
+        with pytest.raises(ParseError, match="entry 2 is not finite") as info:
+            load_state_file(path, 3)
+        assert info.value.path == str(path)
+        assert str(path) in str(info.value)
 
 
 class TestBundledDataset:
@@ -261,6 +271,27 @@ class TestSerialization:
         out = render_json({"x": np.float64(0.5), "k": np.int64(3), "f": np.bool_(False)})
         assert json.loads(out) == {"x": 0.5, "k": 3, "f": False}
 
+    def test_render_json_float_rows_in_bulk(self):
+        values = [-0.0, 5e-324, 0.1, 1e-5, 1e16, 1 / 3, -2.5e-300, 123456789012345678.0]
+        mixed = [np.float64(v) if k % 2 else v for k, v in enumerate(values)]
+        for row in (values, mixed, tuple(mixed), list(np.array(values, dtype=np.float32))):
+            expected = "[" + ", ".join(format_float(float(v)) for v in row) + "]"
+            assert render_json(row) == expected
+        assert render_json(values) == "[0, 4.94065645841247e-324, 0.1, 1e-05, 1e+16, " \
+            "0.333333333333333, -2.5e-300, 1.23456789012346e+17]"
+
+    def test_render_json_mixed_rows_unchanged(self):
+        assert render_json([1, True, 2.5, np.int64(3), np.bool_(False), -0.0]) == \
+            "[1, true, 2.5, 3, false, 0]"
+        assert render_json([2.5, None, "a"]) == '[2.5, null, "a"]'
+        assert render_json([[0.5, -0.0], [1, 2]]) == "[\n  [0.5, 0],\n  [1, 2]\n]"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_render_json_float_rows_reject_non_finite(self, bad):
+        for row in ([0.5, bad], [np.float64(0.5), np.float64(bad)], [1, bad]):
+            with pytest.raises(ValueError):
+                render_json({"x": row})
+
     def test_render_json_rejects_unknown(self):
         with pytest.raises(TypeError):
             render_json({"x": object()})
@@ -342,6 +373,18 @@ class TestCli:
         assert main(["classify", "--network", str(path)]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_start_state_exit_one(self, allneg_file, tmp_path, capsys, value):
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(f"1 0 {value}\n")
+        for command in ("report", "simulate", "predict"):
+            code = main([command, "--network", allneg_file, "--dominant", "0,1",
+                         "--x0", str(x0)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"{x0}: entry 3 is not finite" in err
+
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -404,14 +447,55 @@ class TestCli:
     def test_sweep(self, allneg_file, tmp_path):
         out = tmp_path / "sweep"
         code = main(["sweep", "--network", allneg_file, "--dominant", "0,1",
-                     "--gammas", "1.5,3", "--dt", "0.01", "--workers", "1",
-                     "--out", str(out)])
+                     "--gammas", "1.5,3", "--dt", "0.01", "--out", str(out)])
         assert code == 0
         for name, gamma in (("report_gamma_1p5.json", 1.5),
                             ("report_gamma_3.json", 3.0)):
             doc = json.loads((out / name).read_text())
             assert doc["certificate"]["gamma"] == gamma
             assert doc["outcome"]["kind"] == "AsymmetricPolarization"
+
+    @pytest.mark.parametrize("network, dominant, extra", [
+        ("allneg", "0,1", ["--dt", "0.01"]),
+        ("allneg", "0,1", []),
+        ("unstable", "0,1", []),
+        ("highland", "0", ["--dt", "0.002", "--seed", "3"]),
+    ])
+    def test_sweep_reports_match_report(self, allneg_file, unstable_file, tmp_path,
+                                        network, dominant, extra):
+        path = {"allneg": allneg_file, "unstable": unstable_file}.get(network, network)
+        gammas = ["1.5", "2", "0.75", "3.25"]
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--network", path, "--dominant", dominant,
+                     "--gammas", ",".join(gammas), "--out", str(out), *extra])
+        assert code == 0
+        assert len(list(out.iterdir())) == len(gammas)
+        for gamma in gammas:
+            single = tmp_path / f"report{gamma}"
+            main(["report", "--network", path, "--dominant", dominant, "--gamma", gamma,
+                  "--out", str(single), *extra])
+            tag = format(float(gamma), "g").replace(".", "p")
+            sweep_bytes = (out / f"report_gamma_{tag}.json").read_bytes()
+            assert sweep_bytes == (single / "report.json").read_bytes()
+
+    def test_sweep_bad_gamma_writes_nothing(self, allneg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--network", allneg_file, "--dominant", "0,1",
+                     "--gammas", "1.5,-1", "--dt", "0.01", "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classify_matches_enumeration(self, tmp_path, capsys):
+        rng = np.random.default_rng(17)
+        for blocs in (1, 2, 2, 3, 5):
+            g, _ = random_bloc_graph(rng, 9, blocs)
+            path = tmp_path / "g.txt"
+            path.write_text(dump_network(g))
+            assert main(["classify", "--network", str(path)]) == 0
+            listed = enumerate_dict(g)
+            del listed["bipartitions"]
+            assert capsys.readouterr().out == render_json(listed) + "\n"
 
     def test_weights_flag(self, capsys):
         code = main(["certify", "--network", "highland", "--dominant", "0",

@@ -6,20 +6,40 @@ from gqsbnet import (
     DimensionMismatch,
     NotGQSB,
     NotSymmetric,
+    ScenarioConfig,
     SignedGraph,
     Verdict,
+    bipartition_from_dominant,
     certify,
     default_zero_tol,
     effective_resistance,
     generalized_laplacian,
     incidence_matrix,
+    integrate,
+    load_highland,
+    partner_core,
+    predict_final,
     pseudoinverse,
     psd_simple_zero,
     spanning_forest,
     sym_eigen,
     z_transform_network,
 )
-from support import random_gqsb_instance
+from gqsbnet.fileio import certificate_dict, render_json
+from support import random_gqsb_instance, reference_certify
+
+
+def _counting_eigh(monkeypatch):
+    """Record the shape of every numpy.linalg.eigh input from now on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
 
 
 def _partner_pieces(g, b, gamma):
@@ -268,3 +288,84 @@ class TestCertify:
                 assert cert.verdict in (Verdict.DIVERGENCE, Verdict.INCONCLUSIVE)
         # both branches must actually occur or the check proves nothing
         assert hits[True] >= 20 and hits[False] >= 20
+
+
+class TestPartnerCore:
+    def test_matches_reference_certify(self):
+        # several coefficients per (graph, bipartition), so most certificates
+        # come from a kept decomposition
+        rng = np.random.default_rng(83)
+        verdicts = set()
+        for _ in range(150):
+            g, b = random_gqsb_instance(rng)
+            for gamma in (float(rng.uniform(0.3, 4.0)), 1.0, float(rng.uniform(0.3, 4.0))):
+                got = certificate_dict(certify(g, b, gamma))
+                want = certificate_dict(reference_certify(g, b, gamma))
+                assert got == want
+                assert render_json(got) == render_json(want)
+                verdicts.add(got["verdict"])
+        assert {"AsymmetricPolarization", "Divergence"} <= verdicts
+
+    def test_explicit_zero_tol_matches_reference(self, allneg_triangle, allneg_split):
+        for tol in (1e-6, 1e-12, None):
+            got = certify(allneg_triangle, allneg_split, 2.0, zero_tol=tol)
+            want = reference_certify(allneg_triangle, allneg_split, 2.0, zero_tol=tol)
+            assert certificate_dict(got) == certificate_dict(want)
+
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_verdict_scale_free(self, allneg_triangle, k):
+        scale = 10.0 ** k
+        g = SignedGraph(3, tuple((i, j, w * scale) for i, j, w in allneg_triangle.edges))
+        polar = certify(g, Bipartition(3, frozenset({0, 1})), 2.0)
+        assert polar.verdict is Verdict.ASYMMETRIC_POLARIZATION
+        assert certify(g, Bipartition(3, frozenset({0})), 2.0).verdict is Verdict.DIVERGENCE
+
+    def test_one_decomposition_across_gammas(self, monkeypatch):
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        b = bipartition_from_dominant(g, (0,))
+        x0 = np.random.default_rng(5).uniform(-1.0, 1.0, g.n)
+        shapes = _counting_eigh(monkeypatch)
+        for gamma in (1.5, 2.0, 3.0):
+            assert certify(g, b, gamma).verdict is Verdict.ASYMMETRIC_POLARIZATION
+            bundle = generalized_laplacian(g, b, gamma)
+            predict_final(bundle, x0)
+            integrate(bundle, x0, dt=0.002, t_max=1.0)
+        nf = len(certify(g, b, 2.0).forest_edges)
+        assert 0 < nf < g.n
+        assert shapes == [(g.n, g.n), (nf, nf)]
+
+    def test_single_entry(self, allneg_triangle, allneg_split, unstable_triangle, monkeypatch):
+        shapes = _counting_eigh(monkeypatch)
+        certify(allneg_triangle, allneg_split, 2.0)
+        equal = SignedGraph(3, allneg_triangle.edges)
+        certify(equal, Bipartition(3, frozenset({1, 0})), 3.0)
+        assert len(shapes) == 2  # an equal key hits
+        certify(unstable_triangle, allneg_split, 2.0)
+        assert len(shapes) == 4
+        certify(allneg_triangle, allneg_split, 2.0)
+        assert len(shapes) == 6  # the first key was replaced
+
+    def test_bundle_reads_the_kept_decomposition(self, allneg_triangle, allneg_split):
+        core = partner_core(allneg_triangle, allneg_split)
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.5)
+        assert bundle.partner is core.decomposition
+        assert np.array_equal(sym_eigen(bundle.z_laplacian).eigenvectors,
+                              core.decomposition.eigenvectors)
+
+    def test_kept_core_holds_no_operator(self, allneg_triangle, allneg_split):
+        core = partner_core(allneg_triangle, allneg_split)
+        certify(allneg_triangle, allneg_split, 2.0)
+        n = allneg_triangle.n
+        square = [name for name, value in vars(core).items()
+                  if isinstance(value, np.ndarray) and value.shape == (n, n)]
+        assert square == []
+
+    def test_decomposition_in_place_of_matrix(self, allneg_triangle, allneg_split):
+        bundle, forest, block = _partner_pieces(allneg_triangle, allneg_split, 2.0)
+        dec = sym_eigen(bundle.z_laplacian)
+        assert np.array_equal(pseudoinverse(dec), pseudoinverse(bundle.z_laplacian))
+        assert np.array_equal(pseudoinverse(dec, 1e-6), pseudoinverse(bundle.z_laplacian, 1e-6))
+        assert np.array_equal(effective_resistance(dec, forest, block),
+                              effective_resistance(bundle.z_laplacian, forest, block))
+        with pytest.raises(DimensionMismatch):
+            effective_resistance(dec, forest, block[:2])
