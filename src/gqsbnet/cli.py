@@ -219,12 +219,18 @@ def _cmd_sweep(args) -> int:
     gammas = [float(f) for f in args.gammas.replace(",", " ").split()]
     if not gammas:
         raise ValueError("--gammas needs at least one value")
+    names: dict[str, float] = {}
+    for gamma in gammas:
+        name = f"report_gamma_{format(gamma, 'g').replace('.', 'p')}.json"
+        if name in names:
+            raise ValueError(f"coefficients {names[name]!r} and {gamma!r} would both "
+                             f"write {name}")
+        names[name] = gamma
     reports = run_sweep(_config(args, gamma=gammas[0]), gammas)
     # render every report before writing any, so a failure writes nothing
     texts = [report_to_json(report) for report in reports]
-    for gamma, text in zip(gammas, texts):
-        tag = format(gamma, "g").replace(".", "p")
-        _emit(args, f"report_gamma_{tag}.json", text)
+    for name, text in zip(names, texts):
+        _emit(args, name, text)
     return 0
 
 

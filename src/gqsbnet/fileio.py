@@ -9,8 +9,10 @@ digits, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import OutcomeReport, Trajectory, assess, integrate
-from .errors import MissingDataset, ParseError
+from .errors import GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
     Bipartition,
@@ -38,29 +40,30 @@ HIGHLAND_SENTINEL = "highland"
 DEFAULT_HIGHLAND_WEIGHTS = (10.0, -1.0, -10.0)
 
 
-def loads_network(text: str, name: str = "<string>") -> SignedGraph:
-    """Parse the edge-list format from a string.
+def _header(fields: list[str], name: str, lineno: int) -> tuple[int, int]:
+    if len(fields) != 2:
+        raise ParseError("header must be 'n m'", name, lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError("header must hold two integers", name, lineno)
+    if n < 0 or m < 0:
+        raise ParseError("header counts must be non-negative", name, lineno)
+    return n, m
 
-    Raises ParseError with the offending one-based line number.
-    """
+
+def _loads_by_line(text: str, name: str) -> SignedGraph:
+    """The edge-list reader one line at a time: accepts every spelling
+    ``int()`` and ``float()`` accept and names the line of the first error."""
     header: tuple[int, int] | None = None
     triples: list[tuple[int, int, float]] = []
     pairs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if header is None:
-            if len(fields) != 2:
-                raise ParseError("header must be 'n m'", name, lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError("header must hold two integers", name, lineno)
-            if n < 0 or m < 0:
-                raise ParseError("header counts must be non-negative", name, lineno)
-            header = (n, m)
+            header = _header(fields, name, lineno)
             continue
         if len(fields) != 3:
             raise ParseError("edge lines must be 'i j w'", name, lineno)
@@ -90,6 +93,66 @@ def loads_network(text: str, name: str = "<string>") -> SignedGraph:
             f"header promised {header[1]} edges, found {len(triples)}", name
         )
     return SignedGraph.from_edge_list(header[0], triples)
+
+
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+# Line breaks, after CRLF, that str.splitlines() honours and np.loadtxt
+# does not.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+# A line holding more than blanks and a comment.
+_DATA_LINE = re.compile(r"^\s*[^#\s]", re.MULTILINE)
+
+
+def _loads_bulk(text: str, name: str) -> SignedGraph | None:
+    """The edge-list reader in bulk: the header line by hand, the body in
+    one ``np.loadtxt`` call, the checks in the graph constructor.
+
+    Returns None when ``np.loadtxt`` refuses the body, the edge count is
+    off or a check fails; the line reader then decides.  Only ASCII text
+    with ``\\n`` line breaks comes here: there the two readers split lines
+    and fields alike, while beyond ASCII numpy 2.4's reader has misread
+    some characters as digits and crashed the interpreter on others.
+    """
+    pos, lineno = 0, 1
+    while True:
+        end = text.find("\n", pos)
+        line = text[pos:] if end < 0 else text[pos:end]
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            break
+        if end < 0:
+            return None
+        pos, lineno = end + 1, lineno + 1
+    n, m = _header(fields, name, lineno)
+    body = "" if end < 0 else text[end + 1:]
+    rows = np.zeros(0, _EDGE_ROW)
+    if _DATA_LINE.search(body):
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments="#", ndmin=1)
+        except ValueError:
+            return None
+    if rows.size != m:
+        return None
+    try:
+        return SignedGraph.from_arrays(n, rows["i"], rows["j"], rows["w"])
+    except GqsbError:
+        return None
+
+
+def loads_network(text: str, name: str = "<string>") -> SignedGraph:
+    """Parse the edge-list format from a string.
+
+    Raises ParseError with the offending one-based line number.  The body
+    is read in bulk; text the bulk reader refuses goes through the line
+    reader, which accepts the same spellings as ``int()`` and ``float()``
+    and locates errors.
+    """
+    bulk = text.replace("\r\n", "\n") if "\r" in text else text
+    if bulk.isascii() and not any(c in bulk for c in _OTHER_BREAKS):
+        g = _loads_bulk(bulk, name)
+        if g is not None:
+            return g
+    return _loads_by_line(text, name)
 
 
 def load_network(path) -> SignedGraph:
@@ -152,16 +215,10 @@ def load_highland(config: ScenarioConfig) -> SignedGraph:
     w_coop, w_intra, w_inter = (float(w) for w in config.weights)
     if not (w_coop > 0 and w_intra < 0 and w_inter < 0):
         raise ValueError("weights must be (positive, negative, negative)")
-    v1 = b.v1
-    edges = []
-    for i, j, w in raw.edges:
-        if w > 0:
-            edges.append((i, j, w_coop))
-        elif (i in v1) == (j in v1):
-            edges.append((i, j, w_intra))
-        else:
-            edges.append((i, j, w_inter))
-    return SignedGraph(raw.n, tuple(edges))
+    side = b.mask()
+    within = side[raw.i] == side[raw.j]
+    w = np.where(raw.w > 0, w_coop, np.where(within, w_intra, w_inter))
+    return SignedGraph.from_arrays(raw.n, raw.i, raw.j, w)
 
 
 def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:

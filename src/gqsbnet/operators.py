@@ -18,8 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadGamma, DimensionMismatch, NoConvergence, NotGQSB, NotSymmetric
-from .signed_graph import Bipartition, SignedGraph, validate_gqsb
+from .errors import (
+    BadGamma,
+    BadIndex,
+    DimensionMismatch,
+    NoConvergence,
+    NotGQSB,
+    NotSymmetric,
+)
+from .signed_graph import Bipartition, SignedGraph, _Columns, _trusted, validate_gqsb
 
 _SYMMETRY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
@@ -241,9 +248,11 @@ def partner_laplacian(g: SignedGraph, b: Bipartition) -> np.ndarray:
 def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
     """The gauge partner as a graph: cross-subset edges flip sign (they
     were antagonistic, so they turn cooperative), same-subset edges stay."""
-    v1 = b.v1
-    edges = tuple((i, j, -w if (i in v1) != (j in v1) else w) for i, j, w in g.edges)
-    return SignedGraph(g.n, edges)
+    if b.n != g.n:
+        raise BadIndex("bipartition and graph disagree on node count")
+    side = b.mask()
+    w = np.where(side[g.i] != side[g.j], -g.w, g.w)
+    return _trusted(g.n, _Columns(g.i, g.j, w))
 
 
 def z_transform_network(bundle: OperatorBundle) -> SignedGraph:

@@ -34,6 +34,7 @@ from .signed_graph import (
     Edge,
     SignDecomposition,
     SignedGraph,
+    _no_antagonism_within,
     connected_components,
     incidence_matrix,
     spanning_forest,
@@ -252,10 +253,7 @@ def certify(
     elif zero_mult == 0:
         verdict = Verdict.NEUTRAL_CONSENSUS
     elif zero_mult == 1 and res_pd:
-        v1 = b.v1
-        plain_split = gamma == 1.0 and not any(
-            w_ < 0 and (i in v1) == (j in v1) for i, j, w_ in g.edges
-        )
+        plain_split = gamma == 1.0 and _no_antagonism_within(g, b.mask())
         verdict = Verdict.CONSENSUS if plain_split else Verdict.ASYMMETRIC_POLARIZATION
     else:
         verdict = Verdict.INCONCLUSIVE

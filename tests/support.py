@@ -2,17 +2,27 @@
 
 The scan oracles deliberately avoid the library's component machinery;
 they enumerate candidate splits or walk edges directly, so agreement with
-the package is a real cross-check and not a tautology.
+the package is a real cross-check and not a tautology.  The edge-list
+oracles (line-by-line parser, per-edge graph constructor, union-find) are
+the scalar forms of what the package now does with arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from gqsbnet import (
     DIVERGENCE_LIMIT,
+    BadIndex,
     BadStep,
     Bipartition,
+    DuplicateEdge,
+    NonFiniteWeight,
+    ParseError,
+    SelfLoop,
+    ZeroWeight,
     PolarizationCertificate,
     SignedGraph,
     Termination,
@@ -339,3 +349,128 @@ def reference_certify(g, b, gamma, zero_tol=None):
         null_right=np.where(b.mask(), -bundle.gamma, 1.0),
         null_left=bundle.coord_gauge / g.n,
     )
+
+
+def reference_graph(n, edges):
+    """Per-edge graph constructor: ``int()`` and ``float()`` on each
+    entry, then the checks in order, raising at the first bad edge in input
+    order.  Returns ``(n, canonical sorted edge tuple)``."""
+    if n < 0:
+        raise BadIndex("node count must be non-negative")
+    canonical = []
+    seen = set()
+    for i, j, w in edges:
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise SelfLoop(f"self-loop at node {i}")
+        if i > j:
+            i, j = j, i
+        if i < 0 or j >= n:
+            raise BadIndex(f"edge ({i}, {j}) outside 0..{n - 1}")
+        if w == 0.0:
+            raise ZeroWeight(f"edge ({i}, {j}) has zero weight")
+        if not math.isfinite(w):
+            raise NonFiniteWeight(f"edge ({i}, {j}) has non-finite weight {w}")
+        if (i, j) in seen:
+            raise DuplicateEdge(f"node pair ({i}, {j}) appears twice")
+        seen.add((i, j))
+        canonical.append((i, j, w))
+    canonical.sort()
+    return n, tuple(canonical)
+
+
+def reference_loads_network(text, name="<string>"):
+    """Line-by-line edge-list parser, one Python statement per line.
+    Returns ``reference_graph``'s ``(n, edges)``."""
+    header = None
+    triples = []
+    pairs = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if header is None:
+            if len(fields) != 2:
+                raise ParseError("header must be 'n m'", name, lineno)
+            try:
+                n, m = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError("header must hold two integers", name, lineno)
+            if n < 0 or m < 0:
+                raise ParseError("header counts must be non-negative", name, lineno)
+            header = (n, m)
+            continue
+        if len(fields) != 3:
+            raise ParseError("edge lines must be 'i j w'", name, lineno)
+        try:
+            i, j = int(fields[0]), int(fields[1])
+            w = float(fields[2])
+        except ValueError:
+            raise ParseError("edge line must hold two integers and a real", name, lineno)
+        n = header[0]
+        if i == j:
+            raise ParseError(f"self-loop at node {i}", name, lineno)
+        if not 0 <= i < n or not 0 <= j < n:
+            raise ParseError(f"edge ({i}, {j}) outside 0..{n - 1}", name, lineno)
+        if w == 0.0:
+            raise ParseError(f"edge ({i}, {j}) has zero weight", name, lineno)
+        if not math.isfinite(w):
+            raise ParseError(f"edge ({i}, {j}) has non-finite weight {w}", name, lineno)
+        key = (min(i, j), max(i, j))
+        if key in pairs:
+            raise ParseError(f"node pair {key} appears twice", name, lineno)
+        pairs.add(key)
+        triples.append((i, j, w))
+    if header is None:
+        raise ParseError("empty input, expected a 'n m' header", name)
+    if len(triples) != header[1]:
+        raise ParseError(
+            f"header promised {header[1]} edges, found {len(triples)}", name
+        )
+    return reference_graph(header[0], triples)
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path compression."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def reference_components(n, edges):
+    """Components joined by the given edges, by union-find, ordered by
+    smallest member."""
+    uf = UnionFind(n)
+    for i, j, _ in edges:
+        uf.union(i, j)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), []).append(v)
+    return tuple(sorted((frozenset(ms) for ms in groups.values()), key=min))
+
+
+def reference_forest(n, edges):
+    """Scan the antagonistic edges in the given order with union-find:
+    ``(forest, cycle edges)``."""
+    uf = UnionFind(n)
+    forest, cycles = [], []
+    for e in edges:
+        if e[2] < 0:
+            (forest if uf.union(e[0], e[1]) else cycles).append(e)
+    return tuple(forest), tuple(cycles)

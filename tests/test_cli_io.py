@@ -1,3 +1,4 @@
+import functools
 import importlib.metadata
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import gqsbnet
+import gqsbnet.cli
 from gqsbnet import (
     MissingDataset,
     ParseError,
@@ -30,6 +32,7 @@ from gqsbnet import (
     predict_final,
     report_to_json,
     run_pipeline,
+    signed_graph,
     trajectory_to_csv,
 )
 from gqsbnet.cli import main
@@ -485,6 +488,63 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("gammas", ["2.0000001,2", "1.5,3,1.5", "2,2.0"])
+    def test_sweep_colliding_names_write_nothing(self, allneg_file, tmp_path, capsys,
+                                                 monkeypatch, gammas):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coefficient was computed")
+
+        monkeypatch.setattr(gqsbnet.cli, "run_sweep", refuse)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--network", allneg_file, "--dominant", "0,1",
+                     "--gammas", gammas, "--dt", "0.01", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "report_gamma_" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["bipartitions"],
+        ["report", "--dominant", "0,1", "--dt", "0.01"],
+        ["sweep", "--dominant", "0,1", "--gammas", "1.5,2,3", "--dt", "0.01"],
+    ])
+    @pytest.mark.parametrize("network", ["file", "highland"])
+    def test_one_cooperative_pass_per_graph(self, allneg_file, tmp_path, monkeypatch,
+                                            argv, network):
+        if network == "highland":
+            if "--dominant" in argv:
+                argv = [a if a != "0,1" else "0" for a in argv]
+            path = "highland"
+        else:
+            path = allneg_file
+        found = SignedGraph.__dict__["cooperative_labels"]
+        passes = []
+        joins = []
+
+        def counted(g):
+            passes.append(g)
+            return found.func(g)
+
+        def joined(*args):
+            joins.append(args)
+            return join(*args)
+
+        wrapped = functools.cached_property(counted)
+        wrapped.__set_name__(SignedGraph, "cooperative_labels")
+        monkeypatch.setattr(SignedGraph, "cooperative_labels", wrapped)
+        join = signed_graph._joined
+        monkeypatch.setattr(signed_graph, "_joined", joined)
+        code = main([argv[0], "--network", path, *argv[1:], "--out", str(tmp_path / "o")])
+        assert code == 0
+        # highland builds the raw file's graph and its relabelled copy
+        graphs = 2 if network == "highland" else 1
+        assert len(passes) == graphs
+        assert len({id(g) for g in passes}) == len(passes)
+        if argv[0] in ("classify", "bipartitions"):
+            # nothing else on these paths joins nodes
+            assert len(joins) == graphs
 
     def test_classify_matches_enumeration(self, tmp_path, capsys):
         rng = np.random.default_rng(17)
