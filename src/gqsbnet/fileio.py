@@ -13,6 +13,7 @@ import io
 import math
 import os
 import re
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
@@ -128,8 +129,12 @@ def _loads_bulk(text: str, name: str) -> SignedGraph | None:
     rows = np.zeros(0, _EDGE_ROW)
     if _DATA_LINE.search(body):
         try:
-            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments="#", ndmin=1)
-        except ValueError:
+            # numpy before 2.3 reads a float spelling such as "2.0" into an
+            # int64 field with only a DeprecationWarning; refuse it instead
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments="#", ndmin=1)
+        except (ValueError, DeprecationWarning):
             return None
     if rows.size != m:
         return None
@@ -217,8 +222,7 @@ def load_highland(config: ScenarioConfig) -> SignedGraph:
         raise ValueError("weights must be (positive, negative, negative)")
     side = b.mask()
     within = side[raw.i] == side[raw.j]
-    w = np.where(raw.w > 0, w_coop, np.where(within, w_intra, w_inter))
-    return SignedGraph.from_arrays(raw.n, raw.i, raw.j, w)
+    return raw.reweighted(np.where(raw.w > 0, w_coop, np.where(within, w_intra, w_inter)))
 
 
 def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:

@@ -26,7 +26,7 @@ from .errors import (
     NotGQSB,
     NotSymmetric,
 )
-from .signed_graph import Bipartition, SignedGraph, _Columns, _trusted, validate_gqsb
+from .signed_graph import Bipartition, SignedGraph, validate_gqsb
 
 _SYMMETRY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
@@ -251,8 +251,7 @@ def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
     if b.n != g.n:
         raise BadIndex("bipartition and graph disagree on node count")
     side = b.mask()
-    w = np.where(side[g.i] != side[g.j], -g.w, g.w)
-    return _trusted(g.n, _Columns(g.i, g.j, w))
+    return g.reweighted(np.where(side[g.i] != side[g.j], -g.w, g.w))
 
 
 def z_transform_network(bundle: OperatorBundle) -> SignedGraph:

@@ -115,10 +115,6 @@ def _edge_columns(n: int, edges) -> _Columns:
     return _columns_by_edge(n, rows)
 
 
-# Largest node count whose pair keys lo * n + hi fit in int64.
-_KEYED_NODES = 3_037_000_499
-
-
 def _raise_first_bad(n: int, edges: _Columns, bad: np.ndarray):
     """Raise for the first bad edge in input order, counting the later
     copies of a repeated pair as bad, with the error a per-edge check
@@ -146,8 +142,7 @@ def _canonical(n: int, edges: _Columns) -> _Columns:
     bad = (i == j) | (lo < 0) | (hi >= n) | (w == 0.0) | ~np.isfinite(w)
     if bad.any():
         _raise_first_bad(n, edges, bad)
-    # one sort of a combined key is several times faster than lexsort
-    order = np.argsort(lo * n + hi) if n <= _KEYED_NODES else np.lexsort((hi, lo))
+    order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
         _raise_first_bad(n, edges, bad)
@@ -222,6 +217,19 @@ class SignedGraph:
         labels = _joined(np.arange(self.n), self.i[pos], self.j[pos])
         labels.setflags(write=False)
         return labels
+
+    def reweighted(self, w) -> SignedGraph:
+        """The same canonical edges with new weights, one per edge in
+        canonical order.  The first zero or non-finite weight raises, with
+        the error the constructor gives it."""
+        w = np.array(w, np.float64)
+        if w.shape != self.w.shape:
+            raise ValueError("reweighted needs one weight per edge")
+        bad = (w == 0.0) | ~np.isfinite(w)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise _edge_error(self.n, int(self.i[k]), int(self.j[k]), float(w[k]))
+        return _trusted(self.n, _Columns(self.i, self.j, w))
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zeros off the edge set."""

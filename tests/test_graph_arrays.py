@@ -218,6 +218,33 @@ class TestParseErrors:
         assert got[0] is ParseError
         assert got == _outcome(reference_loads_network, text, "net.txt")
 
+    @pytest.mark.parametrize("text", [
+        "3 1\n0 2.0 1\n", "3 1\n1.5 0 1\n", "12 1\n1e1 0 1\n", "3 2\n0 1 1\n1.0 2 1\n",
+    ])
+    def test_float_spelled_indices(self, text):
+        got = _outcome(_parsed, text)
+        assert got[0] is ParseError and "two integers" in got[1]
+        assert got == _outcome(reference_loads_network, text, "net.txt")
+
+    def test_float_spelled_indices_when_loadtxt_only_warns(self, monkeypatch):
+        # numpy before 2.3 reads "2.0" or "1e1" into an int64 field through
+        # float and only warns; such text must still reach the line reader
+        def lenient(source, dtype, **kwargs):
+            rows = [line.split("#")[0].split() for line in source.getvalue().splitlines()]
+            rows = [r for r in rows if r]
+            if any(not f.lstrip("+-").isdigit() for r in rows for f in r[:2]):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return np.array([(int(float(a)), int(float(b)), float(c)) for a, b, c in rows],
+                            dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        assert _parsed("3 2\n0 1 2\n2 1 -1\n") == (3, ((0, 1, 2.0), (1, 2, -1.0)))
+        for text in ["3 1\n0 2.0 1\n", "3 1\n1.5 0 1\n", "12 1\n1e1 0 1\n"]:
+            got = _outcome(_parsed, text)
+            assert got[0] is ParseError
+            assert got == _outcome(reference_loads_network, text, "net.txt")
+
 
 def _valid_edges(rng, n, m):
     return [(i, j, float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))) for i, j in
@@ -281,8 +308,8 @@ class TestConstructorErrors:
 
     @pytest.mark.parametrize("n", [60, 3_037_000_499, 3_037_000_500, 2 ** 32 + 1, 10 ** 11,
                                    2 ** 63 - 1])
-    def test_node_counts_past_the_pair_key(self, n):
-        # past about 3e9 nodes a pair no longer fits one int64 sort key
+    def test_huge_node_counts(self, n):
+        # node indices up to 2**63 - 2 sort and validate as small ones do
         rng = np.random.default_rng(4)
         nodes = [0, 1, 2, 39, n - 3, n - 2, n - 1]
         edges = [(nodes[b], nodes[a], float(rng.uniform(0.5, 2))) for a in range(7)
@@ -340,6 +367,23 @@ class TestValueSemantics:
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g and not copy.w.flags.writeable
         assert eval(repr(g)) == g
+
+    def test_reweighted(self):
+        rng = np.random.default_rng(10)
+        g = SignedGraph(25, tuple(_valid_edges(rng, 25, 80)))
+        w = -2.0 * g.w
+        h = g.reweighted(w)
+        w[0] = 7.0
+        assert h.edges == tuple((i, j, -2.0 * x) for i, j, x in g.edges)
+        assert not h.w.flags.writeable and g.w[0] != 7.0
+        for bad in (0.0, np.nan, -np.inf):
+            w = g.w.copy()
+            w[[5, 9]] = bad
+            expect = _outcome(SignedGraph.from_arrays, g.n, g.i, g.j, w)
+            assert isinstance(expect, tuple)
+            assert _outcome(g.reweighted, w) == expect
+        with pytest.raises(ValueError, match="one weight per edge"):
+            g.reweighted(g.w[1:])
 
     def test_adjacency_matches_edges(self):
         rng = np.random.default_rng(9)
