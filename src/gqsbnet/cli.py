@@ -17,6 +17,7 @@ from pathlib import Path
 from .dynamics import OutcomeKind, assess, integrate, predict_final
 from .errors import GqsbError, TooLarge
 from .fileio import (
+    DETAILS,
     HIGHLAND_SENTINEL,
     ScenarioConfig,
     certificate_dict,
@@ -44,7 +45,7 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gqsbnet")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, dominant=False, dynamics=False):
+    def common(p, dominant=False, dynamics=False, detail=False):
         p.add_argument("--network", required=True,
                        help=f"edge-list file, or '{HIGHLAND_SENTINEL}' for the bundled dataset")
         p.add_argument("--weights", default=None,
@@ -60,6 +61,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--dt", type=float, default=None)
             p.add_argument("--tmax", type=float, default=1000.0)
             p.add_argument("--stride", type=int, default=1)
+        if detail:
+            p.add_argument("--detail", choices=DETAILS, default=DETAILS[0],
+                           help="certificate detail: the verdict's margins (summary) "
+                                "or also the spectrum, forest and resistance Gram (full)")
 
     common(sub.add_parser("classify", help="balance class of the network"))
     common(sub.add_parser("bipartitions", help="all antagonistic bipartitions"))
@@ -67,12 +72,14 @@ def _parser() -> argparse.ArgumentParser:
     common(spectrum)
     spectrum.add_argument("--dominant", default=None)
     spectrum.add_argument("--gamma", type=float, default=2.0)
-    common(sub.add_parser("certify", help="polarization certificate"), dominant=True)
+    common(sub.add_parser("certify", help="polarization certificate"), dominant=True,
+           detail=True)
     common(sub.add_parser("simulate", help="integrate the flow"), dominant=True, dynamics=True)
     common(sub.add_parser("predict", help="closed-form final state"), dominant=True, dynamics=True)
-    common(sub.add_parser("report", help="full pipeline report"), dominant=True, dynamics=True)
+    common(sub.add_parser("report", help="full pipeline report"), dominant=True, dynamics=True,
+           detail=True)
     sweep = sub.add_parser("sweep", help="reports across coefficients")
-    common(sweep, dynamics=True)
+    common(sweep, dynamics=True, detail=True)
     sweep.add_argument("--dominant", required=True)
     sweep.add_argument("--gammas", required=True, help="comma-separated coefficients")
     return top
@@ -170,7 +177,7 @@ def _cmd_certify(args) -> int:
     g, _, _ = _resolve_network(config)
     b = bipartition_from_dominant(g, config.dominant_nodes)
     cert = certify(g, b, config.gamma)
-    _emit(args, "certificate.json", render_json(certificate_dict(cert)) + "\n")
+    _emit(args, "certificate.json", render_json(certificate_dict(cert, args.detail)) + "\n")
     return 2 if cert.verdict.value in _BAD_VERDICTS else 0
 
 
@@ -207,7 +214,7 @@ def _cmd_report(args) -> int:
     config = _config(args)
     _warn_gamma(config.gamma)
     report = run_pipeline(config)
-    _emit(args, "report.json", report_to_json(report))
+    _emit(args, "report.json", report_to_json(report, args.detail))
     if args.out and report.trajectory is not None:
         _emit(args, "trajectory.csv",
               trajectory_to_csv(report.trajectory, stride=args.stride))
@@ -228,7 +235,7 @@ def _cmd_sweep(args) -> int:
         names[name] = gamma
     reports = run_sweep(_config(args, gamma=gammas[0]), gammas)
     # render every report before writing any, so a failure writes nothing
-    texts = [report_to_json(report) for report in reports]
+    texts = [report_to_json(report, args.detail) for report in reports]
     for name, text in zip(names, texts):
         _emit(args, name, text)
     return 0

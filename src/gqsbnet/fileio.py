@@ -352,13 +352,14 @@ def format_float(x: float) -> str:
     return "0" if out in ("-0", "-0.0") else out
 
 
-def _float_row(values) -> str:
-    """``format_float`` over a sequence of floats, in bulk."""
+def _float_row(values, sep: str = ", ") -> str:
+    """``format_float`` over a sequence of floats, in bulk, joined by
+    ``sep``."""
     arr = np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("reports cannot carry NaN or infinities")
     # + 0.0 turns -0.0 into 0.0, as format_float does
-    return ", ".join(["%.15g" % (v + 0.0) for v in arr.tolist()])
+    return sep.join(["%.15g"] * arr.size) % tuple((arr + 0.0).tolist())
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -397,7 +398,35 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def certificate_dict(cert: PolarizationCertificate) -> dict:
+DETAILS = ("summary", "full")
+
+
+def certificate_dict(cert: PolarizationCertificate, detail: str = "summary") -> dict:
+    """The certificate as a document.
+
+    ``"summary"`` gives schema 2: the verdict, the criterion that decided
+    it, and each criterion's value beside its tolerance, with no array.
+    ``"full"`` gives the schema-less document that embeds the spectrum,
+    the forest, its resistance Gram and the null vectors.
+    """
+    if detail == "summary":
+        w = cert.spectrum
+        return {
+            "schema": 2,
+            "gamma": cert.gamma,
+            "verdict": cert.verdict.value,
+            "decided_by": cert.decided_by,
+            "connected": cert.connected,
+            "lambda_min": w[0] if w else None,
+            "lambda_2": w[1] if len(w) > 1 else None,
+            "zero_tol": cert.zero_tol,
+            "zero_multiplicity": cert.zero_multiplicity,
+            "forest_size": len(cert.forest_edges),
+            "resistance_min_eig": cert.resistance_min_eig,
+            "resistance_pd_tol": cert.resistance_pd_tol,
+        }
+    if detail != "full":
+        raise ValueError(f"detail must be one of {', '.join(DETAILS)}, got {detail!r}")
     return {
         "gamma": cert.gamma,
         "connected": cert.connected,
@@ -424,7 +453,8 @@ def outcome_dict(outcome: OutcomeReport | None) -> dict | None:
     }
 
 
-def report_dict(report: Report) -> dict:
+def report_dict(report: Report, detail: str = "summary") -> dict:
+    """The report as a document; ``detail`` is ``certificate_dict``'s."""
     prov = dict(report.provenance)
     prov["x0"] = list(report.x0)
     return {
@@ -435,14 +465,14 @@ def report_dict(report: Report) -> dict:
             "v1": sorted(report.bipartition.v1),
             "v2": sorted(report.bipartition.v2),
         },
-        "certificate": certificate_dict(report.certificate),
+        "certificate": certificate_dict(report.certificate, detail),
         "outcome": outcome_dict(report.outcome),
         "provenance": prov,
     }
 
 
-def report_to_json(report: Report) -> str:
-    return render_json(report_dict(report)) + "\n"
+def report_to_json(report: Report, detail: str = "summary") -> str:
+    return render_json(report_dict(report, detail)) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
@@ -455,15 +485,9 @@ def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
     n = traj.states.shape[1]
     lines = ["t," + ",".join(f"x{i}" for i in range(n))]
     last = len(traj.times) - 1
-    for k in range(0, last + 1):
-        if k % stride and k != last:
-            continue
-        row = traj.states[k]
-        lines.append(
-            format_float(float(traj.times[k]))
-            + ","
-            + ",".join(format_float(float(v)) for v in row)
-        )
+    keep = [k for k in range(last + 1) if k % stride == 0 or k == last]
+    rows = np.column_stack([traj.times[keep], traj.states[keep]])
+    lines.extend(_float_row(row, ",") for row in rows)
     return "\n".join(lines) + "\n"
 
 

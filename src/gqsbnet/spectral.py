@@ -200,6 +200,14 @@ class PolarizationCertificate:
     ``null_right`` and ``null_left`` span the flow's stationary direction
     and conserved functional; in gauge coordinates they are the all-ones
     vector and its 1/n scaling.
+
+    ``decided_by`` names the ``certify`` branch that settled the verdict:
+    ``connectivity``, ``negative_eigenvalue``, ``zero_multiplicity``,
+    ``resistance_pd`` or ``plain_split``.  ``zero_tol`` is the threshold
+    below which a spectrum entry counts as zero, and ``resistance_pd_tol``
+    the one above which the resistance Gram's smallest eigenvalue counts as
+    positive (None with an empty forest).  The three default to None, for
+    certificates built by hand.
     """
 
     connected: bool
@@ -212,6 +220,9 @@ class PolarizationCertificate:
     verdict: Verdict
     null_right: np.ndarray
     null_left: np.ndarray
+    decided_by: str | None = None
+    zero_tol: float | None = None
+    resistance_pd_tol: float | None = None
 
 
 def certify(
@@ -238,25 +249,31 @@ def certify(
         res_eigs = core.resistance_eigenvalues
         res_min = float(res_eigs[0])
         # scale-free: relative to the matrix's own largest eigenvalue
-        res_pd = res_min > 1e-9 * float(np.max(np.abs(res_eigs)))
+        res_pd_tol = 1e-9 * float(np.max(np.abs(res_eigs)))
+        res_pd = res_min > res_pd_tol
     else:
-        res_min = None
+        res_min = res_pd_tol = None
         res_pd = True
     connected = core.connected
     w = eig.eigenvalues
     zero_mult = eig.zero_count
 
     if not connected:
-        verdict = Verdict.INCONCLUSIVE
+        verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
     elif w.size and float(w[0]) < -tol:
-        verdict = Verdict.DIVERGENCE
+        verdict, decided_by = Verdict.DIVERGENCE, "negative_eigenvalue"
     elif zero_mult == 0:
-        verdict = Verdict.NEUTRAL_CONSENSUS
+        verdict, decided_by = Verdict.NEUTRAL_CONSENSUS, "zero_multiplicity"
     elif zero_mult == 1 and res_pd:
-        plain_split = gamma == 1.0 and _no_antagonism_within(g, b.mask())
-        verdict = Verdict.CONSENSUS if plain_split else Verdict.ASYMMETRIC_POLARIZATION
+        # an exact compare: gamma = 1 + 1e-15 already scales the split
+        if gamma == 1.0 and _no_antagonism_within(g, b.mask()):
+            verdict, decided_by = Verdict.CONSENSUS, "plain_split"
+        else:
+            verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "resistance_pd"
+    elif zero_mult != 1:
+        verdict, decided_by = Verdict.INCONCLUSIVE, "zero_multiplicity"
     else:
-        verdict = Verdict.INCONCLUSIVE
+        verdict, decided_by = Verdict.INCONCLUSIVE, "resistance_pd"
 
     null_right = np.where(b.mask(), -gamma, 1.0)
     null_left = coord / g.n
@@ -272,4 +289,7 @@ def certify(
         verdict=verdict,
         null_right=null_right,
         null_left=null_left,
+        decided_by=decided_by,
+        zero_tol=tol,
+        resistance_pd_tol=res_pd_tol,
     )

@@ -301,7 +301,9 @@ def reference_certify(g, b, gamma, zero_tol=None):
     (the partner Laplacian, again inside the pseudoinverse, and the
     resistance matrix) and the full incidence matrix: the oracle for the
     shared partner decomposition.  The resistance matrix counts as
-    positive definite above the partner Laplacian's zero tolerance."""
+    positive definite above the partner Laplacian's zero tolerance; the
+    reported ``resistance_pd_tol`` is 1e-9 times its largest eigenvalue
+    magnitude, and ``decided_by`` names the branch below that returned."""
     bundle = generalized_laplacian(g, b, gamma)
     partner = z_transform_network(bundle)
     dec = spanning_forest(partner)
@@ -313,29 +315,33 @@ def reference_certify(g, b, gamma, zero_tol=None):
         bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf], zero_tol=tol
     )
     if nf:
-        res_min = float(sym_eigen(resistance).eigenvalues[0])
+        res_eigs = sym_eigen(resistance).eigenvalues
+        res_min = float(res_eigs[0])
+        res_pd_tol = 1e-9 * max(abs(float(x)) for x in res_eigs)
         res_pd = res_min > tol
     else:
-        res_min = None
+        res_min = res_pd_tol = None
         res_pd = True
     connected = len(connected_components(g)) == 1
     w = eig.eigenvalues
     zero_mult = eig.zero_count
 
     if not connected:
-        verdict = Verdict.INCONCLUSIVE
+        verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
     elif w.size and float(w[0]) < -tol:
-        verdict = Verdict.DIVERGENCE
+        verdict, decided_by = Verdict.DIVERGENCE, "negative_eigenvalue"
     elif zero_mult == 0:
-        verdict = Verdict.NEUTRAL_CONSENSUS
+        verdict, decided_by = Verdict.NEUTRAL_CONSENSUS, "zero_multiplicity"
     elif zero_mult == 1 and res_pd:
         v1 = b.v1
         plain_split = gamma == 1.0 and not any(
             w_ < 0 and (i in v1) == (j in v1) for i, j, w_ in g.edges
         )
         verdict = Verdict.CONSENSUS if plain_split else Verdict.ASYMMETRIC_POLARIZATION
+        decided_by = "plain_split" if plain_split else "resistance_pd"
     else:
         verdict = Verdict.INCONCLUSIVE
+        decided_by = "resistance_pd" if zero_mult == 1 else "zero_multiplicity"
 
     return PolarizationCertificate(
         connected=connected,
@@ -348,7 +354,27 @@ def reference_certify(g, b, gamma, zero_tol=None):
         verdict=verdict,
         null_right=np.where(b.mask(), -bundle.gamma, 1.0),
         null_left=bundle.coord_gauge / g.n,
+        decided_by=decided_by,
+        zero_tol=tol,
+        resistance_pd_tol=res_pd_tol,
     )
+
+
+def reference_certificate_dict(cert: PolarizationCertificate) -> dict:
+    """The certificate document as it was before schema 2: the oracle for
+    ``certificate_dict(cert, detail="full")``."""
+    return {
+        "gamma": cert.gamma,
+        "connected": cert.connected,
+        "verdict": cert.verdict.value,
+        "spectrum": list(cert.spectrum),
+        "zero_multiplicity": cert.zero_multiplicity,
+        "forest_edges": [[i, j, w] for i, j, w in cert.forest_edges],
+        "resistance": [list(row) for row in cert.resistance],
+        "resistance_min_eig": cert.resistance_min_eig,
+        "null_right": list(cert.null_right),
+        "null_left": list(cert.null_left),
+    }
 
 
 def reference_graph(n, edges):

@@ -17,6 +17,8 @@ from gqsbnet import (
     ParseError,
     ScenarioConfig,
     SignedGraph,
+    Termination,
+    Trajectory,
     Verdict,
     bipartition_from_dominant,
     certify,
@@ -316,6 +318,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             trajectory_to_csv(traj, stride=0)
 
+    def test_trajectory_csv_matches_per_value_format(self):
+        rng = np.random.default_rng(23)
+        times = np.arange(9) * 0.125
+        states = rng.standard_normal((9, 4))
+        states[1] = [-0.0, 5e-324, 1e16, -1e16]
+        states[2] = [0.1, -5e-324, 1 / 3, 123456789012345678.0]
+        traj = Trajectory(times, states, Termination.CONVERGED)
+        for stride in (1, 2, 3, 8, 9, 20):
+            rows = [k for k in range(9) if k % stride == 0 or k == 8]
+            expect = "t,x0,x1,x2,x3\n" + "".join(
+                format_float(float(times[k])) + ","
+                + ",".join(format_float(float(v)) for v in states[k]) + "\n"
+                for k in rows)
+            assert trajectory_to_csv(traj, stride) == expect
+        assert "\n0.125,0,4.94065645841247e-324,1e+16,-1e+16\n" in trajectory_to_csv(traj)
+        for bad in (np.nan, np.inf):
+            broken = states.copy()
+            broken[4, 2] = bad
+            with pytest.raises(ValueError):
+                trajectory_to_csv(Trajectory(times, broken, Termination.CONVERGED))
+
 
 class TestCli:
     def test_classify(self, allneg_file, capsys):
@@ -349,6 +372,13 @@ class TestCli:
 
     def test_certify_polarizing(self, allneg_file, capsys):
         code = main(["certify", "--network", allneg_file, "--dominant", "0,1"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "AsymmetricPolarization"
+        assert doc["decided_by"] == "resistance_pd"
+        assert "resistance" not in doc
+        code = main(["certify", "--network", allneg_file, "--dominant", "0,1",
+                     "--detail", "full"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "AsymmetricPolarization"
@@ -468,18 +498,21 @@ class TestCli:
                                         network, dominant, extra):
         path = {"allneg": allneg_file, "unstable": unstable_file}.get(network, network)
         gammas = ["1.5", "2", "0.75", "3.25"]
-        out = tmp_path / "sweep"
-        code = main(["sweep", "--network", path, "--dominant", dominant,
-                     "--gammas", ",".join(gammas), "--out", str(out), *extra])
-        assert code == 0
-        assert len(list(out.iterdir())) == len(gammas)
-        for gamma in gammas:
-            single = tmp_path / f"report{gamma}"
-            main(["report", "--network", path, "--dominant", dominant, "--gamma", gamma,
-                  "--out", str(single), *extra])
-            tag = format(float(gamma), "g").replace(".", "p")
-            sweep_bytes = (out / f"report_gamma_{tag}.json").read_bytes()
-            assert sweep_bytes == (single / "report.json").read_bytes()
+        for detail in ([], ["--detail", "full"]):
+            out = tmp_path / f"sweep{len(detail)}"
+            code = main(["sweep", "--network", path, "--dominant", dominant,
+                         "--gammas", ",".join(gammas), "--out", str(out), *extra, *detail])
+            assert code == 0
+            assert len(list(out.iterdir())) == len(gammas)
+            for gamma in gammas:
+                single = tmp_path / f"report{gamma}-{len(detail)}"
+                main(["report", "--network", path, "--dominant", dominant, "--gamma", gamma,
+                      "--out", str(single), *extra, *detail])
+                tag = format(float(gamma), "g").replace(".", "p")
+                sweep_bytes = (out / f"report_gamma_{tag}.json").read_bytes()
+                assert sweep_bytes == (single / "report.json").read_bytes()
+                doc = json.loads(sweep_bytes)
+                assert ("schema" in doc["certificate"]) == (not detail)
 
     def test_sweep_bad_gamma_writes_nothing(self, allneg_file, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -26,7 +26,11 @@ from gqsbnet import (
     z_transform_network,
 )
 from gqsbnet.fileio import certificate_dict, render_json
-from support import random_gqsb_instance, reference_certify
+from support import (
+    random_gqsb_instance,
+    reference_certificate_dict,
+    reference_certify,
+)
 
 
 def _counting_eigh(monkeypatch):
@@ -299,18 +303,25 @@ class TestPartnerCore:
         for _ in range(150):
             g, b = random_gqsb_instance(rng)
             for gamma in (float(rng.uniform(0.3, 4.0)), 1.0, float(rng.uniform(0.3, 4.0))):
-                got = certificate_dict(certify(g, b, gamma))
-                want = certificate_dict(reference_certify(g, b, gamma))
-                assert got == want
-                assert render_json(got) == render_json(want)
-                verdicts.add(got["verdict"])
+                cert = certify(g, b, gamma)
+                ref = reference_certify(g, b, gamma)
+                for detail in ("summary", "full"):
+                    got = certificate_dict(cert, detail=detail)
+                    want = certificate_dict(ref, detail=detail)
+                    assert got == want
+                    assert render_json(got) == render_json(want)
+                full = render_json(certificate_dict(cert, detail="full"))
+                assert full == render_json(reference_certificate_dict(cert))
+                assert full == render_json(reference_certificate_dict(ref))
+                verdicts.add(cert.verdict.value)
         assert {"AsymmetricPolarization", "Divergence"} <= verdicts
 
     def test_explicit_zero_tol_matches_reference(self, allneg_triangle, allneg_split):
         for tol in (1e-6, 1e-12, None):
             got = certify(allneg_triangle, allneg_split, 2.0, zero_tol=tol)
             want = reference_certify(allneg_triangle, allneg_split, 2.0, zero_tol=tol)
-            assert certificate_dict(got) == certificate_dict(want)
+            for detail in ("summary", "full"):
+                assert certificate_dict(got, detail) == certificate_dict(want, detail)
 
     @pytest.mark.parametrize("k", range(-6, 7))
     def test_verdict_scale_free(self, allneg_triangle, k):
