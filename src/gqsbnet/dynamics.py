@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadStep, DimensionMismatch, NotPolarizing
+from .errors import BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle
 from .signed_graph import Bipartition
 from .spectral import Verdict, certify
@@ -79,6 +79,8 @@ def default_step(bundle: OperatorBundle) -> float:
 
 # Cap on the floats in one block array of integrate (64 KiB).
 _BLOCK_FLOATS = 1 << 13
+# Step indices are int64; the last block reaches one past the last step.
+_MAX_STEPS = int(np.iinfo(np.int64).max) - 1
 
 
 def _rk4_factor(z: np.ndarray) -> np.ndarray:
@@ -116,8 +118,14 @@ def integrate(
     that meets a stop rule ends the run.  The stationary mode is carried
     exactly and every state is projected back onto the conserved level
     set of the gauge-weighted total.
+
+    Raises BadStep when ``dt`` or ``t_max`` is not a positive real, and
+    TooLarge when ``t_max / dt`` steps do not fit int64 step indices.
     """
     x = _state_vector(bundle, x0)
+    t_max = float(t_max)
+    if not t_max > 0 or not np.isfinite(t_max):
+        raise BadStep(f"time horizon must be a positive real, got {t_max}")
     if dt is None:
         dt = default_step(bundle)
     dt = float(dt)
@@ -125,13 +133,12 @@ def integrate(
         raise BadStep(f"step size must be a positive real, got {dt}")
     # scale down a hair so t_max/dt landing a rounding error above an
     # integer does not buy a whole extra step
-    steps = max(1, int(np.ceil((t_max / dt) * (1.0 - 1e-14))))
+    span = (t_max / dt) * (1.0 - 1e-14)
+    if not span < _MAX_STEPS:
+        raise TooLarge(f"t_max / dt = {t_max / dt:g} steps exceeds {_MAX_STEPS}")
+    steps = max(1, int(np.ceil(span)))
     if record_every is None:
         record_every = max(1, steps // 2048)
-
-    # the start state's velocity comes from the flow matrix itself
-    if float(np.max(np.abs(bundle.laplacian @ x))) <= stop_tol:
-        return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
 
     lam = bundle.partner.eigenvalues
     vecs = bundle.partner.eigenvectors
@@ -141,6 +148,8 @@ def integrate(
     y = gauge * x
     level = float(y.mean())
     coeff0 = vecs.T @ (y - level)
+    if float(np.max(np.abs(((coeff0 * lam) @ vecs.T) / gauge))) <= stop_tol:
+        return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
     with np.errstate(over="ignore"):  # a step this large diverges at once
         factor = _rk4_factor(-dt * lam)
     block = max(1, _BLOCK_FLOATS // bundle.n)

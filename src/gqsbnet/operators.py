@@ -72,25 +72,13 @@ def gauge_matrices(gamma: float, b: Bipartition):
     return np.diag(scale), np.diag(sign), np.diag(coord)
 
 
-def _conjugated(a: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    # Sign-conjugated adjacency: same-subset weights kept signed,
-    # cross-subset weights flipped.
-    return sign[:, None] * a * sign[None, :]
-
-
-def _degree_vector(g: SignedGraph, b: Bipartition) -> np.ndarray:
-    # Row sums of the sign-conjugated adjacency.  Entries can be negative.
-    return _conjugated(g.adjacency(), np.where(b.mask(), -1.0, 1.0)).sum(axis=1)
-
-
 def generalized_degree(g: SignedGraph, b: Bipartition) -> np.ndarray:
     """Degree matrix of the dominance-scaled flow.
 
-    Independent of the dominance coefficient: for node i it sums the
-    same-subset weights and subtracts the cross-subset ones.
+    The partner Laplacian's diagonal, so free of the coefficient: for node
+    i it sums the same-subset weights and subtracts the cross-subset ones.
     """
-    _require_gqsb(g, b)
-    return np.diag(_degree_vector(g, b))
+    return np.diag(np.diagonal(partner_laplacian(g, b)))
 
 
 def generalized_adjacency(g: SignedGraph, b: Bipartition, gamma: float) -> np.ndarray:
@@ -100,9 +88,7 @@ def generalized_adjacency(g: SignedGraph, b: Bipartition, gamma: float) -> np.nd
     appear gamma times stronger, the reverse direction gamma times weaker.
     Equals the scale-gauge conjugation of the plain adjacency.
     """
-    _require_gqsb(g, b)
-    scale, _, _ = _gauge_diagonals(gamma, b)
-    return scale[:, None] * g.adjacency() / scale[None, :]
+    return generalized_laplacian(g, b, gamma).adjacency
 
 
 @dataclass(frozen=True)
@@ -120,9 +106,10 @@ class EigenDecomposition:
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
-    """Scale-aware zero threshold: 1e-9 times max(1, spectral radius)."""
+    """Scale-free zero threshold: 1e-9 times the spectral radius (0 for an
+    empty or all-zero spectrum)."""
     radius = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
-    return 1e-9 * max(1.0, radius)
+    return 1e-9 * radius
 
 
 def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecomposition:
@@ -160,7 +147,9 @@ def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecompo
 class OperatorBundle:
     """Operator set for one (graph, bipartition, coefficient) triple.
 
-    Gauges are stored as diagonal vectors.  All matrices stay in the
+    The three fields are the whole value: bundles on equal inputs compare
+    and hash equal.  Every operator is built on first read and kept, as a
+    read-only array; gauges are diagonal vectors.  All matrices stay in the
     caller's node order; ``permutation`` lists the dominant side first for
     consumers that want the block layout.
     """
@@ -168,33 +157,54 @@ class OperatorBundle:
     graph: SignedGraph
     partition: Bipartition
     gamma: float
-    adjacency: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-    scale_gauge: np.ndarray
-    sign_gauge: np.ndarray
-    coord_gauge: np.ndarray
-    z_laplacian: np.ndarray
-    permutation: tuple[int, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.graph.n
 
     @cached_property
-    def partner(self) -> EigenDecomposition:
-        """Decomposition of ``z_laplacian``, computed on first use and kept.
+    def scale_gauge(self) -> np.ndarray:
+        return _frozen(_gauge_diagonals(self.gamma, self.partition)[0])
 
-        ``z_laplacian`` does not depend on the coefficient, so this is the
-        decomposition that ``spectral.partner_core`` keeps for the bundle's
-        (graph, bipartition): certification, prediction, step selection,
-        integration and the closed form all read that one decomposition,
-        at every coefficient.
-        """
+    @cached_property
+    def sign_gauge(self) -> np.ndarray:
+        return _frozen(_gauge_diagonals(self.gamma, self.partition)[1])
+
+    @cached_property
+    def coord_gauge(self) -> np.ndarray:
+        return _frozen(_gauge_diagonals(self.gamma, self.partition)[2])
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Perceived adjacency: the scale-gauge conjugate of the plain one."""
+        scale = self.scale_gauge
+        return _frozen(scale[:, None] * self.graph.adjacency() / scale[None, :])
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return _frozen(self.z_laplacian.diagonal().copy())
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """The flow matrix: degree minus perceived adjacency."""
+        return _frozen(np.diag(self.degree) - self.adjacency)
+
+    @cached_property
+    def z_laplacian(self) -> np.ndarray:
+        """The gauge partner Laplacian (see ``partner_laplacian``)."""
+        return _frozen(partner_laplacian(self.graph, self.partition))
+
+    @cached_property
+    def permutation(self) -> tuple[int, ...]:
+        return tuple(sorted(self.partition.v1)) + tuple(sorted(self.partition.v2))
+
+    @cached_property
+    def partner(self) -> EigenDecomposition:
+        """Decomposition of ``z_laplacian``: the one ``spectral.partner_core``
+        keeps for (graph, bipartition) and every coefficient reads."""
         from .spectral import partner_core  # spectral imports this module
 
-        core = partner_core(self.graph, self.partition, z_laplacian=self.z_laplacian)
-        return core.decomposition
+        return partner_core(self.graph, self.partition).decomposition
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -203,7 +213,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def generalized_laplacian(g: SignedGraph, b: Bipartition, gamma: float) -> OperatorBundle:
-    """Build the dominance-scaled flow operator and its gauge partner.
+    """Check the coefficient and the bipartition, and return their bundle.
 
     The flow matrix is degree minus perceived adjacency.  Conjugating by
     the coordinate gauge removes the coefficient and flips cross-subset
@@ -212,37 +222,17 @@ def generalized_laplacian(g: SignedGraph, b: Bipartition, gamma: float) -> Opera
     """
     gamma = _check_gamma(gamma)
     _require_gqsb(g, b)
-    a = g.adjacency()
-    scale, sign, coord = _gauge_diagonals(gamma, b)
-    scaled = scale[:, None] * a / scale[None, :]
-    conjugated = _conjugated(a, sign)
-    deg = conjugated.sum(axis=1)
-    lap = np.diag(deg) - scaled
-    z_lap = np.diag(deg) - conjugated
-    perm = tuple(sorted(b.v1)) + tuple(sorted(b.v2))
-    return OperatorBundle(
-        graph=g,
-        partition=b,
-        gamma=gamma,
-        adjacency=_frozen(scaled),
-        degree=_frozen(deg),
-        laplacian=_frozen(lap),
-        scale_gauge=_frozen(scale),
-        sign_gauge=_frozen(sign),
-        coord_gauge=_frozen(coord),
-        z_laplacian=_frozen(z_lap),
-        permutation=perm,
-    )
+    return OperatorBundle(graph=g, partition=b, gamma=gamma)
 
 
 def partner_laplacian(g: SignedGraph, b: Bipartition) -> np.ndarray:
     """The gauge partner Laplacian on its own, without a coefficient.
 
-    Equal, bit for bit, to ``z_laplacian`` of every bundle on (g, b).
+    It is the repelling Laplacian of ``partner_network(g, b)``, and equal,
+    bit for bit, to ``z_laplacian`` of every bundle on (g, b).
     """
     _require_gqsb(g, b)
-    conjugated = _conjugated(g.adjacency(), np.where(b.mask(), -1.0, 1.0))
-    return np.diag(conjugated.sum(axis=1)) - conjugated
+    return repelling_laplacian(partner_network(g, b))
 
 
 def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:

@@ -159,18 +159,13 @@ _kept: PartnerCore | None = None
 
 
 def partner_core(
-    g: SignedGraph,
-    b: Bipartition,
-    zero_tol: float | None = None,
-    z_laplacian: np.ndarray | None = None,
+    g: SignedGraph, b: Bipartition, zero_tol: float | None = None
 ) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b, zero_tol).
 
     Kept in a single-entry memo, so certificates, predictions and
     integrations at any number of coefficients on one (graph, bipartition)
-    share one eigendecomposition.  ``z_laplacian`` is the partner
-    Laplacian when the caller already holds it (an ``OperatorBundle``
-    does); otherwise it is built here.
+    share one eigendecomposition, and the partner Laplacian is built once.
     """
     global _kept
     kept = _kept
@@ -178,9 +173,8 @@ def partner_core(
         return kept
     # drop the old core before building the new one, so two never coexist
     kept = _kept = None
-    if z_laplacian is None:
-        z_laplacian = partner_laplacian(g, b)
-    core = _kept = PartnerCore(g, b, zero_tol, sym_eigen(z_laplacian, zero_tol))
+    dec = sym_eigen(partner_laplacian(g, b), zero_tol)
+    core = _kept = PartnerCore(g, b, zero_tol, dec)
     return core
 
 

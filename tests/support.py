@@ -10,16 +10,19 @@ the scalar forms of what the package now does with arrays.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gqsbnet import (
     DIVERGENCE_LIMIT,
+    BadGamma,
     BadIndex,
     BadStep,
     Bipartition,
     DuplicateEdge,
     NonFiniteWeight,
+    NotGQSB,
     ParseError,
     SelfLoop,
     ZeroWeight,
@@ -35,6 +38,7 @@ from gqsbnet import (
     incidence_matrix,
     spanning_forest,
     sym_eigen,
+    validate_gqsb,
     z_transform_network,
 )
 
@@ -245,6 +249,87 @@ def random_sb_instance(rng, n_max=10):
                     edges[(i, j)] = float(rng.uniform(0.5, 3.0))
     g = SignedGraph.from_edge_list(n, [(i, j, w) for (i, j), w in edges.items()])
     return g, Bipartition(n, frozenset(range(r)))
+
+
+@dataclass(frozen=True)
+class ReferenceBundle:
+    """Every operator of a bundle, built at once: what ``OperatorBundle``
+    held as fields before it became a (graph, partition, gamma) value."""
+
+    graph: SignedGraph
+    partition: Bipartition
+    gamma: float
+    adjacency: np.ndarray
+    degree: np.ndarray
+    laplacian: np.ndarray
+    scale_gauge: np.ndarray
+    sign_gauge: np.ndarray
+    coord_gauge: np.ndarray
+    z_laplacian: np.ndarray
+    permutation: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+
+def _check_gamma(gamma: float) -> float:
+    gamma = float(gamma)
+    if not gamma > 0 or not np.isfinite(gamma):
+        raise BadGamma(f"dominance coefficient must be in (0, inf), got {gamma}")
+    return gamma
+
+
+def _require_gqsb(g: SignedGraph, b: Bipartition) -> None:
+    if not validate_gqsb(g, b):
+        raise NotGQSB("a cooperative edge crosses the bipartition")
+
+
+def _gauge_diagonals(gamma: float, b: Bipartition):
+    gamma = _check_gamma(gamma)
+    m = b.mask()
+    scale = np.where(m, gamma, 1.0)
+    sign = np.where(m, -1.0, 1.0)
+    return scale, sign, sign / scale
+
+
+def _conjugated(a: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    # Sign-conjugated adjacency: same-subset weights kept signed,
+    # cross-subset weights flipped.
+    return sign[:, None] * a * sign[None, :]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def reference_bundle(g: SignedGraph, b: Bipartition, gamma: float) -> ReferenceBundle:
+    """The eager operator bundle: all five n x n arrays built from one
+    sign-conjugated adjacency, the oracle for the lazily built bundle."""
+    gamma = _check_gamma(gamma)
+    _require_gqsb(g, b)
+    a = g.adjacency()
+    scale, sign, coord = _gauge_diagonals(gamma, b)
+    scaled = scale[:, None] * a / scale[None, :]
+    conjugated = _conjugated(a, sign)
+    deg = conjugated.sum(axis=1)
+    lap = np.diag(deg) - scaled
+    z_lap = np.diag(deg) - conjugated
+    perm = tuple(sorted(b.v1)) + tuple(sorted(b.v2))
+    return ReferenceBundle(
+        graph=g,
+        partition=b,
+        gamma=gamma,
+        adjacency=_frozen(scaled),
+        degree=_frozen(deg),
+        laplacian=_frozen(lap),
+        scale_gauge=_frozen(scale),
+        sign_gauge=_frozen(sign),
+        coord_gauge=_frozen(coord),
+        z_laplacian=_frozen(z_lap),
+        permutation=perm,
+    )
 
 
 def reference_rk4(bundle, x0, dt=None, t_max=1000.0, stop_tol=1e-10,

@@ -418,6 +418,18 @@ class TestCli:
             assert err.startswith("error: ")
             assert f"{x0}: entry 3 is not finite" in err
 
+    @pytest.mark.parametrize("tmax", ["inf", "1e300", "nan", "0", "-5"])
+    def test_bad_horizon_exit_one(self, allneg_file, tmp_path, capsys, tmax):
+        out = tmp_path / "out"
+        for command in ("report", "simulate"):
+            code = main([command, "--network", allneg_file, "--dominant", "0,1",
+                         f"--tmax={tmax}", "--out", str(out)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+            assert not out.exists()
+
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1
         capsys.readouterr()

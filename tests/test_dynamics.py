@@ -9,6 +9,7 @@ from gqsbnet import (
     OutcomeKind,
     SignedGraph,
     Termination,
+    TooLarge,
     Trajectory,
     assess,
     closed_form_state,
@@ -23,6 +24,15 @@ from support import random_gqsb_instance, reference_rk4
 @pytest.fixture
 def worked_bundle(allneg_triangle, allneg_split):
     return generalized_laplacian(allneg_triangle, allneg_split, 2.0)
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    """Fail any eigendecomposition: the checks under test come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran before the arguments were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 def _made_up_trajectory(state, terminated=Termination.CONVERGED):
@@ -99,6 +109,26 @@ class TestIntegrate:
         for bad in (0.0, -0.5, np.inf, np.nan):
             with pytest.raises(BadStep):
                 integrate(worked_bundle, [1.0, 0.0, 0.0], dt=bad)
+
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, np.inf, -np.inf, np.nan])
+    def test_bad_horizon_refused_before_any_work(self, worked_bundle, t_max, no_eigh):
+        with pytest.raises(BadStep, match="time horizon"):
+            integrate(worked_bundle, [1.0, 0.0, 0.0], t_max=t_max)
+
+    @pytest.mark.parametrize("t_max", [1e16, 1e300])
+    def test_horizon_past_int64_steps(self, worked_bundle, t_max, no_eigh):
+        with pytest.raises(TooLarge):
+            integrate(worked_bundle, [1.0, 0.0, 0.0], dt=1e-3, t_max=t_max)
+
+    def test_horizon_past_int64_steps_at_default_step(self, worked_bundle):
+        with pytest.raises(TooLarge):
+            integrate(worked_bundle, [1.0, 0.0, 0.0], t_max=1e300)
+
+    def test_largest_horizon_still_runs(self, worked_bundle):
+        # 9e18 steps fit int64 indices; the run settles long before them
+        traj = integrate(worked_bundle, [1.0, 0.0, 0.0], dt=1e-3, t_max=9e15)
+        assert traj.terminated is Termination.CONVERGED
+        assert traj.times.shape == (2,)
 
     def test_state_length_checked(self, worked_bundle):
         with pytest.raises(DimensionMismatch):

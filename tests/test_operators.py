@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,29 @@ from gqsbnet import (
     BadGamma,
     Bipartition,
     NotGQSB,
+    OperatorBundle,
+    ScenarioConfig,
     SignedGraph,
+    bipartition_from_dominant,
+    certify,
+    clear_partner_cache,
+    closed_form_state,
+    default_step,
     gauge_matrices,
     generalized_adjacency,
     generalized_degree,
     generalized_laplacian,
+    integrate,
+    load_highland,
     opposing_laplacian,
+    predict_final,
     repelling_laplacian,
+    run_pipeline,
     sym_eigen,
     z_transform_network,
 )
-from support import random_gqsb_instance, random_sb_instance
+from gqsbnet.fileio import run_sweep
+from support import random_gqsb_instance, random_sb_instance, reference_bundle
 
 
 class TestClassicOperators:
@@ -220,3 +234,112 @@ class TestPartnerNetwork:
         a = partner.adjacency()
         rebuilt = np.diag(a.sum(axis=1)) - a
         assert np.array_equal(rebuilt, bundle.z_laplacian)
+
+
+ARRAYS = ("adjacency", "degree", "laplacian", "scale_gauge", "sign_gauge",
+          "coord_gauge", "z_laplacian")
+UNREAD = ("adjacency", "laplacian", "z_laplacian", "degree", "permutation")
+
+
+def _assert_matches_reference(g, b, gamma):
+    got = generalized_laplacian(g, b, gamma)
+    ref = reference_bundle(g, b, gamma)
+    for name in ARRAYS:
+        a, r = getattr(got, name), getattr(ref, name)
+        assert a.dtype == r.dtype and a.shape == r.shape, name
+        assert a.tobytes() == r.tobytes(), name  # same bits, signed zeros too
+        assert not a.flags.writeable, name
+    assert got.permutation == ref.permutation
+    assert (got.n, got.gamma, got.graph, got.partition) == (ref.n, ref.gamma, g, b)
+
+
+class TestBundleValue:
+    def test_three_fields(self):
+        assert [f.name for f in fields(OperatorBundle)] == ["graph", "partition", "gamma"]
+
+    def test_matches_eager_reference(self):
+        rng = np.random.default_rng(67)
+        for _ in range(150):
+            g, b = random_gqsb_instance(rng)
+            for gamma in (0.5, 1.0, float(rng.uniform(0.2, 5.0))):
+                _assert_matches_reference(g, b, gamma)
+
+    def test_edgeless_matches_reference(self):
+        _assert_matches_reference(SignedGraph(4), Bipartition(4, frozenset({0, 3})), 2.0)
+
+    def test_highland_matches_reference(self):
+        config = ScenarioConfig("highland", (0,))
+        g = load_highland(config)
+        b = bipartition_from_dominant(g, config.dominant_nodes)
+        for gamma in (1.5, 2.0, 3.0):
+            _assert_matches_reference(g, b, gamma)
+
+    def test_equal_inputs_give_equal_bundles(self, allneg_triangle, allneg_split):
+        one = generalized_laplacian(allneg_triangle, allneg_split, 2.0)
+        two = generalized_laplacian(SignedGraph(3, allneg_triangle.edges),
+                                    Bipartition(3, frozenset({1, 0})), 2)
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        one.laplacian  # a built operator is not part of the value
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+        assert one != generalized_laplacian(allneg_triangle, allneg_split, 2.5)
+        assert one != generalized_laplacian(allneg_triangle,
+                                            Bipartition(3, frozenset({2})), 2.0)
+
+    def test_adjacency_is_the_bundles(self, allneg_triangle, allneg_split):
+        got = generalized_adjacency(allneg_triangle, allneg_split, 3.0)
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 3.0)
+        assert np.array_equal(got, bundle.adjacency)
+
+    def test_degree_is_partner_diagonal(self, allneg_triangle, allneg_split):
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 3.0)
+        assert np.array_equal(generalized_degree(allneg_triangle, allneg_split),
+                              np.diag(bundle.degree))
+
+
+def _counting_adjacency(monkeypatch):
+    calls = []
+    adjacency = SignedGraph.adjacency
+
+    def counted(self):
+        calls.append(self.n)
+        return adjacency(self)
+
+    monkeypatch.setattr(SignedGraph, "adjacency", counted)
+    return calls
+
+
+class TestOneAdjacencyPerPartition:
+    def test_highland_pipeline(self, monkeypatch):
+        calls = _counting_adjacency(monkeypatch)
+        run_pipeline(ScenarioConfig("highland", (0,)))
+        assert calls == [16]
+
+    def test_six_coefficient_sweep(self, monkeypatch):
+        calls = _counting_adjacency(monkeypatch)
+        gammas = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+        reports = list(run_sweep(ScenarioConfig("highland", (0,), dt=0.002), gammas))
+        assert len(reports) == 6
+        assert calls == [16]
+
+    def test_certify_then_predict(self, allneg_triangle, allneg_split, monkeypatch):
+        calls = _counting_adjacency(monkeypatch)
+        certify(allneg_triangle, allneg_split, 2.0)
+        predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
+                      [1.0, 0.0, 0.0])
+        assert calls == [3]
+        clear_partner_cache()
+        predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
+                      [1.0, 0.0, 0.0])
+        assert calls == [3, 3]
+
+    def test_pipeline_builds_no_node_operator(self, allneg_triangle, allneg_split):
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)
+        x0 = [1.0, 0.0, 0.0]
+        default_step(bundle)
+        integrate(bundle, x0)
+        integrate(bundle, x0, dt=0.01, t_max=0.5)
+        closed_form_state(bundle, x0, 2.0)
+        predict_final(bundle, x0)
+        assert [name for name in UNREAD if name in vars(bundle)] == []

@@ -97,8 +97,8 @@ def test_dump_load_round_trip():
 
 
 # A draw whose second partner eigenvalue, 9.0e-4, is 9e-5 of its spectral
-# radius.  Scaled by 1e-6 it falls under the absolute part of the zero
-# tolerance, 1e-9 * max(1, radius), and counts as a second zero.
+# radius.  Scaled by 1e-6 it is 9e-10, under any absolute zero threshold of
+# 1e-9, but still 9e-5 of the radius, so a scale-free tolerance keeps it.
 SMALL_MARGIN = """7 14
 0 1 -2.5712484184705526
 0 3 -2.8429581168572224
@@ -117,8 +117,6 @@ SMALL_MARGIN = """7 14
 """
 
 
-@pytest.mark.xfail(strict=True, reason="the zero tolerance's max(1, radius) floor is not "
-                                       "scale-free")
 def test_small_margin_survives_scaling():
     g = loads_network(SMALL_MARGIN)
     b = Bipartition(7, frozenset({0}))

@@ -110,8 +110,9 @@ class TestSymEigen:
 
     def test_default_zero_tol_scales(self):
         assert default_zero_tol(np.array([5.0])) == 5e-9
-        assert default_zero_tol(np.array([0.5])) == 1e-9
-        assert default_zero_tol(np.array([])) == 1e-9
+        assert default_zero_tol(np.array([0.5])) == 5e-10
+        assert default_zero_tol(np.array([])) == 0
+        assert default_zero_tol(np.zeros(3)) == 0
 
     def test_empty_matrix(self):
         dec = sym_eigen(np.zeros((0, 0)))
