@@ -3,9 +3,12 @@
 Subcommands cover the pipeline stages one by one (classify, bipartitions,
 spectrum, certify, simulate, predict), the full report, and a coefficient
 sweep that runs in process on one loaded network and one partner
-decomposition.  Exit codes: 0 on success,
-2 when a certificate or outcome lands on Inconclusive or Divergence, 1 on
-any error.
+decomposition.  Each subcommand takes only the flags it reads, and every
+one loads its network through one scenario, for node 0's group when no
+``--dominant`` is given.  Exit codes: 0 on success, 2 when a certificate
+(``certify``, ``report``) lands on Inconclusive or Divergence or a
+simulated outcome (``simulate``) on Divergence or Undetermined, 1 on any
+error.  A failing command writes nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 from .dynamics import OutcomeKind, assess, integrate, predict_final
 from .errors import GqsbError, TooLarge
 from .fileio import (
+    DEFAULT_HIGHLAND_WEIGHTS,
     DETAILS,
     HIGHLAND_SENTINEL,
     ScenarioConfig,
@@ -41,47 +45,50 @@ _BAD_VERDICTS = {Verdict.INCONCLUSIVE.value, Verdict.DIVERGENCE.value,
 _ENUMERATION_CAP = 20
 
 
+def _stride(text: str) -> int:
+    try:
+        stride = int(text)
+    except ValueError:
+        stride = 0
+    if stride < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return stride
+
+
+_NODES = "dominant group as 'i,j,...' node list"
+# Every flag beyond --network, --weights and --out; "dominant?" is the
+# optional --dominant of spectrum.
+_FLAGS = {
+    "dominant": dict(required=True, help=_NODES),
+    "dominant?": dict(default=None, help=_NODES + "; adds the scaled spectrum"),
+    "gamma": dict(type=float, default=ScenarioConfig.gamma),
+    "gammas": dict(required=True, help="comma-separated coefficients"),
+    "x0": dict(default=None, help="start-state file"),
+    "seed": dict(type=int, default=ScenarioConfig.seed),
+    "dt": dict(type=float, default=ScenarioConfig.dt),
+    "tmax": dict(type=float, default=ScenarioConfig.t_max),
+    "stride": dict(type=_stride, default=1),
+    "detail": dict(choices=DETAILS, default=DETAILS[0],
+                   help="certificate detail: the verdict's margins (summary) "
+                        "or also the spectrum, forest and resistance Gram (full)"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gqsbnet")
+    # a flag a command lacks keeps its default here, so every handler and
+    # _config read the same namespace
+    top.set_defaults(**{k.rstrip("?"): spec.get("default") for k, spec in _FLAGS.items()})
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, dominant=False, dynamics=False, detail=False):
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--network", required=True,
                        help=f"edge-list file, or '{HIGHLAND_SENTINEL}' for the bundled dataset")
         p.add_argument("--weights", default=None,
-                       help="bundled-dataset relabeling 'coop,intra_neg,inter_neg'")
+                       help=f"'{HIGHLAND_SENTINEL}' relabeling 'coop,intra_neg,inter_neg'")
         p.add_argument("--out", default=None, help="output directory")
-        if dominant:
-            p.add_argument("--dominant", required=True,
-                           help="dominant group as 'i,j,...' node list")
-            p.add_argument("--gamma", type=float, default=2.0)
-        if dynamics:
-            p.add_argument("--x0", default=None, help="start-state file")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--dt", type=float, default=None)
-            p.add_argument("--tmax", type=float, default=1000.0)
-            p.add_argument("--stride", type=int, default=1)
-        if detail:
-            p.add_argument("--detail", choices=DETAILS, default=DETAILS[0],
-                           help="certificate detail: the verdict's margins (summary) "
-                                "or also the spectrum, forest and resistance Gram (full)")
-
-    common(sub.add_parser("classify", help="balance class of the network"))
-    common(sub.add_parser("bipartitions", help="all antagonistic bipartitions"))
-    spectrum = sub.add_parser("spectrum", help="classic and scaled spectra")
-    common(spectrum)
-    spectrum.add_argument("--dominant", default=None)
-    spectrum.add_argument("--gamma", type=float, default=2.0)
-    common(sub.add_parser("certify", help="polarization certificate"), dominant=True,
-           detail=True)
-    common(sub.add_parser("simulate", help="integrate the flow"), dominant=True, dynamics=True)
-    common(sub.add_parser("predict", help="closed-form final state"), dominant=True, dynamics=True)
-    common(sub.add_parser("report", help="full pipeline report"), dominant=True, dynamics=True,
-           detail=True)
-    sweep = sub.add_parser("sweep", help="reports across coefficients")
-    common(sweep, dynamics=True, detail=True)
-    sweep.add_argument("--dominant", required=True)
-    sweep.add_argument("--gammas", required=True, help="comma-separated coefficients")
+        for flag in flags:
+            p.add_argument("--" + flag.rstrip("?"), **_FLAGS[flag])
     return top
 
 
@@ -89,9 +96,7 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
     return tuple(int(f) for f in text.replace(",", " ").split())
 
 
-def _parse_weights(text: str | None):
-    if text is None:
-        return None
+def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = [float(f) for f in text.replace(",", " ").split()]
     if len(parts) != 3:
         raise ValueError("--weights needs three values")
@@ -99,19 +104,17 @@ def _parse_weights(text: str | None):
 
 
 def _config(args, gamma=None) -> ScenarioConfig:
-    kwargs = dict(
+    weights = DEFAULT_HIGHLAND_WEIGHTS
+    if args.weights is not None:
+        if args.network != HIGHLAND_SENTINEL:
+            raise ValueError(f"--weights applies only to --network {HIGHLAND_SENTINEL}")
+        weights = _parse_weights(args.weights)
+    return ScenarioConfig(
         network_path=args.network,
-        dominant_nodes=_parse_nodes(args.dominant),
+        dominant_nodes=_parse_nodes("0" if args.dominant is None else args.dominant),
         gamma=args.gamma if gamma is None else gamma,
+        weights=weights, x0_path=args.x0, seed=args.seed, dt=args.dt, t_max=args.tmax,
     )
-    weights = _parse_weights(args.weights)
-    if weights is not None:
-        kwargs["weights"] = weights
-    for name, key in (("x0", "x0_path"), ("seed", "seed"), ("dt", "dt"),
-                      ("tmax", "t_max")):
-        if hasattr(args, name):
-            kwargs[key] = getattr(args, name)
-    return ScenarioConfig(**kwargs)
 
 
 def _warn_gamma(gamma: float) -> None:
@@ -123,90 +126,83 @@ def _warn_gamma(gamma: float) -> None:
         )
 
 
-def _emit(args, name: str, text: str) -> None:
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _scenario(args):
+    """The command's scenario, its network, and the bipartition of its
+    ``--dominant`` group (None when the flag is absent)."""
+    config = _config(args)
+    if args.dominant is not None:
+        _warn_gamma(config.gamma)
+    g, _, _ = _resolve_network(config)
+    if args.dominant is None:
+        return config, g, None
+    return config, g, bipartition_from_dominant(g, config.dominant_nodes)
 
 
-def _network_only(args):
-    kwargs = dict(network_path=args.network, dominant_nodes=(0,))
-    weights = _parse_weights(args.weights)
-    if weights is not None:
-        kwargs["weights"] = weights
-    g, _, _ = _resolve_network(ScenarioConfig(**kwargs))
-    return g
+def _emit(args, files: dict[str, str]) -> None:
+    """Write rendered texts, each to its file under ``--out`` or in turn to
+    stdout.  Handlers render every text before calling this, so a command
+    that fails writes nothing."""
+    if not args.out:
+        sys.stdout.write("".join(files.values()))
+        return
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (Path(args.out) / name).write_text(text)
 
 
 def _cmd_classify(args) -> int:
-    g = _network_only(args)
-    _emit(args, "classification.json", render_json(classification_dict(g)) + "\n")
+    g, _, _ = _resolve_network(_config(args))
+    _emit(args, {"classification.json": render_json(classification_dict(g)) + "\n"})
     return 0
 
 
 def _cmd_bipartitions(args) -> int:
-    g = _network_only(args)
+    g, _, _ = _resolve_network(_config(args))
     p = len(positive_components(g))
     if p > _ENUMERATION_CAP:
         raise TooLarge(f"{p} cooperative components give too many bipartitions to list")
-    _emit(args, "bipartitions.json", render_json(enumerate_dict(g)) + "\n")
+    _emit(args, {"bipartitions.json": render_json(enumerate_dict(g)) + "\n"})
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    g = _network_only(args)
+    config, g, b = _scenario(args)
     doc = {
         "repelling": list(map(float, sym_eigen(repelling_laplacian(g)).eigenvalues)),
         "opposing": list(map(float, sym_eigen(opposing_laplacian(g)).eigenvalues)),
     }
-    if args.dominant is not None:
-        b = bipartition_from_dominant(g, _parse_nodes(args.dominant))
-        _warn_gamma(args.gamma)
-        bundle = generalized_laplacian(g, b, args.gamma)
+    if b is not None:
+        bundle = generalized_laplacian(g, b, config.gamma)
         doc["scaled"] = list(map(float, bundle.partner.eigenvalues))
-    _emit(args, "spectrum.json", render_json(doc) + "\n")
+    _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 
 
 def _cmd_certify(args) -> int:
-    config = _config(args)
-    _warn_gamma(config.gamma)
-    g, _, _ = _resolve_network(config)
-    b = bipartition_from_dominant(g, config.dominant_nodes)
+    config, g, b = _scenario(args)
     cert = certify(g, b, config.gamma)
-    _emit(args, "certificate.json", render_json(certificate_dict(cert, args.detail)) + "\n")
+    _emit(args, {"certificate.json": render_json(certificate_dict(cert, args.detail)) + "\n"})
     return 2 if cert.verdict.value in _BAD_VERDICTS else 0
 
 
 def _cmd_simulate(args) -> int:
-    config = _config(args)
-    _warn_gamma(config.gamma)
-    g, _, _ = _resolve_network(config)
-    b = bipartition_from_dominant(g, config.dominant_nodes)
+    config, g, b = _scenario(args)
     bundle = generalized_laplacian(g, b, config.gamma)
-    x0 = start_state(config, g.n)
-    traj = integrate(bundle, x0, dt=config.dt, t_max=config.t_max,
+    traj = integrate(bundle, start_state(config, g.n), dt=config.dt, t_max=config.t_max,
                      stop_tol=config.stop_tol)
     outcome = assess(traj, b, config.gamma)
-    _emit(args, "trajectory.csv", trajectory_to_csv(traj, stride=args.stride))
+    files = {"trajectory.csv": trajectory_to_csv(traj, stride=args.stride)}
     if args.out:
-        _emit(args, "outcome.json", render_json(outcome_dict(outcome)) + "\n")
+        files["outcome.json"] = render_json(outcome_dict(outcome)) + "\n"
+    _emit(args, files)
     return 2 if outcome.kind.value in _BAD_VERDICTS else 0
 
 
 def _cmd_predict(args) -> int:
-    config = _config(args)
-    _warn_gamma(config.gamma)
-    g, _, _ = _resolve_network(config)
-    b = bipartition_from_dominant(g, config.dominant_nodes)
-    bundle = generalized_laplacian(g, b, config.gamma)
-    x0 = start_state(config, g.n)
-    final = predict_final(bundle, x0)
-    _emit(args, "final_state.json",
-          render_json({"x_final": [float(v) for v in final]}) + "\n")
+    config, g, b = _scenario(args)
+    final = predict_final(generalized_laplacian(g, b, config.gamma), start_state(config, g.n))
+    _emit(args, {"final_state.json":
+                 render_json({"x_final": [float(v) for v in final]}) + "\n"})
     return 0
 
 
@@ -214,12 +210,11 @@ def _cmd_report(args) -> int:
     config = _config(args)
     _warn_gamma(config.gamma)
     report = run_pipeline(config)
-    _emit(args, "report.json", report_to_json(report, args.detail))
+    files = {"report.json": report_to_json(report, args.detail)}
     if args.out and report.trajectory is not None:
-        _emit(args, "trajectory.csv",
-              trajectory_to_csv(report.trajectory, stride=args.stride))
-    verdict = report.certificate.verdict.value
-    return 2 if verdict in _BAD_VERDICTS else 0
+        files["trajectory.csv"] = trajectory_to_csv(report.trajectory, stride=args.stride)
+    _emit(args, files)
+    return 2 if report.certificate.verdict.value in _BAD_VERDICTS else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -234,22 +229,24 @@ def _cmd_sweep(args) -> int:
                              f"write {name}")
         names[name] = gamma
     reports = run_sweep(_config(args, gamma=gammas[0]), gammas)
-    # render every report before writing any, so a failure writes nothing
-    texts = [report_to_json(report, args.detail) for report in reports]
-    for name, text in zip(names, texts):
-        _emit(args, name, text)
+    _emit(args, {name: report_to_json(report, args.detail)
+                 for name, report in zip(names, reports)})
     return 0
 
 
+_START = ("dominant", "gamma", "x0", "seed")
+# name: (handler, help, flags beyond --network, --weights and --out)
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "bipartitions": _cmd_bipartitions,
-    "spectrum": _cmd_spectrum,
-    "certify": _cmd_certify,
-    "simulate": _cmd_simulate,
-    "predict": _cmd_predict,
-    "report": _cmd_report,
-    "sweep": _cmd_sweep,
+    "classify": (_cmd_classify, "balance class of the network", ()),
+    "bipartitions": (_cmd_bipartitions, "all antagonistic bipartitions", ()),
+    "spectrum": (_cmd_spectrum, "classic and scaled spectra", ("dominant?", "gamma")),
+    "certify": (_cmd_certify, "polarization certificate", ("dominant", "gamma", "detail")),
+    "simulate": (_cmd_simulate, "integrate the flow", (*_START, "dt", "tmax", "stride")),
+    "predict": (_cmd_predict, "closed-form final state", _START),
+    "report": (_cmd_report, "full pipeline report",
+               (*_START, "dt", "tmax", "stride", "detail")),
+    "sweep": (_cmd_sweep, "reports across coefficients",
+              ("dominant", "gammas", "x0", "seed", "dt", "tmax", "detail")),
 }
 
 
@@ -261,7 +258,7 @@ def main(argv=None) -> int:
         # Inconclusive/Divergence verdicts, so usage problems map to 1.
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (GqsbError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

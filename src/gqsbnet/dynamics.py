@@ -89,6 +89,29 @@ def _rk4_factor(z: np.ndarray) -> np.ndarray:
     return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
 
 
+def _horizon_steps(t_max, dt) -> int | None:
+    """RK4 steps of size ``dt`` that cover ``t_max`` (None while ``dt`` is
+    None: the default step needs the spectrum).
+
+    Raises BadStep when ``t_max`` or a given ``dt`` is not a positive real,
+    and TooLarge when the count does not fit int64 step indices.
+    """
+    t_max = float(t_max)
+    if not t_max > 0 or not np.isfinite(t_max):
+        raise BadStep(f"time horizon must be a positive real, got {t_max}")
+    if dt is None:
+        return None
+    dt = float(dt)
+    if not dt > 0 or not np.isfinite(dt):
+        raise BadStep(f"step size must be a positive real, got {dt}")
+    # scale down a hair so t_max/dt landing a rounding error above an
+    # integer does not buy a whole extra step
+    span = (t_max / dt) * (1.0 - 1e-14)
+    if not span < _MAX_STEPS:
+        raise TooLarge(f"t_max / dt = {t_max / dt:g} steps exceeds {_MAX_STEPS}")
+    return max(1, int(np.ceil(span)))
+
+
 def _trajectory(times: np.ndarray, states: np.ndarray, status: Termination) -> Trajectory:
     times.setflags(write=False)
     states.setflags(write=False)
@@ -119,24 +142,23 @@ def integrate(
     exactly and every state is projected back onto the conserved level
     set of the gauge-weighted total.
 
-    Raises BadStep when ``dt`` or ``t_max`` is not a positive real, and
-    TooLarge when ``t_max / dt`` steps do not fit int64 step indices.
+    Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
+    ``stop_tol`` not a non-negative real or ``record_every`` not an
+    integer of at least 1, and TooLarge when ``t_max / dt`` steps do not
+    fit int64 step indices.
     """
     x = _state_vector(bundle, x0)
-    t_max = float(t_max)
-    if not t_max > 0 or not np.isfinite(t_max):
-        raise BadStep(f"time horizon must be a positive real, got {t_max}")
+    steps = _horizon_steps(t_max, dt)
+    stop_tol = float(stop_tol)
+    if not 0 <= stop_tol < np.inf:
+        raise BadStep(f"stop tolerance must be a non-negative real, got {stop_tol}")
+    if record_every is not None and not (isinstance(record_every, (int, np.integer))
+                                         and record_every >= 1):
+        raise BadStep(f"record_every must be an integer of at least 1, got {record_every}")
     if dt is None:
         dt = default_step(bundle)
+        steps = _horizon_steps(t_max, dt)
     dt = float(dt)
-    if not dt > 0 or not np.isfinite(dt):
-        raise BadStep(f"step size must be a positive real, got {dt}")
-    # scale down a hair so t_max/dt landing a rounding error above an
-    # integer does not buy a whole extra step
-    span = (t_max / dt) * (1.0 - 1e-14)
-    if not span < _MAX_STEPS:
-        raise TooLarge(f"t_max / dt = {t_max / dt:g} steps exceeds {_MAX_STEPS}")
-    steps = max(1, int(np.ceil(span)))
     if record_every is None:
         record_every = max(1, steps // 2048)
 

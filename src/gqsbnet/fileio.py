@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import OutcomeReport, Trajectory, assess, integrate
+from .dynamics import OutcomeReport, Trajectory, _horizon_steps, assess, integrate
 from .errors import GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
@@ -283,13 +283,15 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
 
     The network is loaded and hashed once.  The gauge partner does not
     depend on the coefficient, so every coefficient reads the one partner
-    decomposition that ``spectral.partner_core`` keeps.
+    decomposition that ``spectral.partner_core`` keeps.  The time horizon
+    and step are checked before the network is loaded, whether or not a
+    certificate lets the flow be integrated.
     """
+    _horizon_steps(config.t_max, config.dt)
     g, label, path = _resolve_network(config)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     b = bipartition_from_dominant(g, config.dominant_nodes)
-    p = len(positive_components(g))
-    classification = classify(g)
+    summary = classification_dict(g)
     for gamma in gammas:
         cert = certify(g, b, gamma)
         x0 = start_state(config, g.n)
@@ -322,9 +324,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
             "stop_tol": config.stop_tol,
         }
         yield Report(
-            classification=classification,
-            p=p,
-            bipartition_count=_bipartition_count(p),
+            **summary,
             bipartition=b,
             certificate=cert,
             outcome=outcome,
@@ -346,10 +346,7 @@ def run_pipeline(config: ScenarioConfig) -> Report:
 
 def format_float(x: float) -> str:
     """Fixed 15-significant-digit rendering used across report files."""
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("reports cannot carry NaN or infinities")
-    out = format(float(x), ".15g")
-    return "0" if out in ("-0", "-0.0") else out
+    return _float_row([x])
 
 
 def _float_row(values, sep: str = ", ") -> str:
@@ -358,7 +355,7 @@ def _float_row(values, sep: str = ", ") -> str:
     arr = np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("reports cannot carry NaN or infinities")
-    # + 0.0 turns -0.0 into 0.0, as format_float does
+    # + 0.0 turns -0.0 into 0.0
     return sep.join(["%.15g"] * arr.size) % tuple((arr + 0.0).tolist())
 
 

@@ -12,6 +12,7 @@ plus pointer jumping), and a graph keeps its cooperative labels once found.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -648,11 +649,16 @@ def bipartition_from_dominant(g: SignedGraph, dominant) -> Bipartition:
 
     Side one is the union of the cooperative components touching the given
     nodes, i.e. the group plus everyone tied to it through cooperation.
-    Raises BadPartition when the group is empty, out of range, or leaves
-    the other side empty, and when the induced split is not purely
-    antagonistic across (impossible for component unions, kept as a guard).
+    Raises BadPartition when the group is empty, holds a non-integral id,
+    is out of range, or leaves the other side empty, and when the induced
+    split is not purely antagonistic across (impossible for component
+    unions, kept as a guard).
     """
-    nodes = sorted(set(int(v) for v in dominant))
+    dominant = list(dominant)
+    try:
+        nodes = sorted(set(map(operator.index, dominant)))
+    except TypeError:
+        raise BadPartition(f"dominant nodes must be integers, got {dominant!r}")
     if not nodes:
         raise BadPartition("dominant group must name at least one node")
     for v in nodes:

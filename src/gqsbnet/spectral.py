@@ -25,6 +25,7 @@ from .errors import DimensionMismatch
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
+    default_zero_tol,
     partner_laplacian,
     partner_network,
     sym_eigen,
@@ -243,7 +244,7 @@ def certify(
         res_eigs = core.resistance_eigenvalues
         res_min = float(res_eigs[0])
         # scale-free: relative to the matrix's own largest eigenvalue
-        res_pd_tol = 1e-9 * float(np.max(np.abs(res_eigs)))
+        res_pd_tol = default_zero_tol(res_eigs)
         res_pd = res_min > res_pd_tol
     else:
         res_min = res_pd_tol = None

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import importlib.metadata
 import json
@@ -13,6 +14,7 @@ import pytest
 import gqsbnet
 import gqsbnet.cli
 from gqsbnet import (
+    BadStep,
     MissingDataset,
     ParseError,
     ScenarioConfig,
@@ -32,9 +34,11 @@ from gqsbnet import (
     loads_network,
     positive_components,
     predict_final,
+    repelling_laplacian,
     report_to_json,
     run_pipeline,
     signed_graph,
+    sym_eigen,
     trajectory_to_csv,
 )
 from gqsbnet.cli import main
@@ -340,7 +344,83 @@ class TestSerialization:
                 trajectory_to_csv(Trajectory(times, broken, Termination.CONVERGED))
 
 
+# Each subcommand's flags besides --network, --weights and --out.
+OPTIONS = {
+    "classify": set(),
+    "bipartitions": set(),
+    "spectrum": {"--dominant", "--gamma"},
+    "certify": {"--dominant", "--gamma", "--detail"},
+    "simulate": {"--dominant", "--gamma", "--x0", "--seed", "--dt", "--tmax", "--stride"},
+    "predict": {"--dominant", "--gamma", "--x0", "--seed"},
+    "report": {"--dominant", "--gamma", "--x0", "--seed", "--dt", "--tmax", "--stride",
+               "--detail"},
+    "sweep": {"--dominant", "--gammas", "--x0", "--seed", "--dt", "--tmax", "--detail"},
+}
+
+
 class TestCli:
+    def test_option_sets(self):
+        top = gqsbnet.cli._parser()
+        sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(OPTIONS)
+        for name, parser in sub.choices.items():
+            found = {s for a in parser._actions for s in a.option_strings}
+            assert found == {"-h", "--help", "--network", "--weights", "--out"} | OPTIONS[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--dt", "1"],
+        ["predict", "--tmax", "5"],
+        ["predict", "--stride", "2"],
+        ["sweep", "--gammas", "2", "--stride", "2"],
+    ])
+    def test_unread_flags_are_usage_errors(self, allneg_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([argv[0], "--network", allneg_file, "--dominant", "0,1", *argv[1:],
+                     "--out", str(out)])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["classify"], ["certify", "--dominant", "0,1"]])
+    def test_weights_refused_on_file_network(self, allneg_file, capsys, argv):
+        code = main([argv[0], "--network", allneg_file, *argv[1:], "--weights", "5,-1,-5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--weights" in err
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    @pytest.mark.parametrize("stride", ["0", "-2", "x"])
+    def test_bad_stride_writes_nothing(self, allneg_file, tmp_path, capsys, command, stride):
+        out = tmp_path / "d"
+        code = main([command, "--network", allneg_file, "--dominant", "0,1", "--dt", "0.01",
+                     "--stride", stride, "--out", str(out)])
+        assert code == 1
+        assert "--stride" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dominant", range(16))
+    def test_spectrum_relabels_for_dominant(self, capsys, dominant):
+        argv = ["--network", "highland", "--dominant", str(dominant)]
+        assert main(["spectrum", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["certify", *argv, "--detail", "full"]) in (0, 2)
+        assert doc["scaled"] == json.loads(capsys.readouterr().out)["spectrum"]
+        g = load_highland(ScenarioConfig("highland", (dominant,)))
+        assert np.allclose(doc["repelling"], sym_eigen(repelling_laplacian(g)).eigenvalues,
+                           rtol=1e-13, atol=1e-12)
+
+    def test_spectrum_loads_network_once(self, monkeypatch, capsys):
+        loaded = []
+        load = gqsbnet.fileio.load_network
+
+        def counted(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(gqsbnet.fileio, "load_network", counted)
+        assert main(["spectrum", "--network", "highland", "--dominant", "5"]) == 0
+        assert len(loaded) == 1
+
     def test_classify(self, allneg_file, capsys):
         assert main(["classify", "--network", allneg_file]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -429,6 +509,27 @@ class TestCli:
             assert captured.err.startswith("error: ")
             assert "Traceback" not in captured.err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--tmax=0", {"t_max": 0.0}),
+        ("--tmax=-5", {"t_max": -5.0}),
+        ("--tmax=inf", {"t_max": float("inf")}),
+        ("--tmax=nan", {"t_max": float("nan")}),
+        ("--dt=-1", {"dt": -1.0}),
+    ])
+    def test_bad_horizon_refused_without_integration(self, unstable_file, tmp_path, capsys,
+                                                     flag, field):
+        # the divergent triangle's certificate skips integration
+        out = tmp_path / "out"
+        for argv in (["report"], ["sweep", "--gammas", "2,3"]):
+            code = main([argv[0], "--network", unstable_file, "--dominant", "0,1",
+                         *argv[1:], flag, "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+        for network in (unstable_file, str(tmp_path / "ghost.txt")):
+            with pytest.raises(BadStep):
+                run_pipeline(ScenarioConfig(network, (0, 1), **field))
 
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1

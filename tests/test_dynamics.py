@@ -130,6 +130,17 @@ class TestIntegrate:
         assert traj.terminated is Termination.CONVERGED
         assert traj.times.shape == (2,)
 
+    @pytest.mark.parametrize("record_every", [0, -3, 2.5, np.nan])
+    def test_bad_record_every_refused_before_any_work(self, worked_bundle, record_every,
+                                                      no_eigh):
+        with pytest.raises(BadStep, match="record_every"):
+            integrate(worked_bundle, [1.0, 0.0, 0.0], record_every=record_every)
+
+    @pytest.mark.parametrize("stop_tol", [np.nan, -1.0, np.inf])
+    def test_bad_stop_tol_refused_before_any_work(self, worked_bundle, stop_tol, no_eigh):
+        with pytest.raises(BadStep, match="stop tolerance"):
+            integrate(worked_bundle, [1.0, 0.0, 0.0], stop_tol=stop_tol)
+
     def test_state_length_checked(self, worked_bundle):
         with pytest.raises(DimensionMismatch):
             integrate(worked_bundle, [1.0, 0.0])

@@ -359,6 +359,15 @@ class TestDominantGrouping:
         with pytest.raises(BadPartition):
             bipartition_from_dominant(three_bloc_eight, (8,))
 
+    @pytest.mark.parametrize("dominant", [[1.7], [1.0], (0, np.float64(4.0)), ["1"]])
+    def test_non_integral_ids_refused(self, three_bloc_eight, dominant):
+        with pytest.raises(BadPartition, match="integers"):
+            bipartition_from_dominant(three_bloc_eight, dominant)
+
+    def test_numpy_integer_ids(self, three_bloc_eight):
+        b = bipartition_from_dominant(three_bloc_eight, np.array([0, 4]))
+        assert b.v1 == frozenset(range(7))
+
     def test_minority_side(self, sb_triangle):
         b = bipartition_from_dominant(sb_triangle, (2,))
         assert b.v1 == frozenset({2})
