@@ -188,8 +188,7 @@ def _cmd_certify(args) -> int:
 def _cmd_simulate(args) -> int:
     config, g, b = _scenario(args)
     bundle = generalized_laplacian(g, b, config.gamma)
-    traj = integrate(bundle, start_state(config, g.n), dt=config.dt, t_max=config.t_max,
-                     stop_tol=config.stop_tol)
+    traj = integrate(bundle, start_state(config, g.n), dt=config.dt, t_max=config.t_max)
     outcome = assess(traj, b, config.gamma)
     files = {"trajectory.csv": trajectory_to_csv(traj, stride=args.stride)}
     if args.out:

@@ -19,6 +19,10 @@ from .signed_graph import Bipartition
 from .spectral import Verdict, certify
 
 DIVERGENCE_LIMIT = 1e12
+# Velocity below which a run counts as settled (integrate's default).
+STOP_TOL = 1e-10
+# Agreement within which assess reads a final state's pattern.
+_OUTCOME_TOL = 1e-6
 
 
 class Termination(str, enum.Enum):
@@ -123,7 +127,7 @@ def integrate(
     x0,
     dt: float | None = None,
     t_max: float = 1000.0,
-    stop_tol: float = 1e-10,
+    stop_tol: float = STOP_TOL,
     record_every: int | None = None,
 ) -> Trajectory:
     """Fixed-step fourth-order Runge-Kutta run of x' = -L x.
@@ -228,23 +232,17 @@ def predict_final(bundle: OperatorBundle, x0) -> np.ndarray:
     cert = certify(bundle.graph, bundle.partition, bundle.gamma)
     if cert.verdict not in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS):
         raise NotPolarizing(f"certificate verdict is {cert.verdict.value}")
-    c = float(bundle.coord_gauge @ x) / bundle.n
-    return np.where(bundle.partition.mask(), -bundle.gamma * c, c)
+    return cert.null_right * (float(bundle.coord_gauge @ x) / bundle.n)
 
 
-def assess(
-    traj: Trajectory,
-    b: Bipartition,
-    gamma: float,
-    tol: float = 1e-6,
-) -> OutcomeReport:
+def assess(traj: Trajectory, b: Bipartition, gamma: float) -> OutcomeReport:
     """Classify a finished trajectory's final state.
 
     Checks agreement inside each subset and the amplified cross-subset
-    cancellation; with coefficient 1 the matching split is symmetric.
-    Divergence passes through from the integrator.  A final state near zero
-    is neutral consensus, a uniform nonzero state is consensus, and
-    anything else (a truncated run, say) is undetermined.
+    cancellation, each within 1e-6; with coefficient 1 the matching split
+    is symmetric.  Divergence passes through from the integrator.  A final
+    state near zero is neutral consensus, a uniform nonzero state is
+    consensus, and anything else (a truncated run, say) is undetermined.
     """
     x = traj.states[-1]
     mask = b.mask()
@@ -266,11 +264,11 @@ def assess(
 
     if traj.terminated is Termination.DIVERGED:
         kind = OutcomeKind.DIVERGENCE
-    elif float(np.max(np.abs(x))) <= tol:
+    elif float(np.max(np.abs(x))) <= _OUTCOME_TOL:
         kind = OutcomeKind.NEUTRAL_CONSENSUS
-    elif float(np.ptp(x)) <= tol:
+    elif float(np.ptp(x)) <= _OUTCOME_TOL:
         kind = OutcomeKind.CONSENSUS
-    elif spread <= tol and cross <= tol * max(1.0, abs(v1)):
+    elif spread <= _OUTCOME_TOL and cross <= _OUTCOME_TOL * max(1.0, abs(v1)):
         if gamma == 1.0:
             kind = OutcomeKind.SYMMETRIC_POLARIZATION
         else:

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import OutcomeReport, Trajectory, _horizon_steps, assess, integrate
+from .dynamics import (STOP_TOL, OutcomeReport, Trajectory, _horizon_steps, assess,
+                       default_step, integrate)
 from .errors import GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
@@ -205,7 +206,6 @@ class ScenarioConfig:
     seed: int = 0
     dt: float | None = None
     t_max: float = 1000.0
-    stop_tol: float = 1e-10
 
 
 def load_highland(config: ScenarioConfig) -> SignedGraph:
@@ -284,8 +284,9 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     The network is loaded and hashed once.  The gauge partner does not
     depend on the coefficient, so every coefficient reads the one partner
     decomposition that ``spectral.partner_core`` keeps.  The time horizon
-    and step are checked before the network is loaded, whether or not a
-    certificate lets the flow be integrated.
+    and step are checked before the network is loaded, and the step count
+    of the default step (which needs the partner spectrum) before the first
+    report, whether or not a certificate lets the flow be integrated.
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, path = _resolve_network(config)
@@ -295,17 +296,14 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     for gamma in gammas:
         cert = certify(g, b, gamma)
         x0 = start_state(config, g.n)
+        bundle = generalized_laplacian(g, b, gamma)
+        dt = default_step(bundle) if config.dt is None else config.dt
+        _horizon_steps(config.t_max, dt)
         traj = None
         outcome = None
         if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS,
                             Verdict.NEUTRAL_CONSENSUS):
-            traj = integrate(
-                generalized_laplacian(g, b, gamma),
-                x0,
-                dt=config.dt,
-                t_max=config.t_max,
-                stop_tol=config.stop_tol,
-            )
+            traj = integrate(bundle, x0, dt=dt, t_max=config.t_max)
             outcome = assess(traj, b, gamma)
         provenance = {
             "tool": "gqsbnet",
@@ -321,7 +319,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
             "seed": None if config.x0_path is not None else config.seed,
             "dt": config.dt,
             "t_max": config.t_max,
-            "stop_tol": config.stop_tol,
+            "stop_tol": STOP_TOL,
         }
         yield Report(
             **summary,

@@ -482,14 +482,14 @@ def is_structurally_balanced(g: SignedGraph) -> Bipartition | None:
     """Detect the fully balanced case: a unique two-faction split with
     cooperative ties inside factions and antagonism across.
 
-    Requires exactly two cooperative components (so the split is unique and
-    each faction holds together) and no antagonistic tie inside either.
-    Returns the bipartition with node 0's side first, else None.
+    Requires the quasi-balanced split (``is_qsb``) and no antagonistic tie
+    inside either faction.  Returns the bipartition with node 0's side
+    first, else None.
     """
-    comps = positive_components(g)
-    if len(comps) != 2 or not _no_antagonism_within(g, g.cooperative_labels == 0):
+    b = is_qsb(g)
+    if b is None or not _no_antagonism_within(g, b.mask()):
         return None
-    return Bipartition(g.n, comps[0])
+    return b
 
 
 def is_qsb(g: SignedGraph) -> Bipartition | None:
@@ -591,31 +591,20 @@ def condense_positive_components(g: SignedGraph) -> SignedGraph:
 def chromatic_number(g: SignedGraph, max_nodes: int = 20) -> int:
     """Exact chromatic number of the graph's edge skeleton.
 
-    Backtracking over k-colorings with a new-color symmetry break, checked
-    against a greedy upper bound.  Exact search is limited to ``max_nodes``
-    nodes; larger inputs raise TooLarge.
+    Backtracking over k-colorings with a new-color symmetry break, for
+    k = 1, 2, ... until one succeeds.  Exact search is limited to
+    ``max_nodes`` nodes; larger inputs raise TooLarge.
     """
     if g.n > max_nodes:
         raise TooLarge(f"exact coloring capped at {max_nodes} nodes, got {g.n}")
     n = g.n
     if n == 0:
         return 0
-    if not g.edges:
-        return 1
     adj = [set() for _ in range(n)]
     for i, j, _ in g.edges:
         adj[i].add(j)
         adj[j].add(i)
     order = sorted(range(n), key=lambda v: len(adj[v]), reverse=True)
-
-    greedy = {}
-    for v in order:
-        used = {greedy[u] for u in adj[v] if u in greedy}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    best = max(greedy.values()) + 1
 
     def colorable(k: int) -> bool:
         assign = [-1] * n
@@ -636,12 +625,10 @@ def chromatic_number(g: SignedGraph, max_nodes: int = 20) -> int:
 
         return walk(0, 0)
 
-    k = 2
-    while k < best:
-        if colorable(k):
-            return k
+    k = 1
+    while not colorable(k):
         k += 1
-    return best
+    return k
 
 
 def bipartition_from_dominant(g: SignedGraph, dominant) -> Bipartition:
@@ -649,10 +636,10 @@ def bipartition_from_dominant(g: SignedGraph, dominant) -> Bipartition:
 
     Side one is the union of the cooperative components touching the given
     nodes, i.e. the group plus everyone tied to it through cooperation.
-    Raises BadPartition when the group is empty, holds a non-integral id,
-    is out of range, or leaves the other side empty, and when the induced
-    split is not purely antagonistic across (impossible for component
-    unions, kept as a guard).
+    A positive edge joins two nodes of one component, so it never crosses
+    the split: the result always passes ``validate_gqsb``.  Raises
+    BadPartition when the group is empty, holds a non-integral id, is out
+    of range, or leaves the other side empty.
     """
     dominant = list(dominant)
     try:
@@ -668,7 +655,4 @@ def bipartition_from_dominant(g: SignedGraph, dominant) -> Bipartition:
     side = np.isin(labels, labels[nodes])
     if side.all():
         raise BadPartition("dominant group and its cooperative allies cover every node")
-    b = Bipartition(g.n, frozenset(np.flatnonzero(side).tolist()))
-    if not validate_gqsb(g, b):
-        raise BadPartition("induced bipartition has a cooperative cross-subset edge")
-    return b
+    return Bipartition(g.n, frozenset(np.flatnonzero(side).tolist()))

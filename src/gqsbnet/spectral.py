@@ -148,8 +148,6 @@ class PartnerCore:
     @cached_property
     def resistance_eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of ``resistance``; empty with no forest."""
-        if not self.forest_edges:
-            return np.zeros(0)
         return sym_eigen(self.resistance).eigenvalues
 
 

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import importlib.metadata
+import inspect
 import json
 import os
 import shutil
@@ -20,6 +21,7 @@ from gqsbnet import (
     ScenarioConfig,
     SignedGraph,
     Termination,
+    TooLarge,
     Trajectory,
     Verdict,
     bipartition_from_dominant,
@@ -181,6 +183,13 @@ class TestBundledDataset:
         with pytest.raises(MissingDataset):
             highland_path()
 
+    def test_bundled_file_missing(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GQSB_DATA_DIR", raising=False)
+        monkeypatch.setattr(gqsbnet.fileio, "resources",
+                            argparse.Namespace(files=lambda package: tmp_path))
+        with pytest.raises(MissingDataset, match="bundled dataset missing"):
+            highland_path()
+
 
 class TestPipeline:
     def test_worked_triangle_report(self, allneg_file, tmp_path):
@@ -275,6 +284,10 @@ class TestSerialization:
         assert parsed["text"] == 'say "hi"\\'
         assert list(parsed.keys()) == ["b", "a", "rows", "text"]
         assert '"b": [1, 2.5]' in out
+
+    def test_render_json_empty_containers(self):
+        assert render_json({}) == "{}"
+        assert render_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
 
     def test_render_json_numpy_scalars(self):
         out = render_json({"x": np.float64(0.5), "k": np.int64(3), "f": np.bool_(False)})
@@ -397,6 +410,16 @@ class TestCli:
         assert code == 1
         assert "--stride" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stride_thins_trajectory_rows(self, allneg_file, capsys):
+        argv = ["simulate", "--network", allneg_file, "--dominant", "0,1", "--dt", "0.01",
+                "--tmax", "0.1"]
+        assert main(argv) == 2  # too short to settle: Undetermined
+        rows = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--stride", "3"]) == 2
+        thinned = capsys.readouterr().out.splitlines()
+        assert len(rows) == 12
+        assert thinned == [rows[0], *rows[1::3], rows[-1]]
 
     @pytest.mark.parametrize("dominant", range(16))
     def test_spectrum_relabels_for_dominant(self, capsys, dominant):
@@ -531,6 +554,51 @@ class TestCli:
             with pytest.raises(BadStep):
                 run_pipeline(ScenarioConfig(network, (0, 1), **field))
 
+    @pytest.mark.parametrize("network", ["unstable", "disconnected"])
+    def test_default_step_count_checked_without_integration(self, unstable_file, tmp_path,
+                                                            capsys, network):
+        # no --dt: the step count comes from the default step, read off the
+        # partner decomposition the certificate keeps
+        if network == "disconnected":
+            path = tmp_path / "split.txt"
+            path.write_text("4 2\n0 1 -1\n2 3 -1\n")
+            network = str(path)
+        else:
+            network = unstable_file
+        g = load_network(network)
+        verdict = certify(g, bipartition_from_dominant(g, (0,)), 2.0).verdict
+        assert verdict in (Verdict.DIVERGENCE, Verdict.INCONCLUSIVE)  # nothing to integrate
+        out = tmp_path / "out"
+        for argv in (["report"], ["sweep", "--gammas", "2"]):
+            code = main([argv[0], "--network", network, "--dominant", "0", *argv[1:],
+                         "--tmax", "1e300", "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "steps exceeds" in err
+            assert not out.exists()
+        with pytest.raises(TooLarge):
+            run_pipeline(ScenarioConfig(network, (0,), t_max=1e300))
+
+    def test_default_step_check_reads_the_kept_decomposition(self, unstable_file, monkeypatch,
+                                                             capsys):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        gqsbnet.clear_partner_cache()
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
+        capsys.readouterr()
+        assert len(shapes) == 2  # the partner Laplacian and the resistance Gram
+
+    def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
+        report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))
+        assert report.provenance["stop_tol"] == gqsbnet.dynamics.STOP_TOL == 1e-10
+        assert inspect.signature(integrate).parameters["stop_tol"].default == 1e-10
+
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -633,6 +701,14 @@ class TestCli:
                      "--gammas", "1.5,-1", "--dt", "0.01", "--out", str(out)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_without_gammas_writes_nothing(self, allneg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--network", allneg_file, "--dominant", "0,1",
+                     "--gammas", ",", "--out", str(out)])
+        assert code == 1
+        assert "--gammas needs at least one value" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("gammas", ["2.0000001,2", "1.5,3,1.5", "2,2.0"])

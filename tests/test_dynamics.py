@@ -292,6 +292,25 @@ class TestPredictFinal:
         assert got[0] == got[1]
         assert got[0] == pytest.approx(-2.0 * got[2])
 
+    def test_stationary_direction_times_gauge_mean(self):
+        # the certificate's null_right scaled by the conserved mean, bit for
+        # bit the -gamma * c / c split
+        rng = np.random.default_rng(71)
+        checked = 0
+        for _ in range(60):
+            g, b = random_gqsb_instance(rng)
+            gamma = float(rng.uniform(0.5, 4.0))
+            bundle = generalized_laplacian(g, b, gamma)
+            x0 = rng.uniform(-1.0, 1.0, g.n)
+            try:
+                got = predict_final(bundle, x0)
+            except NotPolarizing:
+                continue
+            c = float(bundle.coord_gauge @ x0) / g.n
+            assert got.tobytes() == np.where(b.mask(), -gamma * c, c).tobytes()
+            checked += 1
+        assert checked >= 10
+
     def test_refuses_divergent_scenario(self, unstable_triangle, allneg_split):
         bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)
         with pytest.raises(NotPolarizing):

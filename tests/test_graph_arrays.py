@@ -298,6 +298,7 @@ class TestConstructorErrors:
         [(0, 1)],
         [(0, 1, 1.0, 4)],
         [(0, 2, 1.0), (2.0, 0, 1.0)],
+        [5],
     ])
     def test_irregular_entries(self, edges):
         got = _outcome(SignedGraph, 3, tuple(edges))

@@ -5,6 +5,7 @@ import pytest
 
 from gqsbnet import (
     BadGamma,
+    BadIndex,
     Bipartition,
     NotGQSB,
     OperatorBundle,
@@ -22,6 +23,7 @@ from gqsbnet import (
     integrate,
     load_highland,
     opposing_laplacian,
+    partner_network,
     predict_final,
     repelling_laplacian,
     run_pipeline,
@@ -234,6 +236,10 @@ class TestPartnerNetwork:
         a = partner.adjacency()
         rebuilt = np.diag(a.sum(axis=1)) - a
         assert np.array_equal(rebuilt, bundle.z_laplacian)
+
+    def test_bipartition_of_another_node_count(self, allneg_triangle):
+        with pytest.raises(BadIndex, match="node count"):
+            partner_network(allneg_triangle, Bipartition(4, frozenset({0, 1})))
 
 
 ARRAYS = ("adjacency", "degree", "laplacian", "scale_gauge", "sign_gauge",

@@ -52,6 +52,13 @@ class TestSignedGraph:
     def test_frozen(self, sb_triangle):
         with pytest.raises(dataclasses.FrozenInstanceError):
             sb_triangle.n = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del sb_triangle.n
+
+    def test_equality_with_itself_and_other_types(self, sb_triangle):
+        assert sb_triangle == sb_triangle
+        assert (sb_triangle == "x") is False
+        assert sb_triangle.__eq__("x") is NotImplemented
 
     def test_adjacency(self, sb_triangle):
         a = sb_triangle.adjacency()
@@ -80,6 +87,10 @@ class TestSignedGraph:
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(NonFiniteWeight):
             SignedGraph.from_edge_list(2, [(0, 1, weight)])
+
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(BadIndex, match="non-negative"):
+            SignedGraph(-1)
 
     def test_empty_graph(self):
         g = SignedGraph(0)
@@ -321,6 +332,14 @@ class TestCondenseAndColoring:
         )
         assert chromatic_number(k4) == 4
 
+    def test_chromatic_crown_graph(self):
+        # greedy colouring in degree order needs 4 colours here; the exact
+        # search finds the bipartition
+        crown = SignedGraph.from_edge_list(
+            8, [(2 * i, 2 * j + 1, -1.0) for i in range(4) for j in range(4) if i != j]
+        )
+        assert chromatic_number(crown) == 2
+
     def test_chromatic_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -368,6 +387,21 @@ class TestDominantGrouping:
         b = bipartition_from_dominant(three_bloc_eight, np.array([0, 4]))
         assert b.v1 == frozenset(range(7))
 
+    def test_split_always_qualifies(self):
+        # a union of cooperative components has no cooperative cross edge
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            g = random_signed_graph(rng, int(rng.integers(2, 12)), density=0.5)
+            if len(positive_components(g)) < 2:
+                continue
+            size = int(rng.integers(1, g.n))
+            dominant = rng.choice(g.n, size=size, replace=False).tolist()
+            try:
+                b = bipartition_from_dominant(g, dominant)
+            except BadPartition:
+                continue
+            assert validate_gqsb(g, b)
+
     def test_minority_side(self, sb_triangle):
         b = bipartition_from_dominant(sb_triangle, (2,))
         assert b.v1 == frozenset({2})
@@ -398,3 +432,7 @@ class TestNeighborSets:
     def test_bad_node(self, allneg_triangle, allneg_split):
         with pytest.raises(BadIndex):
             neighbor_sets(allneg_triangle, allneg_split, 3)
+
+    def test_bipartition_of_another_node_count(self, allneg_triangle):
+        with pytest.raises(BadIndex, match="node count"):
+            neighbor_sets(allneg_triangle, Bipartition(4, frozenset({0, 1})), 0)

@@ -4,6 +4,7 @@ import pytest
 from gqsbnet import (
     Bipartition,
     DimensionMismatch,
+    NoConvergence,
     NotGQSB,
     NotSymmetric,
     ScenarioConfig,
@@ -123,6 +124,17 @@ class TestSymEigen:
         dec = sym_eigen(np.eye(2))
         with pytest.raises(ValueError):
             dec.eigenvalues[0] = 1.0
+
+    def test_residual_past_bound_is_no_convergence(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a, *args, **kwargs):
+            values, vectors = eigh(a, *args, **kwargs)
+            return values, vectors + 1e-3
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NoConvergence, match="residual"):
+            sym_eigen(np.diag([1.0, 2.0, 3.0]))
 
 
 class TestPseudoinverse:
@@ -363,6 +375,14 @@ class TestPartnerCore:
         assert bundle.partner is core.decomposition
         assert np.array_equal(sym_eigen(bundle.z_laplacian).eigenvectors,
                               core.decomposition.eigenvectors)
+
+    def test_empty_forest_has_empty_resistance_spectrum(self, sb_triangle):
+        b = Bipartition(3, frozenset({0, 1}))
+        core = partner_core(sb_triangle, b)
+        assert core.forest_edges == ()
+        assert core.resistance.shape == (0, 0)
+        assert core.resistance_eigenvalues.shape == (0,)
+        assert certify(sb_triangle, b, 2.0).resistance_min_eig is None
 
     def test_kept_core_holds_no_operator(self, allneg_triangle, allneg_split):
         core = partner_core(allneg_triangle, allneg_split)
