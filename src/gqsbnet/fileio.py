@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -281,21 +282,24 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     """One report per coefficient, as ``run_pipeline`` gives it with
     ``config.gamma`` replaced.
 
-    The network is loaded and hashed once.  The gauge partner does not
-    depend on the coefficient, so every coefficient reads the one partner
-    decomposition that ``spectral.partner_core`` keeps.  The time horizon
-    and step are checked before the network is loaded, and the step count
-    of the default step (which needs the partner spectrum) before the first
-    report, whether or not a certificate lets the flow be integrated.
+    The network is loaded and hashed once, and the start state read once,
+    before any coefficient is checked; every report shares it read-only.
+    The gauge partner does not depend on the coefficient, so every
+    coefficient reads the one partner decomposition that
+    ``spectral.partner_core`` keeps.  The time horizon and step are checked
+    before the network is loaded, and the step count of the default step
+    (which needs the partner spectrum) before the first report, whether or
+    not a certificate lets the flow be integrated.
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, path = _resolve_network(config)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     b = bipartition_from_dominant(g, config.dominant_nodes)
     summary = classification_dict(g)
+    x0 = start_state(config, g.n)
+    x0.setflags(write=False)
     for gamma in gammas:
         cert = certify(g, b, gamma)
-        x0 = start_state(config, g.n)
         bundle = generalized_laplacian(g, b, gamma)
         dt = default_step(bundle) if config.dt is None else config.dt
         _horizon_steps(config.t_max, dt)
@@ -380,8 +384,7 @@ def render_json(obj, indent: int = 0) -> str:
         rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in obj)
         return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):

@@ -93,12 +93,17 @@ def generalized_adjacency(g: SignedGraph, b: Bipartition, gamma: float) -> np.nd
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues ascending, orthonormal eigenvectors in matching columns,
-    and the threshold below which an eigenvalue counts as zero."""
+    """Eigenvalues ascending and orthonormal eigenvectors in matching
+    columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    zero_tol: float
+
+    @property
+    def zero_tol(self) -> float:
+        """The threshold at or below which an eigenvalue counts as zero:
+        ``default_zero_tol`` of the spectrum."""
+        return default_zero_tol(self.eigenvalues)
 
     @property
     def zero_count(self) -> int:
@@ -112,7 +117,7 @@ def default_zero_tol(eigenvalues: np.ndarray) -> float:
     return 1e-9 * radius
 
 
-def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecomposition:
+def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Deterministic output: eigenvalues ascend and each eigenvector is signed
@@ -136,11 +141,9 @@ def sym_eigen(matrix: np.ndarray, zero_tol: float | None = None) -> EigenDecompo
     residual = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
     if residual.size and float(residual.max()) > bound:
         raise NoConvergence(f"eigen residual {residual.max():.3e} exceeds {bound:.3e}")
-    if zero_tol is None:
-        zero_tol = default_zero_tol(values)
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenDecomposition(values, vectors, float(zero_tol))
+    return EigenDecomposition(values, vectors)
 
 
 @dataclass(frozen=True)

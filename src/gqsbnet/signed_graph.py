@@ -317,14 +317,19 @@ def _groups(labels: np.ndarray) -> tuple[frozenset[int], ...]:
 class Bipartition:
     """Split of ``0 .. n-1`` into a dominant subset and the remainder.
 
-    ``v1`` is the dominant side; both sides must be non-empty.
+    ``v1`` is the dominant side; both sides must be non-empty.  Node ids
+    must be integers (``operator.index``); they are stored as ``int``.
     """
 
     n: int
     v1: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "v1", frozenset(self.v1))
+        try:
+            v1 = frozenset(map(operator.index, self.v1))
+        except TypeError:
+            raise BadIndex(f"node ids must be integers, got {self.v1!r}")
+        object.__setattr__(self, "v1", v1)
         if not self.v1 or len(self.v1) >= self.n:
             raise BadPartition("both subsets must be non-empty")
         for v in self.v1:

@@ -16,7 +16,7 @@ null vectors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,34 +49,23 @@ class Verdict(str, enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def _decomposed(matrix: np.ndarray | EigenDecomposition,
-                zero_tol: float | None) -> EigenDecomposition:
-    # A decomposition passed in place of its matrix is used as it is, with
-    # zero_tol, when given, replacing its threshold.
-    if isinstance(matrix, EigenDecomposition):
-        return matrix if zero_tol is None else replace(matrix, zero_tol=float(zero_tol))
-    return sym_eigen(matrix, zero_tol)
-
-
-def pseudoinverse(
-    matrix: np.ndarray | EigenDecomposition, zero_tol: float | None = None
-) -> np.ndarray:
+def pseudoinverse(matrix: np.ndarray | EigenDecomposition) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via its spectrum.
 
-    Eigenvalues within ``zero_tol`` of zero are dropped, the rest inverted.
-    ``matrix`` may also be the matrix's ``EigenDecomposition``, which
-    saves the solve.
+    Eigenvalues within the decomposition's ``zero_tol`` of zero are
+    dropped, the rest inverted.  ``matrix`` may also be the matrix's
+    ``EigenDecomposition``, which saves the solve.
     """
-    dec = _decomposed(matrix, zero_tol)
+    dec = matrix if isinstance(matrix, EigenDecomposition) else sym_eigen(matrix)
     keep = np.abs(dec.eigenvalues) > dec.zero_tol
     v = dec.eigenvectors[:, keep]
     return (v / dec.eigenvalues[keep]) @ v.T
 
 
-def psd_simple_zero(matrix: np.ndarray, zero_tol: float | None = None) -> bool:
+def psd_simple_zero(matrix: np.ndarray) -> bool:
     """True when the symmetric matrix is positive semidefinite with exactly
     one eigenvalue at zero (within tolerance)."""
-    dec = sym_eigen(matrix, zero_tol)
+    dec = sym_eigen(matrix)
     w = dec.eigenvalues
     if w.size and float(w[0]) < -dec.zero_tol:
         return False
@@ -87,7 +76,6 @@ def effective_resistance(
     laplacian: np.ndarray | EigenDecomposition,
     forest: tuple[Edge, ...],
     incidence_block: np.ndarray,
-    zero_tol: float | None = None,
 ) -> np.ndarray:
     """Resistance matrix of the forest edges through the given Laplacian.
 
@@ -106,7 +94,7 @@ def effective_resistance(
         )
     if not forest:
         return np.zeros((0, 0))
-    pinv = pseudoinverse(laplacian, zero_tol)
+    pinv = pseudoinverse(laplacian)
     gram = block.T @ pinv @ block
     return (gram + gram.T) / 2.0
 
@@ -114,7 +102,7 @@ def effective_resistance(
 @dataclass(frozen=True, eq=False)
 class PartnerCore:
     """The coefficient-free part of a certificate for one (graph,
-    bipartition, zero_tol).
+    bipartition).
 
     ``decomposition`` is the gauge partner Laplacian's; the pseudoinverse
     is taken from it, not from a second solve.  The partner's antagonistic
@@ -125,7 +113,6 @@ class PartnerCore:
 
     graph: SignedGraph
     partition: Bipartition
-    zero_tol: float | None
     decomposition: EigenDecomposition
 
     @cached_property
@@ -157,10 +144,8 @@ class PartnerCore:
 _kept: PartnerCore | None = None
 
 
-def partner_core(
-    g: SignedGraph, b: Bipartition, zero_tol: float | None = None
-) -> PartnerCore:
-    """The coefficient-free part of the certificate for (g, b, zero_tol).
+def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
+    """The coefficient-free part of the certificate for (g, b).
 
     Kept in a single-entry memo, so certificates, predictions and
     integrations at any number of coefficients on one (graph, bipartition)
@@ -168,12 +153,12 @@ def partner_core(
     """
     global _kept
     kept = _kept
-    if kept is not None and (kept.graph, kept.partition, kept.zero_tol) == (g, b, zero_tol):
+    if kept is not None and (kept.graph, kept.partition) == (g, b):
         return kept
     # drop the old core before building the new one, so two never coexist
     kept = _kept = None
-    dec = sym_eigen(partner_laplacian(g, b), zero_tol)
-    core = _kept = PartnerCore(g, b, zero_tol, dec)
+    dec = sym_eigen(partner_laplacian(g, b))
+    core = _kept = PartnerCore(g, b, dec)
     return core
 
 
@@ -218,12 +203,7 @@ class PolarizationCertificate:
     resistance_pd_tol: float | None = None
 
 
-def certify(
-    g: SignedGraph,
-    b: Bipartition,
-    gamma: float,
-    zero_tol: float | None = None,
-) -> PolarizationCertificate:
+def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertificate:
     """Classify the long-run behavior of the dominance-scaled flow.
 
     Asymmetric polarization requires a connected network and a positive
@@ -235,7 +215,7 @@ def certify(
     """
     _, _, coord = _gauge_diagonals(gamma, b)
     gamma = float(gamma)
-    core = partner_core(g, b, zero_tol)
+    core = partner_core(g, b)
     eig = core.decomposition
     tol = eig.zero_tol
     if core.forest_edges:

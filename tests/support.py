@@ -381,7 +381,7 @@ def reference_rk4(bundle, x0, dt=None, t_max=1000.0, stop_tol=1e-10,
     return Trajectory(t_arr, s_arr, status)
 
 
-def reference_certify(g, b, gamma, zero_tol=None):
+def reference_certify(g, b, gamma):
     """Certificate computed afresh with three eigendecompositions
     (the partner Laplacian, again inside the pseudoinverse, and the
     resistance matrix) and the full incidence matrix: the oracle for the
@@ -394,11 +394,9 @@ def reference_certify(g, b, gamma, zero_tol=None):
     dec = spanning_forest(partner)
     inc = incidence_matrix(partner, dec)
     nf = len(dec.forest_edges)
-    eig = sym_eigen(bundle.z_laplacian, zero_tol)
+    eig = sym_eigen(bundle.z_laplacian)
     tol = eig.zero_tol
-    resistance = effective_resistance(
-        bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf], zero_tol=tol
-    )
+    resistance = effective_resistance(bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf])
     if nf:
         res_eigs = sym_eigen(resistance).eigenvalues
         res_min = float(res_eigs[0])

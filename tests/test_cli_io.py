@@ -43,6 +43,7 @@ from gqsbnet import (
     sym_eigen,
     trajectory_to_csv,
 )
+from gqsbnet import fileio
 from gqsbnet.cli import main
 from gqsbnet.fileio import enumerate_dict, format_float, render_json
 from support import random_bloc_graph
@@ -284,6 +285,15 @@ class TestSerialization:
         assert parsed["text"] == 'say "hi"\\'
         assert list(parsed.keys()) == ["b", "a", "rows", "text"]
         assert '"b": [1, 2.5]' in out
+
+    def test_render_json_escapes_control_characters(self):
+        text = "tab\there\nline\x01\x1f end"
+        out = render_json(text)
+        assert not any(ord(c) < 0x20 for c in out)
+        assert json.loads(out) == text
+        assert json.loads(render_json({"s": text})) == {"s": text}
+        # strings without control characters keep their old bytes
+        assert render_json('say "hi"\\ \u00e9\u2028\x7f') == '"say \\"hi\\"\\\\ \u00e9\u2028\x7f"'
 
     def test_render_json_empty_containers(self):
         assert render_json({}) == "{}"
@@ -694,6 +704,60 @@ class TestCli:
                 assert sweep_bytes == (single / "report.json").read_bytes()
                 doc = json.loads(sweep_bytes)
                 assert ("schema" in doc["certificate"]) == (not detail)
+
+    def test_sweep_reads_start_state_once(self, allneg_file, tmp_path, monkeypatch):
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("0.5 -0.25 1\n")
+        read = fileio.load_state_file
+        reads = []
+
+        def counted(path, n):
+            reads.append(path)
+            return read(path, n)
+
+        monkeypatch.setattr(fileio, "load_state_file", counted)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--network", allneg_file, "--dominant", "0,1",
+                     "--gammas", "1.5,2,3,4", "--x0", str(x0), "--dt", "0.01",
+                     "--out", str(out)])
+        assert code == 0
+        assert reads == [str(x0)]
+        assert len(list(out.iterdir())) == 4
+        reports = list(fileio.run_sweep(ScenarioConfig(allneg_file, (0, 1), dt=0.01),
+                                        [1.5, 2.0]))
+        assert reports[0].x0 is reports[1].x0
+        assert not reports[0].x0.flags.writeable
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--gamma=-1"],
+        ["sweep", "--gammas=-1,2"],
+        ["sweep", "--gammas=2,nan"],
+    ])
+    def test_start_state_error_before_bad_coefficient(self, allneg_file, tmp_path, capsys,
+                                                      argv):
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1 0\n")
+        out = tmp_path / "out"
+        code = main([argv[0], "--network", allneg_file, "--dominant", "0,1", *argv[1:],
+                     "--x0", str(x0), "--dt", "0.01", "--out", str(out)])
+        assert code == 1
+        assert f"{x0}: expected 3 entries, found 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_paths_with_control_characters(self, tmp_path):
+        folder = tmp_path / "tab\tdir"
+        folder.mkdir()
+        network = folder / "tri\tangle\n.txt"
+        network.write_text(ALLNEG)
+        x0 = folder / "start\tstate\n.txt"
+        x0.write_text("1 0 -1\n")
+        out = tmp_path / "out"
+        code = main(["report", "--network", str(network), "--dominant", "0,1",
+                     "--x0", str(x0), "--dt", "0.01", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["provenance"]["network"] == str(network)
+        assert doc["provenance"]["x0_path"] == str(x0)
 
     def test_sweep_bad_gamma_writes_nothing(self, allneg_file, tmp_path, capsys):
         out = tmp_path / "sweep"

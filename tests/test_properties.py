@@ -1,7 +1,9 @@
-"""Invariances of the certificate and the edge-list format on seeded draws.
+"""Invariances of the certificate, the flow and the edge-list format on
+seeded draws.
 
 A verdict is a claim about a linear system, so it must not depend on the
-unit of the weights, on node labels or on the order of the edge file.
+unit of the weights, on node labels or on the order of the edge file; the
+flow conserves its gauge-weighted total.
 """
 
 import numpy as np
@@ -10,9 +12,12 @@ import pytest
 from gqsbnet import (
     Bipartition,
     SignedGraph,
+    Termination,
     certify,
     clear_partner_cache,
     dump_network,
+    generalized_laplacian,
+    integrate,
     loads_network,
 )
 from gqsbnet.fileio import certificate_dict, render_json
@@ -125,3 +130,22 @@ def test_small_margin_survives_scaling():
     assert (base.verdict.value, base.decided_by) == ("AsymmetricPolarization", "resistance_pd")
     cert = certify(g.reweighted(g.w * 1e-6), b, gamma)
     assert (cert.verdict, cert.decided_by) == (base.verdict, base.decided_by)
+
+
+def test_gauge_weighted_total_conserved():
+    # a short horizon ends at MaxTime, a long one mostly Converged; a
+    # divergent certificate can also run to MaxTime with growing states
+    ended = set()
+    for rng, g, b, gamma in _draws(105):
+        bundle = generalized_laplacian(g, b, gamma)
+        gauge = bundle.coord_gauge
+        x0 = rng.uniform(-1.0, 1.0, g.n) * 10.0 ** int(rng.integers(-3, 4))
+        for t_max in (0.5, 100.0):
+            traj = integrate(bundle, x0, t_max=t_max)
+            if traj.terminated is Termination.DIVERGED:
+                continue
+            ended.add(traj.terminated)
+            scale = np.abs(traj.states) @ np.abs(gauge)
+            drift = np.abs(traj.states @ gauge - gauge @ x0)
+            assert (drift <= 1e-12 * scale).all()
+    assert ended == {Termination.CONVERGED, Termination.MAX_TIME}

@@ -116,6 +116,17 @@ class TestBipartition:
         with pytest.raises(BadIndex):
             Bipartition(3, frozenset({0, 5}))
 
+    @pytest.mark.parametrize("bad", [1.5, "1", np.float64(1.0)])
+    def test_non_integer_ids_refused(self, bad):
+        with pytest.raises(BadIndex):
+            Bipartition(4, {bad})
+
+    def test_numpy_integer_ids_stored_as_int(self):
+        b = Bipartition(4, {np.int64(1)})
+        assert b == Bipartition(4, {1})
+        assert [type(v) for v in b.v1] == [int]
+        assert np.array_equal(b.mask(), [False, True, False, False])
+
 
 class TestComponents:
     def test_edgeless(self):
