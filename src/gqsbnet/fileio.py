@@ -285,11 +285,11 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     The network is loaded and hashed once, and the start state read once,
     before any coefficient is checked; every report shares it read-only.
     The gauge partner does not depend on the coefficient, so every
-    coefficient reads the one partner decomposition that
-    ``spectral.partner_core`` keeps.  The time horizon and step are checked
-    before the network is loaded, and the step count of the default step
-    (which needs the partner spectrum) before the first report, whether or
-    not a certificate lets the flow be integrated.
+    coefficient reads the one partner decomposition kept on the loaded
+    graph (``spectral.partner_core``).  The time horizon and step are
+    checked before the network is loaded, and the step count of the
+    default step (which needs the partner spectrum) before the first
+    report, whether or not a certificate lets the flow be integrated.
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, path = _resolve_network(config)
@@ -305,8 +305,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
         _horizon_steps(config.t_max, dt)
         traj = None
         outcome = None
-        if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS,
-                            Verdict.NEUTRAL_CONSENSUS):
+        if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS):
             traj = integrate(bundle, x0, dt=dt, t_max=config.t_max)
             outcome = assess(traj, b, gamma)
         provenance = {
@@ -384,7 +383,8 @@ def render_json(obj, indent: int = 0) -> str:
         rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in obj)
         return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        # a lone surrogate (an undecodable path byte) becomes a \udcXX escape
+        return json.dumps(obj, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):

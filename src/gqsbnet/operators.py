@@ -204,7 +204,8 @@ class OperatorBundle:
     @cached_property
     def partner(self) -> EigenDecomposition:
         """Decomposition of ``z_laplacian``: the one ``spectral.partner_core``
-        keeps for (graph, bipartition) and every coefficient reads."""
+        keeps on the graph for this bipartition, which every coefficient
+        reads."""
         from .spectral import partner_core  # spectral imports this module
 
         return partner_core(self.graph, self.partition).decomposition

@@ -162,7 +162,9 @@ class SignedGraph:
     and ``j`` (int64) and ``w`` (float64).  ``edges`` is the same edge set
     as a tuple of Python triples, built on first use.  Instances are
     immutable, compare equal when ``n`` and the edges are equal, and hash
-    accordingly.
+    accordingly.  Values derived from the edges (``edges``,
+    ``cooperative_labels``, the ``spectral.partner_core`` of one
+    bipartition) are kept on the instance; pickles and copies carry none.
     """
 
     n: int

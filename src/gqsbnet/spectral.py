@@ -8,9 +8,9 @@ definiteness of the forest resistance matrix built from the pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
-bipartition).  That part is computed once and kept in a single-entry memo
-(``partner_core``); a certificate adds only the coefficient's verdict and
-null vectors.
+bipartition).  That part is computed once and kept on the graph it was
+built from (``partner_core``); a certificate adds only the coefficient's
+verdict and null vectors.
 """
 
 from __future__ import annotations
@@ -104,30 +104,29 @@ class PartnerCore:
     """The coefficient-free part of a certificate for one (graph,
     bipartition).
 
-    ``decomposition`` is the gauge partner Laplacian's; the pseudoinverse
-    is taken from it, not from a second solve.  The partner's antagonistic
-    forest, its resistance matrix with that matrix's spectrum, and
-    connectivity are computed on first use.  Besides the eigenvectors,
-    nothing n x n is kept: no operator and no pseudoinverse.
+    ``partner`` is the gauge partner network and ``decomposition`` its
+    Laplacian's; the pseudoinverse is taken from it, not from a second
+    solve.  ``connected`` is the graph's connectivity.  The partner's
+    antagonistic forest and its resistance matrix with that matrix's
+    spectrum are computed on first use.  Besides the eigenvectors, nothing
+    n x n is kept: no operator and no pseudoinverse.  No field refers to
+    the original graph, so a core kept on its graph goes with it.
     """
 
-    graph: SignedGraph
+    partner: SignedGraph
     partition: Bipartition
     decomposition: EigenDecomposition
-
-    @cached_property
-    def connected(self) -> bool:
-        return len(connected_components(self.graph)) == 1
+    connected: bool
 
     @cached_property
     def forest_edges(self) -> tuple[Edge, ...]:
-        return spanning_forest(partner_network(self.graph, self.partition)).forest_edges
+        return spanning_forest(self.partner).forest_edges
 
     @cached_property
     def resistance(self) -> np.ndarray:
         forest = self.forest_edges
         # incidence of the forest columns alone
-        inc = incidence_matrix(self.graph, SignDecomposition((), (), forest, ()))
+        inc = incidence_matrix(self.partner, SignDecomposition((), (), forest, ()))
         r = effective_resistance(self.decomposition, forest, inc.matrix)
         r.setflags(write=False)
         return r
@@ -138,34 +137,30 @@ class PartnerCore:
         return sym_eigen(self.resistance).eigenvalues
 
 
-# The one kept core; a core for another key replaces it.  Callers read it
-# once into a local, so a concurrent replacement costs a recomputation and
-# never hands out a core for the wrong key.
-_kept: PartnerCore | None = None
-
-
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b).
 
-    Kept in a single-entry memo, so certificates, predictions and
-    integrations at any number of coefficients on one (graph, bipartition)
-    share one eigendecomposition, and the partner Laplacian is built once.
+    Kept on ``g`` itself, one core per graph object, so certificates,
+    predictions and integrations at any number of coefficients on one
+    (graph, bipartition) share one eigendecomposition, and the partner
+    Laplacian is built once.  A core for another bipartition replaces it.
     """
-    global _kept
-    kept = _kept
-    if kept is not None and (kept.graph, kept.partition) == (g, b):
-        return kept
+    core = vars(g).get("_partner_core")
+    if core is not None and core.partition == b:
+        return core
     # drop the old core before building the new one, so two never coexist
-    kept = _kept = None
+    del core
+    clear_partner_cache(g)
     dec = sym_eigen(partner_laplacian(g, b))
-    core = _kept = PartnerCore(g, b, dec)
+    core = PartnerCore(partner_network(g, b), b, dec, len(connected_components(g)) == 1)
+    vars(g)["_partner_core"] = core
     return core
 
 
-def clear_partner_cache() -> None:
-    """Drop the kept ``partner_core``, freeing its n x n eigenvectors."""
-    global _kept
-    _kept = None
+def clear_partner_cache(g: SignedGraph) -> None:
+    """Drop the ``partner_core`` kept on ``g``, freeing its n x n
+    eigenvectors."""
+    vars(g).pop("_partner_core", None)
 
 
 @dataclass(frozen=True)
@@ -235,8 +230,6 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
     elif w.size and float(w[0]) < -tol:
         verdict, decided_by = Verdict.DIVERGENCE, "negative_eigenvalue"
-    elif zero_mult == 0:
-        verdict, decided_by = Verdict.NEUTRAL_CONSENSUS, "zero_multiplicity"
     elif zero_mult == 1 and res_pd:
         # an exact compare: gamma = 1 + 1e-15 already scales the split
         if gamma == 1.0 and _no_antagonism_within(g, b.mask()):

@@ -5,14 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gqsbnet import Bipartition, SignedGraph, clear_partner_cache
-
-
-@pytest.fixture(autouse=True)
-def fresh_partner_cache():
-    """Start every test with no kept partner decomposition, so call counts
-    do not depend on which test ran before."""
-    clear_partner_cache()
+from gqsbnet import Bipartition, SignedGraph
 
 
 @pytest.fixture

@@ -5,13 +5,17 @@ import pytest
 
 from gqsbnet import (
     Bipartition,
+    EigenDecomposition,
+    PartnerCore,
     PolarizationCertificate,
     ScenarioConfig,
     SignedGraph,
     Verdict,
     certify,
     partner_core,
+    partner_network,
 )
+from gqsbnet import spectral
 from gqsbnet.fileio import (
     certificate_dict,
     render_json,
@@ -100,6 +104,17 @@ class TestDecidedBy:
         assert doc["resistance_min_eig"] is None
         assert doc["resistance_pd_tol"] is None
         assert render_json(doc).endswith('"resistance_pd_tol": null\n}')
+
+    def test_no_zero_eigenvalue(self, allneg_triangle, allneg_split, monkeypatch):
+        # zero row sums keep 0 in every partner spectrum, so hand-build a
+        # core whose spectrum has none
+        partner = partner_network(allneg_triangle, allneg_split)
+        dec = EigenDecomposition(np.array([1.0, 2.0, 3.0]), np.eye(3))
+        core = PartnerCore(partner, allneg_split, dec, connected=True)
+        monkeypatch.setattr(spectral, "partner_core", lambda g, b: core)
+        doc = _doc(allneg_triangle, allneg_split, 2.0)
+        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "zero_multiplicity")
+        assert doc["zero_multiplicity"] == 0
 
     def test_unit_coefficient_is_an_exact_compare(self):
         # the plain split needs gamma == 1.0 exactly; the nearest

@@ -294,6 +294,8 @@ class TestSerialization:
         assert json.loads(render_json({"s": text})) == {"s": text}
         # strings without control characters keep their old bytes
         assert render_json('say "hi"\\ \u00e9\u2028\x7f') == '"say \\"hi\\"\\\\ \u00e9\u2028\x7f"'
+        # a lone surrogate (os.fsdecode of an undecodable byte) is escaped
+        assert render_json(os.fsdecode(b"tri\xff.txt")) == '"tri\\udcff.txt"'
 
     def test_render_json_empty_containers(self):
         assert render_json({}) == "{}"
@@ -598,7 +600,6 @@ class TestCli:
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
-        gqsbnet.clear_partner_cache()
         monkeypatch.setattr(np.linalg, "eigh", counted)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
@@ -862,6 +863,20 @@ class TestCli:
         monkeypatch.setenv("GQSB_DATA_DIR", str(data))
         assert main(["classify", "--network", "highland"]) == 0
         assert json.loads(capsys.readouterr().out)["p"] == 3
+
+    def test_non_utf8_network_path(self, tmp_path, capsys):
+        raw = os.fsencode(tmp_path / "tri") + b"\xff.txt"
+        Path(os.fsdecode(raw)).write_text(ALLNEG)
+        argv = ["report", "--network", os.fsdecode(raw), "--dominant", "0,1", "--dt", "0.01"]
+        assert main(argv) == 0
+        # strict UTF-8: the document holds no raw path byte
+        doc = json.loads(capsys.readouterr().out.encode("utf-8"))
+        assert os.fsencode(doc["provenance"]["network"]) == raw
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        saved = json.loads((out / "report.json").read_bytes())
+        assert saved == doc
 
     def test_console_script_installed(self, allneg_file, tmp_path):
         target = _declared_console_script("gqsbnet")

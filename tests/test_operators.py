@@ -335,7 +335,7 @@ class TestOneAdjacencyPerPartition:
         predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
                       [1.0, 0.0, 0.0])
         assert calls == [3]
-        clear_partner_cache()
+        clear_partner_cache(allneg_triangle)
         predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
                       [1.0, 0.0, 0.0])
         assert calls == [3, 3]

@@ -14,7 +14,6 @@ from gqsbnet import (
     SignedGraph,
     Termination,
     certify,
-    clear_partner_cache,
     dump_network,
     generalized_laplacian,
     integrate,
@@ -83,7 +82,6 @@ def test_edge_order_shuffle():
         text = f"{g.n} {g.m}\n" + "".join(f"{i} {j} {w!r}\n" for i, j, w in shuffled)
         for h in (SignedGraph.from_edge_list(g.n, shuffled), loads_network(text)):
             assert h == g
-            clear_partner_cache()
             cert = certify(h, b, gamma)
             assert (cert.verdict, cert.decided_by) == (base.verdict, base.decided_by)
             for detail in ("summary", "full"):

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -357,14 +362,42 @@ class TestPartnerCore:
 
     def test_single_entry(self, allneg_triangle, allneg_split, unstable_triangle, monkeypatch):
         shapes = _counting_eigh(monkeypatch)
-        certify(allneg_triangle, allneg_split, 2.0)
+        for g in (allneg_triangle, unstable_triangle, allneg_triangle, unstable_triangle):
+            certify(g, allneg_split, 2.0)
+        assert len(shapes) == 4  # each graph keeps its own core
         equal = SignedGraph(3, allneg_triangle.edges)
         certify(equal, Bipartition(3, frozenset({1, 0})), 3.0)
-        assert len(shapes) == 2  # an equal key hits
-        certify(unstable_triangle, allneg_split, 2.0)
-        assert len(shapes) == 4
-        certify(allneg_triangle, allneg_split, 2.0)
-        assert len(shapes) == 6  # the first key was replaced
+        assert len(shapes) == 6  # an equal but distinct graph starts cold
+        first = partner_core(allneg_triangle, allneg_split)
+        other = Bipartition(3, frozenset({0}))
+        assert partner_core(allneg_triangle, other).partition == other
+        assert len(shapes) == 7
+        assert partner_core(allneg_triangle, allneg_split) is not first
+        assert len(shapes) == 8  # the second bipartition replaced the first
+
+    def test_core_goes_with_its_graph(self):
+        # no fixture: pytest would hold the graph until teardown
+        g = SignedGraph(3, [(0, 1, -1.0), (0, 2, -3.0), (1, 2, -3.0)])
+        b = Bipartition(3, frozenset({0, 1}))
+        gc.disable()
+        try:
+            certify(g, b, 2.0)
+            core = weakref.ref(partner_core(g, b))
+            assert core() is not None
+            del g
+            assert core() is None  # freed by reference counting alone
+        finally:
+            gc.enable()
+
+    def test_copies_carry_no_core(self, allneg_triangle, allneg_split, monkeypatch):
+        partner_core(allneg_triangle, allneg_split)
+        shapes = _counting_eigh(monkeypatch)
+        twins = (pickle.loads(pickle.dumps(allneg_triangle)), copy.copy(allneg_triangle),
+                 copy.deepcopy(allneg_triangle))
+        for twin in twins:
+            assert twin == allneg_triangle
+            partner_core(twin, allneg_split)
+        assert len(shapes) == 3
 
     def test_bundle_reads_the_kept_decomposition(self, allneg_triangle, allneg_split):
         core = partner_core(allneg_triangle, allneg_split)
