@@ -13,6 +13,7 @@ from .errors import (
     BadGamma,
     BadIndex,
     BadPartition,
+    BadState,
     BadStep,
     DimensionMismatch,
     DuplicateEdge,

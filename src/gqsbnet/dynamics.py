@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadStep, DimensionMismatch, NotPolarizing, TooLarge
+from .errors import BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle
 from .signed_graph import Bipartition
 from .spectral import Verdict, certify
@@ -70,6 +70,10 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != bundle.n:
         raise DimensionMismatch(f"expected {bundle.n} entries, got {x.shape[0]}")
+    bad = ~np.isfinite(x)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BadState(f"start state entry {k} is not finite: {x[k]}")
     return x
 
 
@@ -148,8 +152,9 @@ def integrate(
 
     Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
     ``stop_tol`` not a non-negative real or ``record_every`` not an
-    integer of at least 1, and TooLarge when ``t_max / dt`` steps do not
-    fit int64 step indices.
+    integer of at least 1, TooLarge when ``t_max / dt`` steps do not
+    fit int64 step indices, and BadState when ``x0`` has a NaN or infinite
+    entry.
     """
     x = _state_vector(bundle, x0)
     steps = _horizon_steps(t_max, dt)
@@ -209,13 +214,17 @@ def closed_form_state(bundle: OperatorBundle, x0, t: float) -> np.ndarray:
     """Exact state at time t via the gauge partner's eigendecomposition.
 
     The flow is gauge-similar to a symmetric one, so the matrix exponential
-    factors through that spectrum.
+    factors through that spectrum.  Raises BadState for a start state with
+    a NaN or infinite entry and BadStep when t is not a finite real >= 0.
     """
     x = _state_vector(bundle, x0)
+    t = float(t)
+    if not 0 <= t < np.inf:
+        raise BadStep(f"time must be a finite real >= 0, got {t}")
     dec = bundle.partner
     gauged = bundle.coord_gauge * x
     coeff = dec.eigenvectors.T @ gauged
-    evolved = dec.eigenvectors @ (np.exp(-dec.eigenvalues * float(t)) * coeff)
+    evolved = dec.eigenvectors @ (np.exp(-dec.eigenvalues * t) * coeff)
     return evolved / bundle.coord_gauge
 
 
@@ -226,7 +235,8 @@ def predict_final(bundle: OperatorBundle, x0) -> np.ndarray:
     polarization, or the coefficient-1 consensus case); otherwise raises
     NotPolarizing.  The limit scales the stationary direction by the
     conserved gauge-weighted mean of the start state: side one lands at
-    -gamma times the side-two value.
+    -gamma times the side-two value.  A start state with a NaN or
+    infinite entry raises BadState.
     """
     x = _state_vector(bundle, x0)
     cert = certify(bundle.graph, bundle.partition, bundle.gamma)

@@ -55,6 +55,10 @@ class BadStep(GqsbError):
     """The integrator step size is not a positive real."""
 
 
+class BadState(GqsbError):
+    """A start state has a NaN or infinite entry."""
+
+
 class NotPolarizing(GqsbError):
     """Final-state prediction was asked for a non-polarizing system."""
 

@@ -121,26 +121,36 @@ def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Deterministic output: eigenvalues ascend and each eigenvector is signed
-    so its largest-magnitude entry is positive.  Raises NotSymmetric when
-    the input is asymmetric beyond 1e-12 relative, NoConvergence when the
-    solver's residuals miss the contract bound.
+    so its largest-magnitude entry is positive.  Both contract checks are
+    relative, with no floor, so they hold at any scale of the entries.
+    Raises NotSymmetric when an entry is NaN or infinite or the input is
+    asymmetric beyond 1e-12 of its largest entry, NoConvergence when an
+    eigenpair's residual exceeds 1e-8 of the spectral radius.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > _SYMMETRY_RTOL * scale:
+    if not np.isfinite(m).all():
+        raise NotSymmetric("matrix has a NaN or infinite entry")
+    # each check is written so that a NaN fails it
+    scale = float(np.max(np.abs(m), initial=0.0))
+    if not float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     sym = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(sym)
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    bound = _RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    residual = np.linalg.norm(sym @ vectors - vectors * values, axis=0)
-    if residual.size and float(residual.max()) > bound:
-        raise NoConvergence(f"eigen residual {residual.max():.3e} exceeds {bound:.3e}")
+    if vectors.size:
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors[:, vectors[lead, np.arange(lead.size)] < 0] *= -1.0
+    # in units of the largest entry, so the norm's squares cannot overflow
+    unit = scale or 1.0
+    residual = sym @ vectors
+    residual -= vectors * values
+    residual /= unit
+    worst = float(np.max(np.linalg.norm(residual, axis=0), initial=0.0))
+    bound = _RESIDUAL_RTOL * (float(np.max(np.abs(values), initial=0.0)) / unit)
+    if not worst <= bound:
+        raise NoConvergence(f"eigen residual {worst:.3e} exceeds {bound:.3e}, "
+                            "relative to the largest entry")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values, vectors)

@@ -70,15 +70,33 @@ def _cast(i, j, w) -> _Columns:
     return _Columns(np.asarray(i, np.int64), np.asarray(j, np.int64), np.asarray(w, np.float64))
 
 
+def _node_id(v) -> int:
+    """``int(v)``, refusing a value other than a string that it would
+    truncate (0.5, say)."""
+    k = int(v)
+    if not isinstance(v, str) and k != v:
+        raise BadIndex(f"node id {v} is not an integer")
+    return k
+
+
+def _integer(v, what: str) -> int:
+    """``operator.index(v)``; BadIndex names ``what`` when ``v`` is not
+    an integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise BadIndex(f"{what} must be an integer, got {v!r}") from None
+
+
 def _columns_by_edge(n: int, rows) -> _Columns:
     """Columns of triples whose entries are not all plain numbers: each
-    entry goes through ``int()`` or ``float()`` and each edge is checked in
-    input order, so a bad entry and a bad edge raise in the order they
+    entry goes through ``_node_id`` or ``float()`` and each edge is checked
+    in input order, so a bad entry and a bad edge raise in the order they
     come."""
     seen: set[tuple[int, int]] = set()
     out = []
     for i, j, w in rows:
-        i, j, w = int(i), int(j), float(w)
+        i, j, w = _node_id(i), _node_id(j), float(w)
         error = _edge_error(n, i, j, w)
         if error is not None:
             raise error
@@ -156,7 +174,10 @@ class SignedGraph:
     Edges are canonical ``(i, j, w)`` triples with ``i < j`` and ``w`` finite
     and nonzero, stored sorted.  At most one edge per node pair, no
     self-loops.  The constructor normalizes orientation and ordering and
-    validates the rest; the first bad edge in input order raises.
+    validates the rest; the first bad edge in input order raises.  The node
+    count must be an integer (``operator.index``), and so must each
+    endpoint: a string goes through ``int()``, and any other value must
+    equal its ``int()`` (``2.0`` does, ``0.5`` raises BadIndex).
 
     The graph is held as three read-only arrays in canonical order: ``i``
     and ``j`` (int64) and ``w`` (float64).  ``edges`` is the same edge set
@@ -179,6 +200,7 @@ class SignedGraph:
     # Validation keeps the dataclass hook's name: the benchmark's tracer
     # times graph construction through ``SignedGraph.__post_init__``.
     def __post_init__(self, edges):
+        object.__setattr__(self, "n", _integer(self.n, "node count"))
         if self.n < 0:
             raise BadIndex("node count must be non-negative")
         self._set_columns(_canonical(self.n, _edge_columns(self.n, edges)))
@@ -319,14 +341,16 @@ def _groups(labels: np.ndarray) -> tuple[frozenset[int], ...]:
 class Bipartition:
     """Split of ``0 .. n-1`` into a dominant subset and the remainder.
 
-    ``v1`` is the dominant side; both sides must be non-empty.  Node ids
-    must be integers (``operator.index``); they are stored as ``int``.
+    ``v1`` is the dominant side; both sides must be non-empty.  The node
+    count and ids must be integers (``operator.index``); they are stored
+    as ``int``.
     """
 
     n: int
     v1: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "node count"))
         try:
             v1 = frozenset(map(operator.index, self.v1))
         except TypeError:
@@ -553,7 +577,9 @@ def classify(g: SignedGraph) -> str:
 
 def neighbor_sets(g: SignedGraph, b: Bipartition, i: int) -> NeighborSets:
     """Split node i's neighbors into cooperative, same-subset antagonistic,
-    and cross-subset antagonistic ties."""
+    and cross-subset antagonistic ties.  ``i`` must be an integer
+    (``operator.index``)."""
+    i = _integer(i, "node id")
     if not 0 <= i < g.n:
         raise BadIndex(f"node {i} outside 0..{g.n - 1}")
     if b.n != g.n:

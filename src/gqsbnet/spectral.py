@@ -33,11 +33,10 @@ from .operators import (
 from .signed_graph import (
     Bipartition,
     Edge,
-    SignDecomposition,
     SignedGraph,
     _no_antagonism_within,
+    _node_id,
     connected_components,
-    incidence_matrix,
     spanning_forest,
 )
 
@@ -75,27 +74,30 @@ def psd_simple_zero(matrix: np.ndarray) -> bool:
 def effective_resistance(
     laplacian: np.ndarray | EigenDecomposition,
     forest: tuple[Edge, ...],
-    incidence_block: np.ndarray,
 ) -> np.ndarray:
     """Resistance matrix of the forest edges through the given Laplacian.
 
-    Quadratic form of the pseudoinverse over the forest's incidence
-    columns.  ``laplacian`` may also be its ``EigenDecomposition``.  An
-    empty forest yields the empty matrix, which downstream checks treat as
-    positive definite.
+    The Gram B^T P B of the forest's incidence columns B, column k being
+    +1 at ``forest[k]``'s first endpoint a_k and -1 at its second b_k,
+    read off the pseudoinverse P: entry (k, l) is
+    (P[a_k, a_l] - P[b_k, a_l]) - (P[a_k, b_l] - P[b_k, b_l]), which
+    rounds as the product with the +-1 block does.  ``laplacian`` may
+    also be its ``EigenDecomposition``.  A non-integral endpoint raises
+    BadIndex, one outside the Laplacian's nodes DimensionMismatch.
+    An empty forest yields the empty matrix, which downstream checks treat
+    as positive definite.
     """
     n = (laplacian.eigenvalues if isinstance(laplacian, EigenDecomposition)
          else laplacian).shape[0]
-    block = np.asarray(incidence_block, dtype=float)
-    if block.ndim != 2 or block.shape != (n, len(forest)):
-        raise DimensionMismatch(
-            f"incidence block shape {block.shape} does not match "
-            f"{n} nodes x {len(forest)} forest edges"
-        )
-    if not forest:
+    ends = [(_node_id(i), _node_id(j)) for i, j, _ in forest]
+    if not all(0 <= v < n for pair in ends for v in pair):
+        raise DimensionMismatch(f"forest endpoint outside the Laplacian's {n} nodes")
+    if not ends:
         return np.zeros((0, 0))
+    a, b = np.array(ends, dtype=np.int64).T
     pinv = pseudoinverse(laplacian)
-    gram = block.T @ pinv @ block
+    x = pinv[a] - pinv[b]
+    gram = x[:, a] - x[:, b]
     return (gram + gram.T) / 2.0
 
 
@@ -104,30 +106,23 @@ class PartnerCore:
     """The coefficient-free part of a certificate for one (graph,
     bipartition).
 
-    ``partner`` is the gauge partner network and ``decomposition`` its
-    Laplacian's; the pseudoinverse is taken from it, not from a second
-    solve.  ``connected`` is the graph's connectivity.  The partner's
-    antagonistic forest and its resistance matrix with that matrix's
-    spectrum are computed on first use.  Besides the eigenvectors, nothing
-    n x n is kept: no operator and no pseudoinverse.  No field refers to
-    the original graph, so a core kept on its graph goes with it.
+    ``decomposition`` is the gauge partner Laplacian's; the pseudoinverse
+    is taken from it, not from a second solve.  ``connected`` is the
+    graph's connectivity and ``forest_edges`` the partner network's
+    antagonistic forest.  The forest's resistance matrix and that
+    matrix's spectrum are computed on first use.  Besides the
+    eigenvectors, nothing n x n is kept: no operator, no pseudoinverse and
+    no graph, so a core kept on its graph goes with it.
     """
 
-    partner: SignedGraph
     partition: Bipartition
     decomposition: EigenDecomposition
     connected: bool
-
-    @cached_property
-    def forest_edges(self) -> tuple[Edge, ...]:
-        return spanning_forest(self.partner).forest_edges
+    forest_edges: tuple[Edge, ...]
 
     @cached_property
     def resistance(self) -> np.ndarray:
-        forest = self.forest_edges
-        # incidence of the forest columns alone
-        inc = incidence_matrix(self.partner, SignDecomposition((), (), forest, ()))
-        r = effective_resistance(self.decomposition, forest, inc.matrix)
+        r = effective_resistance(self.decomposition, self.forest_edges)
         r.setflags(write=False)
         return r
 
@@ -152,7 +147,8 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     del core
     clear_partner_cache(g)
     dec = sym_eigen(partner_laplacian(g, b))
-    core = PartnerCore(partner_network(g, b), b, dec, len(connected_components(g)) == 1)
+    forest = spanning_forest(partner_network(g, b)).forest_edges
+    core = PartnerCore(b, dec, len(connected_components(g)) == 1, forest)
     vars(g)["_partner_core"] = core
     return core
 

@@ -10,6 +10,7 @@ the scalar forms of what the package now does with arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,9 @@ from gqsbnet import (
     Verdict,
     connected_components,
     default_step,
-    effective_resistance,
     generalized_laplacian,
     incidence_matrix,
+    pseudoinverse,
     spanning_forest,
     sym_eigen,
     validate_gqsb,
@@ -384,8 +385,10 @@ def reference_rk4(bundle, x0, dt=None, t_max=1000.0, stop_tol=1e-10,
 def reference_certify(g, b, gamma):
     """Certificate computed afresh with three eigendecompositions
     (the partner Laplacian, again inside the pseudoinverse, and the
-    resistance matrix) and the full incidence matrix: the oracle for the
-    shared partner decomposition.  The resistance matrix counts as
+    resistance matrix) and the resistance matrix as the dense product of
+    the pseudoinverse with the forest's columns of the full incidence
+    matrix: the oracle for the shared partner decomposition and for
+    ``effective_resistance``.  The resistance matrix counts as
     positive definite above the partner Laplacian's zero tolerance; the
     reported ``resistance_pd_tol`` is 1e-9 times its largest eigenvalue
     magnitude, and ``decided_by`` names the branch below that returned."""
@@ -396,7 +399,9 @@ def reference_certify(g, b, gamma):
     nf = len(dec.forest_edges)
     eig = sym_eigen(bundle.z_laplacian)
     tol = eig.zero_tol
-    resistance = effective_resistance(bundle.z_laplacian, dec.forest_edges, inc.matrix[:, :nf])
+    block = inc.matrix[:, :nf]
+    resistance = block.T @ pseudoinverse(bundle.z_laplacian) @ block
+    resistance = (resistance + resistance.T) / 2.0
     if nf:
         res_eigs = sym_eigen(resistance).eigenvalues
         res_min = float(res_eigs[0])
@@ -460,16 +465,29 @@ def reference_certificate_dict(cert: PolarizationCertificate) -> dict:
     }
 
 
+def _reference_id(v):
+    k = int(v)
+    if not isinstance(v, str) and k != v:
+        raise BadIndex(f"node id {v} is not an integer")
+    return k
+
+
 def reference_graph(n, edges):
-    """Per-edge graph constructor: ``int()`` and ``float()`` on each
-    entry, then the checks in order, raising at the first bad edge in input
-    order.  Returns ``(n, canonical sorted edge tuple)``."""
+    """Per-edge graph constructor: the node count through
+    ``operator.index``, ``int()`` on each endpoint (which, unless a string,
+    must equal it) and ``float()`` on each weight, then the checks in
+    order, raising at the first bad edge in input order.  Returns
+    ``(n, canonical sorted edge tuple)``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadIndex(f"node count must be an integer, got {n!r}") from None
     if n < 0:
         raise BadIndex("node count must be non-negative")
     canonical = []
     seen = set()
     for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
+        i, j, w = _reference_id(i), _reference_id(j), float(w)
         if i == j:
             raise SelfLoop(f"self-loop at node {i}")
         if i > j:

@@ -14,6 +14,7 @@ from gqsbnet import (
     certify,
     partner_core,
     partner_network,
+    spanning_forest,
 )
 from gqsbnet import spectral
 from gqsbnet.fileio import (
@@ -108,9 +109,9 @@ class TestDecidedBy:
     def test_no_zero_eigenvalue(self, allneg_triangle, allneg_split, monkeypatch):
         # zero row sums keep 0 in every partner spectrum, so hand-build a
         # core whose spectrum has none
-        partner = partner_network(allneg_triangle, allneg_split)
+        forest = spanning_forest(partner_network(allneg_triangle, allneg_split)).forest_edges
         dec = EigenDecomposition(np.array([1.0, 2.0, 3.0]), np.eye(3))
-        core = PartnerCore(partner, allneg_split, dec, connected=True)
+        core = PartnerCore(allneg_split, dec, connected=True, forest_edges=forest)
         monkeypatch.setattr(spectral, "partner_core", lambda g, b: core)
         doc = _doc(allneg_triangle, allneg_split, 2.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "zero_multiplicity")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gqsbnet import (
+    BadState,
     BadStep,
     Bipartition,
     DimensionMismatch,
@@ -145,6 +146,11 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch):
             integrate(worked_bundle, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_refused_before_any_work(self, worked_bundle, bad, no_eigh):
+        with pytest.raises(BadState, match="entry 1 is not finite"):
+            integrate(worked_bundle, [0.0, bad, 0.0], dt=0.01, t_max=1.0)
+
     def test_output_read_only(self, worked_bundle):
         traj = integrate(worked_bundle, [1.0, 0.0, 0.0], dt=0.01, t_max=0.05)
         with pytest.raises(ValueError):
@@ -266,6 +272,16 @@ class TestClosedForm:
         far = closed_form_state(worked_bundle, x0, 40.0)
         assert np.allclose(far, predict_final(worked_bundle, x0), atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_refused_before_any_work(self, worked_bundle, bad, no_eigh):
+        with pytest.raises(BadState):
+            closed_form_state(worked_bundle, [bad, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, -1e6, -1e-12, np.inf])
+    def test_bad_time_refused_before_any_work(self, worked_bundle, t, no_eigh):
+        with pytest.raises(BadStep, match="time"):
+            closed_form_state(worked_bundle, [1.0, 0.0, 0.0], t)
+
     def test_grows_on_divergent_network(self, unstable_triangle, allneg_split):
         bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)
         now = np.max(np.abs(closed_form_state(bundle, [1.0, 0.0, 0.0], 2.0)))
@@ -310,6 +326,11 @@ class TestPredictFinal:
             assert got.tobytes() == np.where(b.mask(), -gamma * c, c).tobytes()
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_start_refused_before_any_work(self, worked_bundle, bad, no_eigh):
+        with pytest.raises(BadState):
+            predict_final(worked_bundle, [1.0, 0.0, bad])
 
     def test_refuses_divergent_scenario(self, unstable_triangle, allneg_split):
         bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)

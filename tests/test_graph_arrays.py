@@ -281,6 +281,7 @@ class TestConstructorErrors:
         [(0, 1, 1.0), (0, 5, 1.0), (1, 0, 1.0), (1, 0, 2.0)],
         [(2, 1, 1.0), (0, 1, 0.0), (1, 2, 1.0), (0, 1, 1.0)],
         [(0, 1, 1.0), (1, 0, 1.0), (0, 1, np.nan)],
+        [(0, 1, 1.0), (0.9, 2, 1.0), (1, 1, 1.0)],
     ])
     def test_first_bad_edge_in_input_order(self, edges):
         expect = _outcome(reference_graph, 3, edges)
@@ -299,6 +300,13 @@ class TestConstructorErrors:
         [(0, 1, 1.0, 4)],
         [(0, 2, 1.0), (2.0, 0, 1.0)],
         [5],
+        # a non-integral id raises at its place in input order
+        [(0.5, 2, 1.0)],
+        [(0, 1, 1.0), (np.float64(0.9), 2, 1.0)],
+        [(0, 2.5, "x")],
+        [(0.5, 2, 1.0), (1, 1, 1.0)],
+        [(1, 1, 1.0), (0.5, 2, 1.0)],
+        [(2.0, np.int32(0), 1.0), (True, "2", 1.0)],
     ])
     def test_irregular_entries(self, edges):
         got = _outcome(SignedGraph, 3, tuple(edges))
@@ -306,6 +314,17 @@ class TestConstructorErrors:
         if isinstance(got, SignedGraph):
             got = (got.n, got.edges)
         assert got == expect
+
+    @pytest.mark.parametrize("n", [3.5, "3", 3.0, None])
+    def test_node_count_must_be_an_integer(self, n):
+        expect = _outcome(reference_graph, n, [(0, 1, 1.0)])
+        assert expect[0] is BadIndex
+        assert _outcome(SignedGraph, n, ((0, 1, 1.0),)) == expect
+        assert _outcome(SignedGraph.from_arrays, n, [0], [1], [1.0]) == expect
+
+    def test_node_count_stored_as_int(self):
+        g = SignedGraph(np.int64(3), [(0, 1, 1.0)])
+        assert type(g.n) is int and g == SignedGraph(3, [(0, 1, 1.0)])
 
     @pytest.mark.parametrize("n", [60, 3_037_000_499, 3_037_000_500, 2 ** 32 + 1, 10 ** 11,
                                    2 ** 63 - 1])

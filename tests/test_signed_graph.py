@@ -121,6 +121,11 @@ class TestBipartition:
         with pytest.raises(BadIndex):
             Bipartition(4, {bad})
 
+    @pytest.mark.parametrize("n", [3.5, "3", None])
+    def test_non_integer_node_count_refused(self, n):
+        with pytest.raises(BadIndex, match="node count"):
+            Bipartition(n, {0})
+
     def test_numpy_integer_ids_stored_as_int(self):
         b = Bipartition(4, {np.int64(1)})
         assert b == Bipartition(4, {1})
@@ -443,6 +448,15 @@ class TestNeighborSets:
     def test_bad_node(self, allneg_triangle, allneg_split):
         with pytest.raises(BadIndex):
             neighbor_sets(allneg_triangle, allneg_split, 3)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+    def test_non_integer_node_refused(self, allneg_triangle, allneg_split, bad):
+        with pytest.raises(BadIndex, match="integer"):
+            neighbor_sets(allneg_triangle, allneg_split, bad)
+
+    def test_numpy_integer_node(self, allneg_triangle, allneg_split):
+        s = neighbor_sets(allneg_triangle, allneg_split, np.int64(0))
+        assert s == neighbor_sets(allneg_triangle, allneg_split, 0)
 
     def test_bipartition_of_another_node_count(self, allneg_triangle):
         with pytest.raises(BadIndex, match="node count"):

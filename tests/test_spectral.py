@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gqsbnet import (
+    BadIndex,
     Bipartition,
     DimensionMismatch,
     NoConvergence,
@@ -20,7 +21,6 @@ from gqsbnet import (
     default_zero_tol,
     effective_resistance,
     generalized_laplacian,
-    incidence_matrix,
     integrate,
     load_highland,
     partner_core,
@@ -54,11 +54,7 @@ def _counting_eigh(monkeypatch):
 
 def _partner_pieces(g, b, gamma):
     bundle = generalized_laplacian(g, b, gamma)
-    partner = z_transform_network(bundle)
-    dec = spanning_forest(partner)
-    inc = incidence_matrix(partner, dec)
-    nf = len(dec.forest_edges)
-    return bundle, dec.forest_edges, inc.matrix[:, :nf]
+    return bundle, spanning_forest(z_transform_network(bundle)).forest_edges
 
 
 class TestSymEigen:
@@ -103,6 +99,18 @@ class TestSymEigen:
         dec = sym_eigen(m)
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN compares false with any bound, so it must not reach one
+        with pytest.raises(NotSymmetric, match="NaN or infinite"):
+            sym_eigen(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_symmetry_relative_at_tiny_scale(self):
+        with pytest.raises(NotSymmetric):
+            sym_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]) * 1e-300)
+        dec = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]) * 1e-300)
+        assert np.allclose(dec.eigenvalues / 1e-300, [-1.0, 1.0], rtol=0, atol=1e-12)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             sym_eigen(np.zeros((2, 3)))
@@ -144,6 +152,20 @@ class TestSymEigen:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NoConvergence, match="residual"):
             sym_eigen(np.diag([1.0, 2.0, 3.0]))
+        # relative, with no floor: the same miss at a tiny scale still fails
+        with pytest.raises(NoConvergence, match="residual"):
+            sym_eigen(np.diag([1.0, 2.0, 3.0]) * 1e-6)
+
+    def test_nan_eigenpair_is_no_convergence(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def poisoned(a, *args, **kwargs):
+            values, vectors = eigh(a, *args, **kwargs)
+            return values, vectors * np.nan
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(NoConvergence, match="residual"):
+            sym_eigen(np.diag([1.0, 2.0]))
 
 
 class TestPseudoinverse:
@@ -194,29 +216,33 @@ class TestPsdSimpleZero:
 
 class TestEffectiveResistance:
     def test_worked_triangle(self, allneg_triangle, allneg_split):
-        bundle, forest, block = _partner_pieces(allneg_triangle, allneg_split, 2.0)
-        r = effective_resistance(bundle.z_laplacian, forest, block)
+        bundle, forest = _partner_pieces(allneg_triangle, allneg_split, 2.0)
+        r = effective_resistance(bundle.z_laplacian, forest)
         assert forest == ((0, 1, -1.0),)
         assert np.allclose(r, [[2.0]], atol=1e-9)
 
     def test_unstable_triangle_goes_negative(self, unstable_triangle, allneg_split):
-        bundle, forest, block = _partner_pieces(unstable_triangle, allneg_split, 2.0)
-        r = effective_resistance(bundle.z_laplacian, forest, block)
+        bundle, forest = _partner_pieces(unstable_triangle, allneg_split, 2.0)
+        r = effective_resistance(bundle.z_laplacian, forest)
         assert np.allclose(r, [[-2.0 / 9.0]], atol=1e-9)
 
     def test_empty_forest(self, sb_triangle):
         b = Bipartition(3, frozenset({0, 1}))
-        bundle, forest, block = _partner_pieces(sb_triangle, b, 1.0)
-        r = effective_resistance(bundle.z_laplacian, forest, block)
+        bundle, forest = _partner_pieces(sb_triangle, b, 1.0)
+        r = effective_resistance(bundle.z_laplacian, forest)
         assert forest == ()
         assert r.shape == (0, 0)
 
-    def test_shape_checked(self, allneg_triangle, allneg_split):
-        bundle, forest, block = _partner_pieces(allneg_triangle, allneg_split, 2.0)
-        with pytest.raises(DimensionMismatch):
-            effective_resistance(bundle.z_laplacian, forest, block[:2, :])
-        with pytest.raises(DimensionMismatch):
-            effective_resistance(bundle.z_laplacian, (), block)
+    def test_endpoints_checked(self, allneg_triangle, allneg_split):
+        bundle, forest = _partner_pieces(allneg_triangle, allneg_split, 2.0)
+        # -1 and -3 would wrap to valid rows of the pseudoinverse
+        for edge in [(0, 3, -1.0), (3, 1, -1.0), (-1, 2, -1.0), (1, -3, -1.0),
+                     (0, 2 ** 70, -1.0)]:
+            with pytest.raises(DimensionMismatch, match="endpoint"):
+                effective_resistance(bundle.z_laplacian, forest + (edge,))
+        # 0.5 would truncate to node 0
+        with pytest.raises(BadIndex, match="0.5 is not an integer"):
+            effective_resistance(bundle.z_laplacian, ((0.5, 2, -1.0),))
 
     def test_two_edge_forest_orientation_invariance(self):
         g = SignedGraph.from_edge_list(
@@ -225,13 +251,12 @@ class TestEffectiveResistance:
              (0, 3, -2.0), (1, 3, -2.0), (2, 3, -2.0)],
         )
         b = Bipartition(4, frozenset({0, 1, 2}))
-        bundle, forest, block = _partner_pieces(g, b, 2.0)
+        bundle, forest = _partner_pieces(g, b, 2.0)
         assert len(forest) == 2
-        r = effective_resistance(bundle.z_laplacian, forest, block)
+        r = effective_resistance(bundle.z_laplacian, forest)
         assert np.array_equal(r, r.T)
-        flipped = block.copy()
-        flipped[:, 1] = -flipped[:, 1]
-        r2 = effective_resistance(bundle.z_laplacian, forest, flipped)
+        i, j, w = forest[1]
+        r2 = effective_resistance(bundle.z_laplacian, (forest[0], (j, i, w)))
         w1 = sym_eigen(r).eigenvalues
         w2 = sym_eigen(r2).eigenvalues
         assert np.allclose(w1, w2, atol=1e-12)
@@ -423,10 +448,10 @@ class TestPartnerCore:
         assert square == []
 
     def test_decomposition_in_place_of_matrix(self, allneg_triangle, allneg_split):
-        bundle, forest, block = _partner_pieces(allneg_triangle, allneg_split, 2.0)
+        bundle, forest = _partner_pieces(allneg_triangle, allneg_split, 2.0)
         dec = sym_eigen(bundle.z_laplacian)
         assert np.array_equal(pseudoinverse(dec), pseudoinverse(bundle.z_laplacian))
-        assert np.array_equal(effective_resistance(dec, forest, block),
-                              effective_resistance(bundle.z_laplacian, forest, block))
+        assert np.array_equal(effective_resistance(dec, forest),
+                              effective_resistance(bundle.z_laplacian, forest))
         with pytest.raises(DimensionMismatch):
-            effective_resistance(dec, forest, block[:2])
+            effective_resistance(dec, ((0, 3, -1.0),))
