@@ -67,6 +67,7 @@ from .operators import (
     partner_network,
     repelling_laplacian,
     sym_eigen,
+    sym_eigvals,
     z_transform_network,
 )
 from .spectral import (

@@ -3,7 +3,7 @@
 Subcommands cover the pipeline stages one by one (classify, bipartitions,
 spectrum, certify, simulate, predict), the full report, and a coefficient
 sweep that runs in process on one loaded network and one partner
-decomposition.  Each subcommand takes only the flags it reads, and every
+spectrum.  Each subcommand takes only the flags it reads, and every
 one loads its network through one scenario, for node 0's group when no
 ``--dominant`` is given.  Exit codes: 0 on success, 2 when a certificate
 (``certify``, ``report``) lands on Inconclusive or Divergence or a
@@ -38,7 +38,7 @@ from .fileio import (
 )
 from .operators import generalized_laplacian, opposing_laplacian, repelling_laplacian
 from .signed_graph import bipartition_from_dominant, positive_components
-from .spectral import Verdict, certify, sym_eigen
+from .spectral import Verdict, certify, partner_core, sym_eigen
 
 _BAD_VERDICTS = {Verdict.INCONCLUSIVE.value, Verdict.DIVERGENCE.value,
                  OutcomeKind.DIVERGENCE.value, OutcomeKind.UNDETERMINED.value}
@@ -172,8 +172,8 @@ def _cmd_spectrum(args) -> int:
         "opposing": list(map(float, sym_eigen(opposing_laplacian(g)).eigenvalues)),
     }
     if b is not None:
-        bundle = generalized_laplacian(g, b, config.gamma)
-        doc["scaled"] = list(map(float, bundle.partner.eigenvalues))
+        generalized_laplacian(g, b, config.gamma)  # checks the coefficient
+        doc["scaled"] = list(map(float, partner_core(g, b).eigenvalues))
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 

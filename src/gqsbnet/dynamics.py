@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle
 from .signed_graph import Bipartition
-from .spectral import Verdict, certify
+from .spectral import Verdict, certify, partner_core
 
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
@@ -79,8 +79,9 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
 
 def default_step(bundle: OperatorBundle) -> float:
     """Conservative default step: 1e-3 over the spectral radius of the
-    gauge partner Laplacian (1e-3 outright for an edgeless network)."""
-    w = bundle.partner.eigenvalues
+    gauge partner Laplacian (1e-3 outright for an edgeless network), read
+    from the certificate's spectrum (``spectral.partner_core``)."""
+    w = partner_core(bundle.graph, bundle.partition).eigenvalues
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     return 1e-3 / radius if radius > 0 else 1e-3
 
@@ -215,7 +216,9 @@ def closed_form_state(bundle: OperatorBundle, x0, t: float) -> np.ndarray:
 
     The flow is gauge-similar to a symmetric one, so the matrix exponential
     factors through that spectrum.  Raises BadState for a start state with
-    a NaN or infinite entry and BadStep when t is not a finite real >= 0.
+    a NaN or infinite entry, BadStep when t is not a finite real >= 0, and
+    TooLarge when the state at t overflows (a divergent flow at a late
+    time).
     """
     x = _state_vector(bundle, x0)
     t = float(t)
@@ -224,8 +227,12 @@ def closed_form_state(bundle: OperatorBundle, x0, t: float) -> np.ndarray:
     dec = bundle.partner
     gauged = bundle.coord_gauge * x
     coeff = dec.eigenvectors.T @ gauged
-    evolved = dec.eigenvectors @ (np.exp(-dec.eigenvalues * t) * coeff)
-    return evolved / bundle.coord_gauge
+    with np.errstate(over="ignore", invalid="ignore"):
+        evolved = dec.eigenvectors @ (np.exp(-dec.eigenvalues * t) * coeff)
+        state = evolved / bundle.coord_gauge
+    if not np.isfinite(state).all():
+        raise TooLarge(f"the state at time {t:g} overflows")
+    return state
 
 
 def predict_final(bundle: OperatorBundle, x0) -> np.ndarray:

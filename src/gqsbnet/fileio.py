@@ -285,9 +285,10 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     The network is loaded and hashed once, and the start state read once,
     before any coefficient is checked; every report shares it read-only.
     The gauge partner does not depend on the coefficient, so every
-    coefficient reads the one partner decomposition kept on the loaded
-    graph (``spectral.partner_core``).  The time horizon and step are
-    checked before the network is loaded, and the step count of the
+    coefficient reads the one partner spectrum and resistance matrix kept
+    on the loaded graph (``spectral.partner_core``), and every integration
+    the one eigendecomposition kept beside them.  The time horizon and step
+    are checked before the network is loaded, and the step count of the
     default step (which needs the partner spectrum) before the first
     report, whether or not a certificate lets the flow be integrated.
     """

@@ -8,7 +8,8 @@ the other, while the degree term counts same-subset ties as signed and
 cross-subset ties with flipped sign.  A diagonal coordinate gauge turns the
 resulting flow matrix into a symmetric zero-row-sum Laplacian of a partner
 network whose cross-subset ties are cooperative; spectra are computed there,
-by the deterministic symmetric eigendecomposition defined here.
+by the checked symmetric eigensolvers defined here: eigenvalues alone, or
+the full deterministic eigendecomposition.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .signed_graph import Bipartition, SignedGraph, validate_gqsb
 
 _SYMMETRY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
+_INVARIANT_RTOL = 1e-12
 
 
 def repelling_laplacian(g: SignedGraph) -> np.ndarray:
@@ -107,7 +109,7 @@ class EigenDecomposition:
 
     @property
     def zero_count(self) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues) <= self.zero_tol))
+        return _zero_count(self.eigenvalues)
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
@@ -115,6 +117,27 @@ def default_zero_tol(eigenvalues: np.ndarray) -> float:
     empty or all-zero spectrum)."""
     radius = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
     return 1e-9 * radius
+
+
+def _zero_count(eigenvalues: np.ndarray) -> int:
+    """How many eigenvalues lie within ``default_zero_tol`` of zero."""
+    return int(np.count_nonzero(np.abs(eigenvalues) <= default_zero_tol(eigenvalues)))
+
+
+def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
+    """The symmetrized input and its largest entry magnitude, after the
+    input checks of ``sym_eigen`` and ``sym_eigvals``: square, finite, and
+    symmetric within 1e-12 of the largest entry."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotSymmetric("matrix has a NaN or infinite entry")
+    # each check is written so that a NaN fails it
+    scale = float(np.max(np.abs(m), initial=0.0))
+    if not float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYMMETRY_RTOL * scale:
+        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
+    return (m + m.T) / 2.0, scale
 
 
 def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
@@ -127,16 +150,7 @@ def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     asymmetric beyond 1e-12 of its largest entry, NoConvergence when an
     eigenpair's residual exceeds 1e-8 of the spectral radius.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotSymmetric("matrix has a NaN or infinite entry")
-    # each check is written so that a NaN fails it
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if not float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    sym = (m + m.T) / 2.0
+    sym, scale = _checked_symmetric(matrix)
     values, vectors = np.linalg.eigh(sym)
     if vectors.size:
         lead = np.argmax(np.abs(vectors), axis=0)
@@ -154,6 +168,37 @@ def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(values, vectors)
+
+
+def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, without eigenvectors,
+    as a read-only array.
+
+    The input checks are ``sym_eigen``'s.  With no eigenvectors there is no
+    residual, so two exact invariants of the spectrum stand in for it,
+    both in units of the largest entry so that no square overflows: the
+    eigenvalues sum to the trace within 1e-12 * sqrt(n) of the spectral
+    radius, and their squares to the squared Frobenius norm within 1e-12
+    of it.  Raises NotSymmetric as ``sym_eigen`` does, and NoConvergence
+    when an invariant fails (a NaN fails both).
+    """
+    sym, scale = _checked_symmetric(matrix)
+    values = np.linalg.eigvalsh(sym)
+    unit = scale or 1.0
+    sym /= unit
+    w = values / unit
+    radius = float(np.max(np.abs(w), initial=0.0))
+    trace_miss = abs(float(w.sum()) - float(np.trace(sym)))
+    frobenius = float(np.vdot(sym, sym))
+    square_miss = abs(float(w @ w) - frobenius)
+    if not trace_miss <= _INVARIANT_RTOL * np.sqrt(w.size) * radius:
+        raise NoConvergence(f"eigenvalues miss the trace by {trace_miss:.3e} "
+                            "of the largest entry")
+    if not square_miss <= _INVARIANT_RTOL * frobenius:
+        raise NoConvergence(f"squared eigenvalues miss the squared Frobenius norm by "
+                            f"{square_miss:.3e} of the largest entry squared")
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -213,12 +258,13 @@ class OperatorBundle:
 
     @cached_property
     def partner(self) -> EigenDecomposition:
-        """Decomposition of ``z_laplacian``: the one ``spectral.partner_core``
-        keeps on the graph for this bipartition, which every coefficient
-        reads."""
-        from .spectral import partner_core  # spectral imports this module
+        """Full eigendecomposition of ``z_laplacian``, which integration and
+        the closed form read: the one kept on the graph for this
+        bipartition next to ``spectral.partner_core``, built on first read
+        and shared by every coefficient."""
+        from .spectral import partner_eigen  # spectral imports this module
 
-        return partner_core(self.graph, self.partition).decomposition
+        return partner_eigen(self.graph, self.partition)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

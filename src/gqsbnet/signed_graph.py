@@ -184,8 +184,9 @@ class SignedGraph:
     as a tuple of Python triples, built on first use.  Instances are
     immutable, compare equal when ``n`` and the edges are equal, and hash
     accordingly.  Values derived from the edges (``edges``,
-    ``cooperative_labels``, the ``spectral.partner_core`` of one
-    bipartition) are kept on the instance; pickles and copies carry none.
+    ``cooperative_labels``, and for one bipartition the partner
+    Laplacian with its ``spectral.partner_core`` and eigendecomposition)
+    are kept on the instance; pickles and copies carry none.
     """
 
     n: int
@@ -464,6 +465,14 @@ def _scan_forest(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kept
 
 
+def _antagonistic_forest(g: SignedGraph) -> tuple[_Columns, np.ndarray]:
+    """The antagonistic edges of g as columns in canonical order, and which
+    of them the forest of ``spanning_forest`` keeps."""
+    neg = ~(g.w > 0)
+    edges = _Columns(g.i[neg], g.j[neg], g.w[neg])
+    return edges, _scan_forest(g.n, edges.i, edges.j)
+
+
 def spanning_forest(g: SignedGraph) -> SignDecomposition:
     """Split edges by sign and forest the antagonistic subgraph.
 
@@ -471,8 +480,7 @@ def spanning_forest(g: SignedGraph) -> SignDecomposition:
     the leftover antagonistic edges each close a cycle in the forest.
     """
     pos = g.w > 0
-    i, j, w = g.i[~pos], g.j[~pos], g.w[~pos]
-    kept = _scan_forest(g.n, i, j)
+    (i, j, w), kept = _antagonistic_forest(g)
     return SignDecomposition(
         _triples(g.i[pos], g.j[pos], g.w[pos]),
         _triples(i, j, w),

@@ -4,20 +4,23 @@ The certificate machinery decides, ahead of any simulation, whether the
 dominance-scaled flow drives opinions to a split steady state: the gauge
 partner Laplacian must be positive semidefinite with a simple zero
 eigenvalue, which on a connected network is equivalent to positive
-definiteness of the forest resistance matrix built from the pseudoinverse.
+definiteness of the forest resistance matrix.  Both are read from
+eigenvalues: the partner spectrum from ``sym_eigvals``, and the resistance
+matrix from one linear solve with the Laplacian grounded at a node of each
+component, so a certificate computes no eigenvector and no pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
 bipartition).  That part is computed once and kept on the graph it was
-built from (``partner_core``); a certificate adds only the coefficient's
-verdict and null vectors.
+built from (``partner_core``), next to the Laplacian and, once something
+integrates, its full eigendecomposition; a certificate adds only the
+coefficient's verdict and null vectors.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,19 +28,22 @@ from .errors import DimensionMismatch
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
+    _zero_count,
     default_zero_tol,
     partner_laplacian,
     partner_network,
     sym_eigen,
+    sym_eigvals,
 )
 from .signed_graph import (
     Bipartition,
     Edge,
     SignedGraph,
+    _antagonistic_forest,
     _no_antagonism_within,
     _node_id,
+    _triples,
     connected_components,
-    spanning_forest,
 )
 
 class Verdict(str, enum.Enum):
@@ -101,62 +107,129 @@ def effective_resistance(
     return (gram + gram.T) / 2.0
 
 
+def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
+                   second: np.ndarray) -> np.ndarray:
+    """The resistance matrix B^T L^+ B of the incidence columns B, column k
+    +1 at ``first[k]`` and -1 at ``second[k]`` (two nodes of one
+    component), as B_g^T L_g^-1 B_g: L_g is L with the smallest node of
+    each component deleted, B_g is B without those rows.
+
+    Why it holds: L is symmetric with L 1_C = 0 on each component C, and
+    its kernel is spanned by those indicators alone.  Each column b of B
+    sums to zero on every component, so it is orthogonal to the kernel
+    and L^+ b is a solution of L y = b.  Let y solve L_g y_g = b_g and be
+    zero at the deleted roots.  Then (L y)_i = b_i at every other node,
+    and at the root r of C, (L y)_r = -sum over the rest of C of (L y)_i
+    = b_r, because 1_C^T L y = 0 and 1_C^T b = 0.  So L y = b, y differs
+    from L^+ b by a kernel vector, which every column of B is orthogonal
+    to, and b'^T L^+ b = b'^T y = b_g'^T L_g^-1 b_g.  The same argument
+    with b = 0 shows that L_g y_g = 0 puts y in the kernel with zeros at
+    the roots, so y = 0 and L_g is nonsingular.
+
+    The solve runs in units of L's largest entry, so it neither over- nor
+    underflows at any scale of the weights, and the result is symmetrized.
+    """
+    n = laplacian.shape[0]
+    keep = np.ones(n, dtype=bool)
+    keep[[min(c) for c in components]] = False
+    size = int(np.count_nonzero(keep))
+    # each node's row in the grounded system; the roots share the zero row
+    row = np.where(keep, np.cumsum(keep) - 1, size)
+    unit = float(np.max(np.abs(laplacian)))
+    grounded = laplacian[np.ix_(keep, keep)]
+    grounded /= unit
+    a, b = row[first], row[second]
+    cols = np.arange(a.size)
+    block = np.zeros((size + 1, a.size))
+    block[a, cols] = 1.0
+    block[b, cols] = -1.0
+    x = np.zeros_like(block)
+    x[:size] = np.linalg.solve(grounded, block[:size])
+    gram = (x[a] - x[b]) / unit
+    return (gram + gram.T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class PartnerCore:
     """The coefficient-free part of a certificate for one (graph,
-    bipartition).
+    bipartition), computed once.
 
-    ``decomposition`` is the gauge partner Laplacian's; the pseudoinverse
-    is taken from it, not from a second solve.  ``connected`` is the
-    graph's connectivity and ``forest_edges`` the partner network's
-    antagonistic forest.  The forest's resistance matrix and that
-    matrix's spectrum are computed on first use.  Besides the
-    eigenvectors, nothing n x n is kept: no operator, no pseudoinverse and
-    no graph, so a core kept on its graph goes with it.
+    ``eigenvalues`` is the gauge partner Laplacian's ascending spectrum,
+    ``connected`` the graph's connectivity and ``forest_edges`` the
+    partner network's antagonistic forest.  ``resistance`` is that
+    forest's resistance matrix and ``resistance_eigenvalues`` its
+    ascending spectrum, both empty with no forest.  Nothing n x n is kept
+    and no graph, so a core kept on its graph goes with it.
     """
 
     partition: Bipartition
-    decomposition: EigenDecomposition
+    eigenvalues: np.ndarray
     connected: bool
     forest_edges: tuple[Edge, ...]
+    resistance: np.ndarray
+    resistance_eigenvalues: np.ndarray
 
-    @cached_property
-    def resistance(self) -> np.ndarray:
-        r = effective_resistance(self.decomposition, self.forest_edges)
-        r.setflags(write=False)
-        return r
 
-    @cached_property
-    def resistance_eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of ``resistance``; empty with no forest."""
-        return sym_eigen(self.resistance).eigenvalues
+def _kept(g: SignedGraph, b: Bipartition) -> dict:
+    """What is kept on ``g`` for bipartition ``b``: the partner Laplacian,
+    and the core and the eigendecomposition once built.  Kept for another
+    bipartition, it is dropped first, so two never coexist."""
+    kept = vars(g).get("_partner")
+    if kept is None or kept["partition"] != b:
+        del kept
+        clear_partner_cache(g)
+        kept = vars(g)["_partner"] = {"partition": b, "laplacian": partner_laplacian(g, b)}
+    return kept
+
+
+def _build_core(g: SignedGraph, b: Bipartition, laplacian: np.ndarray) -> PartnerCore:
+    w = sym_eigvals(laplacian)
+    components = connected_components(g)
+    (i, j, weight), kept = _antagonistic_forest(partner_network(g, b))
+    forest = _triples(i[kept], j[kept], weight[kept])
+    if not forest:
+        gram = np.zeros((0, 0))
+    elif _zero_count(w) == len(components):
+        gram = _grounded_gram(laplacian, components, i[kept], j[kept])
+    else:
+        # a zero beyond the components' own: the grounded system is singular
+        gram = effective_resistance(sym_eigen(laplacian), forest)
+    gram.setflags(write=False)
+    res_w = sym_eigvals(gram) if forest else np.zeros(0)
+    return PartnerCore(b, w, len(components) == 1, forest, gram, res_w)
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b).
 
-    Kept on ``g`` itself, one core per graph object, so certificates,
-    predictions and integrations at any number of coefficients on one
-    (graph, bipartition) share one eigendecomposition, and the partner
-    Laplacian is built once.  A core for another bipartition replaces it.
+    Kept on ``g`` itself, one per graph object, so certificates,
+    predictions and default steps at any number of coefficients on one
+    (graph, bipartition) share one spectrum and one resistance matrix, and
+    the partner Laplacian is built once.  Building it computes no
+    eigenvector, except when the spectrum has more zeros than the graph
+    has components (see ``_grounded_gram``).  A core for another
+    bipartition replaces it.
     """
-    core = vars(g).get("_partner_core")
-    if core is not None and core.partition == b:
-        return core
-    # drop the old core before building the new one, so two never coexist
-    del core
-    clear_partner_cache(g)
-    dec = sym_eigen(partner_laplacian(g, b))
-    forest = spanning_forest(partner_network(g, b)).forest_edges
-    core = PartnerCore(b, dec, len(connected_components(g)) == 1, forest)
-    vars(g)["_partner_core"] = core
-    return core
+    kept = _kept(g, b)
+    if "core" not in kept:
+        kept["core"] = _build_core(g, b, kept["laplacian"])
+    return kept["core"]
+
+
+def partner_eigen(g: SignedGraph, b: Bipartition) -> EigenDecomposition:
+    """The partner Laplacian's full eigendecomposition for (g, b), which
+    integration and the closed form read; kept on ``g`` next to
+    ``partner_core`` and built on first read."""
+    kept = _kept(g, b)
+    if "eigen" not in kept:
+        kept["eigen"] = sym_eigen(kept["laplacian"])
+    return kept["eigen"]
 
 
 def clear_partner_cache(g: SignedGraph) -> None:
-    """Drop the ``partner_core`` kept on ``g``, freeing its n x n
-    eigenvectors."""
-    vars(g).pop("_partner_core", None)
+    """Drop what ``partner_core`` and ``partner_eigen`` keep on ``g``: the
+    partner Laplacian, the core and the eigendecomposition."""
+    vars(g).pop("_partner", None)
 
 
 @dataclass(frozen=True)
@@ -207,8 +280,8 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     _, _, coord = _gauge_diagonals(gamma, b)
     gamma = float(gamma)
     core = partner_core(g, b)
-    eig = core.decomposition
-    tol = eig.zero_tol
+    w = core.eigenvalues
+    tol = default_zero_tol(w)
     if core.forest_edges:
         res_eigs = core.resistance_eigenvalues
         res_min = float(res_eigs[0])
@@ -219,8 +292,7 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
         res_min = res_pd_tol = None
         res_pd = True
     connected = core.connected
-    w = eig.eigenvalues
-    zero_mult = eig.zero_count
+    zero_mult = _zero_count(w)
 
     if not connected:
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"

@@ -42,6 +42,7 @@ from gqsbnet import (
     validate_gqsb,
     z_transform_network,
 )
+from gqsbnet.fileio import certificate_dict
 
 
 def all_splits(n):
@@ -463,6 +464,62 @@ def reference_certificate_dict(cert: PolarizationCertificate) -> dict:
         "null_right": list(cert.null_right),
         "null_left": list(cert.null_left),
     }
+
+
+# Float entries of the certificate documents that come from the partner
+# spectrum, and those that come from the resistance Gram.
+SPECTRAL_KEYS = ("lambda_min", "lambda_2", "zero_tol", "spectrum")
+GRAM_KEYS = ("resistance_min_eig", "resistance_pd_tol", "resistance")
+
+
+def assert_matches_reference(cert: PolarizationCertificate, ref: PolarizationCertificate):
+    """Compare a certificate with ``reference_certify``'s through both
+    documents.  Entries from the spectrum agree within 1e-12 of the
+    spectral radius and entries from the resistance Gram within 1e-10 of
+    the Gram's largest eigenvalue magnitude; every other entry (verdict,
+    criterion, connectivity, zero count, forest, null vectors) is exact.
+    Two algorithms cannot agree on the noise digits of a structural zero,
+    so the floats are not compared bit for bit."""
+    radius = max((abs(x) for x in ref.spectrum), default=0.0)
+    gram = (ref.resistance_pd_tol or 0.0) / 1e-9  # the reference's 1e-9 * norm
+    for detail in ("summary", "full"):
+        got = certificate_dict(cert, detail)
+        want = certificate_dict(ref, detail)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if key in SPECTRAL_KEYS or key in GRAM_KEYS:
+                atol = 1e-12 * radius if key in SPECTRAL_KEYS else 1e-10 * gram
+                assert (got[key] is None) == (value is None), key
+                if value is not None:
+                    assert np.shape(got[key]) == np.shape(value), key
+                    assert np.allclose(got[key], value, rtol=0.0, atol=atol), key
+            else:
+                assert got[key] == value, key
+
+
+def counting_linalg(monkeypatch):
+    """Record ``(name, input shape)`` of every numpy.linalg ``eigh``,
+    ``eigvalsh`` and ``solve`` call from now on."""
+    calls = []
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def core_calls(n, forest, roots=1):
+    """The numpy.linalg calls that build one partner core on n nodes with
+    ``forest`` forest edges, grounded at ``roots`` nodes."""
+    if not forest:
+        return [("eigvalsh", (n, n))]
+    return [("eigvalsh", (n, n)), ("solve", (n - roots, n - roots)),
+            ("eigvalsh", (forest, forest))]
 
 
 def _reference_id(v):

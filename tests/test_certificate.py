@@ -1,20 +1,20 @@
 """The certificate documents: schema 2 by default, the full form on request."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gqsbnet import (
     Bipartition,
-    EigenDecomposition,
-    PartnerCore,
     PolarizationCertificate,
     ScenarioConfig,
     SignedGraph,
     Verdict,
+    bipartition_from_dominant,
     certify,
+    load_highland,
     partner_core,
-    partner_network,
-    spanning_forest,
 )
 from gqsbnet import spectral
 from gqsbnet.fileio import (
@@ -24,7 +24,7 @@ from gqsbnet.fileio import (
     report_to_json,
     run_sweep,
 )
-from support import reference_certificate_dict
+from support import assert_matches_reference, reference_certificate_dict, reference_certify
 
 SCHEMA_KEYS = [
     "schema", "gamma", "verdict", "decided_by", "connected", "lambda_min", "lambda_2",
@@ -107,11 +107,10 @@ class TestDecidedBy:
         assert render_json(doc).endswith('"resistance_pd_tol": null\n}')
 
     def test_no_zero_eigenvalue(self, allneg_triangle, allneg_split, monkeypatch):
-        # zero row sums keep 0 in every partner spectrum, so hand-build a
-        # core whose spectrum has none
-        forest = spanning_forest(partner_network(allneg_triangle, allneg_split)).forest_edges
-        dec = EigenDecomposition(np.array([1.0, 2.0, 3.0]), np.eye(3))
-        core = PartnerCore(allneg_split, dec, connected=True, forest_edges=forest)
+        # zero row sums keep 0 in every partner spectrum, so give a core a
+        # spectrum with none
+        core = dataclasses.replace(partner_core(allneg_triangle, allneg_split),
+                                   eigenvalues=np.array([1.0, 2.0, 3.0]))
         monkeypatch.setattr(spectral, "partner_core", lambda g, b: core)
         doc = _doc(allneg_triangle, allneg_split, 2.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "zero_multiplicity")
@@ -148,10 +147,13 @@ class TestDocuments:
 
     def test_full_highland_reports_match_reference(self):
         config = ScenarioConfig("highland", (0,), dt=0.002, seed=4)
+        g = load_highland(config)
+        b = bipartition_from_dominant(g, (0,))
         gammas = (1.5, 2.0, 3.0)
         for gamma, report in zip(gammas, run_sweep(config, gammas)):
             cert = report.certificate
             assert cert.gamma == gamma
+            assert_matches_reference(cert, reference_certify(g, b, gamma))
             full = certificate_dict(cert, detail="full")
             assert render_json(full) == render_json(reference_certificate_dict(cert))
             # the whole report at full detail is the summary report with the

@@ -46,7 +46,7 @@ from gqsbnet import (
 from gqsbnet import fileio
 from gqsbnet.cli import main
 from gqsbnet.fileio import enumerate_dict, format_float, render_json
-from support import random_bloc_graph
+from support import core_calls, counting_linalg, random_bloc_graph
 
 ALLNEG = "3 3\n0 1 -1\n0 2 -3\n1 2 -3\n"
 UNSTABLE = "3 3\n0 1 -5\n0 2 -1\n1 2 -1\n"
@@ -593,17 +593,29 @@ class TestCli:
 
     def test_default_step_check_reads_the_kept_decomposition(self, unstable_file, monkeypatch,
                                                              capsys):
-        shapes = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        calls = counting_linalg(monkeypatch)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
-        assert len(shapes) == 2  # the partner Laplacian and the resistance Gram
+        # the certificate's spectrum and Gram; the step check reads the same
+        # spectrum, and a divergent flow is not integrated
+        assert calls == core_calls(3, 1)
+
+    @pytest.mark.parametrize("argv, eighs", [
+        (["certify", "--detail", "full"], 0),
+        (["predict"], 0),
+        (["spectrum"], 2),  # the repelling and the opposing Laplacian
+        (["report", "--dt", "0.002"], 1),
+        (["sweep", "--dt", "0.002", "--gammas", "1.5,2,3"], 1),
+    ])
+    def test_decompositions_per_command(self, argv, eighs, monkeypatch, capsys, tmp_path):
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        nf = len(certify(g, bipartition_from_dominant(g, (0,)), 2.0).forest_edges)
+        calls = counting_linalg(monkeypatch)
+        assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
+                     "--out", str(tmp_path / "out")]) == 0
+        full = [("eigh", (g.n, g.n))]
+        assert [call for call in calls if call not in full] == core_calls(g.n, nf)
+        assert len(calls) - 3 == eighs
 
     def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))

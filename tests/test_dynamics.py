@@ -19,7 +19,7 @@ from gqsbnet import (
     integrate,
     predict_final,
 )
-from support import random_gqsb_instance, reference_rk4
+from support import core_calls, counting_linalg, random_gqsb_instance, reference_rk4
 
 
 @pytest.fixture
@@ -29,11 +29,12 @@ def worked_bundle(allneg_triangle, allneg_split):
 
 @pytest.fixture
 def no_eigh(monkeypatch):
-    """Fail any eigendecomposition: the checks under test come first."""
+    """Fail any spectrum or solve: the checks under test come first."""
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh ran before the arguments were checked")
+        raise AssertionError("linear algebra ran before the arguments were checked")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
 def _made_up_trajectory(state, terminated=Termination.CONVERGED):
@@ -239,19 +240,13 @@ class TestAgainstReference:
         assert np.allclose(got.states[-1], ref.states[-1], rtol=0.0, atol=1e-9)
 
     def test_one_eigh_per_bundle(self, worked_bundle, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(a)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        calls = counting_linalg(monkeypatch)
         default_step(worked_bundle)
+        assert calls == core_calls(3, 1)  # the step reads the core's spectrum
         integrate(worked_bundle, [1.0, 0.0, 0.0])
         integrate(worked_bundle, [0.2, 0.5, -0.1], dt=0.01)
         closed_form_state(worked_bundle, [1.0, 0.0, 0.0], 2.0)
-        assert len(calls) == 1
+        assert calls == core_calls(3, 1) + [("eigh", (3, 3))]
 
 
 class TestClosedForm:
@@ -287,6 +282,22 @@ class TestClosedForm:
         now = np.max(np.abs(closed_form_state(bundle, [1.0, 0.0, 0.0], 2.0)))
         later = np.max(np.abs(closed_form_state(bundle, [1.0, 0.0, 0.0], 4.0)))
         assert later > now * 100
+
+    @pytest.mark.parametrize("t", [100.0, 1000.0])
+    def test_overflow_on_divergent_network(self, unstable_triangle, allneg_split, t):
+        # exp(-lambda_min * t) passes the float range; no warning escapes
+        bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)
+        with pytest.raises(TooLarge, match=f"time {t:g}"):
+            closed_form_state(bundle, [1.0, 0.0, 0.0], t)
+
+    def test_finite_state_unchanged(self, unstable_triangle, allneg_split):
+        bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)
+        x0 = np.array([1.0, 0.0, 0.0])
+        dec = bundle.partner
+        gauge = bundle.coord_gauge
+        direct = dec.eigenvectors @ (np.exp(-dec.eigenvalues * 1.0)
+                                     * (dec.eigenvectors.T @ (gauge * x0))) / gauge
+        assert np.array_equal(closed_form_state(bundle, x0, 1.0), direct)
 
 
 class TestPredictFinal:

@@ -31,7 +31,13 @@ from gqsbnet import (
     z_transform_network,
 )
 from gqsbnet.fileio import run_sweep
-from support import random_gqsb_instance, random_sb_instance, reference_bundle
+from support import (
+    core_calls,
+    counting_linalg,
+    random_gqsb_instance,
+    random_sb_instance,
+    reference_bundle,
+)
 
 
 class TestClassicOperators:
@@ -331,14 +337,17 @@ class TestOneAdjacencyPerPartition:
 
     def test_certify_then_predict(self, allneg_triangle, allneg_split, monkeypatch):
         calls = _counting_adjacency(monkeypatch)
+        linalg = counting_linalg(monkeypatch)
         certify(allneg_triangle, allneg_split, 2.0)
         predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
                       [1.0, 0.0, 0.0])
         assert calls == [3]
+        assert linalg == core_calls(3, 1)  # no eigenvector
         clear_partner_cache(allneg_triangle)
         predict_final(generalized_laplacian(allneg_triangle, allneg_split, 2.0),
                       [1.0, 0.0, 0.0])
         assert calls == [3, 3]
+        assert linalg == 2 * core_calls(3, 1)
 
     def test_pipeline_builds_no_node_operator(self, allneg_triangle, allneg_split):
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)

@@ -24,32 +24,24 @@ from gqsbnet import (
     integrate,
     load_highland,
     partner_core,
+    partner_laplacian,
     predict_final,
     pseudoinverse,
     psd_simple_zero,
     spanning_forest,
     sym_eigen,
+    sym_eigvals,
     z_transform_network,
 )
 from gqsbnet.fileio import certificate_dict, render_json
 from support import (
+    assert_matches_reference,
+    core_calls,
+    counting_linalg,
     random_gqsb_instance,
     reference_certificate_dict,
     reference_certify,
 )
-
-
-def _counting_eigh(monkeypatch):
-    """Record the shape of every numpy.linalg.eigh input from now on."""
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return shapes
 
 
 def _partner_pieces(g, b, gamma):
@@ -166,6 +158,90 @@ class TestSymEigen:
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
         with pytest.raises(NoConvergence, match="residual"):
             sym_eigen(np.diag([1.0, 2.0]))
+
+
+def _shift_one_eigenvalue(monkeypatch, by):
+    """Patch eigvalsh to move the largest eigenvalue by ``by`` times the
+    spectral radius."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(a, *args, **kwargs):
+        values = eigvalsh(a, *args, **kwargs)
+        values[-1] += by * np.max(np.abs(values))
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+
+
+class TestSymEigvals:
+    def test_matches_sym_eigen(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            m = rng.standard_normal((n, n))
+            m = m + m.T
+            got = sym_eigvals(m)
+            want = sym_eigen(m).eigenvalues
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            assert np.all(np.diff(got) >= 0)
+
+    def test_output_read_only(self):
+        with pytest.raises(ValueError):
+            sym_eigvals(np.eye(2))[0] = 1.0
+
+    def test_empty_and_zero(self):
+        assert sym_eigvals(np.zeros((0, 0))).shape == (0,)
+        assert np.array_equal(sym_eigvals(np.zeros((3, 3))), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotSymmetric, match="NaN or infinite"):
+            sym_eigvals(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_asymmetric_and_non_square(self):
+        with pytest.raises(NotSymmetric):
+            sym_eigvals(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(NotSymmetric):
+            sym_eigvals(np.array([[0.0, 1.0], [2.0, 0.0]]) * 1e-300)
+        with pytest.raises(DimensionMismatch):
+            sym_eigvals(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_invariants_hold_at_any_scale(self, scale):
+        rng = np.random.default_rng(43)
+        m = rng.uniform(-1.0, 1.0, (40, 40))
+        w = sym_eigvals((m + m.T) * scale)
+        assert np.isfinite(w).all()
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e300])
+    def test_shifted_eigenvalue_is_no_convergence(self, monkeypatch, scale):
+        # the trace invariant sees one eigenvalue off by 1e-9 of the radius
+        a = np.random.default_rng(47).standard_normal((50, 50))
+        a = (a + a.T) * scale
+        sym_eigvals(a)
+        _shift_one_eigenvalue(monkeypatch, 1e-9)
+        with pytest.raises(NoConvergence, match="trace"):
+            sym_eigvals(a)
+
+    def test_trace_kept_squares_missed_is_no_convergence(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def swapped(a, *args, **kwargs):
+            values = eigvalsh(a, *args, **kwargs)
+            values[0] -= 1e-9
+            values[-1] += 1e-9
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", swapped)
+        with pytest.raises(NoConvergence, match="Frobenius"):
+            sym_eigvals(np.diag([1.0, 2.0, 3.0]))
+
+    def test_nan_spectrum_is_no_convergence(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: eigvalsh(a, *args, **kw) * np.nan)
+        with pytest.raises(NoConvergence):
+            sym_eigvals(np.diag([1.0, 2.0]))
 
 
 class TestPseudoinverse:
@@ -351,15 +427,9 @@ class TestPartnerCore:
             g, b = random_gqsb_instance(rng)
             for gamma in (float(rng.uniform(0.3, 4.0)), 1.0, float(rng.uniform(0.3, 4.0))):
                 cert = certify(g, b, gamma)
-                ref = reference_certify(g, b, gamma)
-                for detail in ("summary", "full"):
-                    got = certificate_dict(cert, detail=detail)
-                    want = certificate_dict(ref, detail=detail)
-                    assert got == want
-                    assert render_json(got) == render_json(want)
+                assert_matches_reference(cert, reference_certify(g, b, gamma))
                 full = render_json(certificate_dict(cert, detail="full"))
                 assert full == render_json(reference_certificate_dict(cert))
-                assert full == render_json(reference_certificate_dict(ref))
                 verdicts.add(cert.verdict.value)
         assert {"AsymmetricPolarization", "Divergence"} <= verdicts
 
@@ -375,30 +445,37 @@ class TestPartnerCore:
         g = load_highland(ScenarioConfig("highland", (0,)))
         b = bipartition_from_dominant(g, (0,))
         x0 = np.random.default_rng(5).uniform(-1.0, 1.0, g.n)
-        shapes = _counting_eigh(monkeypatch)
+        calls = counting_linalg(monkeypatch)
         for gamma in (1.5, 2.0, 3.0):
             assert certify(g, b, gamma).verdict is Verdict.ASYMMETRIC_POLARIZATION
             bundle = generalized_laplacian(g, b, gamma)
             predict_final(bundle, x0)
+            if gamma == 1.5:  # certify and predict_final need no eigenvector
+                assert [name for name, _ in calls] == ["eigvalsh", "solve", "eigvalsh"]
             integrate(bundle, x0, dt=0.002, t_max=1.0)
         nf = len(certify(g, b, 2.0).forest_edges)
         assert 0 < nf < g.n
-        assert shapes == [(g.n, g.n), (nf, nf)]
+        assert calls == core_calls(g.n, nf) + [("eigh", (g.n, g.n))]
 
     def test_single_entry(self, allneg_triangle, allneg_split, unstable_triangle, monkeypatch):
-        shapes = _counting_eigh(monkeypatch)
+        calls = counting_linalg(monkeypatch)
+
+        def cores():
+            return calls.count(("eigvalsh", (3, 3)))
+
         for g in (allneg_triangle, unstable_triangle, allneg_triangle, unstable_triangle):
             certify(g, allneg_split, 2.0)
-        assert len(shapes) == 4  # each graph keeps its own core
+        assert cores() == 2  # each graph keeps its own core
         equal = SignedGraph(3, allneg_triangle.edges)
         certify(equal, Bipartition(3, frozenset({1, 0})), 3.0)
-        assert len(shapes) == 6  # an equal but distinct graph starts cold
+        assert cores() == 3  # an equal but distinct graph starts cold
         first = partner_core(allneg_triangle, allneg_split)
         other = Bipartition(3, frozenset({0}))
         assert partner_core(allneg_triangle, other).partition == other
-        assert len(shapes) == 7
+        assert cores() == 4
         assert partner_core(allneg_triangle, allneg_split) is not first
-        assert len(shapes) == 8  # the second bipartition replaced the first
+        assert cores() == 5  # the second bipartition replaced the first
+        assert [name for name, _ in calls].count("eigh") == 0
 
     def test_core_goes_with_its_graph(self):
         # no fixture: pytest would hold the graph until teardown
@@ -416,20 +493,28 @@ class TestPartnerCore:
 
     def test_copies_carry_no_core(self, allneg_triangle, allneg_split, monkeypatch):
         partner_core(allneg_triangle, allneg_split)
-        shapes = _counting_eigh(monkeypatch)
+        generalized_laplacian(allneg_triangle, allneg_split, 2.0).partner
+        calls = counting_linalg(monkeypatch)
         twins = (pickle.loads(pickle.dumps(allneg_triangle)), copy.copy(allneg_triangle),
                  copy.deepcopy(allneg_triangle))
         for twin in twins:
             assert twin == allneg_triangle
             partner_core(twin, allneg_split)
-        assert len(shapes) == 3
+            generalized_laplacian(twin, allneg_split, 2.0).partner
+        assert calls == 3 * (core_calls(3, 1) + [("eigh", (3, 3))])
 
-    def test_bundle_reads_the_kept_decomposition(self, allneg_triangle, allneg_split):
+    def test_bundle_reads_the_kept_decomposition(self, allneg_triangle, allneg_split,
+                                                 monkeypatch):
         core = partner_core(allneg_triangle, allneg_split)
+        calls = counting_linalg(monkeypatch)
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.5)
-        assert bundle.partner is core.decomposition
-        assert np.array_equal(sym_eigen(bundle.z_laplacian).eigenvectors,
-                              core.decomposition.eigenvectors)
+        dec = bundle.partner
+        assert generalized_laplacian(allneg_triangle, allneg_split, 4.0).partner is dec
+        assert partner_core(allneg_triangle, allneg_split) is core
+        assert calls == [("eigh", (3, 3))]  # the core's spectrum needed none
+        assert np.array_equal(sym_eigen(bundle.z_laplacian).eigenvectors, dec.eigenvectors)
+        radius = np.max(np.abs(dec.eigenvalues))
+        assert np.allclose(core.eigenvalues, dec.eigenvalues, rtol=0, atol=1e-12 * radius)
 
     def test_empty_forest_has_empty_resistance_spectrum(self, sb_triangle):
         b = Bipartition(3, frozenset({0, 1}))
@@ -446,6 +531,70 @@ class TestPartnerCore:
         square = [name for name, value in vars(core).items()
                   if isinstance(value, np.ndarray) and value.shape == (n, n)]
         assert square == []
+
+    def test_disconnected_grounds_every_component(self, monkeypatch):
+        # two all-negative triangles: one root per component is deleted
+        tri = [(0, 1, -1.0), (0, 2, -3.0), (1, 2, -3.0)]
+        g = SignedGraph(6, tri + [(i + 3, j + 3, 2.0 * w) for i, j, w in tri])
+        b = Bipartition(6, frozenset({0, 1, 3, 4}))
+        calls = counting_linalg(monkeypatch)
+        core = partner_core(g, b)
+        assert calls == core_calls(6, 2, roots=2)
+        assert not core.connected and len(core.forest_edges) == 2
+        want = effective_resistance(sym_eigen(partner_laplacian(g, b)), core.forest_edges)
+        assert np.allclose(core.resistance, want, rtol=0, atol=1e-12)
+        assert np.allclose(core.resistance, np.diag([2.0, 1.0]), rtol=0, atol=1e-12)
+        assert certify(g, b, 2.0).decided_by == "connectivity"
+
+    def test_extra_zero_takes_the_pseudoinverse(self, monkeypatch):
+        # the tie (0, 1) cancels the path 0-2-1 in the partner network, so
+        # the grounded Laplacian is singular and the Gram is read off the
+        # pseudoinverse
+        g = SignedGraph.from_edge_list(3, [(0, 1, -0.5), (0, 2, -1.0), (1, 2, -1.0)])
+        b = Bipartition(3, frozenset({0, 1}))
+        calls = counting_linalg(monkeypatch)
+        core = partner_core(g, b)
+        assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        dec = sym_eigen(partner_laplacian(g, b))
+        assert np.array_equal(core.resistance, effective_resistance(dec, core.forest_edges))
+        cert = certify(g, b, 2.0)
+        assert (cert.zero_multiplicity, cert.decided_by) == (2, "zero_multiplicity")
+
+    def test_near_boundary_verdicts_match_reference(self):
+        # scale the same-side antagonism of random networks to just either
+        # side of the point where the partner Laplacian loses definiteness
+        rng = np.random.default_rng(89)
+        near = []
+        while len(near) < 60:
+            g, b = random_gqsb_instance(rng)
+            side = b.mask()
+            intra = (side[g.i] == side[g.j]) & (g.w < 0)
+            if not intra.any():
+                continue
+
+            def scaled(s):
+                return g.reweighted(np.where(intra, g.w * s, g.w))
+
+            def definite(s):
+                lap = partner_laplacian(scaled(s), b)
+                return np.linalg.eigvalsh(lap[1:, 1:])[0] > 0
+
+            lo, hi = 0.0, 1.0
+            while definite(hi):
+                lo, hi = hi, 2.0 * hi
+            for _ in range(60):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if definite(mid) else (lo, mid)
+            for d in (-1e-5, -1e-7, -1e-10, -1e-13, 1e-13, 1e-10, 1e-7, 1e-5):
+                h = scaled(lo * (1.0 + d))
+                ref = reference_certify(h, b, 2.0)
+                w = np.sort(np.abs(ref.spectrum))
+                if w[1] <= 1e-6 * w[-1]:
+                    cert = certify(h, b, 2.0)
+                    assert (cert.verdict, cert.decided_by) == (ref.verdict, ref.decided_by)
+                    assert cert.zero_multiplicity == ref.zero_multiplicity
+                    near.append(ref.decided_by)
+        assert {"resistance_pd", "negative_eigenvalue", "zero_multiplicity"} <= set(near)
 
     def test_decomposition_in_place_of_matrix(self, allneg_triangle, allneg_split):
         bundle, forest = _partner_pieces(allneg_triangle, allneg_split, 2.0)
