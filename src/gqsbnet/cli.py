@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .dynamics import OutcomeKind, assess, integrate, predict_final
-from .errors import GqsbError, TooLarge
+from .errors import GqsbError
 from .fileio import (
     DEFAULT_HIGHLAND_WEIGHTS,
     DETAILS,
@@ -36,13 +36,13 @@ from .fileio import (
     trajectory_to_csv,
     _resolve_network,
 )
-from .operators import generalized_laplacian, opposing_laplacian, repelling_laplacian
-from .signed_graph import bipartition_from_dominant, positive_components
-from .spectral import Verdict, certify, partner_core, sym_eigen
+from .operators import (generalized_laplacian, opposing_laplacian, repelling_laplacian,
+                        sym_eigvals)
+from .signed_graph import bipartition_from_dominant
+from .spectral import Verdict, certify, partner_core
 
 _BAD_VERDICTS = {Verdict.INCONCLUSIVE.value, Verdict.DIVERGENCE.value,
                  OutcomeKind.DIVERGENCE.value, OutcomeKind.UNDETERMINED.value}
-_ENUMERATION_CAP = 20
 
 
 def _stride(text: str) -> int:
@@ -158,9 +158,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_bipartitions(args) -> int:
     g, _, _ = _resolve_network(_config(args))
-    p = len(positive_components(g))
-    if p > _ENUMERATION_CAP:
-        raise TooLarge(f"{p} cooperative components give too many bipartitions to list")
     _emit(args, {"bipartitions.json": render_json(enumerate_dict(g)) + "\n"})
     return 0
 
@@ -168,8 +165,8 @@ def _cmd_bipartitions(args) -> int:
 def _cmd_spectrum(args) -> int:
     config, g, b = _scenario(args)
     doc = {
-        "repelling": list(map(float, sym_eigen(repelling_laplacian(g)).eigenvalues)),
-        "opposing": list(map(float, sym_eigen(opposing_laplacian(g)).eigenvalues)),
+        "repelling": list(map(float, sym_eigvals(repelling_laplacian(g)))),
+        "opposing": list(map(float, sym_eigvals(opposing_laplacian(g)))),
     }
     if b is not None:
         generalized_laplacian(g, b, config.gamma)  # checks the coefficient

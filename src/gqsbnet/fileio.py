@@ -1,6 +1,6 @@
 """File formats, the bundled dataset, and the end-to-end pipeline.
 
-The edge-list format is plain text: a ``n m`` header, then one ``i j w``
+The edge-list format is UTF-8 text: a ``n m`` header, then one ``i j w``
 line per edge; ``#`` starts a comment and blank lines are skipped.  Reports
 serialize to JSON with a fixed key order and floats at 15 significant
 digits, so identical inputs give byte-identical files.
@@ -30,12 +30,13 @@ from .operators import generalized_laplacian
 from .signed_graph import (
     Bipartition,
     SignedGraph,
+    _bipartition_count,
     bipartition_from_dominant,
     classify,
     enumerate_gqsb_bipartitions,
     positive_components,
 )
-from .spectral import PolarizationCertificate, Verdict, certify
+from .spectral import _FLOWING, PolarizationCertificate, certify
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -162,9 +163,15 @@ def loads_network(text: str, name: str = "<string>") -> SignedGraph:
     return _loads_by_line(text, name)
 
 
+def _read_text(path) -> str:
+    """A file's text as UTF-8 whatever the locale, each undecodable byte
+    kept as a lone surrogate, as ``os.fsdecode`` keeps path bytes."""
+    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
+
+
 def load_network(path) -> SignedGraph:
     """Read a network file; I/O failures propagate as OSError."""
-    return loads_network(Path(path).read_text(), name=str(path))
+    return loads_network(_read_text(path), name=str(path))
 
 
 def dump_network(g: SignedGraph) -> str:
@@ -236,7 +243,7 @@ def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:
 
 def load_state_file(path, n: int) -> np.ndarray:
     """Read a start state: n finite reals, whitespace or comma separated."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     fields = text.replace(",", " ").split()
     try:
         values = [float(f) for f in fields]
@@ -273,11 +280,6 @@ class Report:
     provenance: dict
 
 
-def _bipartition_count(p: int) -> int:
-    # each cooperative component goes wholly to one side; mirrors collapse
-    return (1 << (p - 1)) - 1 if p >= 2 else 0
-
-
 def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     """One report per coefficient, as ``run_pipeline`` gives it with
     ``config.gamma`` replaced.
@@ -306,7 +308,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
         _horizon_steps(config.t_max, dt)
         traj = None
         outcome = None
-        if cert.verdict in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS):
+        if cert.verdict in _FLOWING:
             traj = integrate(bundle, x0, dt=dt, t_max=config.t_max)
             outcome = assess(traj, b, gamma)
         provenance = {

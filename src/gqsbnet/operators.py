@@ -249,8 +249,8 @@ class OperatorBundle:
 
     @cached_property
     def z_laplacian(self) -> np.ndarray:
-        """The gauge partner Laplacian (see ``partner_laplacian``)."""
-        return _frozen(partner_laplacian(self.graph, self.partition))
+        """The gauge partner Laplacian kept on the graph (``partner_laplacian``)."""
+        return _partner_entry(self.graph, self.partition)["laplacian"]
 
     @cached_property
     def permutation(self) -> tuple[int, ...]:
@@ -260,11 +260,11 @@ class OperatorBundle:
     def partner(self) -> EigenDecomposition:
         """Full eigendecomposition of ``z_laplacian``, which integration and
         the closed form read: the one kept on the graph for this
-        bipartition next to ``spectral.partner_core``, built on first read
-        and shared by every coefficient."""
-        from .spectral import partner_eigen  # spectral imports this module
-
-        return partner_eigen(self.graph, self.partition)
+        bipartition, built on first read and shared by every coefficient."""
+        entry = _partner_entry(self.graph, self.partition)
+        if "eigen" not in entry:
+            entry["eigen"] = sym_eigen(entry["laplacian"])
+        return entry["eigen"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -305,5 +305,31 @@ def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
 
 
 def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
-    """The bundle's gauge partner as a graph (see ``partner_network``)."""
-    return partner_network(bundle.graph, bundle.partition)
+    """The bundle's gauge partner as a graph, as kept (see ``partner_network``)."""
+    return _partner_entry(bundle.graph, bundle.partition)["network"]
+
+
+def _partner_entry(g: SignedGraph, b: Bipartition) -> dict:
+    """What is kept on ``g`` for bipartition ``b``, since the partner is free
+    of the coefficient: the partition, the partner network and its
+    read-only Laplacian, and once built the ``spectral.partner_core``
+    (``"core"``) and the eigendecomposition (``"eigen"``).  One entry per
+    graph object: one kept for another bipartition is dropped first."""
+    entry = vars(g).get("_partner")
+    if entry is None or entry["partition"] != b:
+        del entry
+        clear_partner_cache(g)
+        _require_gqsb(g, b)
+        network = partner_network(g, b)
+        vars(g)["_partner"] = entry = {
+            "partition": b,
+            "network": network,
+            "laplacian": _frozen(repelling_laplacian(network)),
+        }
+    return entry
+
+
+def clear_partner_cache(g: SignedGraph) -> None:
+    """Drop what is kept on ``g`` for its partner: the network, the
+    Laplacian, the core and the eigendecomposition."""
+    vars(g).pop("_partner", None)

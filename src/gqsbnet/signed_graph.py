@@ -184,9 +184,9 @@ class SignedGraph:
     as a tuple of Python triples, built on first use.  Instances are
     immutable, compare equal when ``n`` and the edges are equal, and hash
     accordingly.  Values derived from the edges (``edges``,
-    ``cooperative_labels``, and for one bipartition the partner
-    Laplacian with its ``spectral.partner_core`` and eigendecomposition)
-    are kept on the instance; pickles and copies carry none.
+    ``cooperative_labels``, and for one bipartition the partner entry of
+    ``operators``: network, Laplacian, core and eigendecomposition) are
+    kept on the instance; pickles and copies carry none.
     """
 
     n: int
@@ -544,28 +544,31 @@ def is_qsb(g: SignedGraph) -> Bipartition | None:
     return Bipartition(g.n, comps[0]) if len(comps) == 2 else None
 
 
+# Most cooperative components whose bipartitions are listed: 2**19 - 1.
+_ENUMERATION_CAP = 20
+
+
+def _bipartition_count(p: int) -> int:
+    # each of p cooperative components goes wholly to one side; mirrors collapse
+    return (1 << (p - 1)) - 1 if p >= 2 else 0
+
+
 def enumerate_gqsb_bipartitions(g: SignedGraph) -> tuple[Bipartition, ...]:
     """All bipartitions whose cross-subset edges are antagonistic.
 
     Each cooperative component goes wholly to one side, and any assignment
     with both sides non-empty qualifies, so with p components there are
     2**(p-1) - 1 of them.  Mirrors are removed by keeping node 0's
-    component on side one.  Empty when p < 2.
+    component on side one.  Empty when p < 2.  Raises TooLarge, before
+    listing any, when p exceeds 20.
     """
     comps = positive_components(g)
     p = len(comps)
-    if p < 2:
-        return ()
-    head, rest = comps[0], comps[1:]
-    full = (1 << (p - 1)) - 1
-    out = []
-    for bits in range(full):
-        v1 = set(head)
-        for k, comp in enumerate(rest):
-            if bits >> k & 1:
-                v1 |= comp
-        out.append(Bipartition(g.n, frozenset(v1)))
-    return tuple(out)
+    if p > _ENUMERATION_CAP:
+        raise TooLarge(f"{p} cooperative components give too many bipartitions to list")
+    return tuple(
+        Bipartition(g.n, comps[0].union(*(c for k, c in enumerate(comps[1:]) if bits >> k & 1)))
+        for bits in range(_bipartition_count(p)))
 
 
 def classify(g: SignedGraph) -> str:

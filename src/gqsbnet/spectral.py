@@ -11,10 +11,9 @@ component, so a certificate computes no eigenvector and no pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
-bipartition).  That part is computed once and kept on the graph it was
-built from (``partner_core``), next to the Laplacian and, once something
-integrates, its full eigendecomposition; a certificate adds only the
-coefficient's verdict and null vectors.
+bipartition).  That part is computed once (``partner_core``) and added to
+the partner entry ``operators`` keeps on the graph; a certificate adds only
+the coefficient's verdict and null vectors.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .operators import (
-    EigenDecomposition,
     _gauge_diagonals,
+    _partner_entry,
     _zero_count,
+    clear_partner_cache,  # re-exported
     default_zero_tol,
-    partner_laplacian,
-    partner_network,
     sym_eigen,
     sym_eigvals,
 )
@@ -54,14 +52,17 @@ class Verdict(str, enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def pseudoinverse(matrix: np.ndarray | EigenDecomposition) -> np.ndarray:
+# The verdicts under which the flow settles, so it is integrated or predicted.
+_FLOWING = (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS)
+
+
+def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via its spectrum.
 
     Eigenvalues within the decomposition's ``zero_tol`` of zero are
-    dropped, the rest inverted.  ``matrix`` may also be the matrix's
-    ``EigenDecomposition``, which saves the solve.
+    dropped, the rest inverted.
     """
-    dec = matrix if isinstance(matrix, EigenDecomposition) else sym_eigen(matrix)
+    dec = sym_eigen(matrix)
     keep = np.abs(dec.eigenvalues) > dec.zero_tol
     v = dec.eigenvectors[:, keep]
     return (v / dec.eigenvalues[keep]) @ v.T
@@ -70,31 +71,26 @@ def pseudoinverse(matrix: np.ndarray | EigenDecomposition) -> np.ndarray:
 def psd_simple_zero(matrix: np.ndarray) -> bool:
     """True when the symmetric matrix is positive semidefinite with exactly
     one eigenvalue at zero (within tolerance)."""
-    dec = sym_eigen(matrix)
-    w = dec.eigenvalues
-    if w.size and float(w[0]) < -dec.zero_tol:
+    w = sym_eigvals(matrix)
+    if w.size and float(w[0]) < -default_zero_tol(w):
         return False
-    return dec.zero_count == 1
+    return _zero_count(w) == 1
 
 
-def effective_resistance(
-    laplacian: np.ndarray | EigenDecomposition,
-    forest: tuple[Edge, ...],
-) -> np.ndarray:
+def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.ndarray:
     """Resistance matrix of the forest edges through the given Laplacian.
 
     The Gram B^T P B of the forest's incidence columns B, column k being
     +1 at ``forest[k]``'s first endpoint a_k and -1 at its second b_k,
     read off the pseudoinverse P: entry (k, l) is
     (P[a_k, a_l] - P[b_k, a_l]) - (P[a_k, b_l] - P[b_k, b_l]), which
-    rounds as the product with the +-1 block does.  ``laplacian`` may
-    also be its ``EigenDecomposition``.  A non-integral endpoint raises
-    BadIndex, one outside the Laplacian's nodes DimensionMismatch.
+    rounds as the product with the +-1 block does.  A non-integral
+    endpoint raises BadIndex, one outside the Laplacian's nodes
+    DimensionMismatch.
     An empty forest yields the empty matrix, which downstream checks treat
     as positive definite.
     """
-    n = (laplacian.eigenvalues if isinstance(laplacian, EigenDecomposition)
-         else laplacian).shape[0]
+    n = laplacian.shape[0]
     ends = [(_node_id(i), _node_id(j)) for i, j, _ in forest]
     if not all(0 <= v < n for pair in ends for v in pair):
         raise DimensionMismatch(f"forest endpoint outside the Laplacian's {n} nodes")
@@ -170,22 +166,11 @@ class PartnerCore:
     resistance_eigenvalues: np.ndarray
 
 
-def _kept(g: SignedGraph, b: Bipartition) -> dict:
-    """What is kept on ``g`` for bipartition ``b``: the partner Laplacian,
-    and the core and the eigendecomposition once built.  Kept for another
-    bipartition, it is dropped first, so two never coexist."""
-    kept = vars(g).get("_partner")
-    if kept is None or kept["partition"] != b:
-        del kept
-        clear_partner_cache(g)
-        kept = vars(g)["_partner"] = {"partition": b, "laplacian": partner_laplacian(g, b)}
-    return kept
-
-
-def _build_core(g: SignedGraph, b: Bipartition, laplacian: np.ndarray) -> PartnerCore:
+def _build_core(g: SignedGraph, entry: dict) -> PartnerCore:
+    laplacian = entry["laplacian"]
     w = sym_eigvals(laplacian)
     components = connected_components(g)
-    (i, j, weight), kept = _antagonistic_forest(partner_network(g, b))
+    (i, j, weight), kept = _antagonistic_forest(entry["network"])
     forest = _triples(i[kept], j[kept], weight[kept])
     if not forest:
         gram = np.zeros((0, 0))
@@ -193,43 +178,26 @@ def _build_core(g: SignedGraph, b: Bipartition, laplacian: np.ndarray) -> Partne
         gram = _grounded_gram(laplacian, components, i[kept], j[kept])
     else:
         # a zero beyond the components' own: the grounded system is singular
-        gram = effective_resistance(sym_eigen(laplacian), forest)
+        gram = effective_resistance(laplacian, forest)
     gram.setflags(write=False)
     res_w = sym_eigvals(gram) if forest else np.zeros(0)
-    return PartnerCore(b, w, len(components) == 1, forest, gram, res_w)
+    return PartnerCore(entry["partition"], w, len(components) == 1, forest, gram, res_w)
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b).
 
-    Kept on ``g`` itself, one per graph object, so certificates,
-    predictions and default steps at any number of coefficients on one
-    (graph, bipartition) share one spectrum and one resistance matrix, and
-    the partner Laplacian is built once.  Building it computes no
-    eigenvector, except when the spectrum has more zeros than the graph
-    has components (see ``_grounded_gram``).  A core for another
-    bipartition replaces it.
+    Added to the partner entry kept on ``g`` (one per graph object, see
+    ``operators``), so certificates, predictions and default steps at any
+    number of coefficients on one (graph, bipartition) share one spectrum
+    and one resistance matrix.  Building it computes no eigenvector,
+    except when the spectrum has more zeros than the graph has components
+    (see ``_grounded_gram``).  A core for another bipartition replaces it.
     """
-    kept = _kept(g, b)
-    if "core" not in kept:
-        kept["core"] = _build_core(g, b, kept["laplacian"])
-    return kept["core"]
-
-
-def partner_eigen(g: SignedGraph, b: Bipartition) -> EigenDecomposition:
-    """The partner Laplacian's full eigendecomposition for (g, b), which
-    integration and the closed form read; kept on ``g`` next to
-    ``partner_core`` and built on first read."""
-    kept = _kept(g, b)
-    if "eigen" not in kept:
-        kept["eigen"] = sym_eigen(kept["laplacian"])
-    return kept["eigen"]
-
-
-def clear_partner_cache(g: SignedGraph) -> None:
-    """Drop what ``partner_core`` and ``partner_eigen`` keep on ``g``: the
-    partner Laplacian, the core and the eigendecomposition."""
-    vars(g).pop("_partner", None)
+    entry = _partner_entry(g, b)
+    if "core" not in entry:
+        entry["core"] = _build_core(g, entry)
+    return entry["core"]
 
 
 @dataclass(frozen=True)

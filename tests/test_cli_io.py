@@ -27,6 +27,7 @@ from gqsbnet import (
     bipartition_from_dominant,
     certify,
     dump_network,
+    enumerate_gqsb_bipartitions,
     highland_path,
     integrate,
     generalized_laplacian,
@@ -145,6 +146,73 @@ class TestParsing:
             load_state_file(path, 3)
         assert info.value.path == str(path)
         assert str(path) in str(info.value)
+
+
+class TestFileEncoding:
+    """Network and start-state files are UTF-8 whatever the locale, each
+    undecodable byte kept as a lone surrogate."""
+
+    def test_latin1_comment(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"# caf\xe9\n" + ALLNEG.encode())
+        assert load_network(path) == loads_network(ALLNEG)
+
+    def test_utf8_under_ascii_locale(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_bytes("# café\n".encode() + ALLNEG.encode())
+        argv = ["certify", "--network", str(path), "--dominant", "0,1"]
+        assert main(argv) == 0
+        env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(gqsbnet.__file__).parents[1]), env.get("PYTHONPATH")]))
+        boot = "import sys; from gqsbnet.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", boot, *argv], env=env,
+                              capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == capsys.readouterr().out
+
+    def test_stray_byte_in_edge_line(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"3 3\n0 1 -1\n0 2 -3\xe9\n1 2 -3\n")
+        with pytest.raises(ParseError, match="two integers and a real") as info:
+            load_network(path)
+        assert (info.value.path, info.value.line) == (str(path), 3)
+
+    def test_stray_byte_in_state_file(self, tmp_path):
+        path = tmp_path / "x0.txt"
+        path.write_bytes(b"1 0 \xe9")
+        with pytest.raises(ParseError) as info:
+            load_state_file(path, 3)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("network, x0", [
+        (b"3 3\n0 1 -1\n0 2 -3\xe9\n1 2 -3\n", None),
+        (ALLNEG.encode(), b"1 0 \xe9"),
+    ], ids=["edge_line", "x0"])
+    def test_cli_stray_byte_writes_nothing(self, tmp_path, capsys, network, x0):
+        path = tmp_path / "net.txt"
+        path.write_bytes(network)
+        argv = ["predict", "--network", str(path), "--dominant", "0,1"]
+        bad = path
+        if x0 is not None:
+            bad = tmp_path / "x0.txt"
+            bad.write_bytes(x0)
+            argv += ["--x0", str(bad)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith("error: ") and str(bad) in got.err
+        assert not out.exists()
+
+    def test_cli_latin1_comment(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"# caf\xe9\n" + ALLNEG.encode())
+        clean = tmp_path / "clean.txt"
+        clean.write_text(ALLNEG)
+        assert main(["certify", "--network", str(path), "--dominant", "0,1"]) == 0
+        got = capsys.readouterr()
+        assert main(["certify", "--network", str(clean), "--dominant", "0,1"]) == 0
+        assert got == capsys.readouterr()
 
 
 class TestBundledDataset:
@@ -469,9 +537,13 @@ class TestCli:
 
     def test_bipartitions_cap(self, tmp_path, capsys):
         path = tmp_path / "wide.txt"
-        path.write_text("25 0\n")
-        assert main(["bipartitions", "--network", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        path.write_text("21 0\n")
+        out = tmp_path / "out"
+        assert main(["bipartitions", "--network", str(path), "--out", str(out)]) == 1
+        with pytest.raises(TooLarge) as info:
+            enumerate_gqsb_bipartitions(load_network(path))
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
 
     def test_spectrum_plain(self, allneg_file, capsys):
         assert main(["spectrum", "--network", allneg_file]) == 0
@@ -603,7 +675,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, eighs", [
         (["certify", "--detail", "full"], 0),
         (["predict"], 0),
-        (["spectrum"], 2),  # the repelling and the opposing Laplacian
+        (["spectrum"], 0),
         (["report", "--dt", "0.002"], 1),
         (["sweep", "--dt", "0.002", "--gammas", "1.5,2,3"], 1),
     ])
@@ -613,9 +685,9 @@ class TestCli:
         calls = counting_linalg(monkeypatch)
         assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
                      "--out", str(tmp_path / "out")]) == 0
-        full = [("eigh", (g.n, g.n))]
-        assert [call for call in calls if call not in full] == core_calls(g.n, nf)
-        assert len(calls) - 3 == eighs
+        # spectrum's repelling and opposing lists need eigenvalues only
+        classic = [("eigvalsh", (g.n, g.n))] * 2 if argv[0] == "spectrum" else []
+        assert calls == classic + core_calls(g.n, nf) + [("eigh", (g.n, g.n))] * eighs
 
     def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))

@@ -30,6 +30,7 @@ from gqsbnet import (
     sym_eigen,
     z_transform_network,
 )
+from gqsbnet import operators
 from gqsbnet.fileio import run_sweep
 from support import (
     core_calls,
@@ -348,6 +349,32 @@ class TestOneAdjacencyPerPartition:
                       [1.0, 0.0, 0.0])
         assert calls == [3, 3]
         assert linalg == 2 * core_calls(3, 1)
+
+    def test_one_partner_per_round(self, monkeypatch):
+        # every reader at every coefficient shares the partner network and
+        # its Laplacian kept on the graph
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        b = bipartition_from_dominant(g, (0,))
+        x0 = np.random.default_rng(5).uniform(-1.0, 1.0, g.n)
+        calls = _counting_adjacency(monkeypatch)
+        builds = []
+        build = operators.partner_network
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(operators, "partner_network", counted)
+        for gamma in (1.5, 2.0, 3.0):
+            certify(g, b, gamma)
+            bundle = generalized_laplacian(g, b, gamma)
+            predict_final(bundle, x0)
+            integrate(bundle, x0, dt=0.002, t_max=1.0)
+            closed_form_state(bundle, x0, 1.0)
+            bundle.z_laplacian
+            z_transform_network(bundle)
+        assert len(builds) == 1
+        assert calls == [16]
 
     def test_pipeline_builds_no_node_operator(self, allneg_triangle, allneg_split):
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)

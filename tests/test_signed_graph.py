@@ -260,6 +260,12 @@ class TestClassification:
         got = {b.v1 for b in enumerate_gqsb_bipartitions(allneg_triangle)}
         assert got == {frozenset({0}), frozenset({0, 1}), frozenset({0, 2})}
 
+    def test_enumeration_capped_before_listing(self):
+        # 21 isolated nodes: 2**20 - 1 bipartitions, refused before any is built
+        with pytest.raises(TooLarge, match="^21 cooperative components give too many "
+                                           "bipartitions to list$"):
+            enumerate_gqsb_bipartitions(SignedGraph(21))
+
     def test_enumeration_empty_when_one_component(self):
         allpos = SignedGraph.from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert enumerate_gqsb_bipartitions(allpos) == ()

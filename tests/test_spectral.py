@@ -541,7 +541,7 @@ class TestPartnerCore:
         core = partner_core(g, b)
         assert calls == core_calls(6, 2, roots=2)
         assert not core.connected and len(core.forest_edges) == 2
-        want = effective_resistance(sym_eigen(partner_laplacian(g, b)), core.forest_edges)
+        want = effective_resistance(partner_laplacian(g, b), core.forest_edges)
         assert np.allclose(core.resistance, want, rtol=0, atol=1e-12)
         assert np.allclose(core.resistance, np.diag([2.0, 1.0]), rtol=0, atol=1e-12)
         assert certify(g, b, 2.0).decided_by == "connectivity"
@@ -555,8 +555,8 @@ class TestPartnerCore:
         calls = counting_linalg(monkeypatch)
         core = partner_core(g, b)
         assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
-        dec = sym_eigen(partner_laplacian(g, b))
-        assert np.array_equal(core.resistance, effective_resistance(dec, core.forest_edges))
+        want = effective_resistance(partner_laplacian(g, b), core.forest_edges)
+        assert np.array_equal(core.resistance, want)
         cert = certify(g, b, 2.0)
         assert (cert.zero_multiplicity, cert.decided_by) == (2, "zero_multiplicity")
 
@@ -597,10 +597,7 @@ class TestPartnerCore:
         assert {"resistance_pd", "negative_eigenvalue", "zero_multiplicity"} <= set(near)
 
     def test_decomposition_in_place_of_matrix(self, allneg_triangle, allneg_split):
-        bundle, forest = _partner_pieces(allneg_triangle, allneg_split, 2.0)
-        dec = sym_eigen(bundle.z_laplacian)
-        assert np.array_equal(pseudoinverse(dec), pseudoinverse(bundle.z_laplacian))
-        assert np.array_equal(effective_resistance(dec, forest),
-                              effective_resistance(bundle.z_laplacian, forest))
+        # only the matrix is taken; its size bounds the forest's endpoints
+        bundle, _ = _partner_pieces(allneg_triangle, allneg_split, 2.0)
         with pytest.raises(DimensionMismatch):
-            effective_resistance(dec, ((0, 3, -1.0),))
+            effective_resistance(bundle.z_laplacian, ((0, 3, -1.0),))
