@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command][0](args)
-    except (GqsbError, OSError, ValueError) as exc:
+    except (GqsbError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

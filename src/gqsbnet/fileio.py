@@ -31,10 +31,13 @@ from .signed_graph import (
     Bipartition,
     SignedGraph,
     _bipartition_count,
+    _cooperative_count,
+    _crossing,
+    _duplicate,
+    _edge_error,
     bipartition_from_dominant,
     classify,
     enumerate_gqsb_bipartitions,
-    positive_components,
 )
 from .spectral import _FLOWING, PolarizationCertificate, certify
 
@@ -76,18 +79,12 @@ def _loads_by_line(text: str, name: str) -> SignedGraph:
             w = float(fields[2])
         except ValueError:
             raise ParseError("edge line must hold two integers and a real", name, lineno)
-        n = header[0]
-        if i == j:
-            raise ParseError(f"self-loop at node {i}", name, lineno)
-        if not 0 <= i < n or not 0 <= j < n:
-            raise ParseError(f"edge ({i}, {j}) outside 0..{n - 1}", name, lineno)
-        if w == 0.0:
-            raise ParseError(f"edge ({i}, {j}) has zero weight", name, lineno)
-        if not math.isfinite(w):
-            raise ParseError(f"edge ({i}, {j}) has non-finite weight {w}", name, lineno)
         key = (min(i, j), max(i, j))
-        if key in pairs:
-            raise ParseError(f"node pair {key} appears twice", name, lineno)
+        error = _edge_error(header[0], i, j, w)
+        if error is None and key in pairs:
+            error = _duplicate(i, j)
+        if error is not None:
+            raise ParseError(str(error), name, lineno)
         pairs.add(key)
         triples.append((i, j, w))
     if header is None:
@@ -228,9 +225,8 @@ def load_highland(config: ScenarioConfig) -> SignedGraph:
     w_coop, w_intra, w_inter = (float(w) for w in config.weights)
     if not (w_coop > 0 and w_intra < 0 and w_inter < 0):
         raise ValueError("weights must be (positive, negative, negative)")
-    side = b.mask()
-    within = side[raw.i] == side[raw.j]
-    return raw.reweighted(np.where(raw.w > 0, w_coop, np.where(within, w_intra, w_inter)))
+    cross = _crossing(raw, b)
+    return raw.reweighted(np.where(raw.w > 0, w_coop, np.where(cross, w_inter, w_intra)))
 
 
 def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:
@@ -244,11 +240,12 @@ def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:
 def load_state_file(path, n: int) -> np.ndarray:
     """Read a start state: n finite reals, whitespace or comma separated."""
     text = _read_text(path)
-    fields = text.replace(",", " ").split()
-    try:
-        values = [float(f) for f in fields]
-    except ValueError:
-        raise ParseError("start state entries must be reals", str(path))
+    values = []
+    for k, field in enumerate(text.replace(",", " ").split(), start=1):
+        try:
+            values.append(float(field))
+        except ValueError:
+            raise ParseError(f"entry {k} is not a real: {field!r}", str(path)) from None
     if len(values) != n:
         raise ParseError(f"expected {n} entries, found {len(values)}", str(path))
     for k, v in enumerate(values, start=1):
@@ -495,7 +492,7 @@ def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
 def classification_dict(g: SignedGraph) -> dict:
     """Balance class, cooperative component count ``p`` and the number of
     antagonistic bipartitions, counted from ``p`` without listing them."""
-    p = len(positive_components(g))
+    p = _cooperative_count(g)
     return {
         "classification": classify(g),
         "p": p,

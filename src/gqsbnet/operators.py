@@ -21,13 +21,12 @@ import numpy as np
 
 from .errors import (
     BadGamma,
-    BadIndex,
     DimensionMismatch,
     NoConvergence,
     NotGQSB,
     NotSymmetric,
 )
-from .signed_graph import Bipartition, SignedGraph, validate_gqsb
+from .signed_graph import Bipartition, SignedGraph, _Columns, _crossing, _trusted, validate_gqsb
 
 _SYMMETRY_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
@@ -298,10 +297,8 @@ def partner_laplacian(g: SignedGraph, b: Bipartition) -> np.ndarray:
 def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
     """The gauge partner as a graph: cross-subset edges flip sign (they
     were antagonistic, so they turn cooperative), same-subset edges stay."""
-    if b.n != g.n:
-        raise BadIndex("bipartition and graph disagree on node count")
-    side = b.mask()
-    return g.reweighted(np.where(side[g.i] != side[g.j], -g.w, g.w))
+    # a sign flip keeps every weight finite and nonzero
+    return _trusted(g.n, _Columns(g.i, g.j, np.where(_crossing(g, b), -g.w, g.w)))
 
 
 def z_transform_network(bundle: OperatorBundle) -> SignedGraph:

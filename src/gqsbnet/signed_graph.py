@@ -503,12 +503,17 @@ def incidence_matrix(g: SignedGraph, dec: SignDecomposition) -> IncidenceMatrix:
     return IncidenceMatrix(b, order)
 
 
-def validate_gqsb(g: SignedGraph, b: Bipartition) -> bool:
-    """True when every cross-subset edge is antagonistic."""
+def _crossing(g: SignedGraph, b: Bipartition) -> np.ndarray:
+    """Which edges of g, in canonical order, join the two sides of b."""
     if b.n != g.n:
         raise BadIndex("bipartition and graph disagree on node count")
     side = b.mask()
-    return bool(np.all(g.w[side[g.i] != side[g.j]] < 0))
+    return side[g.i] != side[g.j]
+
+
+def validate_gqsb(g: SignedGraph, b: Bipartition) -> bool:
+    """True when every cross-subset edge is antagonistic."""
+    return bool(np.all(g.w[_crossing(g, b)] < 0))
 
 
 def _no_antagonism_within(g: SignedGraph, side: np.ndarray) -> bool:
@@ -578,12 +583,17 @@ def classify(g: SignedGraph) -> str:
     (two cooperative components; SB also has no antagonism inside either),
     GQSB needs at least one, and the rest admit none at all.
     """
-    labels = g.cooperative_labels
-    p = int(np.count_nonzero(labels == np.arange(g.n)))
+    p = _cooperative_count(g)
     if p == 2:
         # node 0's component is the one labelled 0
-        return SB if _no_antagonism_within(g, labels == 0) else QSB
+        return SB if _no_antagonism_within(g, g.cooperative_labels == 0) else QSB
     return GQSB if p > 2 else UNBALANCED
+
+
+def _cooperative_count(g: SignedGraph) -> int:
+    """p, the number of cooperative components (isolated nodes count):
+    the nodes that label their own component."""
+    return int(np.count_nonzero(g.cooperative_labels == np.arange(g.n)))
 
 
 def neighbor_sets(g: SignedGraph, b: Bipartition, i: int) -> NeighborSets:
@@ -593,59 +603,50 @@ def neighbor_sets(g: SignedGraph, b: Bipartition, i: int) -> NeighborSets:
     i = _integer(i, "node id")
     if not 0 <= i < g.n:
         raise BadIndex(f"node {i} outside 0..{g.n - 1}")
-    if b.n != g.n:
-        raise BadIndex("bipartition and graph disagree on node count")
-    coop, intra, inter = set(), set(), set()
-    v1 = b.v1
-    for u, v, w in g.edges:
-        if u != i and v != i:
-            continue
-        other = v if u == i else u
-        if w > 0:
-            coop.add(other)
-        elif (i in v1) == (other in v1):
-            intra.add(other)
-        else:
-            inter.add(other)
-    return NeighborSets(frozenset(coop), frozenset(intra), frozenset(inter))
+    cross = _crossing(g, b)
+    other = np.where(g.i == i, g.j, g.i)
+    at = (g.i == i) | (g.j == i)
+    coop = at & (g.w > 0)
+    ties = (coop, at & ~coop & ~cross, at & ~coop & cross)
+    return NeighborSets(*(frozenset(other[t].tolist()) for t in ties))
 
 
 def condense_positive_components(g: SignedGraph) -> SignedGraph:
     """Shrink each cooperative component to one node, keeping an
     antagonistic edge between two component nodes when any antagonistic
-    tie links them; parallel ties aggregate by weight sum."""
-    comps = positive_components(g)
-    index = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            index[v] = k
-    agg: dict[tuple[int, int], float] = {}
-    for i, j, w in g.edges:
-        if w >= 0:
-            continue
-        a, b = index[i], index[j]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        agg[key] = agg.get(key, 0.0) + w
-    edges = tuple((i, j, w) for (i, j), w in sorted(agg.items()))
-    return SignedGraph(len(comps), edges)
+    tie links them; parallel ties aggregate by weight sum, added in
+    canonical edge order."""
+    roots, comp = np.unique(g.cooperative_labels, return_inverse=True)
+    p = roots.size
+    neg = g.w < 0
+    a, b = comp[g.i[neg]], comp[g.j[neg]]
+    apart = a != b
+    lo, hi = np.minimum(a, b)[apart], np.maximum(a, b)[apart]
+    keys, slot = np.unique(lo * p + hi, return_inverse=True)
+    sums = np.zeros(keys.size)
+    with np.errstate(over="ignore"):  # an infinite sum raises NonFiniteWeight below
+        np.add.at(sums, slot, g.w[neg][apart])
+    return SignedGraph.from_arrays(p, keys // p, keys % p, sums)
 
 
-def chromatic_number(g: SignedGraph, max_nodes: int = 20) -> int:
+# Most nodes chromatic_number searches exactly.
+_COLORING_CAP = 20
+
+
+def chromatic_number(g: SignedGraph) -> int:
     """Exact chromatic number of the graph's edge skeleton.
 
     Backtracking over k-colorings with a new-color symmetry break, for
-    k = 1, 2, ... until one succeeds.  Exact search is limited to
-    ``max_nodes`` nodes; larger inputs raise TooLarge.
+    k = 1, 2, ... until one succeeds.  Exact search is limited to 20
+    nodes; larger inputs raise TooLarge.
     """
-    if g.n > max_nodes:
-        raise TooLarge(f"exact coloring capped at {max_nodes} nodes, got {g.n}")
+    if g.n > _COLORING_CAP:
+        raise TooLarge(f"exact coloring capped at {_COLORING_CAP} nodes, got {g.n}")
     n = g.n
     if n == 0:
         return 0
     adj = [set() for _ in range(n)]
-    for i, j, _ in g.edges:
+    for i, j in zip(g.i.tolist(), g.j.tolist()):
         adj[i].add(j)
         adj[j].add(i)
     order = sorted(range(n), key=lambda v: len(adj[v]), reverse=True)

@@ -43,6 +43,7 @@ from gqsbnet import (
     z_transform_network,
 )
 from gqsbnet.fileio import certificate_dict
+from gqsbnet.signed_graph import NeighborSets, _integer, positive_components
 
 
 def all_splits(n):
@@ -595,13 +596,13 @@ def reference_loads_network(text, name="<string>"):
         n = header[0]
         if i == j:
             raise ParseError(f"self-loop at node {i}", name, lineno)
-        if not 0 <= i < n or not 0 <= j < n:
-            raise ParseError(f"edge ({i}, {j}) outside 0..{n - 1}", name, lineno)
-        if w == 0.0:
-            raise ParseError(f"edge ({i}, {j}) has zero weight", name, lineno)
-        if not math.isfinite(w):
-            raise ParseError(f"edge ({i}, {j}) has non-finite weight {w}", name, lineno)
         key = (min(i, j), max(i, j))
+        if not 0 <= i < n or not 0 <= j < n:
+            raise ParseError(f"edge {key} outside 0..{n - 1}", name, lineno)
+        if w == 0.0:
+            raise ParseError(f"edge {key} has zero weight", name, lineno)
+        if not math.isfinite(w):
+            raise ParseError(f"edge {key} has non-finite weight {w}", name, lineno)
         if key in pairs:
             raise ParseError(f"node pair {key} appears twice", name, lineno)
         pairs.add(key)
@@ -658,3 +659,46 @@ def reference_forest(n, edges):
         if e[2] < 0:
             (forest if uf.union(e[0], e[1]) else cycles).append(e)
     return tuple(forest), tuple(cycles)
+
+
+def reference_neighbor_sets(g: SignedGraph, b: Bipartition, i: int) -> NeighborSets:
+    """``neighbor_sets`` as one Python pass over the edge triples."""
+    i = _integer(i, "node id")
+    if not 0 <= i < g.n:
+        raise BadIndex(f"node {i} outside 0..{g.n - 1}")
+    if b.n != g.n:
+        raise BadIndex("bipartition and graph disagree on node count")
+    coop, intra, inter = set(), set(), set()
+    v1 = b.v1
+    for u, v, w in g.edges:
+        if u != i and v != i:
+            continue
+        other = v if u == i else u
+        if w > 0:
+            coop.add(other)
+        elif (i in v1) == (other in v1):
+            intra.add(other)
+        else:
+            inter.add(other)
+    return NeighborSets(frozenset(coop), frozenset(intra), frozenset(inter))
+
+
+def reference_condense(g: SignedGraph) -> SignedGraph:
+    """``condense_positive_components`` with a node-to-component dict and
+    the weight sums in a Python dict, in canonical edge order."""
+    comps = positive_components(g)
+    index = {}
+    for k, comp in enumerate(comps):
+        for v in comp:
+            index[v] = k
+    agg: dict[tuple[int, int], float] = {}
+    for i, j, w in g.edges:
+        if w >= 0:
+            continue
+        a, b = index[i], index[j]
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        agg[key] = agg.get(key, 0.0) + w
+    edges = tuple((i, j, w) for (i, j), w in sorted(agg.items()))
+    return SignedGraph(len(comps), edges)

@@ -181,7 +181,7 @@ class TestFileEncoding:
     def test_stray_byte_in_state_file(self, tmp_path):
         path = tmp_path / "x0.txt"
         path.write_bytes(b"1 0 \xe9")
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ParseError, match=r"entry 3 is not a real: '\\udce9'") as info:
             load_state_file(path, 3)
         assert info.value.path == str(path)
 
@@ -580,6 +580,25 @@ class TestCli:
         main(["certify", "--network", allneg_file, "--dominant", "0,1",
               "--gamma", "0.5"])
         assert "note:" in capsys.readouterr().err
+
+    def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a header naming a million nodes: the dense partner Laplacian
+        # cannot be allocated, which the patch stands in for
+        path = tmp_path / "wide.txt"
+        path.write_text("1000000 1\n0 1 -1\n")
+
+        def refuse(self):
+            raise MemoryError(f"Unable to allocate an array of shape ({self.n}, {self.n})")
+
+        monkeypatch.setattr(SignedGraph, "adjacency", refuse)
+        out = tmp_path / "out"
+        argv = ["certify", "--network", str(path), "--dominant", "0", "--out", str(out)]
+        assert main(argv) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: Unable to allocate an array of shape "
+                           "(1000000, 1000000)\n")
+        assert not out.exists()
 
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(["classify", "--network", str(tmp_path / "ghost.txt")])

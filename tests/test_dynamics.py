@@ -249,6 +249,25 @@ class TestAgainstReference:
         assert calls == core_calls(3, 1) + [("eigh", (3, 3))]
 
 
+class TestStartStateUnits:
+    """The simulated outcome should not depend on the units of x0, but the
+    divergence limit, the stop tolerance and the outcome tolerance are
+    absolute: a tiny start state settles before its pattern shows, and a
+    huge one passes the divergence limit on its way to the same limit."""
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        pytest.param(1e-9, marks=pytest.mark.xfail(
+            strict=True, reason="absolute stop and outcome tolerances: NeutralConsensus")),
+        pytest.param(1e13, marks=pytest.mark.xfail(
+            strict=True, reason="absolute divergence limit: Divergence")),
+    ])
+    def test_outcome_free_of_scale(self, allneg_triangle, allneg_split, scale):
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)
+        traj = integrate(bundle, scale * np.array([1.0, -2.0, 3.0]))
+        assert assess(traj, allneg_split, 2.0).kind == OutcomeKind.ASYMMETRIC_POLARIZATION
+
+
 class TestClosedForm:
     def test_time_zero(self, worked_bundle):
         x0 = np.array([0.3, -0.2, 0.9])

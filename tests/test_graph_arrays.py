@@ -246,6 +246,44 @@ class TestParseErrors:
             assert got == _outcome(reference_loads_network, text, "net.txt")
 
 
+# One bad edge per rule, after a good edge: (label, edges); every file
+# holds three nodes.
+_EDGE_RULES = [
+    ("self_loop", [(0, 1, 1.0), (2, 2, 1.0)]),
+    ("range_low_first", [(0, 1, 1.0), (1, 10, 2.0)]),
+    ("range_high_first", [(0, 1, 1.0), (10, 1, 2.0)]),
+    ("range_negative", [(0, 1, 1.0), (2, -1, 2.0)]),
+    ("zero_low_first", [(0, 1, 1.0), (1, 2, 0.0)]),
+    ("zero_high_first", [(0, 1, 1.0), (2, 1, -0.0)]),
+    ("non_finite_low_first", [(0, 1, 1.0), (0, 2, float("inf"))]),
+    ("non_finite_high_first", [(0, 1, 1.0), (2, 0, float("nan"))]),
+    ("duplicate", [(0, 1, 1.0), (1, 0, 2.0)]),
+]
+
+
+class TestOneEdgeRule:
+    """The edge rules are the graph constructor's: a network file's edge
+    error is the constructor's message behind the file and line."""
+
+    @pytest.mark.parametrize("comment", ["", "# caf\u00e9\n"], ids=["ascii", "non_ascii"])
+    @pytest.mark.parametrize("edges", [e for _, e in _EDGE_RULES],
+                             ids=[k for k, _ in _EDGE_RULES])
+    def test_file_error_is_the_constructors(self, monkeypatch, edges, comment):
+        with pytest.raises(GqsbError) as built:
+            SignedGraph(3, edges)
+        bulk = []
+        loads_bulk = fileio._loads_bulk
+        monkeypatch.setattr(fileio, "_loads_bulk",
+                            lambda *args: bulk.append(args) or loads_bulk(*args))
+        lines = [f"{i} {j} {w!r}" for i, j, w in edges]
+        text = comment + f"3 {len(edges)}\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as parsed:
+            loads_network(text, name="net.txt")
+        line = len(lines) + 1 + comment.count("\n")
+        assert str(parsed.value) == f"net.txt: line {line}: {built.value}"
+        assert len(bulk) == (not comment)
+
+
 def _valid_edges(rng, n, m):
     return [(i, j, float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))) for i, j in
             _random_pairs(rng, n, m)]

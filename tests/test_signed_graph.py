@@ -33,7 +33,10 @@ from gqsbnet import (
     validate_gqsb,
 )
 from support import (
+    random_bloc_graph,
     random_signed_graph,
+    reference_condense,
+    reference_neighbor_sets,
     scan_gqsb,
     scan_gqsb_count_fast,
     scan_qsb,
@@ -335,6 +338,21 @@ class TestCondenseAndColoring:
         assert c.edges == ((0, 1, -2.0), (0, 2, -1.0), (1, 2, -1.0))
         assert chromatic_number(c) == 3
 
+    def test_matches_dict_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        sizes = rng.integers(2, 40, 40)
+        graphs = [random_bloc_graph(rng, int(n), int(rng.integers(1, min(n, 6) + 1)),
+                                    cross_density=0.8)[0] for n in sizes]
+        graphs += [random_signed_graph(rng, int(rng.integers(0, 12)), density=0.5)
+                   for _ in range(40)]
+        # no cross-component antagonism: every antagonistic tie sits in a bloc
+        graphs.append(random_bloc_graph(rng, 12, 3, cross_density=0.0, intra_neg=0.5)[0])
+        assert graphs[-1].m and condense_positive_components(graphs[-1]).m == 0
+        for g in graphs:
+            c, ref = condense_positive_components(g), reference_condense(g)
+            assert (c.n, c.i.tolist(), c.j.tolist()) == (ref.n, ref.i.tolist(), ref.j.tolist())
+            assert c.w.tobytes() == ref.w.tobytes()
+
     def test_intra_component_antagonism_dropped(self, qsb_quad):
         c = condense_positive_components(qsb_quad)
         assert c.n == 2
@@ -371,11 +389,7 @@ class TestCondenseAndColoring:
     def test_chromatic_size_cap(self):
         with pytest.raises(TooLarge):
             chromatic_number(SignedGraph(21))
-        k3 = SignedGraph.from_edge_list(
-            3, [(0, 1, -1.0), (0, 2, -1.0), (1, 2, -1.0)]
-        )
-        with pytest.raises(TooLarge):
-            chromatic_number(k3, max_nodes=2)
+        assert chromatic_number(SignedGraph(20)) == 1
 
 
 class TestDominantGrouping:
@@ -467,3 +481,12 @@ class TestNeighborSets:
     def test_bipartition_of_another_node_count(self, allneg_triangle):
         with pytest.raises(BadIndex, match="node count"):
             neighbor_sets(allneg_triangle, Bipartition(4, frozenset({0, 1})), 0)
+
+    def test_matches_edge_scan_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(2, 14))
+            g = random_signed_graph(rng, n, density=float(rng.uniform(0.1, 0.9)))
+            b = Bipartition(n, frozenset(rng.permutation(n)[:rng.integers(1, n)].tolist()))
+            for i in range(n):
+                assert neighbor_sets(g, b, i) == reference_neighbor_sets(g, b, i)
