@@ -88,8 +88,17 @@ def default_step(bundle: OperatorBundle) -> float:
 
 # Cap on the floats in one block array of integrate (64 KiB).
 _BLOCK_FLOATS = 1 << 13
+# Modes whose velocity integrate's screen forms exactly on every step.
+_HEAD = 4
+# integrate's rounding slack, in units of (n + 1) * eps * G * ||d||_2.
+_SLACK = 16.0
 # Step indices are int64; the last block reaches one past the last step.
 _MAX_STEPS = int(np.iinfo(np.int64).max) - 1
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer of at least 1; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _rk4_factor(z: np.ndarray) -> np.ndarray:
@@ -145,11 +154,14 @@ def integrate(
 
     The flow is gauge-similar to the partner Laplacian V diag(lambda) V^T,
     so k RK4 steps act on the partner's modes as the k-th powers of the
-    stability polynomial at -dt * lambda.  Steps are evaluated in blocks
-    from those powers, with no per-step loop; the first step of a block
-    that meets a stop rule ends the run.  The stationary mode is carried
-    exactly and every state is projected back onto the conserved level
-    set of the gauge-weighted total.
+    stability polynomial at -dt * lambda.  Steps are screened in blocks
+    from those powers, with no per-step loop: norm bounds on the modes
+    prove most steps moving (skipped outright up to the last such step)
+    or settled, and a step is formed in node space only when it is
+    recorded or a bound cannot decide it.  The first step that meets a
+    stop rule ends the run.  The stationary mode is carried exactly and
+    every state is projected back onto the conserved level set of the
+    gauge-weighted total.
 
     Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
     ``stop_tol`` not a non-negative real or ``record_every`` not an
@@ -162,8 +174,7 @@ def integrate(
     stop_tol = float(stop_tol)
     if not 0 <= stop_tol < np.inf:
         raise BadStep(f"stop tolerance must be a non-negative real, got {stop_tol}")
-    if record_every is not None and not (isinstance(record_every, (int, np.integer))
-                                         and record_every >= 1):
+    if record_every is not None and not _is_count(record_every):
         raise BadStep(f"record_every must be an integer of at least 1, got {record_every}")
     if dt is None:
         dt = default_step(bundle)
@@ -184,27 +195,95 @@ def integrate(
         return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
     with np.errstate(over="ignore"):  # a step this large diverges at once
         factor = _rk4_factor(-dt * lam)
-    block = max(1, _BLOCK_FLOATS // bundle.n)
+    n = bundle.n
+    block = max(1, _BLOCK_FLOATS // n)
+
+    def form(coeff):  # node-space states of the steps with modes ``coeff``
+        xs = (coeff @ vecs.T + level) / gauge
+        xs -= (xs @ gauge - total)[:, None] * normal
+        return xs
+
+    # Step k's velocity is V d / g with d = lam * factor**k * coeff0 and V
+    # orthonormal, so with G = max|1/g| its largest entry lies between
+    # low * ||d|| and G * ||d||, and within G * ||d_tail|| of the head's.
+    # The computed velocity departs from V d / g by the GEMM's rounding
+    # (below n * eps/2 * ||V_i|| * ||d|| per entry), by eigh's V being
+    # orthonormal only to O(n * eps), and by the rounding of the head, the
+    # norms and the divisions (a few eps each); slack * ||d|| bounds the
+    # sum with room to spare.  A state with modes c has no entry above
+    # ceiling(||c||), twice the bound before and after the projection.
+    big = float(np.max(1.0 / np.abs(gauge)))
+    low = float(np.min(1.0 / np.abs(gauge))) / np.sqrt(n)
+    slack = _SLACK * (n + 1) * np.finfo(float).eps * big
+
+    def ceiling(c):
+        a = big * (c + abs(level))
+        return 2.0 * (a + np.max(np.abs(normal)) * (np.sum(np.abs(gauge)) * a + abs(total)))
+
+    # Skip-ahead: modes with |factor| <= 1 only shrink and the others grow
+    # by at most max|factor| a step, so the bounds proving step k moving and
+    # below the divergence limit prove every earlier step so too.
+    fade = np.abs(factor) <= 1.0
+    grow = np.max(np.abs(factor), initial=1.0)
+    c_fade, c_grow = np.linalg.norm(coeff0[fade]), np.linalg.norm(coeff0[~fade])
+
+    def proven(k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.linalg.norm(factor[fade] ** k * coeff0[fade] * lam[fade])
+            return bool(d * (low - slack) > stop_tol
+                        and ceiling(c_fade + c_grow * grow ** k) <= DIVERGENCE_LIMIT)
+
+    done, probe = 0, 1  # gallop, then bisect, to the last proven step
+    while probe < steps and proven(probe):
+        done, probe = probe, min(2 * probe, steps)
+    while probe - done > 1:
+        mid = (done + probe) // 2
+        done, probe = (mid, probe) if proven(mid) else (done, mid)
 
     times = [np.zeros(1)]
     states = [x[None, :]]
+    # blocks keep their grid from step 1, whatever the skip: same rows, same bits
+    start = 1 + done // block * block
+    skipped = np.arange(record_every, start, record_every)
+    for lo in range(0, skipped.size, block):
+        k = skipped[lo: lo + block]
+        times.append(k * dt)
+        states.append(form(factor ** k[:, None] * coeff0))
+
+    # The head: the _HEAD slowest-fading modes that are not zero modes.
+    key = np.where(np.abs(lam) > bundle.partner.zero_tol, -np.abs(factor), np.inf)
+    head = np.argsort(key, kind="stable")[:_HEAD]
+    tail = np.delete(np.arange(n), head)
+    head_rows = vecs[:, head].T / gauge
     status = Termination.MAX_TIME
-    for first in range(1, steps + 1, block):
+    for first in range(start, steps + 1, block):
         k = np.arange(first, min(first + block, steps + 1))
         # rows past a divergence may overflow; the search stops before them
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = factor ** k[:, None] * coeff0
-            xs = (coeff @ vecs.T + level) / gauge
-            xs -= (xs @ gauge - total)[:, None] * normal
-            velocity = ((coeff * lam) @ vecs.T) / gauge
-            diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
-            settled = (np.max(np.abs(velocity), axis=1) <= stop_tol) & (k < steps)
-        stop = diverged | settled
-        last = int(np.argmax(stop)) if stop.any() else k.size - 1
+            d = coeff * lam
+            dn = np.linalg.norm(d, axis=1)
+            h = np.max(np.abs(d[:, head] @ head_rows), axis=1)
+            t = big * np.linalg.norm(d[:, tail], axis=1)
+            calm = ceiling(np.linalg.norm(coeff, axis=1)) <= DIVERGENCE_LIMIT
+            settled = calm & (h + t + slack * dn <= stop_tol) & (k < steps)
+            moving = np.maximum(h - t, low * dn) - slack * dn > stop_tol
+            decided = settled | (calm & (moving | (k == steps)))
+            end = int(np.argmax(settled)) + 1 if settled.any() else k.size
+            xs, diverged = None, np.zeros(k.size, dtype=bool)
+            if not decided[:end].all():  # a bound cannot decide: node space
+                xs = form(coeff)
+                diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
+                settled = (np.max(np.abs((d @ vecs.T) / gauge), axis=1) <= stop_tol) & (k < steps)
+            stop = diverged | settled
+            last = int(np.argmax(stop)) if stop.any() else k.size - 1
+            final = stop[last] or k[last] == steps
+            if xs is None and final:  # whole, for the bits of an unscreened run
+                xs = form(coeff)
         kept = k[: last + 1] % record_every == 0
-        kept[last] |= stop[last] or k[last] == steps
+        kept[last] |= final
         times.append(k[: last + 1][kept] * dt)
-        states.append(xs[: last + 1][kept])
+        states.append(form(coeff[: last + 1][kept]) if xs is None else xs[: last + 1][kept])
         if stop[last]:
             status = Termination.DIVERGED if diverged[last] else Termination.CONVERGED
             break

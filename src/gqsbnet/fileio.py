@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (STOP_TOL, OutcomeReport, Trajectory, _horizon_steps, assess,
-                       default_step, integrate)
+from .dynamics import (STOP_TOL, OutcomeReport, Trajectory, _horizon_steps, _is_count,
+                       assess, default_step, integrate)
 from .errors import GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
@@ -476,10 +476,11 @@ def report_to_json(report: Report, detail: str = "summary") -> str:
 def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
     """Trajectory samples as CSV with a ``t,x0,...,x{n-1}`` header.
 
-    ``stride`` thins the recorded samples; the final sample always stays.
+    ``stride``, an integer of at least 1 (not a bool), thins the recorded
+    samples; the final sample always stays.
     """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    if not _is_count(stride):
+        raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
     n = traj.states.shape[1]
     lines = ["t," + ",".join(f"x{i}" for i in range(n))]
     last = len(traj.times) - 1

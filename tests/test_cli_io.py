@@ -415,6 +415,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             trajectory_to_csv(traj, stride=0)
 
+    @pytest.mark.parametrize("stride", [2.5, 3.0, True, np.True_, "2", -1])
+    def test_trajectory_csv_refuses_a_stride_not_a_count(self, stride):
+        # 2.5 would keep every 5th row and True would act as 1
+        traj = Trajectory(np.arange(9) * 0.5, np.zeros((9, 2)), Termination.CONVERGED)
+        with pytest.raises(ValueError, match="stride must be an integer of at least 1"):
+            trajectory_to_csv(traj, stride=stride)
+        assert trajectory_to_csv(traj, np.int64(2)) == trajectory_to_csv(traj, 2)
+
     def test_trajectory_csv_matches_per_value_format(self):
         rng = np.random.default_rng(23)
         times = np.arange(9) * 0.125

@@ -19,7 +19,17 @@ from gqsbnet import (
     integrate,
     predict_final,
 )
-from support import core_calls, counting_linalg, random_gqsb_instance, reference_rk4
+from gqsbnet.dynamics import STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor
+from gqsbnet.fileio import ScenarioConfig, load_highland
+from gqsbnet.signed_graph import bipartition_from_dominant
+from support import (
+    core_calls,
+    counting_linalg,
+    random_bloc_graph,
+    random_gqsb_instance,
+    reference_block_integrate,
+    reference_rk4,
+)
 
 
 @pytest.fixture
@@ -132,7 +142,7 @@ class TestIntegrate:
         assert traj.terminated is Termination.CONVERGED
         assert traj.times.shape == (2,)
 
-    @pytest.mark.parametrize("record_every", [0, -3, 2.5, np.nan])
+    @pytest.mark.parametrize("record_every", [0, -3, 2.5, np.nan, True])
     def test_bad_record_every_refused_before_any_work(self, worked_bundle, record_every,
                                                       no_eigh):
         with pytest.raises(BadStep, match="record_every"):
@@ -247,6 +257,142 @@ class TestAgainstReference:
         integrate(worked_bundle, [0.2, 0.5, -0.1], dt=0.01)
         closed_form_state(worked_bundle, [1.0, 0.0, 0.0], 2.0)
         assert calls == core_calls(3, 1) + [("eigh", (3, 3))]
+
+
+
+def _assert_matches_block_search(bundle, x0, dt=None, t_max=1000.0, stop_tol=STOP_TOL,
+                                 records=(None, 1, 5)):
+    """integrate against the block search that forms every step in node
+    space: same termination, identical times, states within 1e-12 of each
+    row's scale, and the final state bit for bit (its block is formed
+    whole, as the block search forms it)."""
+    x0 = np.asarray(x0, dtype=float)
+    for record_every in records:
+        ref = reference_block_integrate(bundle, x0, dt, t_max, stop_tol, record_every)
+        got = integrate(bundle, x0, dt, t_max, stop_tol, record_every)
+        assert got.terminated is ref.terminated
+        assert np.array_equal(got.times, ref.times)
+        scale = np.maximum(np.max(np.abs(ref.states), axis=1), np.max(np.abs(x0)))
+        assert np.all(np.max(np.abs(got.states - ref.states), axis=1) <= 1e-12 * scale)
+        assert np.array_equal(got.states[-1], ref.states[-1])
+    return ref
+
+
+def _two_bloc(seed, n=200, gamma=2.0):
+    """A seeded two-bloc bundle, a start state and its spectral radius."""
+    rng = np.random.default_rng(seed)
+    g, labels = random_bloc_graph(rng, n, 2)
+    b = Bipartition(n, frozenset(np.flatnonzero(labels == 0).tolist()))
+    bundle = generalized_laplacian(g, b, gamma)
+    return bundle, rng.uniform(-1.0, 1.0, n), float(np.max(np.abs(bundle.partner.eigenvalues)))
+
+
+def _block_search_speed(bundle, x0, dt, t_max, k):
+    """Largest velocity entry at step k as the block search computes it:
+    from k's whole block of the step grid, bit for bit."""
+    lam, vecs = bundle.partner.eigenvalues, bundle.partner.eigenvectors
+    y = bundle.coord_gauge * np.asarray(x0, dtype=float)
+    coeff0 = vecs.T @ (y - float(y.mean()))
+    block = max(1, _BLOCK_FLOATS // bundle.n)
+    first = 1 + (k - 1) // block * block
+    rows = np.arange(first, min(first + block, _horizon_steps(t_max, dt) + 1))
+    coeff = _rk4_factor(-dt * lam) ** rows[:, None] * coeff0
+    velocity = ((coeff * lam) @ vecs.T) / bundle.coord_gauge
+    return float(np.max(np.abs(velocity[k - first])))
+
+
+class TestAgainstBlockSearch:
+    """The screened integrator against the node-space block search it
+    replaced, which stays in the tests as an oracle."""
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(200):
+            g, b = random_gqsb_instance(rng)
+            bundle = generalized_laplacian(g, b, float(rng.uniform(0.5, 3.0)))
+            x0 = rng.uniform(-1.0, 1.0, bundle.n)
+            h = default_step(bundle)
+            for dt, t_max in ((h, 100 * h), (200 * h, 300 * 200 * h), (2000 * h, 1000.0)):
+                seen.add(_assert_matches_block_search(bundle, x0, dt, t_max).terminated)
+        assert seen == set(Termination)
+
+    def test_long_runs_at_the_default_step(self):
+        # many blocks pass before the stop, so the skip-ahead decides most
+        # steps; gamma below 1 puts the smaller gauge factor on side two
+        rng = np.random.default_rng(11)
+        for gamma in (0.5, 0.8, 2.5, 4.0):
+            g, b = random_gqsb_instance(rng, n_max=6)
+            bundle = generalized_laplacian(g, b, gamma)
+            x0 = rng.uniform(-1.0, 1.0, bundle.n)
+            ref = _assert_matches_block_search(bundle, x0, records=(None,))
+            assert ref.terminated is Termination.CONVERGED
+
+    def test_stop_tol_at_step_speeds(self):
+        # no bound has room at a tolerance equal to a step's own speed, so
+        # each step near the stop is decided in node space
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            g, b = random_gqsb_instance(rng)
+            bundle = generalized_laplacian(g, b, float(rng.uniform(0.5, 3.0)))
+            x0 = rng.uniform(-1.0, 1.0, bundle.n)
+            dt = 200.0 * default_step(bundle)
+            stop = round(reference_block_integrate(bundle, x0, dt).times[-1] / dt)
+            for k in range(max(1, stop - 2), stop + 1):
+                speed = _block_search_speed(bundle, x0, dt, 1000.0, k)
+                for tol in (speed, np.nextafter(speed, 0.0), np.nextafter(speed, 1.0)):
+                    _assert_matches_block_search(bundle, x0, dt, stop_tol=tol, records=(None,))
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_two_bloc_networks(self, seed):
+        bundle, x0, radius = _two_bloc(seed)
+        for multiple in (1.0, 2.0):
+            ref = _assert_matches_block_search(bundle, x0, multiple / radius)
+            assert ref.terminated is Termination.CONVERGED
+
+    def test_step_past_stability_diverges(self):
+        bundle, x0, radius = _two_bloc(1)
+        dt = 2.9 / radius  # RK4 is stable on the real axis up to about 2.79
+        assert np.max(np.abs(_rk4_factor(-dt * bundle.partner.eigenvalues))) > 1.0
+        assert _assert_matches_block_search(bundle, x0, dt).terminated is Termination.DIVERGED
+
+    def test_certified_divergence(self, unstable_triangle, allneg_split):
+        bundle = generalized_laplacian(unstable_triangle, allneg_split, 2.0)
+        ref = _assert_matches_block_search(bundle, [1.0, 0.0, 0.0])
+        assert ref.terminated is Termination.DIVERGED
+
+    def test_several_zero_modes(self):
+        edgeless = generalized_laplacian(SignedGraph(3), Bipartition(3, frozenset({0})), 2.0)
+        _assert_matches_block_search(edgeless, [0.3, -0.7, 0.1])
+        # two isolated nodes beside the worked triangle: three zero modes
+        g = SignedGraph.from_edge_list(5, [(0, 1, -1.0), (0, 2, -3.0), (1, 2, -3.0)])
+        bundle = generalized_laplacian(g, Bipartition(5, frozenset({0, 1, 3})), 2.0)
+        x0 = [1.0, -0.5, 0.25, 2.0, -3.0]
+        assert _assert_matches_block_search(bundle, x0).terminated is Termination.CONVERGED
+        assert _assert_matches_block_search(bundle, x0, 0.01).terminated is Termination.CONVERGED
+
+    def test_zero_stop_tol_runs_out_of_time(self, worked_bundle):
+        ref = _assert_matches_block_search(worked_bundle, [1.0, 0.0, 0.0], 0.01, 30.0, 0.0)
+        assert ref.terminated is Termination.MAX_TIME
+
+    def test_stop_tol_at_a_step_speed(self):
+        # a stop tolerance equal to the speed at step k leaves no margin for
+        # any bound, so k is decided in node space, on the oracle's bits
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        bundle = generalized_laplacian(g, bipartition_from_dominant(g, (0,)), 2.0)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, g.n)
+        dt = default_step(bundle)
+        k = round(reference_block_integrate(bundle, x0).times[-1] / dt) - 3
+        speed = _block_search_speed(bundle, x0, dt, 1000.0, k)
+        stops = []
+        for stop_tol in (speed, np.nextafter(speed, 0.0)):
+            ref = reference_block_integrate(bundle, x0, stop_tol=stop_tol)
+            got = integrate(bundle, x0, stop_tol=stop_tol)
+            assert got.terminated is ref.terminated is Termination.CONVERGED
+            assert np.array_equal(got.times, ref.times)
+            assert np.array_equal(got.states[-1], ref.states[-1])
+            stops.append(round(got.times[-1] / dt))
+        assert stops[0] == k < stops[1]
 
 
 class TestStartStateUnits:
