@@ -93,7 +93,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
-    return tuple(int(f) for f in text.replace(",", " ").split())
+    try:
+        return tuple(int(f) for f in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"--dominant needs integer node ids, got {text!r}") from None
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -118,7 +121,8 @@ def _config(args, gamma=None) -> ScenarioConfig:
 
 
 def _warn_gamma(gamma: float) -> None:
-    if gamma <= 1.0:
+    # a coefficient outside (0, inf) is refused later, with no note
+    if 0.0 < gamma <= 1.0:
         print(
             f"note: coefficient {gamma} <= 1 models no dominant amplification; "
             "an asymmetric split needs a coefficient above 1",

@@ -154,14 +154,15 @@ def integrate(
 
     The flow is gauge-similar to the partner Laplacian V diag(lambda) V^T,
     so k RK4 steps act on the partner's modes as the k-th powers of the
-    stability polynomial at -dt * lambda.  Steps are screened in blocks
-    from those powers, with no per-step loop: norm bounds on the modes
-    prove most steps moving (skipped outright up to the last such step)
-    or settled, and a step is formed in node space only when it is
-    recorded or a bound cannot decide it.  The first step that meets a
-    stop rule ends the run.  The stationary mode is carried exactly and
-    every state is projected back onto the conserved level set of the
-    gauge-weighted total.
+    stability polynomial at -dt * lambda.  Steps are searched in blocks
+    from those powers, with no per-step loop.  Norm bounds on the modes
+    only clear steps: those they prove moving are skipped, outright up to
+    the last such step and a block at a time after it.  Every other block
+    is formed whole in node space, where the first step that meets a stop
+    rule ends the run.  The recorded rows are formed in one pass after the
+    search.  The stationary mode is carried exactly and every state is
+    projected back onto the conserved level set of the gauge-weighted
+    total.
 
     Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
     ``stop_tol`` not a non-negative real or ``record_every`` not an
@@ -240,54 +241,46 @@ def integrate(
         mid = (done + probe) // 2
         done, probe = (mid, probe) if proven(mid) else (done, mid)
 
-    times = [np.zeros(1)]
-    states = [x[None, :]]
-    # blocks keep their grid from step 1, whatever the skip: same rows, same bits
-    start = 1 + done // block * block
-    skipped = np.arange(record_every, start, record_every)
-    for lo in range(0, skipped.size, block):
-        k = skipped[lo: lo + block]
-        times.append(k * dt)
-        states.append(form(factor ** k[:, None] * coeff0))
-
     # The head: the _HEAD slowest-fading modes that are not zero modes.
     key = np.where(np.abs(lam) > bundle.partner.zero_tol, -np.abs(factor), np.inf)
     head = np.argsort(key, kind="stable")[:_HEAD]
     tail = np.delete(np.arange(n), head)
     head_rows = vecs[:, head].T / gauge
-    status = Termination.MAX_TIME
-    for first in range(start, steps + 1, block):
+    # Blocks keep their grid from step 1, whatever the skip: same bits.  The
+    # bounds only clear a block short of the horizon whose every step they
+    # prove moving and calm; every other block is formed whole and node
+    # space alone decides the stop, the termination and the final state.
+    for first in range(1 + done // block * block, steps + 1, block):
         k = np.arange(first, min(first + block, steps + 1))
         # rows past a divergence may overflow; the search stops before them
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = factor ** k[:, None] * coeff0
             d = coeff * lam
-            dn = np.linalg.norm(d, axis=1)
-            h = np.max(np.abs(d[:, head] @ head_rows), axis=1)
-            t = big * np.linalg.norm(d[:, tail], axis=1)
-            calm = ceiling(np.linalg.norm(coeff, axis=1)) <= DIVERGENCE_LIMIT
-            settled = calm & (h + t + slack * dn <= stop_tol) & (k < steps)
-            moving = np.maximum(h - t, low * dn) - slack * dn > stop_tol
-            decided = settled | (calm & (moving | (k == steps)))
-            end = int(np.argmax(settled)) + 1 if settled.any() else k.size
-            xs, diverged = None, np.zeros(k.size, dtype=bool)
-            if not decided[:end].all():  # a bound cannot decide: node space
-                xs = form(coeff)
-                diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
-                settled = (np.max(np.abs((d @ vecs.T) / gauge), axis=1) <= stop_tol) & (k < steps)
-            stop = diverged | settled
-            last = int(np.argmax(stop)) if stop.any() else k.size - 1
-            final = stop[last] or k[last] == steps
-            if xs is None and final:  # whole, for the bits of an unscreened run
-                xs = form(coeff)
-        kept = k[: last + 1] % record_every == 0
-        kept[last] |= final
-        times.append(k[: last + 1][kept] * dt)
-        states.append(form(coeff[: last + 1][kept]) if xs is None else xs[: last + 1][kept])
-        if stop[last]:
-            status = Termination.DIVERGED if diverged[last] else Termination.CONVERGED
+            if k[-1] < steps:
+                dn = np.linalg.norm(d, axis=1)
+                h = np.max(np.abs(d[:, head] @ head_rows), axis=1)
+                t = big * np.linalg.norm(d[:, tail], axis=1)
+                moving = np.maximum(h - t, low * dn) - slack * dn > stop_tol
+                if (moving & (ceiling(np.linalg.norm(coeff, axis=1)) <= DIVERGENCE_LIMIT)).all():
+                    continue
+            xs = form(coeff)
+            diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
+            settled = (np.max(np.abs((d @ vecs.T) / gauge), axis=1) <= stop_tol) & (k < steps)
+        stop = diverged | settled
+        if stop.any():
             break
-    return _trajectory(np.concatenate(times), np.vstack(states), status)
+    # the horizon's block is never cleared, so the loop always forms one
+    last = int(np.argmax(stop)) if stop.any() else k.size - 1
+    status = Termination.MAX_TIME
+    if stop[last]:
+        status = Termination.DIVERGED if diverged[last] else Termination.CONVERGED
+    rows = np.arange(record_every, k[last], record_every)
+    states = [x[None, :]]
+    states += [form(factor ** rows[lo: lo + block, None] * coeff0)
+               for lo in range(0, rows.size, block)]
+    states.append(xs[last][None, :])
+    times = np.concatenate([np.zeros(1), rows * dt, k[last: last + 1] * dt])
+    return _trajectory(times, np.vstack(states), status)
 
 
 def closed_form_state(bundle: OperatorBundle, x0, t: float) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (STOP_TOL, OutcomeReport, Trajectory, _horizon_steps, _is_count,
                        assess, default_step, integrate)
-from .errors import GqsbError, MissingDataset, ParseError
+from .errors import BadState, GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
     Bipartition,
@@ -256,10 +256,14 @@ def load_state_file(path, n: int) -> np.ndarray:
 
 def start_state(config: ScenarioConfig, n: int) -> np.ndarray:
     """The scenario's start state: the ``x0_path`` file when given,
-    otherwise a uniform draw in [-1, 1] seeded by ``seed``."""
+    otherwise a uniform draw in [-1, 1] seeded by ``seed``, which must be
+    a non-negative integer (BadState)."""
     if config.x0_path is not None:
         return load_state_file(config.x0_path, n)
-    return np.random.default_rng(config.seed).uniform(-1.0, 1.0, n)
+    seed = config.seed
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise BadState(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .errors import (
     NoConvergence,
     NotGQSB,
     NotSymmetric,
+    TooLarge,
 )
 from .signed_graph import Bipartition, SignedGraph, _Columns, _crossing, _trusted, validate_gqsb
 
@@ -33,16 +34,32 @@ _RESIDUAL_RTOL = 1e-8
 _INVARIANT_RTOL = 1e-12
 
 
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    """The absolute row sums of ``m``, or TooLarge, with no warning, when
+    twice one of them is not finite: twice the largest bounds the spectral
+    radius of the Laplacian of ``m`` and every entry of ``m + m.T``."""
+    with np.errstate(over="ignore"):
+        sums = np.abs(m).sum(axis=1)
+        bad = ~np.isfinite(2.0 * sums)
+    if bad.any():
+        raise TooLarge(f"entries too large: twice the absolute sum of row "
+                       f"{int(np.argmax(bad))} is not finite")
+    return sums
+
+
 def repelling_laplacian(g: SignedGraph) -> np.ndarray:
-    """Signed Laplacian whose diagonal sums the signed weights."""
+    """Signed Laplacian whose diagonal sums the signed weights.  Raises
+    TooLarge when twice a node's absolute weight sum overflows."""
     a = g.adjacency()
+    _row_sums(a)
     return np.diag(a.sum(axis=1)) - a
 
 
 def opposing_laplacian(g: SignedGraph) -> np.ndarray:
-    """Signed Laplacian whose diagonal sums the absolute weights."""
+    """Signed Laplacian whose diagonal sums the absolute weights.  Raises
+    TooLarge when twice such a sum overflows."""
     a = g.adjacency()
-    return np.diag(np.abs(a).sum(axis=1)) - a
+    return np.diag(_row_sums(a)) - a
 
 
 def _check_gamma(gamma: float) -> float:
@@ -125,13 +142,15 @@ def _zero_count(eigenvalues: np.ndarray) -> int:
 
 def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
     """The symmetrized input and its largest entry magnitude, after the
-    input checks of ``sym_eigen`` and ``sym_eigvals``: square, finite, and
-    symmetric within 1e-12 of the largest entry."""
+    input checks of ``sym_eigen`` and ``sym_eigvals``: square, finite,
+    twice each absolute row sum finite (TooLarge), and symmetric within
+    1e-12 of the largest entry."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotSymmetric("matrix has a NaN or infinite entry")
+    _row_sums(m)
     # each check is written so that a NaN fails it
     scale = float(np.max(np.abs(m), initial=0.0))
     if not float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYMMETRY_RTOL * scale:
@@ -146,8 +165,9 @@ def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     so its largest-magnitude entry is positive.  Both contract checks are
     relative, with no floor, so they hold at any scale of the entries.
     Raises NotSymmetric when an entry is NaN or infinite or the input is
-    asymmetric beyond 1e-12 of its largest entry, NoConvergence when an
-    eigenpair's residual exceeds 1e-8 of the spectral radius.
+    asymmetric beyond 1e-12 of its largest entry, TooLarge when twice an
+    absolute row sum overflows, NoConvergence when an eigenpair's residual
+    exceeds 1e-8 of the spectral radius.
     """
     sym, scale = _checked_symmetric(matrix)
     values, vectors = np.linalg.eigh(sym)
@@ -178,8 +198,8 @@ def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
     both in units of the largest entry so that no square overflows: the
     eigenvalues sum to the trace within 1e-12 * sqrt(n) of the spectral
     radius, and their squares to the squared Frobenius norm within 1e-12
-    of it.  Raises NotSymmetric as ``sym_eigen`` does, and NoConvergence
-    when an invariant fails (a NaN fails both).
+    of it.  Raises NotSymmetric and TooLarge as ``sym_eigen`` does, and
+    NoConvergence when an invariant fails (a NaN fails both).
     """
     sym, scale = _checked_symmetric(matrix)
     values = np.linalg.eigvalsh(sym)

@@ -15,6 +15,7 @@ import pytest
 import gqsbnet
 import gqsbnet.cli
 from gqsbnet import (
+    BadState,
     BadStep,
     MissingDataset,
     ParseError,
@@ -46,8 +47,8 @@ from gqsbnet import (
 )
 from gqsbnet import fileio
 from gqsbnet.cli import main
-from gqsbnet.fileio import enumerate_dict, format_float, render_json
-from support import core_calls, counting_linalg, random_bloc_graph
+from gqsbnet.fileio import DETAILS, enumerate_dict, format_float, render_json, start_state
+from support import core_calls, counting_linalg, random_bloc_graph, reference_block_integrate
 
 ALLNEG = "3 3\n0 1 -1\n0 2 -3\n1 2 -3\n"
 UNSTABLE = "3 3\n0 1 -5\n0 2 -1\n1 2 -1\n"
@@ -589,6 +590,49 @@ class TestCli:
               "--gamma", "0.5"])
         assert "note:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+    def test_refused_gamma_has_no_note(self, allneg_file, capsys, gamma):
+        for command in ("certify", "report"):
+            assert main([command, "--network", allneg_file, "--dominant", "0,1",
+                         f"--gamma={gamma}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: dominance coefficient must be in (0, inf)")
+            assert err.count("\n") == 1
+
+    def test_negative_seed_is_bad_state(self, allneg_file, capsys):
+        for command in ("report", "simulate", "predict"):
+            assert main([command, "--network", allneg_file, "--dominant", "0,1",
+                         "--seed", "-1"]) == 1
+            assert capsys.readouterr().err == (
+                "error: seed must be a non-negative integer, got -1\n")
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(BadState, match="seed must be a non-negative integer"):
+                start_state(ScenarioConfig(allneg_file, (0, 1), seed=seed), 3)
+        assert start_state(ScenarioConfig(allneg_file, (0, 1), seed=np.int64(7)), 3).shape == (3,)
+
+    @pytest.mark.parametrize("command", ["certify", "report", "predict", "spectrum"])
+    def test_dominant_not_integers_named(self, allneg_file, capsys, command):
+        assert main([command, "--network", allneg_file, "--dominant", "0,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --dominant needs integer node ids, got '0,x'\n")
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 1 -1e308\n0 2 -1e308\n1 2 -1e308\n",
+        "2 1\n0 1 -1e308\n",
+        "3 2\n0 1 -1e308\n1 2 -1e308\n",
+    ])
+    def test_weights_near_the_largest_float_too_large(self, tmp_path, capsys, text):
+        # twice a node's absolute weight sum overflows: TooLarge, before
+        # numpy can warn, lose the trace to NaN or fail to converge
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        for command in ("certify", "report", "spectrum"):
+            assert main([command, "--network", str(path), "--dominant", "0"]) == 1
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err.startswith("error: entries too large: twice the absolute sum")
+            assert got.err.count("\n") == 1
+
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a header naming a million nodes: the dense partner Laplacian
         # cannot be allocated, which the patch stands in for
@@ -1025,3 +1069,43 @@ class TestCli:
                 assert installed.returncode == proc.returncode
                 assert installed.stdout == proc.stdout
 
+
+
+class TestReportsAgainstBlockSearch:
+    """Report bytes depend on the integrator only through its stop, its
+    termination and its final state: the node-space block search, kept in
+    the tests as an oracle, gives the same bytes."""
+
+    @staticmethod
+    def _assert_same_bytes(monkeypatch, run):
+        real = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "integrate", reference_block_integrate)
+            ref = run()
+        assert len(real) == len(ref)
+        integrated = 0
+        for got, want in zip(real, ref):
+            for detail in DETAILS:
+                assert report_to_json(got, detail) == report_to_json(want, detail)
+            if want.trajectory is not None:
+                integrated += 1
+                last = trajectory_to_csv(got.trajectory).splitlines()[-1]
+                assert last == trajectory_to_csv(want.trajectory).splitlines()[-1]
+        assert integrated
+
+    def test_highland(self, monkeypatch):
+        configs = [ScenarioConfig("highland", (0,), gamma=gamma, seed=seed)
+                   for gamma in (1.5, 2.0, 3.0, 4.0) for seed in (0, 7)]
+        self._assert_same_bytes(monkeypatch,
+                                lambda: [fileio.run_pipeline(c) for c in configs])
+
+    def test_two_bloc_sweep(self, monkeypatch, tmp_path):
+        g, _ = random_bloc_graph(np.random.default_rng(3), 200, 2)
+        path = tmp_path / "bloc200.txt"
+        path.write_text(dump_network(g))
+        bundle = generalized_laplacian(g, bipartition_from_dominant(g, (0,)), 2.0)
+        radius = float(np.max(np.abs(bundle.partner.eigenvalues)))
+        for multiple in (1.0, 2.0):
+            config = ScenarioConfig(str(path), (0,), dt=multiple / radius)
+            self._assert_same_bytes(
+                monkeypatch, lambda: list(fileio.run_sweep(config, [1.5, 2.0, 3.0])))

@@ -15,6 +15,7 @@ from gqsbnet import (
     NotSymmetric,
     ScenarioConfig,
     SignedGraph,
+    TooLarge,
     Verdict,
     bipartition_from_dominant,
     certify,
@@ -205,6 +206,19 @@ class TestSymEigvals:
             sym_eigvals(np.array([[0.0, 1.0], [2.0, 0.0]]) * 1e-300)
         with pytest.raises(DimensionMismatch):
             sym_eigvals(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("matrix", [
+        [[1e308, -1e308], [-1e308, 1e308]],
+        [[0.0, 1e308], [1e308, 0.0]],
+        [[9e307, 0.0], [0.0, 1.0]],
+    ])
+    def test_row_sum_overflow_is_too_large(self, matrix):
+        # twice a row's absolute sum bounds the radius and m + m.T; past
+        # the largest float it is refused before any arithmetic can warn
+        for solver in (sym_eigvals, sym_eigen):
+            with pytest.raises(TooLarge, match="row 0"):
+                solver(np.array(matrix))
+        sym_eigvals(np.array(matrix) / 4.0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_invariants_hold_at_any_scale(self, scale):
