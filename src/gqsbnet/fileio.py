@@ -99,41 +99,44 @@ def _loads_by_line(text: str, name: str) -> SignedGraph:
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 # Line breaks, after CRLF, that str.splitlines() honours and np.loadtxt
 # does not.
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
-# A line holding more than blanks and a comment.
-_DATA_LINE = re.compile(r"^\s*[^#\s]", re.MULTILINE)
+_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# A line holding more than blanks and a comment; blanks are the ASCII
+# characters str.split() splits on.
+_DATA_LINE = re.compile(rb"^[\s\x1c-\x1f]*[^#\s\x1c-\x1f]", re.MULTILINE)
 
 
-def _loads_bulk(text: str, name: str) -> SignedGraph | None:
+def _loads_bulk(data: bytes, name: str) -> SignedGraph | None:
     """The edge-list reader in bulk: the header line by hand, the body in
     one ``np.loadtxt`` call, the checks in the graph constructor.
 
     Returns None when ``np.loadtxt`` refuses the body, the edge count is
-    off or a check fails; the line reader then decides.  Only ASCII text
-    with ``\\n`` line breaks comes here: there the two readers split lines
+    off or a check fails; the line reader then decides.  Only ASCII bytes
+    with ``\\n`` line breaks come here: there the two readers split lines
     and fields alike, while beyond ASCII numpy 2.4's reader has misread
-    some characters as digits and crashed the interpreter on others.
+    some characters as digits and crashed the interpreter on others.  The
+    body is read where it lies, through a stream over ``data``.
     """
     pos, lineno = 0, 1
     while True:
-        end = text.find("\n", pos)
-        line = text[pos:] if end < 0 else text[pos:end]
-        fields = line.split("#", 1)[0].split()
+        end = data.find(b"\n", pos)
+        line = data[pos:] if end < 0 else data[pos:end]
+        fields = line.decode("ascii").split("#", 1)[0].split()
         if fields:
             break
         if end < 0:
             return None
         pos, lineno = end + 1, lineno + 1
     n, m = _header(fields, name, lineno)
-    body = "" if end < 0 else text[end + 1:]
     rows = np.zeros(0, _EDGE_ROW)
-    if _DATA_LINE.search(body):
+    if end >= 0 and _DATA_LINE.search(data, end + 1):
+        body = io.BytesIO(data)
+        body.seek(end + 1)
         try:
             # numpy before 2.3 reads a float spelling such as "2.0" into an
             # int64 field with only a DeprecationWarning; refuse it instead
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments="#", ndmin=1)
+                rows = np.loadtxt(body, dtype=_EDGE_ROW, comments="#", ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
     if rows.size != m:
@@ -144,20 +147,26 @@ def _loads_bulk(text: str, name: str) -> SignedGraph | None:
         return None
 
 
-def loads_network(text: str, name: str = "<string>") -> SignedGraph:
-    """Parse the edge-list format from a string.
+def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
+    """Parse the edge-list format from a string, or from a file's bytes
+    (UTF-8, each undecodable byte kept as a lone surrogate).
 
-    Raises ParseError with the offending one-based line number.  The body
-    is read in bulk; text the bulk reader refuses goes through the line
-    reader, which accepts the same spellings as ``int()`` and ``float()``
-    and locates errors.
+    Raises ParseError with the offending one-based line number.  ASCII
+    input with ``\\n`` or ``\\r\\n`` line breaks is read in bulk from its
+    bytes; input the bulk reader refuses, and any other input, goes through
+    the line reader, which accepts the same spellings as ``int()`` and
+    ``float()`` and locates errors.
     """
-    bulk = text.replace("\r\n", "\n") if "\r" in text else text
+    if isinstance(text, str):
+        if not text.isascii():
+            return _loads_by_line(text, name)
+        text = text.encode("ascii")
+    bulk = text.replace(b"\r\n", b"\n") if b"\r" in text else text
     if bulk.isascii() and not any(c in bulk for c in _OTHER_BREAKS):
         g = _loads_bulk(bulk, name)
         if g is not None:
             return g
-    return _loads_by_line(text, name)
+    return _loads_by_line(text.decode("utf-8", "surrogateescape"), name)
 
 
 def _read_text(path) -> str:
@@ -168,7 +177,7 @@ def _read_text(path) -> str:
 
 def load_network(path) -> SignedGraph:
     """Read a network file; I/O failures propagate as OSError."""
-    return loads_network(_read_text(path), name=str(path))
+    return loads_network(Path(path).read_bytes(), name=str(path))
 
 
 def dump_network(g: SignedGraph) -> str:
@@ -220,7 +229,10 @@ def load_highland(config: ScenarioConfig) -> SignedGraph:
     configured weight, while antagonistic ties split into same-subset and
     cross-subset weights relative to the dominant-group bipartition.
     """
-    raw = load_network(highland_path())
+    return _weighted_highland(load_network(highland_path()), config)
+
+
+def _weighted_highland(raw: SignedGraph, config: ScenarioConfig) -> SignedGraph:
     b = bipartition_from_dominant(raw, config.dominant_nodes)
     w_coop, w_intra, w_inter = (float(w) for w in config.weights)
     if not (w_coop > 0 and w_intra < 0 and w_inter < 0):
@@ -229,12 +241,17 @@ def load_highland(config: ScenarioConfig) -> SignedGraph:
     return raw.reweighted(np.where(raw.w > 0, w_coop, np.where(cross, w_inter, w_intra)))
 
 
-def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, Path]:
-    if config.network_path == HIGHLAND_SENTINEL:
-        path = highland_path()
-        return load_highland(config), f"bundled:{HIGHLAND_FILENAME}", path
-    path = Path(config.network_path)
-    return load_network(path), str(path), path
+def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, bytes]:
+    """The scenario's network, its provenance label, and the bytes it was
+    parsed from: the file is read once, so a digest of them describes the
+    graph."""
+    highland = config.network_path == HIGHLAND_SENTINEL
+    path = highland_path() if highland else Path(config.network_path)
+    data = path.read_bytes()
+    g = loads_network(data, name=str(path))
+    if highland:
+        return _weighted_highland(g, config), f"bundled:{HIGHLAND_FILENAME}", data
+    return g, str(path), data
 
 
 def load_state_file(path, n: int) -> np.ndarray:
@@ -285,8 +302,9 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     """One report per coefficient, as ``run_pipeline`` gives it with
     ``config.gamma`` replaced.
 
-    The network is loaded and hashed once, and the start state read once,
-    before any coefficient is checked; every report shares it read-only.
+    The network file is read once, and the bytes parsed are the bytes
+    hashed; it and the start state are read before any coefficient is
+    checked, and every report shares them read-only.
     The gauge partner does not depend on the coefficient, so every
     coefficient reads the one partner spectrum and resistance matrix kept
     on the loaded graph (``spectral.partner_core``), and every integration
@@ -296,8 +314,9 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     report, whether or not a certificate lets the flow be integrated.
     """
     _horizon_steps(config.t_max, config.dt)
-    g, label, path = _resolve_network(config)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    g, label, data = _resolve_network(config)
+    digest = hashlib.sha256(data).hexdigest()
+    del data  # the generator's frame would hold the file for the whole sweep
     b = bipartition_from_dominant(g, config.dominant_nodes)
     summary = classification_dict(g)
     x0 = start_state(config, g.n)

@@ -149,6 +149,11 @@ def _raise_first_bad(n: int, edges: _Columns, bad: np.ndarray):
     raise _edge_error(n, a, b, x) or _duplicate(a, b)
 
 
+# The largest node span whose pair keys lo * span + hi, at most
+# span**2 - 1, fit in int64.
+_KEY_SPAN = math.isqrt(2 ** 63)
+
+
 def _canonical(n: int, edges: _Columns) -> _Columns:
     """Validated columns in canonical order (``i < j``, sorted by pair).
 
@@ -161,11 +166,29 @@ def _canonical(n: int, edges: _Columns) -> _Columns:
     bad = (i == j) | (lo < 0) | (hi >= n) | (w == 0.0) | ~np.isfinite(w)
     if bad.any():
         _raise_first_bad(n, edges, bad)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+    span = int(hi.max(initial=0)) + 1
+    if span > _KEY_SPAN:
+        # lo * span + hi would overflow int64: sort by the two columns
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        repeat = np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+        w = w[order]
+    else:
+        # one int64 key per pair; the pairs of a valid graph are distinct,
+        # so any sort gives the two-column order
+        key = lo * span
+        key += hi
+        del lo, hi
+        order = np.argsort(key)
+        key = key[order]
+        repeat = np.any(key[1:] == key[:-1])
+        w = w[order]
+        del order
+        hi = key % span
+        lo = np.floor_divide(key, span, out=key)
+    if repeat:
         _raise_first_bad(n, edges, bad)
-    return _Columns(lo, hi, w[order])
+    return _Columns(lo, hi, w)
 
 
 class SignedGraph:

@@ -1,7 +1,9 @@
 import argparse
 import functools
+import hashlib
 import importlib.metadata
 import inspect
+import io
 import json
 import os
 import shutil
@@ -80,6 +82,21 @@ def _declared_console_script(name):
             return tomllib.load(fh)["project"]["scripts"].get(name)
     found = importlib.metadata.entry_points(group="console_scripts").select(name=name)
     return next((ep.value for ep in found), None)
+
+
+def _opened(monkeypatch) -> list[Path]:
+    """The list, filled as the test runs, of the paths of the files opened
+    through ``io.open``, which ``Path.read_bytes`` and ``Path.read_text``
+    call."""
+    opened = []
+    io_open = io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file))
+        return io_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    return opened
 
 
 class TestParsing:
@@ -283,6 +300,21 @@ class TestPipeline:
         assert prov["seed"] is None
         assert prov["x0_path"] == str(x0)
         assert len(prov["network_sha256"]) == 64
+
+    def test_network_hash_is_of_the_parsed_bytes(self, allneg_file, monkeypatch):
+        # the file changes once it has been parsed: the digest describes
+        # the bytes the graph came from
+        parse = fileio.loads_network
+
+        def parse_then_change(data, name):
+            g = parse(data, name)
+            Path(allneg_file).write_text(UNSTABLE)
+            return g
+
+        monkeypatch.setattr(fileio, "loads_network", parse_then_change)
+        report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))
+        assert report.certificate.verdict is Verdict.ASYMMETRIC_POLARIZATION
+        assert report.provenance["network_sha256"] == hashlib.sha256(ALLNEG.encode()).hexdigest()
 
     def test_seeded_start_recorded(self, allneg_file):
         config = ScenarioConfig(allneg_file, (0, 1), gamma=2.0, dt=0.01, seed=42)
@@ -522,16 +554,26 @@ class TestCli:
                            rtol=1e-13, atol=1e-12)
 
     def test_spectrum_loads_network_once(self, monkeypatch, capsys):
-        loaded = []
-        load = gqsbnet.fileio.load_network
-
-        def counted(path):
-            loaded.append(path)
-            return load(path)
-
-        monkeypatch.setattr(gqsbnet.fileio, "load_network", counted)
+        opened = _opened(monkeypatch)
         assert main(["spectrum", "--network", "highland", "--dominant", "5"]) == 0
-        assert len(loaded) == 1
+        assert opened == [highland_path()]
+
+    @pytest.mark.parametrize("network", ["highland", "file"])
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_report_and_sweep_read_network_once(self, monkeypatch, tmp_path, allneg_file,
+                                                command, network):
+        path = highland_path() if network == "highland" else Path(allneg_file)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        out = tmp_path / "out"
+        gammas = ["--gamma", "2"] if command == "report" else ["--gammas", "1.5,2,3"]
+        opened = _opened(monkeypatch)
+        argv = [command, "--network", network if network == "highland" else allneg_file,
+                "--dominant", "0,1", *gammas, "--dt", "0.01", "--tmax", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert opened.count(path) == 1
+        docs = [json.loads(f.read_bytes()) for f in sorted(out.glob("*.json"))]
+        assert len(docs) == (1 if command == "report" else 3)
+        assert {doc["provenance"]["network_sha256"] for doc in docs} == {digest}
 
     def test_classify(self, allneg_file, capsys):
         assert main(["classify", "--network", allneg_file]) == 0

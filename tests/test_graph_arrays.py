@@ -7,6 +7,7 @@ kept in ``support``, on seeded numpy draws.
 
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,14 +155,16 @@ class TestParsedGraphs:
         loadtxt = np.loadtxt
 
         def ascii_only(source, *args, **kwargs):
-            text = source.getvalue()
-            seen.append(text)
-            assert text.isascii()
+            start = source.tell()
+            body = source.read()
+            source.seek(start)
+            seen.append(body)
+            assert body.isascii()
             return loadtxt(source, *args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", ascii_only)
         assert _parsed("3 1\n0 1 2\n") == (3, ((0, 1, 2.0),))
-        assert seen == ["0 1 2\n"]
+        assert seen == [b"0 1 2\n"]
         for text in ["# \U0009c6ca\n3 1\n0 1 2\n", "3 1\n\U0009c6ca0 1 2\n",
                      "3 1\n0 1 2 # \u00e9\n", "3 1\n0 1 \U00020000\n"]:
             assert _outcome(_parsed, text) == _outcome(reference_loads_network, text,
@@ -230,7 +233,8 @@ class TestParseErrors:
         # numpy before 2.3 reads "2.0" or "1e1" into an int64 field through
         # float and only warns; such text must still reach the line reader
         def lenient(source, dtype, **kwargs):
-            rows = [line.split("#")[0].split() for line in source.getvalue().splitlines()]
+            body = source.read().decode("ascii")
+            rows = [line.split("#")[0].split() for line in body.splitlines()]
             rows = [r for r in rows if r]
             if any(not f.lstrip("+-").isdigit() for r in rows for f in r[:2]):
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
@@ -397,6 +401,67 @@ class TestConstructorErrors:
         g = SignedGraph.from_arrays(40, i, j, w)
         assert g == SignedGraph(40, tuple(edges))
         assert (g.n, g.edges) == reference_graph(40, edges)
+
+
+class TestCanonicalOrder:
+    """Edges are sorted by one int64 pair key, or by two columns when that
+    key would overflow (a node id of 3 037 000 499 or more)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("base", [0, 2 ** 40], ids=["key", "lexsort"])
+    def test_both_branches_match_per_edge_constructor(self, monkeypatch, base, seed):
+        rng = np.random.default_rng(seed)
+        # small ids beside ids near base, so pairs span both
+        nodes = np.concatenate([np.arange(25), base + 25 + rng.permutation(25)])
+        n = int(nodes.max()) + 1 + int(rng.integers(0, 3))
+        edges = [(int(nodes[i]), int(nodes[j]), w) for i, j, w in _valid_edges(rng, 50, 300)]
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        g = SignedGraph(n, tuple(edges))
+        assert len(sorts) == (base > 0)
+        assert (g.n, g.edges) == reference_graph(n, edges)
+        assert g == SignedGraph.from_arrays(n, *map(np.array, zip(*edges)))
+        k = int(rng.integers(1, len(edges)))
+        i, j, _ = edges[int(rng.integers(0, k))]
+        for bad in [(j, i, 2.0), (i, i, 1.0), (i, j, 0.0), (j, int(nodes[0]) + n, 1.0)]:
+            injected = [*edges[:k], bad, *edges[k:], (j, i, -1.0)]
+            got = _outcome(SignedGraph, n, tuple(injected))
+            assert got == _outcome(reference_graph, n, injected)
+            assert isinstance(got, tuple) and issubclass(got[0], GqsbError)
+
+
+class TestParseMemory:
+    def test_peak_is_a_few_file_sizes(self, tmp_path):
+        # the bulk reader parses a file's bytes where they lie: the file
+        # once, the loaded rows, and the sort's columns, about 4x in all
+        rng = np.random.default_rng(6)
+        n, m = 10_000, 30_000
+        lo = np.arange(m) % n
+        hi = (lo + 1 + np.arange(m) // n) % n
+        flip = rng.random(m) < 0.5
+        i, j = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        w = np.round(rng.uniform(1, 9, m), 3) * rng.choice([-1, 1], m)
+        order = rng.permutation(m)
+        lines = [f"{a} {b} {c:.3f}" for a, b, c in zip(i[order], j[order], w[order])]
+        text = f"{n} {m}\n" + "\n".join(lines) + "\n"
+        path = tmp_path / "large.txt"
+        path.write_text(text)
+        size = path.stat().st_size
+        for call, source in [(fileio.load_network, path), (loads_network, text)]:
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                g = call(source)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert g.m == m
+            assert peak <= 5 * size, (call.__name__, peak / size)
 
 
 class TestValueSemantics:
