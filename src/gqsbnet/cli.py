@@ -39,7 +39,7 @@ from .fileio import (
 from .operators import (generalized_laplacian, opposing_laplacian, repelling_laplacian,
                         sym_eigvals)
 from .signed_graph import bipartition_from_dominant
-from .spectral import Verdict, certify, partner_core
+from .spectral import Verdict, certify
 
 _BAD_VERDICTS = {Verdict.INCONCLUSIVE.value, Verdict.DIVERGENCE.value,
                  OutcomeKind.DIVERGENCE.value, OutcomeKind.UNDETERMINED.value}
@@ -173,8 +173,8 @@ def _cmd_spectrum(args) -> int:
         "opposing": list(map(float, sym_eigvals(opposing_laplacian(g)))),
     }
     if b is not None:
-        generalized_laplacian(g, b, config.gamma)  # checks the coefficient
-        doc["scaled"] = list(map(float, partner_core(g, b).eigenvalues))
+        bundle = generalized_laplacian(g, b, config.gamma)  # checks the coefficient
+        doc["scaled"] = list(map(float, sym_eigvals(bundle.z_laplacian)))
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -32,9 +33,8 @@ from .signed_graph import (
     SignedGraph,
     _bipartition_count,
     _cooperative_count,
+    _columns_by_edge,
     _crossing,
-    _duplicate,
-    _edge_error,
     bipartition_from_dominant,
     classify,
     enumerate_gqsb_bipartitions,
@@ -48,6 +48,9 @@ DEFAULT_HIGHLAND_WEIGHTS = (10.0, -1.0, -10.0)
 
 
 def _header(fields: list[str], name: str, lineno: int) -> tuple[int, int]:
+    """The header line's counts; no fields means no line held any."""
+    if not fields:
+        raise ParseError("empty input, expected a 'n m' header", name)
     if len(fields) != 2:
         raise ParseError("header must be 'n m'", name, lineno)
     try:
@@ -59,47 +62,54 @@ def _header(fields: list[str], name: str, lineno: int) -> tuple[int, int]:
     return n, m
 
 
+def _promised(m: int, found: int, name: str) -> ParseError:
+    return ParseError(f"header promised {m} edges, found {found}", name)
+
+
 def _loads_by_line(text: str, name: str) -> SignedGraph:
     """The edge-list reader one line at a time: accepts every spelling
-    ``int()`` and ``float()`` accept and names the line of the first error."""
-    header: tuple[int, int] | None = None
-    triples: list[tuple[int, int, float]] = []
-    pairs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    ``int()`` and ``float()`` accept and names the line of the first error.
+
+    The lines after the header stream their fields through the graph's
+    per-edge pass, so the line being read when it raises is the error's.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    fields, lineno = [], 0
+    for lineno, raw in lines:
         fields = raw.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if header is None:
-            header = _header(fields, name, lineno)
-            continue
-        if len(fields) != 3:
-            raise ParseError("edge lines must be 'i j w'", name, lineno)
-        try:
-            i, j = int(fields[0]), int(fields[1])
-            w = float(fields[2])
-        except ValueError:
-            raise ParseError("edge line must hold two integers and a real", name, lineno)
-        key = (min(i, j), max(i, j))
-        error = _edge_error(header[0], i, j, w)
-        if error is None and key in pairs:
-            error = _duplicate(i, j)
-        if error is not None:
-            raise ParseError(str(error), name, lineno)
-        pairs.add(key)
-        triples.append((i, j, w))
-    if header is None:
-        raise ParseError("empty input, expected a 'n m' header", name)
-    if len(triples) != header[1]:
-        raise ParseError(
-            f"header promised {header[1]} edges, found {len(triples)}", name
-        )
-    return SignedGraph.from_edge_list(header[0], triples)
+        if fields:
+            break
+    n, m = _header(fields, name, lineno)
+
+    def rows():
+        nonlocal lineno
+        found = 0
+        for lineno, raw in lines:
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise ParseError("edge lines must be 'i j w'", name, lineno)
+            found += 1
+            yield fields
+        if found != m:
+            raise _promised(m, found, name)
+
+    try:
+        edges = _columns_by_edge(n, rows())
+    except ValueError:
+        raise ParseError("edge line must hold two integers and a real", name, lineno)
+    except GqsbError as error:
+        if not hasattr(error, "edge"):
+            raise
+        raise ParseError(str(error), name, lineno)
+    return SignedGraph.from_arrays(n, *edges)
 
 
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
-# Line breaks, after CRLF, that str.splitlines() honours and np.loadtxt
-# does not.
-_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# Line breaks, besides \n and \r\n, that str.splitlines() honours and
+# np.loadtxt does not; a lone \r is found by counting.
+_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 # A line holding more than blanks and a comment; blanks are the ASCII
 # characters str.split() splits on.
 _DATA_LINE = re.compile(rb"^[\s\x1c-\x1f]*[^#\s\x1c-\x1f]", re.MULTILINE)
@@ -109,22 +119,21 @@ def _loads_bulk(data: bytes, name: str) -> SignedGraph | None:
     """The edge-list reader in bulk: the header line by hand, the body in
     one ``np.loadtxt`` call, the checks in the graph constructor.
 
-    Returns None when ``np.loadtxt`` refuses the body, the edge count is
-    off or a check fails; the line reader then decides.  Only ASCII bytes
-    with ``\\n`` line breaks come here: there the two readers split lines
-    and fields alike, while beyond ASCII numpy 2.4's reader has misread
-    some characters as digits and crashed the interpreter on others.  The
-    body is read where it lies, through a stream over ``data``.
+    Returns None only when ``np.loadtxt`` refuses the body; the line
+    reader then decides.  An edge error names the data line its edge
+    number picks.  Only ASCII bytes with ``\\n`` or ``\\r\\n`` line breaks
+    come here: there the two readers split lines and fields alike, while
+    beyond ASCII numpy 2.4's reader has misread some characters as digits
+    and crashed the interpreter on others.  The body is read where it
+    lies, through a stream over ``data``.
     """
     pos, lineno = 0, 1
     while True:
         end = data.find(b"\n", pos)
         line = data[pos:] if end < 0 else data[pos:end]
         fields = line.decode("ascii").split("#", 1)[0].split()
-        if fields:
+        if fields or end < 0:
             break
-        if end < 0:
-            return None
         pos, lineno = end + 1, lineno + 1
     n, m = _header(fields, name, lineno)
     rows = np.zeros(0, _EDGE_ROW)
@@ -139,12 +148,14 @@ def _loads_bulk(data: bytes, name: str) -> SignedGraph | None:
                 rows = np.loadtxt(body, dtype=_EDGE_ROW, comments="#", ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
-    if rows.size != m:
-        return None
     try:
-        return SignedGraph.from_arrays(n, rows["i"], rows["j"], rows["w"])
-    except GqsbError:
-        return None
+        g = SignedGraph.from_arrays(n, rows["i"], rows["j"], rows["w"])
+    except GqsbError as error:
+        match = next(itertools.islice(_DATA_LINE.finditer(data, end + 1), error.edge, None))
+        raise ParseError(str(error), name, lineno + data.count(b"\n", end, match.end()))
+    if rows.size != m:
+        raise _promised(m, rows.size, name)
+    return g
 
 
 def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
@@ -153,17 +164,17 @@ def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
 
     Raises ParseError with the offending one-based line number.  ASCII
     input with ``\\n`` or ``\\r\\n`` line breaks is read in bulk from its
-    bytes; input the bulk reader refuses, and any other input, goes through
-    the line reader, which accepts the same spellings as ``int()`` and
-    ``float()`` and locates errors.
+    bytes, in place; input the bulk reader refuses, and any other input,
+    goes through the line reader, which accepts the same spellings as
+    ``int()`` and ``float()``.
     """
     if isinstance(text, str):
         if not text.isascii():
             return _loads_by_line(text, name)
         text = text.encode("ascii")
-    bulk = text.replace(b"\r\n", b"\n") if b"\r" in text else text
-    if bulk.isascii() and not any(c in bulk for c in _OTHER_BREAKS):
-        g = _loads_bulk(bulk, name)
+    if (text.isascii() and text.count(b"\r") == text.count(b"\r\n")
+            and not any(c in text for c in _OTHER_BREAKS)):
+        g = _loads_bulk(text, name)
         if g is not None:
             return g
     return _loads_by_line(text.decode("utf-8", "surrogateescape"), name)

@@ -89,20 +89,21 @@ def _integer(v, what: str) -> int:
 
 
 def _columns_by_edge(n: int, rows) -> _Columns:
-    """Columns of triples whose entries are not all plain numbers: each
-    entry goes through ``_node_id`` or ``float()`` and each edge is checked
-    in input order, so a bad entry and a bad edge raise in the order they
-    come."""
+    """The per-edge pass: each entry goes through ``_node_id`` or
+    ``float()`` and each edge is checked in input order, so a bad entry
+    and a bad edge raise in the order they come.  An edge's error carries
+    its input position as ``error.edge``."""
     seen: set[tuple[int, int]] = set()
     out = []
-    for i, j, w in rows:
+    for k, (i, j, w) in enumerate(rows):
         i, j, w = _node_id(i), _node_id(j), float(w)
+        key = (i, j) if i < j else (j, i)
         error = _edge_error(n, i, j, w)
+        if error is None and key in seen:
+            error = _duplicate(i, j)
         if error is not None:
+            error.edge = k
             raise error
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise _duplicate(i, j)
         seen.add(key)
         out.append((i, j, w))
     try:
@@ -134,21 +135,6 @@ def _edge_columns(n: int, edges) -> _Columns:
     return _columns_by_edge(n, rows)
 
 
-def _raise_first_bad(n: int, edges: _Columns, bad: np.ndarray):
-    """Raise for the first bad edge in input order, counting the later
-    copies of a repeated pair as bad, with the error a per-edge check
-    gives it."""
-    i, j, w = edges
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    order = np.lexsort((hi, lo))  # stable: a repeated pair's copies keep input order
-    lo, hi = lo[order], hi[order]
-    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    bad[order[1:][repeat]] = True
-    k = int(np.flatnonzero(bad)[0])
-    a, b, x = int(i[k]), int(j[k]), float(w[k])
-    raise _edge_error(n, a, b, x) or _duplicate(a, b)
-
-
 # The largest node span whose pair keys lo * span + hi, at most
 # span**2 - 1, fit in int64.
 _KEY_SPAN = math.isqrt(2 ** 63)
@@ -157,15 +143,16 @@ _KEY_SPAN = math.isqrt(2 ** 63)
 def _canonical(n: int, edges: _Columns) -> _Columns:
     """Validated columns in canonical order (``i < j``, sorted by pair).
 
-    The first bad edge in input order raises, with the error and message a
-    per-edge check gives it: a self-loop, an endpoint outside the node
-    range, a zero or non-finite weight, or a pair seen earlier.
+    The first bad edge in input order raises the per-edge pass's error: a
+    self-loop, an endpoint outside the node range, a zero or non-finite
+    weight, or a pair seen earlier.
     """
     i, j, w = edges
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     bad = (i == j) | (lo < 0) | (hi >= n) | (w == 0.0) | ~np.isfinite(w)
     if bad.any():
-        _raise_first_bad(n, edges, bad)
+        # the pass raises at the flagged edge or at an earlier repeat
+        _columns_by_edge(n, zip(*(c[:bad.argmax() + 1].tolist() for c in edges)))
     span = int(hi.max(initial=0)) + 1
     if span > _KEY_SPAN:
         # lo * span + hi would overflow int64: sort by the two columns
@@ -187,7 +174,7 @@ def _canonical(n: int, edges: _Columns) -> _Columns:
         hi = key % span
         lo = np.floor_divide(key, span, out=key)
     if repeat:
-        _raise_first_bad(n, edges, bad)
+        _columns_by_edge(n, zip(*(c.tolist() for c in edges)))
     return _Columns(lo, hi, w)
 
 

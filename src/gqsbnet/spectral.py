@@ -280,6 +280,7 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     null_right = np.where(b.mask(), -gamma, 1.0)
     null_left = coord / g.n
     null_right.setflags(write=False)
+    null_left.setflags(write=False)
     return PolarizationCertificate(
         connected=connected,
         spectrum=tuple(float(x) for x in w),

@@ -798,9 +798,10 @@ class TestCli:
         calls = counting_linalg(monkeypatch)
         assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
                      "--out", str(tmp_path / "out")]) == 0
-        # spectrum's repelling and opposing lists need eigenvalues only
-        classic = [("eigvalsh", (g.n, g.n))] * 2 if argv[0] == "spectrum" else []
-        assert calls == classic + core_calls(g.n, nf) + [("eigh", (g.n, g.n))] * eighs
+        if argv[0] == "spectrum":  # three eigenvalue lists and no certificate
+            assert calls == [("eigvalsh", (g.n, g.n))] * 3
+        else:
+            assert calls == core_calls(g.n, nf) + [("eigh", (g.n, g.n))] * eighs
 
     def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))

@@ -288,6 +288,87 @@ class TestOneEdgeRule:
         assert len(bulk) == (not comment)
 
 
+# The _BAD_LINES entries (and "DUP") that np.loadtxt reads as numbers:
+# edge errors the bulk reader names itself.  The rest are format errors,
+# which it leaves to the line reader.
+_BULK_BAD = {"0 0 1", "3 3 -1", "0 70 1", "-1 0 1", "0 1 0", "0 1 -0.0", "0 1 nan",
+             "0 1 inf", "0 1 -Infinity", "0 1 1e400", "DUP"}
+
+
+def _with_bad_line(rng, text, bad):
+    """``text`` with ``bad`` as one more data line at a random place after
+    the header, whose count it raises by one; ``"DUP"`` repeats an earlier
+    pair, reversed."""
+    newline = "\r\n" if "\r\n" in text else "\n"
+    lines = text.split(newline)
+    data = [k for k, line in enumerate(lines) if line.split("#")[0].split()]
+    n, m = map(int, lines[data[0]].split("#")[0].split())
+    lines[data[0]] = f"{n} {m + 1}"
+    after = data[0]
+    if bad == "DUP":
+        after = data[int(rng.integers(1, len(data)))]
+        i, j, _ = lines[after].split("#")[0].split()
+        bad = f"{j} {i} 2.5"
+    lines.insert(int(rng.integers(after + 1, len(lines) + 1)), bad)
+    return newline.join(lines)
+
+
+class TestOnePassReaders:
+    """Each file is read once: the bulk reader names the line of an edge
+    error itself, and the line reader streams each line's fields through
+    the graph's per-edge pass."""
+
+    @pytest.mark.parametrize("bad", _BAD_LINES + ["DUP"])
+    def test_bad_line_anywhere(self, monkeypatch, bad):
+        def refuse(text, name):
+            raise AssertionError("line reader used")
+
+        if bad in _BULK_BAD:
+            monkeypatch.setattr(fileio, "_loads_by_line", refuse)
+        rng = np.random.default_rng((_BAD_LINES + ["DUP"]).index(bad))
+        for _ in range(6):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(1, min(n * (n - 1) // 2, 80) + 1))
+            text = _with_bad_line(rng, _network_text(rng, n, m), bad)
+            assert text.isascii()
+            got = _outcome(_parsed, text)
+            assert got == _outcome(reference_loads_network, text, "net.txt"), text
+            assert got[0] is ParseError and got[2] is not None
+
+    @pytest.mark.parametrize("comment", ["", "# caf\u00e9\n"], ids=["ascii", "non_ascii"])
+    @pytest.mark.parametrize("body, line, message", [
+        (["0 1 1", "1 0 2", "0 2"], 3, "node pair (0, 1) appears twice"),
+        (["0 1 1", "2 2 1", "0 2"], 3, "self-loop at node 2"),
+        (["0 1 1", "0 2", "1 0 2"], 3, "edge lines must be 'i j w'"),
+        (["0 1 1", "0 2 1 5", "2 2 1"], 3, "edge lines must be 'i j w'"),
+    ], ids=["duplicate_above_short", "loop_above_short", "short_above_duplicate",
+            "long_above_loop"])
+    def test_upper_error_wins(self, comment, body, line, message):
+        text = comment + "3 3\n" + "\n".join(body) + "\n"
+        got = _outcome(_parsed, text)
+        assert got == _outcome(reference_loads_network, text, "net.txt")
+        line += comment.count("\n")
+        assert got == (ParseError, f"net.txt: line {line}: {message}", line)
+
+    @pytest.mark.parametrize("kind", ["self_loop", "nan", "duplicate"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_from_arrays_bad_edge_at_either_end(self, kind, at):
+        n, m = 30_000, 150_000
+        i = np.arange(m) % n
+        j = (i + 1 + np.arange(m) // n) % n
+        w = np.where(np.arange(m) % 3 == 0, -1.5, 2.0)
+        other = -1 - at  # the edge at the other end
+        if kind == "self_loop":
+            j[at] = i[at]
+        elif kind == "nan":
+            w[at] = np.nan
+        else:
+            i[at], j[at] = j[other], i[other]
+        expect = _outcome(reference_graph, n, list(zip(i.tolist(), j.tolist(), w.tolist())))
+        assert isinstance(expect, tuple) and issubclass(expect[0], GqsbError)
+        assert _outcome(SignedGraph.from_arrays, n, i, j, w) == expect
+
+
 def _valid_edges(rng, n, m):
     return [(i, j, float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))) for i, j in
             _random_pairs(rng, n, m)]
@@ -462,6 +543,53 @@ class TestParseMemory:
                     tracemalloc.stop()
             assert g.m == m
             assert peak <= 5 * size, (call.__name__, peak / size)
+
+
+def _traced_peak(call, *args):
+    """The tracemalloc peak of one call, over what was allocated before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _edge_file(rng, n, m):
+    """An ``n m`` file of m distinct edges on n nodes, weights to three
+    decimals."""
+    i = np.arange(m) % n
+    j = (i + 1 + np.arange(m) // n) % n
+    w = np.round(rng.uniform(1, 9, m), 3) * rng.choice([-1, 1], m)
+    return f"{n} {m}\n" + "".join(f"{a} {b} {c:.3f}\n" for a, b, c in zip(i, j, w))
+
+
+class TestReaderMemory:
+    def test_crlf_read_in_place(self):
+        lf = _edge_file(np.random.default_rng(8), 10_000, 30_000).encode("ascii")
+        crlf = lf.replace(b"\n", b"\r\n")
+        assert loads_network(crlf) == loads_network(lf)
+        assert _traced_peak(loads_network, crlf) <= 1.1 * _traced_peak(loads_network, lf)
+
+    def test_line_reader_peak(self, monkeypatch, tmp_path):
+        def refuse(data, name):
+            raise AssertionError("bulk reader used")
+
+        monkeypatch.setattr(fileio, "_loads_bulk", refuse)
+        # lines as in a 30k-node file; the Python objects of every edge and
+        # the line list weigh about 21 times the file at 40k edges (below
+        # that, fixed table sizes weigh more), and a reader that held every
+        # line's fields before the per-edge pass would weigh about twice that
+        path = tmp_path / "cafe.txt"
+        text = "# caf\u00e9\n" + _edge_file(np.random.default_rng(9), 30_000, 40_000)
+        path.write_text(text, encoding="utf-8")
+        peak = _traced_peak(fileio.load_network, path)
+        assert peak < 25 * path.stat().st_size
 
 
 class TestValueSemantics:

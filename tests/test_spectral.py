@@ -367,6 +367,13 @@ class TestCertify:
         assert np.array_equal(cert.null_right, np.array([-2.0, -2.0, 1.0]))
         assert np.allclose(cert.null_left, [-1 / 6, -1 / 6, 1 / 3], atol=1e-15)
 
+    def test_null_vectors_read_only(self, allneg_triangle, allneg_split):
+        cert = certify(allneg_triangle, allneg_split, 2.0)
+        for vector in (cert.null_right, cert.null_left):
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 0.0
+
     def test_same_subset_antagonism_never_consensus(self, allneg_triangle, allneg_split):
         cert = certify(allneg_triangle, allneg_split, 1.0)
         assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
