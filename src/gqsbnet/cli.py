@@ -36,8 +36,8 @@ from .fileio import (
     trajectory_to_csv,
     _resolve_network,
 )
-from .operators import (generalized_laplacian, opposing_laplacian, repelling_laplacian,
-                        sym_eigvals)
+from .operators import (_partner, generalized_laplacian, opposing_laplacian,
+                        repelling_laplacian, sym_eigvals)
 from .signed_graph import bipartition_from_dominant
 from .spectral import Verdict, certify
 
@@ -56,12 +56,13 @@ def _stride(text: str) -> int:
 
 
 _NODES = "dominant group as 'i,j,...' node list"
-# Every flag beyond --network, --weights and --out; "dominant?" is the
-# optional --dominant of spectrum.
+# Every flag beyond --network, --weights and --out; "dominant?" and
+# "gamma?" are spectrum's, where --gamma is read only with --dominant.
 _FLAGS = {
     "dominant": dict(required=True, help=_NODES),
     "dominant?": dict(default=None, help=_NODES + "; adds the scaled spectrum"),
     "gamma": dict(type=float, default=ScenarioConfig.gamma),
+    "gamma?": dict(type=float, default=None, help="needs --dominant"),
     "gammas": dict(required=True, help="comma-separated coefficients"),
     "x0": dict(default=None, help="start-state file"),
     "seed": dict(type=int, default=ScenarioConfig.seed),
@@ -78,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gqsbnet")
     # a flag a command lacks keeps its default here, so every handler and
     # _config read the same namespace
-    top.set_defaults(**{k.rstrip("?"): spec.get("default") for k, spec in _FLAGS.items()})
+    top.set_defaults(**{k: spec.get("default") for k, spec in _FLAGS.items() if k[-1] != "?"})
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -92,18 +93,13 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_nodes(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, kind=float, what="numbers") -> tuple:
+    """The comma- or space-separated values of ``--flag``; a value that is
+    not a ``kind`` names the flag and repeats its text."""
     try:
-        return tuple(int(f) for f in text.replace(",", " ").split())
+        return tuple(kind(f) for f in text.replace(",", " ").split())
     except ValueError:
-        raise ValueError(f"--dominant needs integer node ids, got {text!r}") from None
-
-
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = [float(f) for f in text.replace(",", " ").split()]
-    if len(parts) != 3:
-        raise ValueError("--weights needs three values")
-    return tuple(parts)
+        raise ValueError(f"--{flag} needs {what}, got {text!r}") from None
 
 
 def _config(args, gamma=None) -> ScenarioConfig:
@@ -111,11 +107,16 @@ def _config(args, gamma=None) -> ScenarioConfig:
     if args.weights is not None:
         if args.network != HIGHLAND_SENTINEL:
             raise ValueError(f"--weights applies only to --network {HIGHLAND_SENTINEL}")
-        weights = _parse_weights(args.weights)
+        weights = _parse_list(args.weights, "weights")
+        if len(weights) != 3:
+            raise ValueError("--weights needs three values")
+    if gamma is None:
+        gamma = ScenarioConfig.gamma if args.gamma is None else args.gamma
     return ScenarioConfig(
         network_path=args.network,
-        dominant_nodes=_parse_nodes("0" if args.dominant is None else args.dominant),
-        gamma=args.gamma if gamma is None else gamma,
+        dominant_nodes=_parse_list("0" if args.dominant is None else args.dominant,
+                                   "dominant", int, "integer node ids"),
+        gamma=gamma,
         weights=weights, x0_path=args.x0, seed=args.seed, dt=args.dt, t_max=args.tmax,
     )
 
@@ -167,14 +168,16 @@ def _cmd_bipartitions(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.gamma is not None and args.dominant is None:
+        raise ValueError("--gamma applies only with --dominant")
     config, g, b = _scenario(args)
     doc = {
         "repelling": list(map(float, sym_eigvals(repelling_laplacian(g)))),
         "opposing": list(map(float, sym_eigvals(opposing_laplacian(g)))),
     }
     if b is not None:
-        bundle = generalized_laplacian(g, b, config.gamma)  # checks the coefficient
-        doc["scaled"] = list(map(float, sym_eigvals(bundle.z_laplacian)))
+        generalized_laplacian(g, b, config.gamma)  # checks the coefficient
+        doc["scaled"] = list(map(float, _partner(g, b).eigenvalues))
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 
@@ -218,7 +221,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    gammas = [float(f) for f in args.gammas.replace(",", " ").split()]
+    gammas = _parse_list(args.gammas, "gammas")
     if not gammas:
         raise ValueError("--gammas needs at least one value")
     names: dict[str, float] = {}
@@ -239,7 +242,7 @@ _START = ("dominant", "gamma", "x0", "seed")
 _COMMANDS = {
     "classify": (_cmd_classify, "balance class of the network", ()),
     "bipartitions": (_cmd_bipartitions, "all antagonistic bipartitions", ()),
-    "spectrum": (_cmd_spectrum, "classic and scaled spectra", ("dominant?", "gamma")),
+    "spectrum": (_cmd_spectrum, "classic and scaled spectra", ("dominant?", "gamma?")),
     "certify": (_cmd_certify, "polarization certificate", ("dominant", "gamma", "detail")),
     "simulate": (_cmd_simulate, "integrate the flow", (*_START, "dt", "tmax", "stride")),
     "predict": (_cmd_predict, "closed-form final state", _START),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
-from .operators import OperatorBundle
+from .operators import OperatorBundle, _partner
 from .signed_graph import Bipartition
-from .spectral import _FLOWING, certify, partner_core
+from .spectral import _FLOWING, certify
 
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
@@ -80,8 +80,8 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
 def default_step(bundle: OperatorBundle) -> float:
     """Conservative default step: 1e-3 over the spectral radius of the
     gauge partner Laplacian (1e-3 outright for an edgeless network), read
-    from the certificate's spectrum (``spectral.partner_core``)."""
-    w = partner_core(bundle.graph, bundle.partition).eigenvalues
+    from the spectrum kept on the graph, which certificates read too."""
+    w = _partner(bundle.graph, bundle.partition).eigenvalues
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     return 1e-3 / radius if radius > 0 else 1e-3
 

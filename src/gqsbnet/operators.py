@@ -9,7 +9,8 @@ cross-subset ties with flipped sign.  A diagonal coordinate gauge turns the
 resulting flow matrix into a symmetric zero-row-sum Laplacian of a partner
 network whose cross-subset ties are cooperative; spectra are computed there,
 by the checked symmetric eigensolvers defined here: eigenvalues alone, or
-the full deterministic eigendecomposition.
+the full deterministic eigendecomposition, each kept in the graph's one
+``_Partner``, which every reader that needs no coefficient reads.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ class OperatorBundle:
     @cached_property
     def z_laplacian(self) -> np.ndarray:
         """The gauge partner Laplacian kept on the graph (``partner_laplacian``)."""
-        return _partner_entry(self.graph, self.partition)["laplacian"]
+        return _partner(self.graph, self.partition).laplacian
 
     @cached_property
     def permutation(self) -> tuple[int, ...]:
@@ -280,10 +281,7 @@ class OperatorBundle:
         """Full eigendecomposition of ``z_laplacian``, which integration and
         the closed form read: the one kept on the graph for this
         bipartition, built on first read and shared by every coefficient."""
-        entry = _partner_entry(self.graph, self.partition)
-        if "eigen" not in entry:
-            entry["eigen"] = sym_eigen(entry["laplacian"])
-        return entry["eigen"]
+        return _partner(self.graph, self.partition).eigen
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -307,11 +305,10 @@ def generalized_laplacian(g: SignedGraph, b: Bipartition, gamma: float) -> Opera
 def partner_laplacian(g: SignedGraph, b: Bipartition) -> np.ndarray:
     """The gauge partner Laplacian on its own, without a coefficient.
 
-    It is the repelling Laplacian of ``partner_network(g, b)``, and equal,
-    bit for bit, to ``z_laplacian`` of every bundle on (g, b).
+    It is the read-only repelling Laplacian of ``partner_network(g, b)``
+    kept on ``g``: the array ``z_laplacian`` of every bundle on (g, b) is.
     """
-    _require_gqsb(g, b)
-    return repelling_laplacian(partner_network(g, b))
+    return _partner(g, b).laplacian
 
 
 def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
@@ -323,30 +320,46 @@ def partner_network(g: SignedGraph, b: Bipartition) -> SignedGraph:
 
 def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
     """The bundle's gauge partner as a graph, as kept (see ``partner_network``)."""
-    return _partner_entry(bundle.graph, bundle.partition)["network"]
+    return _partner(bundle.graph, bundle.partition).network
 
 
-def _partner_entry(g: SignedGraph, b: Bipartition) -> dict:
-    """What is kept on ``g`` for bipartition ``b``, since the partner is free
-    of the coefficient: the partition, the partner network and its
-    read-only Laplacian, and once built the ``spectral.partner_core``
-    (``"core"``) and the eigendecomposition (``"eigen"``).  One entry per
-    graph object: one kept for another bipartition is dropped first."""
-    entry = vars(g).get("_partner")
-    if entry is None or entry["partition"] != b:
-        del entry
+class _Partner:
+    """What is kept on a graph for one bipartition, since the partner is
+    free of the coefficient: the ``partition``, the partner ``network``,
+    its read-only ``laplacian``, and built on first read that Laplacian's
+    ``eigenvalues`` (``sym_eigvals``) and ``eigen`` (``sym_eigen``).
+    ``core`` is the slot ``spectral.partner_core`` fills.  Nothing here
+    refers back to the graph, so what is kept on it goes with it."""
+
+    def __init__(self, g: SignedGraph, b: Bipartition):
+        self.partition = b
+        self.network = partner_network(g, b)
+        self.laplacian = _frozen(repelling_laplacian(self.network))
+        self.core = None
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return sym_eigvals(self.laplacian)
+
+    @cached_property
+    def eigen(self) -> EigenDecomposition:
+        return sym_eigen(self.laplacian)
+
+
+def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
+    """The partner kept on ``g`` for ``b``, checked and built on first
+    ask.  One per graph object: one kept for another bipartition is
+    dropped first."""
+    kept = vars(g).get("_partner")
+    if kept is None or kept.partition != b:
+        del kept
         clear_partner_cache(g)
         _require_gqsb(g, b)
-        network = partner_network(g, b)
-        vars(g)["_partner"] = entry = {
-            "partition": b,
-            "network": network,
-            "laplacian": _frozen(repelling_laplacian(network)),
-        }
-    return entry
+        vars(g)["_partner"] = kept = _Partner(g, b)
+    return kept
 
 
 def clear_partner_cache(g: SignedGraph) -> None:
     """Drop what is kept on ``g`` for its partner: the network, the
-    Laplacian, the core and the eigendecomposition."""
+    Laplacian, its spectrum and eigendecomposition, and the core."""
     vars(g).pop("_partner", None)

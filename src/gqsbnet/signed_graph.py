@@ -194,9 +194,9 @@ class SignedGraph:
     as a tuple of Python triples, built on first use.  Instances are
     immutable, compare equal when ``n`` and the edges are equal, and hash
     accordingly.  Values derived from the edges (``edges``,
-    ``cooperative_labels``, and for one bipartition the partner entry of
-    ``operators``: network, Laplacian, core and eigendecomposition) are
-    kept on the instance; pickles and copies carry none.
+    ``cooperative_labels``, and for one bipartition the partner that
+    ``operators`` keeps: network, Laplacian, spectrum, eigendecomposition
+    and core) are kept on the instance; pickles and copies carry none.
     """
 
     n: int

@@ -11,8 +11,8 @@ component, so a certificate computes no eigenvector and no pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
-bipartition).  That part is computed once (``partner_core``) and added to
-the partner entry ``operators`` keeps on the graph; a certificate adds only
+bipartition).  That part is computed once (``partner_core``) and kept in
+the partner that ``operators`` keeps on the graph; a certificate adds only
 the coefficient's verdict and null vectors.
 """
 
@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .operators import (
     _gauge_diagonals,
-    _partner_entry,
+    _Partner,
+    _partner,
     _zero_count,
     clear_partner_cache,  # re-exported
     default_zero_tol,
@@ -166,11 +167,11 @@ class PartnerCore:
     resistance_eigenvalues: np.ndarray
 
 
-def _build_core(g: SignedGraph, entry: dict) -> PartnerCore:
-    laplacian = entry["laplacian"]
-    w = sym_eigvals(laplacian)
+def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
+    laplacian = partner.laplacian
+    w = partner.eigenvalues
     components = connected_components(g)
-    (i, j, weight), kept = _antagonistic_forest(entry["network"])
+    (i, j, weight), kept = _antagonistic_forest(partner.network)
     forest = _triples(i[kept], j[kept], weight[kept])
     if not forest:
         gram = np.zeros((0, 0))
@@ -181,23 +182,23 @@ def _build_core(g: SignedGraph, entry: dict) -> PartnerCore:
         gram = effective_resistance(laplacian, forest)
     gram.setflags(write=False)
     res_w = sym_eigvals(gram) if forest else np.zeros(0)
-    return PartnerCore(entry["partition"], w, len(components) == 1, forest, gram, res_w)
+    return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b).
 
-    Added to the partner entry kept on ``g`` (one per graph object, see
-    ``operators``), so certificates, predictions and default steps at any
+    Kept in the partner kept on ``g`` (one per graph object, see
+    ``operators._partner``), so certificates and predictions at any
     number of coefficients on one (graph, bipartition) share one spectrum
     and one resistance matrix.  Building it computes no eigenvector,
     except when the spectrum has more zeros than the graph has components
     (see ``_grounded_gram``).  A core for another bipartition replaces it.
     """
-    entry = _partner_entry(g, b)
-    if "core" not in entry:
-        entry["core"] = _build_core(g, entry)
-    return entry["core"]
+    partner = _partner(g, b)
+    if partner.core is None:
+        partner.core = _build_core(g, partner)
+    return partner.core
 
 
 @dataclass(frozen=True)

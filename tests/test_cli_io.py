@@ -38,6 +38,7 @@ from gqsbnet import (
     load_network,
     load_state_file,
     loads_network,
+    partner_core,
     positive_components,
     predict_final,
     repelling_laplacian,
@@ -601,6 +602,22 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"repelling", "opposing"}
 
+    @pytest.mark.parametrize("gamma", ["3", "2", "-5", "nan"])
+    def test_spectrum_gamma_needs_dominant(self, capsys, gamma):
+        # without --dominant there is no scaled spectrum to read it
+        assert main(["spectrum", "--network", "highland", f"--gamma={gamma}"]) == 1
+        assert capsys.readouterr() == ("", "error: --gamma applies only with --dominant\n")
+
+    def test_spectrum_scaled_is_the_core_spectrum(self, capsys, monkeypatch):
+        docs = []
+        render = gqsbnet.cli.render_json
+        monkeypatch.setattr(gqsbnet.cli, "render_json",
+                            lambda doc: docs.append(doc) or render(doc))
+        assert main(["spectrum", "--network", "highland", "--dominant", "3"]) == 0
+        g = load_highland(ScenarioConfig("highland", (3,)))
+        want = partner_core(g, bipartition_from_dominant(g, (3,))).eigenvalues
+        assert np.array(docs[0]["scaled"]).tobytes() == want.tobytes()
+
     def test_spectrum_scaled(self, allneg_file, capsys):
         code = main(["spectrum", "--network", allneg_file,
                      "--dominant", "0,1", "--gamma", "2"])
@@ -657,6 +674,17 @@ class TestCli:
         assert main([command, "--network", allneg_file, "--dominant", "0,x"]) == 1
         assert capsys.readouterr().err == (
             "error: --dominant needs integer node ids, got '0,x'\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["certify", "--network", "highland", "--dominant", "0", "--weights"], "5,x,-5"),
+        (["report", "--network", "highland", "--dominant", "0", "--weights"], "5 -1 1e"),
+        (["sweep", "--network", "highland", "--dominant", "0", "--gammas"], "1.5,x"),
+        (["sweep", "--network", "highland", "--dominant", "0", "--gammas"], "2,,3;"),
+    ])
+    def test_numbers_not_numbers_named(self, capsys, argv, text):
+        flag = argv[-1]
+        assert main([*argv, text]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} needs numbers, got {text!r}\n")
 
     @pytest.mark.parametrize("text", [
         "3 3\n0 1 -1e308\n0 2 -1e308\n1 2 -1e308\n",

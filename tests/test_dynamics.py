@@ -20,10 +20,9 @@ from gqsbnet import (
     predict_final,
 )
 from gqsbnet.dynamics import STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor
-from gqsbnet.fileio import ScenarioConfig, load_highland
+from gqsbnet.fileio import ScenarioConfig, load_highland, run_pipeline
 from gqsbnet.signed_graph import bipartition_from_dominant
 from support import (
-    core_calls,
     counting_linalg,
     random_bloc_graph,
     random_gqsb_instance,
@@ -252,11 +251,11 @@ class TestAgainstReference:
     def test_one_eigh_per_bundle(self, worked_bundle, monkeypatch):
         calls = counting_linalg(monkeypatch)
         default_step(worked_bundle)
-        assert calls == core_calls(3, 1)  # the step reads the core's spectrum
+        assert calls == [("eigvalsh", (3, 3))]  # the kept spectrum, and no core
         integrate(worked_bundle, [1.0, 0.0, 0.0])
         integrate(worked_bundle, [0.2, 0.5, -0.1], dt=0.01)
         closed_form_state(worked_bundle, [1.0, 0.0, 0.0], 2.0)
-        assert calls == core_calls(3, 1) + [("eigh", (3, 3))]
+        assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3))]
 
 
 
@@ -412,6 +411,24 @@ class TestStartStateUnits:
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)
         traj = integrate(bundle, scale * np.array([1.0, -2.0, 3.0]))
         assert assess(traj, allneg_split, 2.0).kind == OutcomeKind.ASYMMETRIC_POLARIZATION
+
+
+class TestWeightUnits:
+    """The outcome should not depend on the units of the weights, but the
+    default horizon is absolute while the default step is 1e-3 over the
+    spectral radius: with large weights the step count overflows."""
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        pytest.param(1e17, marks=pytest.mark.xfail(
+            strict=True, raises=TooLarge, reason="absolute default horizon: TooLarge")),
+    ])
+    def test_report_free_of_weight_scale(self, tmp_path, scale):
+        path = tmp_path / "triangle.txt"
+        path.write_text(f"3 3\n0 1 {-scale!r}\n0 2 {-3 * scale!r}\n1 2 {-3 * scale!r}\n")
+        report = run_pipeline(ScenarioConfig(str(path), (0, 1)))
+        assert report.certificate.verdict.value == "AsymmetricPolarization"
+        assert report.outcome.kind == OutcomeKind.ASYMMETRIC_POLARIZATION
 
 
 class TestClosedForm:

@@ -8,6 +8,7 @@ from gqsbnet import (
     BadIndex,
     Bipartition,
     NotGQSB,
+    NotPolarizing,
     OperatorBundle,
     ScenarioConfig,
     SignedGraph,
@@ -23,6 +24,8 @@ from gqsbnet import (
     integrate,
     load_highland,
     opposing_laplacian,
+    partner_core,
+    partner_laplacian,
     partner_network,
     predict_final,
     repelling_laplacian,
@@ -305,6 +308,14 @@ class TestBundleValue:
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 3.0)
         assert np.array_equal(got, bundle.adjacency)
 
+    def test_partner_laplacian_is_the_kept_one(self, allneg_triangle, allneg_split):
+        lap = partner_laplacian(allneg_triangle, allneg_split)
+        for gamma in (0.5, 1.0, 2.0, 1e6):
+            assert generalized_laplacian(allneg_triangle, allneg_split, gamma).z_laplacian is lap
+        assert not lap.flags.writeable
+        with pytest.raises(ValueError):
+            lap[0, 0] = 1.0
+
     def test_degree_is_partner_diagonal(self, allneg_triangle, allneg_split):
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 3.0)
         assert np.array_equal(generalized_degree(allneg_triangle, allneg_split),
@@ -375,6 +386,65 @@ class TestOneAdjacencyPerPartition:
             z_transform_network(bundle)
         assert len(builds) == 1
         assert calls == [16]
+
+    def test_every_reader_shares_one_build(self, monkeypatch):
+        # every coefficient-free reader, in shuffled order at two
+        # coefficients, on polarizing, divergent and disconnected draws
+        rng = np.random.default_rng(23)
+        draws = {"resistance_pd": [], "negative_eigenvalue": [], "connectivity": []}
+        while min(map(len, draws.values())) < 3:
+            g, b = random_gqsb_instance(rng, intra_neg=0.6)
+            if rng.random() < 0.3:  # two isolated nodes
+                g, b = SignedGraph(g.n + 2, g.edges), Bipartition(g.n + 2, b.v1)
+            decided_by = certify(g, b, 2.0).decided_by
+            clear_partner_cache(g)
+            if decided_by in draws and len(draws[decided_by]) < 3:
+                draws[decided_by].append((g, b))
+        builds = []
+        build = operators.partner_network
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        def predict(bundle, x0):
+            try:
+                predict_final(bundle, x0)
+            except NotPolarizing:
+                pass
+
+        monkeypatch.setattr(operators, "partner_network", counted)
+        calls = counting_linalg(monkeypatch)
+        for g, b in (draw for group in draws.values() for draw in group):
+            n = g.n
+            x0 = rng.uniform(-1.0, 1.0, n)
+            readers = (
+                lambda bundle: certify(g, b, bundle.gamma),
+                lambda bundle: predict(bundle, x0),
+                default_step,
+                lambda bundle: integrate(bundle, x0, t_max=0.05),
+                lambda bundle: integrate(bundle, x0, dt=0.01, t_max=0.05),
+                lambda bundle: closed_form_state(bundle, x0, 0.05),
+                lambda bundle: partner_laplacian(g, b),
+                lambda bundle: generalized_degree(g, b),
+                z_transform_network,
+                lambda bundle: bundle.z_laplacian,
+                lambda bundle: partner_core(g, b),
+            )
+            builds.clear()
+            calls.clear()
+            for k in rng.permutation(2 * len(readers)):
+                gamma = (1.5, 3.0)[k // len(readers)]
+                readers[k % len(readers)](generalized_laplacian(g, b, gamma))
+            assert len(builds) == 1
+            square = [name for name, shape in calls if shape == (n, n)]
+            assert square.count("eigvalsh") == 1
+            assert square.count("eigh") <= 1
+            assert [name for name, _ in calls].count("solve") <= 1
+            twin = SignedGraph(n, g.edges)  # an equal graph starts cold
+            calls.clear()
+            integrate(generalized_laplacian(twin, b, 2.0), x0)
+            assert calls == [("eigvalsh", (n, n)), ("eigh", (n, n))]
 
     def test_pipeline_builds_no_node_operator(self, allneg_triangle, allneg_split):
         bundle = generalized_laplacian(allneg_triangle, allneg_split, 2.0)
