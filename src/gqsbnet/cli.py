@@ -231,6 +231,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"coefficients {names[name]!r} and {gamma!r} would both "
                              f"write {name}")
         names[name] = gamma
+    for gamma in gammas:
+        _warn_gamma(gamma)
     reports = run_sweep(_config(args, gamma=gammas[0]), gammas)
     _emit(args, {name: report_to_json(report, args.detail)
                  for name, report in zip(names, reports)})
@@ -269,3 +271,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

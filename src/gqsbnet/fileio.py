@@ -33,7 +33,6 @@ from .signed_graph import (
     SignedGraph,
     _bipartition_count,
     _cooperative_count,
-    _columns_by_edge,
     _crossing,
     bipartition_from_dominant,
     classify,
@@ -62,16 +61,36 @@ def _header(fields: list[str], name: str, lineno: int) -> tuple[int, int]:
     return n, m
 
 
-def _promised(m: int, found: int, name: str) -> ParseError:
-    return ParseError(f"header promised {m} edges, found {found}", name)
+def _finish(n: int, m: int | None, edges, line_of, name: str) -> SignedGraph | None:
+    """Both readers' last step: the header's ``n`` and three edge columns
+    become the graph.  The first bad edge raises the constructor's error
+    at line ``line_of(error.edge)``, then a count other than the header's
+    ``m``, then TooLarge (node ids beyond int64).  With ``m`` None, for the
+    edges above a line that does not parse, only a bad edge raises."""
+    try:
+        ids = [np.asarray(c, np.int64) for c in edges[:2]]
+    except OverflowError:  # an id beyond int64: the graph names the first bad edge
+        ids = [np.asarray(c, object) for c in edges[:2]]
+    try:
+        g = SignedGraph.from_arrays(n, *ids, edges[2])
+    except GqsbError as error:
+        if hasattr(error, "edge"):
+            raise ParseError(str(error), name, line_of(error.edge))
+        if len(edges[2]) == m:
+            raise
+        g = None
+    if m is not None and len(edges[2]) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges[2])}", name)
+    return g
 
 
 def _loads_by_line(text: str, name: str) -> SignedGraph:
     """The edge-list reader one line at a time: accepts every spelling
     ``int()`` and ``float()`` accept and names the line of the first error.
 
-    The lines after the header stream their fields through the graph's
-    per-edge pass, so the line being read when it raises is the error's.
+    Each data line's fields become one entry of three columns, which end
+    in ``_finish`` as the bulk reader's do; a line that does not convert
+    raises after the edges above it, so the first error in file order wins.
     """
     lines = enumerate(text.splitlines(), start=1)
     fields, lineno = [], 0
@@ -80,30 +99,23 @@ def _loads_by_line(text: str, name: str) -> SignedGraph:
         if fields:
             break
     n, m = _header(fields, name, lineno)
-
-    def rows():
-        nonlocal lineno
-        found = 0
-        for lineno, raw in lines:
-            fields = raw.split("#", 1)[0].split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ParseError("edge lines must be 'i j w'", name, lineno)
-            found += 1
-            yield fields
-        if found != m:
-            raise _promised(m, found, name)
-
-    try:
-        edges = _columns_by_edge(n, rows())
-    except ValueError:
-        raise ParseError("edge line must hold two integers and a real", name, lineno)
-    except GqsbError as error:
-        if not hasattr(error, "edge"):
-            raise
-        raise ParseError(str(error), name, lineno)
-    return SignedGraph.from_arrays(n, *edges)
+    i, j, w, at = [], [], [], []
+    for lineno, raw in lines:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            a, b, c = fields
+            a, b, c = int(a), int(b), float(c)
+        except ValueError:
+            _finish(n, None, (i, j, w), at.__getitem__, name)
+            raise ParseError("edge line must hold two integers and a real" if len(fields) == 3
+                             else "edge lines must be 'i j w'", name, lineno) from None
+        i.append(a)
+        j.append(b)
+        w.append(c)
+        at.append(lineno)
+    return _finish(n, m, (i, j, w), at.__getitem__, name)
 
 
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
@@ -117,25 +129,21 @@ _DATA_LINE = re.compile(rb"^[\s\x1c-\x1f]*[^#\s\x1c-\x1f]", re.MULTILINE)
 
 def _loads_bulk(data: bytes, name: str) -> SignedGraph | None:
     """The edge-list reader in bulk: the header line by hand, the body in
-    one ``np.loadtxt`` call, the checks in the graph constructor.
+    one ``np.loadtxt`` call, the rest in ``_finish``.
 
     Returns None only when ``np.loadtxt`` refuses the body; the line
-    reader then decides.  An edge error names the data line its edge
-    number picks.  Only ASCII bytes with ``\\n`` or ``\\r\\n`` line breaks
-    come here: there the two readers split lines and fields alike, while
-    beyond ASCII numpy 2.4's reader has misread some characters as digits
-    and crashed the interpreter on others.  The body is read where it
-    lies, through a stream over ``data``.
+    reader then decides.  Only ASCII bytes with ``\\n`` or ``\\r\\n`` line
+    breaks come here: there the two readers split lines and fields alike,
+    while beyond ASCII numpy 2.4's reader has misread some characters as
+    digits and crashed the interpreter on others.  The body is read where
+    it lies, through a stream over ``data``.
     """
-    pos, lineno = 0, 1
-    while True:
-        end = data.find(b"\n", pos)
-        line = data[pos:] if end < 0 else data[pos:end]
-        fields = line.decode("ascii").split("#", 1)[0].split()
-        if fields or end < 0:
-            break
-        pos, lineno = end + 1, lineno + 1
-    n, m = _header(fields, name, lineno)
+    first = _DATA_LINE.search(data)
+    pos = data.rfind(b"\n", 0, first.end()) + 1 if first else len(data)
+    end = data.find(b"\n", pos)
+    line = data[pos:] if end < 0 else data[pos:end]
+    n, m = _header(line.decode("ascii").split("#", 1)[0].split(), name,
+                   data.count(b"\n", 0, pos) + 1)
     rows = np.zeros(0, _EDGE_ROW)
     if end >= 0 and _DATA_LINE.search(data, end + 1):
         body = io.BytesIO(data)
@@ -148,42 +156,32 @@ def _loads_bulk(data: bytes, name: str) -> SignedGraph | None:
                 rows = np.loadtxt(body, dtype=_EDGE_ROW, comments="#", ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
-    try:
-        g = SignedGraph.from_arrays(n, rows["i"], rows["j"], rows["w"])
-    except GqsbError as error:
-        match = next(itertools.islice(_DATA_LINE.finditer(data, end + 1), error.edge, None))
-        raise ParseError(str(error), name, lineno + data.count(b"\n", end, match.end()))
-    if rows.size != m:
-        raise _promised(m, rows.size, name)
-    return g
+
+    def line_of(k):
+        match = next(itertools.islice(_DATA_LINE.finditer(data, end + 1), k, None))
+        return data.count(b"\n", 0, match.end()) + 1
+
+    return _finish(n, m, (rows["i"], rows["j"], rows["w"]), line_of, name)
 
 
 def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
-    """Parse the edge-list format from a string, or from a file's bytes
-    (UTF-8, each undecodable byte kept as a lone surrogate).
+    """Parse the edge-list format from a file's bytes (UTF-8, each
+    undecodable byte kept as a lone surrogate) or from a string's.
 
     Raises ParseError with the offending one-based line number.  ASCII
-    input with ``\\n`` or ``\\r\\n`` line breaks is read in bulk from its
-    bytes, in place; input the bulk reader refuses, and any other input,
-    goes through the line reader, which accepts the same spellings as
-    ``int()`` and ``float()``.
+    input with ``\\n`` or ``\\r\\n`` line breaks is read in bulk, in place;
+    input the bulk reader refuses, and any other input, goes through the
+    line reader, which accepts the same spellings as ``int()`` and
+    ``float()``.
     """
     if isinstance(text, str):
-        if not text.isascii():
-            return _loads_by_line(text, name)
-        text = text.encode("ascii")
+        text = text.encode("utf-8", "surrogatepass")
     if (text.isascii() and text.count(b"\r") == text.count(b"\r\n")
             and not any(c in text for c in _OTHER_BREAKS)):
         g = _loads_bulk(text, name)
         if g is not None:
             return g
     return _loads_by_line(text.decode("utf-8", "surrogateescape"), name)
-
-
-def _read_text(path) -> str:
-    """A file's text as UTF-8 whatever the locale, each undecodable byte
-    kept as a lone surrogate, as ``os.fsdecode`` keeps path bytes."""
-    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
 
 
 def load_network(path) -> SignedGraph:
@@ -266,8 +264,9 @@ def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, bytes]:
 
 
 def load_state_file(path, n: int) -> np.ndarray:
-    """Read a start state: n finite reals, whitespace or comma separated."""
-    text = _read_text(path)
+    """Read a start state: n finite reals, whitespace or comma separated,
+    in UTF-8 whatever the locale (an undecodable byte is not a real)."""
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
     values = []
     for k, field in enumerate(text.replace(",", " ").split(), start=1):
         try:

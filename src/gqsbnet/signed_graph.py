@@ -92,7 +92,9 @@ def _columns_by_edge(n: int, rows) -> _Columns:
     """The per-edge pass: each entry goes through ``_node_id`` or
     ``float()`` and each edge is checked in input order, so a bad entry
     and a bad edge raise in the order they come.  An edge's error carries
-    its input position as ``error.edge``."""
+    its input position as ``error.edge``, which the network file readers
+    turn into a line.  Only the constructor runs it: on entries it cannot
+    cast in bulk, and on the edges up to one its array checks flag."""
     seen: set[tuple[int, int]] = set()
     out = []
     for k, (i, j, w) in enumerate(rows):

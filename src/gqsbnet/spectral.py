@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .operators import (
+    EigenDecomposition,
     _gauge_diagonals,
     _Partner,
     _partner,
@@ -63,7 +64,10 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     Eigenvalues within the decomposition's ``zero_tol`` of zero are
     dropped, the rest inverted.
     """
-    dec = sym_eigen(matrix)
+    return _pinv(sym_eigen(matrix))
+
+
+def _pinv(dec: EigenDecomposition) -> np.ndarray:
     keep = np.abs(dec.eigenvalues) > dec.zero_tol
     v = dec.eigenvectors[:, keep]
     return (v / dec.eigenvalues[keep]) @ v.T
@@ -98,7 +102,10 @@ def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.
     if not ends:
         return np.zeros((0, 0))
     a, b = np.array(ends, dtype=np.int64).T
-    pinv = pseudoinverse(laplacian)
+    return _forest_gram(pseudoinverse(laplacian), a, b)
+
+
+def _forest_gram(pinv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = pinv[a] - pinv[b]
     gram = x[:, a] - x[:, b]
     return (gram + gram.T) / 2.0
@@ -178,8 +185,9 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
     elif _zero_count(w) == len(components):
         gram = _grounded_gram(laplacian, components, i[kept], j[kept])
     else:
-        # a zero beyond the components' own: the grounded system is singular
-        gram = effective_resistance(laplacian, forest)
+        # a zero beyond the components' own: the grounded system is singular,
+        # so the Gram is read off the pseudoinverse of the kept decomposition
+        gram = _forest_gram(_pinv(partner.eigen), i[kept], j[kept])
     gram.setflags(write=False)
     res_w = sym_eigvals(gram) if forest else np.zeros(0)
     return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
@@ -193,7 +201,9 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     number of coefficients on one (graph, bipartition) share one spectrum
     and one resistance matrix.  Building it computes no eigenvector,
     except when the spectrum has more zeros than the graph has components
-    (see ``_grounded_gram``).  A core for another bipartition replaces it.
+    (see ``_grounded_gram``): then the pseudoinverse is read off the
+    partner's one eigendecomposition, which integration reads too.  A core
+    for another bipartition replaces it.
     """
     partner = _partner(g, b)
     if partner.core is None:

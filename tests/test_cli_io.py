@@ -71,6 +71,15 @@ def unstable_file(tmp_path):
     return str(path)
 
 
+def _child_env(**extra) -> dict:
+    """This process's environment with ``extra`` set, for a child
+    interpreter that imports the gqsbnet under test ahead of any other."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(gqsbnet.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def _declared_console_script(name):
     """Target of the console script ``name``: from the installed metadata
     when the gqsbnet distribution is installed, else from the source tree's
@@ -181,9 +190,7 @@ class TestFileEncoding:
         path.write_bytes("# café\n".encode() + ALLNEG.encode())
         argv = ["certify", "--network", str(path), "--dominant", "0,1"]
         assert main(argv) == 0
-        env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(gqsbnet.__file__).parents[1]), env.get("PYTHONPATH")]))
+        env = _child_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
         boot = "import sys; from gqsbnet.cli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run([sys.executable, "-c", boot, *argv], env=env,
                               capture_output=True)
@@ -337,6 +344,42 @@ class TestPipeline:
         first = report_to_json(run_pipeline(config))
         second = report_to_json(run_pipeline(config))
         assert first == second
+
+    def test_report_across_blas_thread_counts(self, tmp_path):
+        # bytes are identical for one BLAS build and thread count; across
+        # thread counts only the floats computed through BLAS may move, each
+        # within 1e-10 of its field's scale.  On OpenBLAS 0.3.31 at 1 and 2
+        # threads this network's lambda_min, resistance and outcome fields
+        # differ in their last digits
+        g, _ = random_bloc_graph(np.random.default_rng(0), 300, 2)
+        path = tmp_path / "blocs.txt"
+        path.write_text(dump_network(g))
+        core = partner_core(g, bipartition_from_dominant(g, (0,)))
+        docs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gqsbnet", "report", "--network", str(path),
+                 "--dominant", "0", "--dt", "0.005"],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            docs.append(json.loads(proc.stdout))
+        first, second = docs
+        cert, outcome = [(first.pop(key), second.pop(key)) for key in ("certificate", "outcome")]
+        assert first == second
+        assert outcome[0]["kind"] == "AsymmetricPolarization"
+        rho, gram_top = core.eigenvalues[-1], core.resistance_eigenvalues[-1]
+        scales = {"lambda_min": rho, "lambda_2": rho, "zero_tol": rho,
+                  "resistance_min_eig": gram_top, "resistance_pd_tol": gram_top,
+                  "v1_value": max(map(abs, first["provenance"]["x0"])),
+                  "ratio": abs(outcome[0]["ratio"])}
+        scales["v2_value"] = scales["defect"] = scales["v1_value"]
+        for mine, theirs in (cert, outcome):
+            assert mine.keys() == theirs.keys()
+            for key, value in mine.items():
+                if isinstance(value, float):
+                    assert abs(value - theirs[key]) <= 1e-10 * scales[key], key
+                else:
+                    assert value == theirs[key], key
 
     def test_report_fields_replay(self, allneg_file):
         # every derived field must be re-obtainable from the library calls
@@ -649,6 +692,29 @@ class TestCli:
               "--gamma", "0.5"])
         assert "note:" in capsys.readouterr().err
 
+    def test_sweep_notes_low_coefficients(self, allneg_file, capsys, monkeypatch):
+        notes = []
+        for gamma in ("0.5", "1"):
+            main(["report", "--network", allneg_file, "--dominant", "0,1", "--gamma", gamma,
+                  "--dt", "0.01"])
+            notes.append(capsys.readouterr().err)
+        assert all(note.startswith("note: ") for note in notes)
+        # one note per coefficient in (0, 1], all before the first report
+        before = []
+        run_sweep = gqsbnet.cli.run_sweep
+        monkeypatch.setattr(gqsbnet.cli, "run_sweep",
+                            lambda *args: before.append(capsys.readouterr().err)
+                            or run_sweep(*args))
+        argv = ["sweep", "--network", allneg_file, "--dominant", "0,1", "--dt", "0.01"]
+        assert main(argv + ["--gammas=0.5,2,1,-1"]) == 1
+        assert before == ["".join(notes)]
+        assert capsys.readouterr().err.startswith("error: dominance coefficient")
+        assert main(argv + ["--gammas=2,3"]) == 0
+        assert before[1:] == [""] and capsys.readouterr().err == ""
+        # a file-name collision is refused before any note
+        assert main(argv + ["--gammas=0.5,0.50"]) == 1
+        assert capsys.readouterr().err.startswith("error: coefficients 0.5 and 0.5")
+
     @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
     def test_refused_gamma_has_no_note(self, allneg_file, capsys, gamma):
         for command in ("certify", "report"):
@@ -835,6 +901,21 @@ class TestCli:
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))
         assert report.provenance["stop_tol"] == gqsbnet.dynamics.STOP_TOL == 1e-10
         assert inspect.signature(integrate).parameters["stop_tol"].default == 1e-10
+
+    @pytest.mark.parametrize("module", ["gqsbnet", "gqsbnet.cli"])
+    def test_python_m_runs_the_cli(self, module, allneg_file, unstable_file, tmp_path,
+                                   capsys):
+        env = _child_env()
+        codes = []
+        for argv in (["classify", "--network", allneg_file],
+                     ["certify", "--network", unstable_file, "--dominant", "0,1"],
+                     ["classify", "--network", str(tmp_path / "missing.txt")]):
+            codes.append(main(argv))
+            out = capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                                  capture_output=True)
+            assert (proc.returncode, proc.stdout.decode()) == (codes[-1], out)
+        assert codes == [0, 2, 1]
 
     def test_usage_errors_exit_one(self, capsys):
         assert main([]) == 1
@@ -1108,9 +1189,7 @@ class TestCli:
         target = _declared_console_script("gqsbnet")
         assert target == "gqsbnet.cli:entry"
         # Make the child import the gqsbnet under test, ahead of any other copy.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(gqsbnet.__file__).parents[1]), env.get("PYTHONPATH")]))
+        env = _child_env()
         # Start the target the way a setuptools console-script wrapper does,
         # after reporting on stderr which gqsbnet the child imported.
         wrapper = (

@@ -576,6 +576,11 @@ class TestPartnerCore:
         calls = counting_linalg(monkeypatch)
         core = partner_core(g, b)
         assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        # the pseudoinverse is built from the partner's one eigh, which the
+        # integrator reads too
+        integrate(generalized_laplacian(g, b, 2.0), np.array([1.0, -0.5, 0.25]), dt=0.01,
+                  t_max=1.0)
+        assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
         want = effective_resistance(partner_laplacian(g, b), core.forest_edges)
         assert np.array_equal(core.resistance, want)
         cert = certify(g, b, 2.0)
