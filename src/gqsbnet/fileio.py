@@ -62,17 +62,14 @@ def _header(fields: list[str], name: str, lineno: int) -> tuple[int, int]:
 
 
 def _finish(n: int, m: int | None, edges, line_of, name: str) -> SignedGraph | None:
-    """Both readers' last step: the header's ``n`` and three edge columns
-    become the graph.  The first bad edge raises the constructor's error
-    at line ``line_of(error.edge)``, then a count other than the header's
-    ``m``, then TooLarge (node ids beyond int64).  With ``m`` None, for the
-    edges above a line that does not parse, only a bad edge raises."""
+    """Both readers' last step: the header's ``n`` and three edge columns,
+    as read, become the graph through ``SignedGraph.from_arrays``.  The
+    first bad edge raises the constructor's error at line
+    ``line_of(error.edge)``, then a count other than the header's ``m``,
+    then TooLarge (node ids beyond int64).  With ``m`` None, for the edges
+    above a line that does not parse, only a bad edge raises."""
     try:
-        ids = [np.asarray(c, np.int64) for c in edges[:2]]
-    except OverflowError:  # an id beyond int64: the graph names the first bad edge
-        ids = [np.asarray(c, object) for c in edges[:2]]
-    try:
-        g = SignedGraph.from_arrays(n, *ids, edges[2])
+        g = SignedGraph.from_arrays(n, *edges)
     except GqsbError as error:
         if hasattr(error, "edge"):
             raise ParseError(str(error), name, line_of(error.edge))

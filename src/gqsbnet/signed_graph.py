@@ -23,6 +23,7 @@ from .errors import (
     BadIndex,
     BadPartition,
     DuplicateEdge,
+    GqsbError,
     NonFiniteWeight,
     SelfLoop,
     TooLarge,
@@ -44,26 +45,6 @@ class _Columns(NamedTuple):
     i: np.ndarray
     j: np.ndarray
     w: np.ndarray
-
-
-def _edge_error(n: int, i: int, j: int, w: float):
-    """The error a single edge raises on its own, checks in their order,
-    or None.  Duplicates are the caller's to find."""
-    if i == j:
-        return SelfLoop(f"self-loop at node {i}")
-    if i > j:
-        i, j = j, i
-    if i < 0 or j >= n:
-        return BadIndex(f"edge ({i}, {j}) outside 0..{n - 1}")
-    if w == 0.0:
-        return ZeroWeight(f"edge ({i}, {j}) has zero weight")
-    if not math.isfinite(w):
-        return NonFiniteWeight(f"edge ({i}, {j}) has non-finite weight {w}")
-    return None
-
-
-def _duplicate(i: int, j: int) -> DuplicateEdge:
-    return DuplicateEdge(f"node pair ({min(i, j)}, {max(i, j)}) appears twice")
 
 
 def _cast(i, j, w) -> _Columns:
@@ -88,41 +69,17 @@ def _integer(v, what: str) -> int:
         raise BadIndex(f"{what} must be an integer, got {v!r}") from None
 
 
-def _columns_by_edge(n: int, rows) -> _Columns:
-    """The per-edge pass: each entry goes through ``_node_id`` or
-    ``float()`` and each edge is checked in input order, so a bad entry
-    and a bad edge raise in the order they come.  An edge's error carries
-    its input position as ``error.edge``, which the network file readers
-    turn into a line.  Only the constructor runs it: on entries it cannot
-    cast in bulk, and on the edges up to one its array checks flag."""
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for k, (i, j, w) in enumerate(rows):
-        i, j, w = _node_id(i), _node_id(j), float(w)
-        key = (i, j) if i < j else (j, i)
-        error = _edge_error(n, i, j, w)
-        if error is None and key in seen:
-            error = _duplicate(i, j)
-        if error is not None:
-            error.edge = k
-            raise error
-        seen.add(key)
-        out.append((i, j, w))
-    try:
-        return _cast(*zip(*out)) if out else _cast((), (), ())
-    except OverflowError:  # valid only because n itself is beyond int64
-        raise TooLarge("node indices must fit in int64") from None
-
-
 def _edge_columns(n: int, edges) -> _Columns:
-    """int64 endpoint and float64 weight columns of the constructor's
-    input, in input order: cast in bulk when every entry is a plain
-    number, else converted one edge at a time."""
+    """The constructor's input as columns in input order: cast in bulk
+    when every entry is a plain number, else each of the caller's entries
+    through ``_node_id`` or ``float()``, with Python-int id columns when an
+    id is beyond int64.  An entry that does not convert raises after the
+    edges above it are judged, so errors come in input order."""
     if isinstance(edges, _Columns):
         cols = tuple(np.asarray(a) for a in edges)
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("edge arrays must be one-dimensional and of equal length")
-        rows = zip(*cols)
+        rows = zip(*edges)
     else:
         rows = tuple(edges)
         try:
@@ -134,7 +91,56 @@ def _edge_columns(n: int, edges) -> _Columns:
                              and np.can_cast(cols[1].dtype, np.int64)
                              and np.can_cast(cols[2].dtype, np.float64)):
         return _cast(*cols)
-    return _columns_by_edge(n, rows)
+    converted, failed = [], None
+    try:
+        for i, j, w in rows:
+            converted.append((_node_id(i), _node_id(j), float(w)))
+    except Exception as error:  # raised once the edges above it are judged
+        failed = error
+    i, j, w = zip(*converted) if converted else ((), (), ())
+    try:
+        edges = _cast(i, j, w)
+    except OverflowError:
+        edges = _Columns(np.array(i, object), np.array(j, object), np.array(w))
+    if failed is not None:
+        raise _first_error(n, edges) or failed
+    return edges
+
+
+def _rules(n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray):
+    """The edge rules in their order: each rule's error, its message (on
+    the pair, the weight and n - 1) and its mask of the edges that break
+    it, made when the rule is reached."""
+    yield SelfLoop, "self-loop at node {0}", lo == hi
+    yield BadIndex, "edge ({0}, {1}) outside 0..{3}", (lo < 0) | (hi >= n)
+    yield ZeroWeight, "edge ({0}, {1}) has zero weight", w == 0.0
+    yield NonFiniteWeight, "edge ({0}, {1}) has non-finite weight {2}", ~np.isfinite(w)
+
+
+def _first_error(n: int, edges: _Columns) -> GqsbError | None:
+    """The first bad edge's error, with its input position as
+    ``error.edge``, or None: the earliest edge a rule flags, named by its
+    first rule, unless a pair repeats above it (a stable sort by pair
+    lists each pair's edges in input order)."""
+    i, j, w = edges
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # each rule's first flagged edge (w.size for none); min keeps the first rule of equals
+    firsts = [(kind, text, int(mask.argmax()) if mask.any() else w.size)
+              for kind, text, mask in _rules(n, lo, hi, w)]
+    kind, text, k = min(firsts, key=lambda rule: rule[2])
+    order = np.lexsort((hi[:k], lo[:k]))
+    same = True
+    for column in (lo, hi):
+        ranked = column[order]
+        same = same & (ranked[1:] == ranked[:-1])
+    if same.any():
+        kind, text = DuplicateEdge, "node pair ({0}, {1}) appears twice"
+        k = int(order[1:][same].min())
+    elif k == w.size:
+        return None
+    error = kind(text.format(lo[k], hi[k], w[k], n - 1))
+    error.edge = k
+    return error
 
 
 # The largest node span whose pair keys lo * span + hi, at most
@@ -145,16 +151,15 @@ _KEY_SPAN = math.isqrt(2 ** 63)
 def _canonical(n: int, edges: _Columns) -> _Columns:
     """Validated columns in canonical order (``i < j``, sorted by pair).
 
-    The first bad edge in input order raises the per-edge pass's error: a
-    self-loop, an endpoint outside the node range, a zero or non-finite
-    weight, or a pair seen earlier.
+    The one judge of edges: valid columns cost the rules' masks and one
+    sort, and when a mask flags an edge or the sort finds a repeated pair,
+    ``_first_error`` names the first bad edge in input order.  Python-int
+    columns (an id beyond int64) whose edges are all valid raise TooLarge.
     """
     i, j, w = edges
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    bad = (i == j) | (lo < 0) | (hi >= n) | (w == 0.0) | ~np.isfinite(w)
-    if bad.any():
-        # the pass raises at the flagged edge or at an earlier repeat
-        _columns_by_edge(n, zip(*(c[:bad.argmax() + 1].tolist() for c in edges)))
+    if lo.dtype == object or any(mask.any() for *_, mask in _rules(n, lo, hi, w)):
+        raise _first_error(n, edges) or TooLarge("node indices must fit in int64")
     span = int(hi.max(initial=0)) + 1
     if span > _KEY_SPAN:
         # lo * span + hi would overflow int64: sort by the two columns
@@ -176,7 +181,7 @@ def _canonical(n: int, edges: _Columns) -> _Columns:
         hi = key % span
         lo = np.floor_divide(key, span, out=key)
     if repeat:
-        _columns_by_edge(n, zip(*(c.tolist() for c in edges)))
+        raise _first_error(n, edges)
     return _Columns(lo, hi, w)
 
 
@@ -186,10 +191,11 @@ class SignedGraph:
     Edges are canonical ``(i, j, w)`` triples with ``i < j`` and ``w`` finite
     and nonzero, stored sorted.  At most one edge per node pair, no
     self-loops.  The constructor normalizes orientation and ordering and
-    validates the rest; the first bad edge in input order raises.  The node
-    count must be an integer (``operator.index``), and so must each
-    endpoint: a string goes through ``int()``, and any other value must
-    equal its ``int()`` (``2.0`` does, ``0.5`` raises BadIndex).
+    validates the rest in bulk; the first bad edge in input order raises,
+    with its position as ``error.edge``.  The node count must be an
+    integer (``operator.index``), and so must each endpoint: a string goes
+    through ``int()``, and any other value must equal its ``int()``
+    (``2.0`` does, ``0.5`` raises BadIndex).
 
     The graph is held as three read-only arrays in canonical order: ``i``
     and ``j`` (int64) and ``w`` (float64).  ``edges`` is the same edge set
@@ -258,16 +264,12 @@ class SignedGraph:
 
     def reweighted(self, w) -> SignedGraph:
         """The same canonical edges with new weights, one per edge in
-        canonical order.  The first zero or non-finite weight raises, with
-        the error the constructor gives it."""
+        canonical order, judged as the constructor judges its edges: the
+        first zero or non-finite weight raises the constructor's error."""
         w = np.array(w, np.float64)
         if w.shape != self.w.shape:
             raise ValueError("reweighted needs one weight per edge")
-        bad = (w == 0.0) | ~np.isfinite(w)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise _edge_error(self.n, int(self.i[k]), int(self.j[k]), float(w[k]))
-        return _trusted(self.n, _Columns(self.i, self.j, w))
+        return _trusted(self.n, _canonical(self.n, _Columns(self.i, self.j, w)))
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zeros off the edge set."""
@@ -369,11 +371,11 @@ class Bipartition:
         except TypeError:
             raise BadIndex(f"node ids must be integers, got {self.v1!r}")
         object.__setattr__(self, "v1", v1)
-        if not self.v1 or len(self.v1) >= self.n:
-            raise BadPartition("both subsets must be non-empty")
         for v in self.v1:
             if not 0 <= v < self.n:
                 raise BadIndex(f"node {v} outside 0..{self.n - 1}")
+        if not self.v1 or len(self.v1) >= self.n:
+            raise BadPartition("both subsets must be non-empty")
 
     @property
     def v2(self) -> frozenset[int]:

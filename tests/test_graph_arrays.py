@@ -391,6 +391,9 @@ class TestOnePassReaders:
         expect = _outcome(reference_graph, n, list(zip(i.tolist(), j.tolist(), w.tolist())))
         assert isinstance(expect, tuple) and issubclass(expect[0], GqsbError)
         assert _outcome(SignedGraph.from_arrays, n, i, j, w) == expect
+        # the error is found in bulk: no Python value per edge
+        peak = _traced_peak(_outcome, SignedGraph.from_arrays, n, i, j, w)
+        assert peak <= 4 * (i.nbytes + j.nbytes + w.nbytes)
 
 
 def _valid_edges(rng, n, m):
@@ -454,13 +457,20 @@ class TestConstructorErrors:
         [(0.5, 2, 1.0), (1, 1, 1.0)],
         [(1, 1, 1.0), (0.5, 2, 1.0)],
         [(2.0, np.int32(0), 1.0), (True, "2", 1.0)],
+        # an id numpy would turn into float64 beside a smaller one
+        [(0, 1, 1.0), (2 ** 63 + 1, 2, 1.0)],
     ])
     def test_irregular_entries(self, edges):
-        got = _outcome(SignedGraph, 3, tuple(edges))
         expect = _outcome(reference_graph, 3, tuple(edges))
-        if isinstance(got, SignedGraph):
-            got = (got.n, got.edges)
-        assert got == expect
+        calls = [(SignedGraph, 3, tuple(edges))]
+        if all(isinstance(row, tuple) and len(row) == 3 for row in edges):
+            # from_arrays reads the caller's entries, not numpy's copies
+            calls.append((SignedGraph.from_arrays, 3, *map(list, zip(*edges))))
+        for call in calls:
+            got = _outcome(*call)
+            if isinstance(got, SignedGraph):
+                got = (got.n, got.edges)
+            assert got == expect, call[0]
 
     @pytest.mark.parametrize("n", [3.5, "3", 3.0, None])
     def test_node_count_must_be_an_integer(self, n):

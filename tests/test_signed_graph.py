@@ -118,6 +118,9 @@ class TestBipartition:
     def test_range_checked(self):
         with pytest.raises(BadIndex):
             Bipartition(3, frozenset({0, 5}))
+        # the range comes first: {0, 1, 5} leaves node 2 on the other side
+        with pytest.raises(BadIndex, match=r"node 5 outside 0\.\.2"):
+            Bipartition(3, frozenset({0, 1, 5}))
 
     @pytest.mark.parametrize("bad", [1.5, "1", np.float64(1.0)])
     def test_non_integer_ids_refused(self, bad):
