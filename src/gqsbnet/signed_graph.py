@@ -37,6 +37,11 @@ QSB = "QSB"
 GQSB = "GQSB"
 UNBALANCED = "Unbalanced-signed"
 
+# Most nodes given a dense n x n matrix.  One float64 array is 0.8 GB at
+# the cap, the polarizing report peaks at about five of them, and its
+# two dense eigensolves take minutes there.
+_DENSE_CAP = 10_000
+
 
 class _Columns(NamedTuple):
     """Edge endpoints and weights as arrays, handed to the constructor in
@@ -272,7 +277,12 @@ class SignedGraph:
         return _trusted(self.n, _canonical(self.n, _Columns(self.i, self.j, w)))
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix with zeros off the edge set."""
+        """Dense symmetric adjacency matrix with zeros off the edge set.
+
+        Every dense operator starts here, so a graph above ``_DENSE_CAP``
+        nodes raises TooLarge before any n x n array is allocated."""
+        if self.n > _DENSE_CAP:
+            raise TooLarge(f"dense matrices capped at {_DENSE_CAP} nodes, got {self.n}")
         a = np.zeros((self.n, self.n))
         a[self.i, self.j] = self.w
         a[self.j, self.i] = self.w

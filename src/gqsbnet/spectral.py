@@ -28,7 +28,10 @@ from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
     _Partner,
+    _blocks,
+    _max_abs,
     _partner,
+    _symmetrized,
     _zero_count,
     clear_partner_cache,  # re-exported
     default_zero_tol,
@@ -107,8 +110,7 @@ def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.
 
 def _forest_gram(pinv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = pinv[a] - pinv[b]
-    gram = x[:, a] - x[:, b]
-    return (gram + gram.T) / 2.0
+    return _symmetrized(x[:, a] - x[:, b])
 
 
 def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
@@ -132,25 +134,38 @@ def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
 
     The solve runs in units of L's largest entry, so it neither over- nor
     underflows at any scale of the weights, and the result is symmetrized.
+    Beside L, one grounded copy and one right-hand side are held while
+    the solve runs, and both are dropped before the Gram is formed.
     """
     n = laplacian.shape[0]
     keep = np.ones(n, dtype=bool)
     keep[[min(c) for c in components]] = False
     size = int(np.count_nonzero(keep))
-    # each node's row in the grounded system; the roots share the zero row
+    # each node's row in the grounded system; the roots share the spare row
     row = np.where(keep, np.cumsum(keep) - 1, size)
-    unit = float(np.max(np.abs(laplacian)))
+    unit = _max_abs(laplacian)
     grounded = laplacian[np.ix_(keep, keep)]
     grounded /= unit
     a, b = row[first], row[second]
     cols = np.arange(a.size)
-    block = np.zeros((size + 1, a.size))
-    block[a, cols] = 1.0
-    block[b, cols] = -1.0
-    x = np.zeros_like(block)
-    x[:size] = np.linalg.solve(grounded, block[:size])
-    gram = (x[a] - x[b]) / unit
-    return (gram + gram.T) / 2.0
+    rhs = np.zeros((size + 1, a.size))
+    rhs[a, cols] = 1.0
+    rhs[b, cols] = -1.0
+    y = np.linalg.solve(grounded, rhs[:size])
+    del grounded, rhs
+
+    def x(nodes):
+        # the rows of y at these grounded rows, zero at the roots' spare row
+        rows = y[np.minimum(nodes, size - 1)]
+        rows[nodes == size] = 0.0
+        return rows
+
+    gram = np.empty((a.size, a.size))
+    for block in _blocks(a.size):
+        np.subtract(x(a[block]), x(b[block]), out=gram[block])
+    del y
+    gram /= unit
+    return _symmetrized(gram)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1219,6 +1219,22 @@ class TestCli:
                 assert installed.returncode == proc.returncode
                 assert installed.stdout == proc.stdout
 
+    def test_only_hashing_commands_load_openssl(self, allneg_file):
+        # hashlib brings in OpenSSL (about 3.5 MB); only report and sweep hash
+        boot = (
+            "import sys\n"
+            "from gqsbnet import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('_hashlib' in sys.modules, file=sys.stderr)\n"
+        )
+        for argv in (["classify", "--network", "highland"],
+                     ["certify", "--network", allneg_file, "--dominant", "0,1"],
+                     ["spectrum", "--network", allneg_file],
+                     ["bipartitions", "--network", allneg_file]):
+            proc = subprocess.run([sys.executable, "-c", boot, *argv], env=_child_env(),
+                                  capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"False\n"), argv
+
 
 
 class TestReportsAgainstBlockSearch:
