@@ -78,13 +78,14 @@ def _row_sums(m: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _laplacian_in_place(a: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+def _laplacian_of(a: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
     """``np.diag(diagonal) - a`` for an adjacency ``a`` (zero diagonal),
-    written over ``a``: 0 - a writes +0.0 off the edge set, as the
-    difference does, where plain negation would write -0.0."""
-    np.subtract(0.0, a, out=a)
-    np.fill_diagonal(a, diagonal)
-    return a
+    written into ``out`` (``a`` itself, or a new array when None): 0 - a
+    writes +0.0 off the edge set, as the difference does, where plain
+    negation would write -0.0."""
+    lap = np.subtract(0.0, a, out=out)
+    np.fill_diagonal(lap, diagonal)
+    return lap
 
 
 def repelling_laplacian(g: SignedGraph) -> np.ndarray:
@@ -92,14 +93,14 @@ def repelling_laplacian(g: SignedGraph) -> np.ndarray:
     TooLarge when twice a node's absolute weight sum overflows."""
     a = g.adjacency()
     _row_sums(a)
-    return _laplacian_in_place(a, a.sum(axis=1))
+    return _laplacian_of(a, a.sum(axis=1), out=a)
 
 
 def opposing_laplacian(g: SignedGraph) -> np.ndarray:
     """Signed Laplacian whose diagonal sums the absolute weights.  Raises
     TooLarge when twice such a sum overflows."""
     a = g.adjacency()
-    return _laplacian_in_place(a, _row_sums(a))
+    return _laplacian_of(a, _row_sums(a), out=a)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -316,9 +317,13 @@ class OperatorBundle:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Perceived adjacency: the scale-gauge conjugate of the plain one."""
+        """Perceived adjacency: the scale-gauge conjugate of the plain one,
+        scaled in place."""
         scale = self.scale_gauge
-        return _frozen(scale[:, None] * self.graph.adjacency() / scale[None, :])
+        a = self.graph.adjacency()
+        a *= scale[:, None]
+        a /= scale[None, :]
+        return _frozen(a)
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -327,7 +332,7 @@ class OperatorBundle:
     @cached_property
     def laplacian(self) -> np.ndarray:
         """The flow matrix: degree minus perceived adjacency."""
-        return _frozen(np.diag(self.degree) - self.adjacency)
+        return _frozen(_laplacian_of(self.adjacency, self.degree))
 
     @cached_property
     def z_laplacian(self) -> np.ndarray:

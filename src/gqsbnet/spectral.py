@@ -18,7 +18,9 @@ the coefficient's verdict and null vectors.
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .operators import (
     _gauge_diagonals,
     _Partner,
     _blocks,
+    _frozen,
     _max_abs,
     _partner,
     _symmetrized,
@@ -113,12 +116,16 @@ def _forest_gram(pinv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _symmetrized(x[:, a] - x[:, b])
 
 
-def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
-                   second: np.ndarray) -> np.ndarray:
-    """The resistance matrix B^T L^+ B of the incidence columns B, column k
-    +1 at ``first[k]`` and -1 at ``second[k]`` (two nodes of one
-    component), as B_g^T L_g^-1 B_g: L_g is L with the smallest node of
-    each component deleted, B_g is B without those rows.
+def _grounded_solution(laplacian: np.ndarray, components, first: np.ndarray,
+                       second: np.ndarray):
+    """The grounded solve behind the resistance matrix B^T L^+ B of the
+    incidence columns B, column k +1 at ``first[k]`` and -1 at
+    ``second[k]`` (two nodes of one component), which equals
+    B_g^T L_g^-1 B_g: L_g is L with the smallest node of each component
+    deleted, B_g is B without those rows.  Returns the solution y of
+    L_g y = B_g in units of L's largest entry, each column's two rows of
+    y (the roots share the spare row ``len(y)``) and that unit;
+    ``_solution_gram`` forms the Gram from them.
 
     Why it holds: L is symmetric with L 1_C = 0 on each component C, and
     its kernel is spanned by those indicators alone.  Each column b of B
@@ -132,10 +139,11 @@ def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
     with b = 0 shows that L_g y_g = 0 puts y in the kernel with zeros at
     the roots, so y = 0 and L_g is nonsingular.
 
-    The solve runs in units of L's largest entry, so it neither over- nor
-    underflows at any scale of the weights, and the result is symmetrized.
-    Beside L, one grounded copy and one right-hand side are held while
-    the solve runs, and both are dropped before the Gram is formed.
+    The units keep the solve from over- or underflowing at any scale of
+    the weights.  Beside L, one grounded copy and one right-hand side are
+    held while the solve runs, and both are dropped on return.  L is only
+    read.  Nothing here warns: a singular L_g raises LinAlgError, which
+    only a spectrum with more zeros than components allows.
     """
     n = laplacian.shape[0]
     keep = np.ones(n, dtype=bool)
@@ -151,8 +159,14 @@ def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
     rhs = np.zeros((size + 1, a.size))
     rhs[a, cols] = 1.0
     rhs[b, cols] = -1.0
-    y = np.linalg.solve(grounded, rhs[:size])
-    del grounded, rhs
+    return np.linalg.solve(grounded, rhs[:size]), a, b, unit
+
+
+def _solution_gram(y: np.ndarray, a: np.ndarray, b: np.ndarray, unit: float) -> np.ndarray:
+    """The Gram of ``_grounded_solution``'s result: rows ``a`` minus rows
+    ``b`` of y, zero at the spare row, by row blocks, back in L's units
+    and symmetrized."""
+    size = y.shape[0]
 
     def x(nodes):
         # the rows of y at these grounded rows, zero at the roots' spare row
@@ -163,7 +177,6 @@ def _grounded_gram(laplacian: np.ndarray, components, first: np.ndarray,
     gram = np.empty((a.size, a.size))
     for block in _blocks(a.size):
         np.subtract(x(a[block]), x(b[block]), out=gram[block])
-    del y
     gram /= unit
     return _symmetrized(gram)
 
@@ -189,23 +202,107 @@ class PartnerCore:
     resistance_eigenvalues: np.ndarray
 
 
+class _Beside:
+    """``fn(*args)`` run on a thread of its own from construction, in a
+    copy of the caller's context, so numpy's error state goes with it.
+    ``join`` waits for it; ``result`` then returns its value, which is not
+    kept, or raises its error, ``MemoryError`` included.  When no thread
+    can be started, ``fn`` runs in the caller at once."""
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        context = contextvars.copy_context()
+
+        def run():
+            try:
+                self._value = context.run(fn, *args)
+            except Exception as exc:
+                self._error = exc
+
+        self._thread = threading.Thread(target=run, name="gqsbnet-grounded-solve")
+        try:
+            self._thread.start()
+        except RuntimeError:  # no thread to be had
+            self._thread = None
+            run()
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        value, self._value = self._value, None
+        return value
+
+
 def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
+    """The partner's core: its spectrum, and the forest's resistance Gram
+    and that Gram's spectrum.
+
+    The two halves do not depend on each other.  So when the spectrum is
+    not kept yet and the forest is not empty, the Gram's half
+    (``_quiet_resistance``: the grounded solve, the Gram and its
+    ``eigvalsh``) runs on a thread of its own while the partner's
+    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, so
+    every bit is as when the halves run one after the other, and the
+    thread is joined before this returns or raises.  An error from the
+    spectrum comes first.  The thread's result, or its error, is read only
+    when the spectrum has as many zeros as the graph has components.
+    Otherwise the Gram comes off the pseudoinverse, and the solve, whose
+    grounded system is then singular, is dropped without a trace.  A kept
+    spectrum (``default_step`` or ``spectrum --dominant`` read it) leaves
+    the Gram's half to run here, and only when it is used.  Running at
+    once costs one n x n array at the peak: ``eigvalsh``'s copy of L lives
+    beside the solve's copies.
+    """
     laplacian = partner.laplacian
-    w = partner.eigenvalues
     components = connected_components(g)
     (i, j, weight), kept = _antagonistic_forest(partner.network)
-    forest = _triples(i[kept], j[kept], weight[kept])
+    first, second = i[kept], j[kept]
+    forest = _triples(first, second, weight[kept])
+    beside = None
+    if forest and "eigenvalues" not in vars(partner):
+        beside = _Beside(_quiet_resistance, laplacian, components, first, second)
+    try:
+        w = partner.eigenvalues
+    finally:
+        if beside is not None:
+            beside.join()
     if not forest:
-        gram = np.zeros((0, 0))
+        gram, res_w = _frozen(np.zeros((0, 0))), np.zeros(0)
     elif _zero_count(w) == len(components):
-        gram = _grounded_gram(laplacian, components, i[kept], j[kept])
+        resistance, solution = (beside.result() if beside is not None else
+                                (None, _grounded_solution(laplacian, components, first, second)))
+        gram, res_w = resistance or _with_spectrum(_solution_gram(*solution))
     else:
         # a zero beyond the components' own: the grounded system is singular,
-        # so the Gram is read off the pseudoinverse of the kept decomposition
-        gram = _forest_gram(_pinv(partner.eigen), i[kept], j[kept])
-    gram.setflags(write=False)
-    res_w = sym_eigvals(gram) if forest else np.zeros(0)
+        # so what ran beside is dropped unread, and the Gram is read off the
+        # pseudoinverse of the kept decomposition
+        del beside
+        gram, res_w = _with_spectrum(_forest_gram(_pinv(partner.eigen), first, second))
     return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
+
+
+def _with_spectrum(gram: np.ndarray):
+    """The resistance Gram, made read-only, and its spectrum."""
+    return _frozen(gram), sym_eigvals(gram)
+
+
+def _quiet_resistance(laplacian: np.ndarray, components, first: np.ndarray,
+                      second: np.ndarray):
+    """The grounded solve, then ``(_with_spectrum(its Gram), None)``; or,
+    when a floating-point exception (an overflow, say, or an underflow)
+    arises after the solve, ``(None, solution)``, for the caller to form
+    the Gram again under its own error state.  So what is dropped warns of
+    nothing, and what is read warns as it would have in the caller."""
+    solution = _grounded_solution(laplacian, components, first, second)
+    try:
+        with np.errstate(all="raise"):
+            return _with_spectrum(_solution_gram(*solution)), None
+    except FloatingPointError:
+        return None, solution
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
@@ -216,9 +313,11 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     number of coefficients on one (graph, bipartition) share one spectrum
     and one resistance matrix.  Building it computes no eigenvector,
     except when the spectrum has more zeros than the graph has components
-    (see ``_grounded_gram``): then the pseudoinverse is read off the
-    partner's one eigendecomposition, which integration reads too.  A core
-    for another bipartition replaces it.
+    (see ``_grounded_solution``): then the pseudoinverse is read off the
+    partner's one eigendecomposition, which integration reads too.  A cold
+    build runs the spectrum and the grounded solve on two threads at once
+    (see ``_build_core``), with the bits of running them in turn, and
+    leaves no thread behind.  A core for another bipartition replaces it.
     """
     partner = _partner(g, b)
     if partner.core is None:

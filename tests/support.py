@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ from gqsbnet import (
 from gqsbnet.dynamics import (STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor,
                               _state_vector, _trajectory)
 from gqsbnet.fileio import certificate_dict
-from gqsbnet.operators import OperatorBundle
-from gqsbnet.signed_graph import NeighborSets, _integer, positive_components
+from gqsbnet.operators import OperatorBundle, _Partner, _zero_count, sym_eigvals
+from gqsbnet.signed_graph import (NeighborSets, _antagonistic_forest, _integer, _triples,
+                                  positive_components)
+from gqsbnet.spectral import PartnerCore, _forest_gram, _pinv
 
 
 def all_splits(n):
@@ -589,15 +592,36 @@ def assert_matches_reference(cert: PolarizationCertificate, ref: PolarizationCer
 
 def counting_linalg(monkeypatch):
     """Record ``(name, input shape)`` of every numpy.linalg ``eigh``,
-    ``eigvalsh`` and ``solve`` call from now on."""
+    ``eigvalsh`` and ``solve`` call from now on.
+
+    A core computes its partner spectrum on the calling thread while a
+    second thread makes the grounded ``solve`` and the Gram's
+    ``eigvalsh``, so the calls of the two may interleave in any way.  A
+    call made on another thread is recorded when that thread is joined,
+    after the calling thread's own calls up to the join; so a core's calls
+    read as ``core_calls`` lists them.  Calls on a thread that is never
+    joined are not recorded."""
     calls = []
+    held = {}  # calls made on other threads, by thread, until it is joined
+    home = threading.get_ident()
+    lock = threading.Lock()
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
+            me = threading.get_ident()
+            with lock:
+                (calls if me == home else held.setdefault(me, [])).append((name, np.shape(a)))
             return fn(a, *args, **kwargs)
         return call
 
+    join = threading.Thread.join
+
+    def joined(thread, *args, **kwargs):
+        join(thread, *args, **kwargs)
+        with lock:
+            calls.extend(held.pop(thread.ident, []))
+
+    monkeypatch.setattr(threading.Thread, "join", joined)
     for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
@@ -610,6 +634,78 @@ def core_calls(n, forest, roots=1):
         return [("eigvalsh", (n, n))]
     return [("eigvalsh", (n, n)), ("solve", (n - roots, n - roots)),
             ("eigvalsh", (forest, forest))]
+
+
+def dense_two_bloc(n=400, seed=7):
+    """Two cooperative blocs, 40 % and 60 % of the nodes, each held
+    together by a path of strong cooperative ties; about 5 % of the other
+    pairs tied, strongly antagonistic across the blocs and, for 30 % of
+    the same-bloc ties, weakly antagonistic inside them."""
+    rng = np.random.default_rng(seed)
+    side = np.arange(n) < int(0.4 * n)
+    i, j = np.triu_indices(n, 1)
+    same = side[i] == side[j]
+    path = same & (j == i + 1)
+    pick = path | (rng.random(i.size) < 0.05)
+    i, j, same, path = i[pick], j[pick], same[pick], path[pick]
+    w = rng.uniform(5.0, 15.0, i.size)
+    w[same & ~path & (rng.random(i.size) < 0.3)] *= -0.05
+    w[~same] *= -1.0
+    return SignedGraph.from_arrays(n, i, j, w), Bipartition(n, frozenset(np.flatnonzero(side)))
+
+
+def reference_grounded_gram(laplacian, components, first, second):
+    """The grounded Gram as formed with a padded right-hand side and a
+    zero-padded solution: the bits the blocked one must keep."""
+    n = laplacian.shape[0]
+    keep = np.ones(n, dtype=bool)
+    keep[[min(c) for c in components]] = False
+    size = int(np.count_nonzero(keep))
+    row = np.where(keep, np.cumsum(keep) - 1, size)
+    unit = float(np.max(np.abs(laplacian)))
+    grounded = laplacian[np.ix_(keep, keep)] / unit
+    a, b = row[first], row[second]
+    cols = np.arange(a.size)
+    block = np.zeros((size + 1, a.size))
+    block[a, cols] = 1.0
+    block[b, cols] = -1.0
+    x = np.zeros_like(block)
+    x[:size] = np.linalg.solve(grounded, block[:size])
+    gram = (x[a] - x[b]) / unit
+    return (gram + gram.T) / 2.0
+
+
+def reference_build_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
+    """The partner core built one step after the other on a partner of
+    its own: the spectrum, then the forest, then the Gram, by the grounded
+    solve when the spectrum has one zero per component and off the
+    pseudoinverse otherwise.  The bits the concurrent build must keep."""
+    partner = _Partner(g, b)
+    laplacian = partner.laplacian
+    w = sym_eigvals(laplacian)
+    components = connected_components(g)
+    (i, j, weight), kept = _antagonistic_forest(partner.network)
+    forest = _triples(i[kept], j[kept], weight[kept])
+    if not forest:
+        gram = np.zeros((0, 0))
+    elif _zero_count(w) == len(components):
+        gram = reference_grounded_gram(laplacian, components, i[kept], j[kept])
+    else:
+        gram = _forest_gram(_pinv(sym_eigen(laplacian)), i[kept], j[kept])
+    res_w = sym_eigvals(gram) if forest else np.zeros(0)
+    return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
+
+
+def assert_same_core(got: PartnerCore, want: PartnerCore):
+    """Every field equal, the arrays bit for bit (as uint64, so -0.0 and
+    +0.0 differ) and in shape."""
+    assert got.partition == want.partition
+    assert (got.connected, got.forest_edges) == (want.connected, want.forest_edges)
+    for key in ("eigenvalues", "resistance", "resistance_eigenvalues"):
+        mine, theirs = getattr(got, key), getattr(want, key)
+        assert mine.shape == theirs.shape, key
+        assert np.array_equal(np.ascontiguousarray(mine).view(np.uint64),
+                              np.ascontiguousarray(theirs).view(np.uint64)), key
 
 
 def _reference_id(v):

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -357,12 +358,17 @@ class TestPipeline:
         core = partner_core(g, bipartition_from_dominant(g, (0,)))
         docs = []
         for threads in ("1", "2"):
-            proc = subprocess.run(
+            # twice at each count: the partner spectrum and the grounded
+            # solve run at once, and at 2 threads share OpenBLAS's pool
+            runs = [subprocess.run(
                 [sys.executable, "-m", "gqsbnet", "report", "--network", str(path),
                  "--dominant", "0", "--dt", "0.005"],
                 env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True)
-            assert (proc.returncode, proc.stderr) == (0, b"")
-            docs.append(json.loads(proc.stdout))
+                for _ in range(2)]
+            for proc in runs:
+                assert (proc.returncode, proc.stderr) == (0, b"")
+            assert runs[0].stdout == runs[1].stdout, threads
+            docs.append(json.loads(runs[0].stdout))
         first, second = docs
         cert, outcome = [(first.pop(key), second.pop(key)) for key in ("certificate", "outcome")]
         assert first == second
@@ -787,6 +793,31 @@ class TestCli:
         assert got.err == ("error: Unable to allocate an array of shape "
                            "(1000000, 1000000)\n")
         assert not out.exists()
+
+    def test_out_of_memory_in_the_grounded_solve_writes_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the solve runs on a thread of its own beside the partner spectrum;
+        # its MemoryError still reaches the command
+        g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
+        path = tmp_path / "blocs.txt"
+        path.write_text(dump_network(g))
+        threads = []
+
+        def refuse(*args):
+            threads.append(threading.current_thread())
+            raise MemoryError("Unable to allocate the grounded system")
+
+        monkeypatch.setattr(gqsbnet.spectral, "_grounded_solution", refuse)
+        before = threading.active_count()
+        out = tmp_path / "out"
+        for command in ("certify", "report"):
+            argv = [command, "--network", str(path), "--dominant", "0", "--out", str(out)]
+            assert main(argv) == 1
+            got = capsys.readouterr()
+            assert got == ("", "error: Unable to allocate the grounded system\n")
+            assert not out.exists()
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threading.main_thread() not in threads
 
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(["classify", "--network", str(tmp_path / "ghost.txt")])
@@ -1220,12 +1251,15 @@ class TestCli:
                 assert installed.stdout == proc.stdout
 
     def test_only_hashing_commands_load_openssl(self, allneg_file):
-        # hashlib brings in OpenSSL (about 3.5 MB); only report and sweep hash
+        # hashlib brings in OpenSSL (about 3.5 MB); only report and sweep
+        # hash.  The core's second thread is a plain thread: concurrent.futures
+        # would bring in logging, about 7 ms at every start
         boot = (
             "import sys\n"
             "from gqsbnet import cli\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "print('_hashlib' in sys.modules, file=sys.stderr)\n"
+            "names = ('_hashlib', 'logging', 'concurrent.futures')\n"
+            "print(*(name in sys.modules for name in names), file=sys.stderr)\n"
         )
         for argv in (["classify", "--network", "highland"],
                      ["certify", "--network", allneg_file, "--dominant", "0,1"],
@@ -1233,7 +1267,7 @@ class TestCli:
                      ["bipartitions", "--network", allneg_file]):
             proc = subprocess.run([sys.executable, "-c", boot, *argv], env=_child_env(),
                                   capture_output=True)
-            assert (proc.returncode, proc.stderr) == (0, b"False\n"), argv
+            assert (proc.returncode, proc.stderr) == (0, b"False False False\n"), argv
 
 
 

@@ -20,6 +20,7 @@ from gqsbnet import (
     classify,
     clear_partner_cache,
     enumerate_gqsb_bipartitions,
+    generalized_laplacian,
     load_highland,
     opposing_laplacian,
     partner_core,
@@ -29,32 +30,14 @@ from gqsbnet import (
 )
 from gqsbnet.cli import main
 from gqsbnet.operators import _blocks, _checked_symmetric, _partner
-from gqsbnet.spectral import _grounded_gram
+from gqsbnet.spectral import _grounded_solution, _solution_gram
 from gqsbnet.signed_graph import _antagonistic_forest, connected_components
-from support import random_bloc_graph
-
-
-def _two_bloc(n=400, seed=7):
-    """Two cooperative blocs, 40 % and 60 % of the nodes, each held
-    together by a path of strong cooperative ties; about 5 % of the other
-    pairs tied, strongly antagonistic across the blocs and, for 30 % of
-    the same-bloc ties, weakly antagonistic inside them."""
-    rng = np.random.default_rng(seed)
-    side = np.arange(n) < int(0.4 * n)
-    i, j = np.triu_indices(n, 1)
-    same = side[i] == side[j]
-    path = same & (j == i + 1)
-    pick = path | (rng.random(i.size) < 0.05)
-    i, j, same, path = i[pick], j[pick], same[pick], path[pick]
-    w = rng.uniform(5.0, 15.0, i.size)
-    w[same & ~path & (rng.random(i.size) < 0.3)] *= -0.05
-    w[~same] *= -1.0
-    return SignedGraph.from_arrays(n, i, j, w), Bipartition(n, frozenset(np.flatnonzero(side)))
+from support import dense_two_bloc, random_bloc_graph, reference_grounded_gram
 
 
 @pytest.fixture(scope="module")
 def bloc400():
-    return _two_bloc()
+    return dense_two_bloc()
 
 
 def _peak(fn, n=400) -> float:
@@ -113,26 +96,26 @@ class TestPeaks:
         floor = 1.0 + 2.0 * forest / g.n
         assert _peak(lambda: partner_core(g, b)) < floor + 0.25
 
+    def test_cold_core_holds_one_grounded_copy(self, bloc400):
+        # the Gram's half on its own thread, beside the spectrum, whose
+        # LAPACK copy is not traced: the same arrays as in turn
+        g, b = bloc400
+        clear_partner_cache(g)
+        partner = _partner(g, b)
+        forest = _antagonistic_forest(partner.network)[1].sum()
+        floor = 1.0 + 2.0 * forest / g.n
+        assert _peak(lambda: partner_core(g, b)) < floor + 0.25
 
-def _reference_gram(laplacian, components, first, second):
-    """The grounded Gram as formed with a padded right-hand side and a
-    zero-padded solution: the bits the blocked one must keep."""
-    n = laplacian.shape[0]
-    keep = np.ones(n, dtype=bool)
-    keep[[min(c) for c in components]] = False
-    size = int(np.count_nonzero(keep))
-    row = np.where(keep, np.cumsum(keep) - 1, size)
-    unit = float(np.max(np.abs(laplacian)))
-    grounded = laplacian[np.ix_(keep, keep)] / unit
-    a, b = row[first], row[second]
-    cols = np.arange(a.size)
-    block = np.zeros((size + 1, a.size))
-    block[a, cols] = 1.0
-    block[b, cols] = -1.0
-    x = np.zeros_like(block)
-    x[:size] = np.linalg.solve(grounded, block[:size])
-    gram = (x[a] - x[b]) / unit
-    return (gram + gram.T) / 2.0
+    def test_bundle_adjacency_holds_one_array(self, bloc400):
+        g, b = bloc400
+        bundle = generalized_laplacian(g, b, 2.7)
+        assert _peak(lambda: bundle.adjacency) < 1.25
+
+    def test_bundle_laplacian_holds_one_array(self, bloc400):
+        g, b = bloc400
+        bundle = generalized_laplacian(g, b, 2.7)
+        bundle.adjacency, bundle.degree
+        assert _peak(lambda: bundle.laplacian) < 1.25
 
 
 def _bits(a):
@@ -147,6 +130,20 @@ class TestSameBits:
         assert np.array_equal(_bits(repelling_laplacian(g)), _bits(np.diag(a.sum(axis=1)) - a))
         assert np.array_equal(_bits(opposing_laplacian(g)),
                               _bits(np.diag(np.abs(a).sum(axis=1)) - a))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bundle_matches_the_product_and_difference(self, seed):
+        # the adjacency scaled in place and the Laplacian built from 0 - a
+        # keep the bits of the expressions they replace
+        g, labels = random_bloc_graph(np.random.default_rng(seed), 70, 2, intra_neg=0.4)
+        b = Bipartition(g.n, frozenset(np.flatnonzero(labels == 0)))
+        for gamma in (1.0, 1.0 / 3.0, 2.7, 1e-5, 7e4):
+            bundle = generalized_laplacian(g, b, gamma)
+            scale = bundle.scale_gauge
+            want = scale[:, None] * g.adjacency() / scale[None, :]
+            assert np.array_equal(_bits(bundle.adjacency), _bits(want))
+            want = np.diag(bundle.degree) - bundle.adjacency
+            assert np.array_equal(_bits(bundle.laplacian), _bits(want))
 
     def test_no_negative_zero_off_the_edges(self, bloc400):
         g, b = bloc400
@@ -166,8 +163,8 @@ class TestSameBits:
         (i, j, _), kept = _antagonistic_forest(partner.network)
         comps = connected_components(g)
         assert len(comps) == 2 and kept.any()
-        got = _grounded_gram(partner.laplacian, comps, i[kept], j[kept])
-        want = _reference_gram(partner.laplacian, comps, i[kept], j[kept])
+        got = _solution_gram(*_grounded_solution(partner.laplacian, comps, i[kept], j[kept]))
+        want = reference_grounded_gram(partner.laplacian, comps, i[kept], j[kept])
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_exactly_symmetric_input_is_returned_itself(self):

@@ -1,6 +1,10 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -19,6 +23,7 @@ from gqsbnet import (
     Verdict,
     bipartition_from_dominant,
     certify,
+    clear_partner_cache,
     default_zero_tol,
     effective_resistance,
     generalized_laplacian,
@@ -34,12 +39,17 @@ from gqsbnet import (
     sym_eigvals,
     z_transform_network,
 )
+from gqsbnet import operators, spectral
 from gqsbnet.fileio import certificate_dict, render_json
+from gqsbnet.operators import _partner
 from support import (
     assert_matches_reference,
+    assert_same_core,
     core_calls,
     counting_linalg,
+    dense_two_bloc,
     random_gqsb_instance,
+    reference_build_core,
     reference_certificate_dict,
     reference_certify,
 )
@@ -575,12 +585,16 @@ class TestPartnerCore:
         b = Bipartition(3, frozenset({0, 1}))
         calls = counting_linalg(monkeypatch)
         core = partner_core(g, b)
-        assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        # the grounded solve ran beside the spectrum and was dropped unread
+        solves = calls.count(("solve", (2, 2)))
+        assert solves <= 1 and len(calls) == 3 + solves
+        want_calls = [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        assert [call for call in calls if call[0] != "solve"] == want_calls
         # the pseudoinverse is built from the partner's one eigh, which the
         # integrator reads too
         integrate(generalized_laplacian(g, b, 2.0), np.array([1.0, -0.5, 0.25]), dt=0.01,
                   t_max=1.0)
-        assert calls == [("eigvalsh", (3, 3)), ("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        assert len(calls) == 3 + solves
         want = effective_resistance(partner_laplacian(g, b), core.forest_edges)
         assert np.array_equal(core.resistance, want)
         cert = certify(g, b, 2.0)
@@ -627,3 +641,227 @@ class TestPartnerCore:
         bundle, _ = _partner_pieces(allneg_triangle, allneg_split, 2.0)
         with pytest.raises(DimensionMismatch):
             effective_resistance(bundle.z_laplacian, ((0, 3, -1.0),))
+
+
+def _extra_zero_triangle(scale=1.0, path=(1.0, 1.0)):
+    """A tie between the two dominant nodes that cancels their antagonistic
+    path in the partner network: a second zero, so a singular grounded
+    system.  With paths (1, 1) its solve raises LinAlgError; with (1.1,
+    2.3) at scale 1e-300 it returns about 1e16 in units of L's largest
+    entry, and forming a Gram from that would overflow."""
+    p, q = path
+    edges = [(0, 1, -p * q / (p + q) * scale), (0, 2, -p * scale), (1, 2, -q * scale)]
+    return SignedGraph.from_edge_list(3, edges), Bipartition(3, frozenset({0, 1}))
+
+
+def _two_triangles():
+    tri = [(0, 1, -1.0), (0, 2, -3.0), (1, 2, -3.0)]
+    g = SignedGraph(6, tri + [(i + 3, j + 3, 2.0 * w) for i, j, w in tri])
+    return g, Bipartition(6, frozenset({0, 1, 3, 4}))
+
+
+def _scaled(pair, scale):
+    """The graph with every weight times ``scale``: at 1e305 its Gram
+    underflows, at 1e-310 it overflows."""
+    g, b = pair
+    return SignedGraph.from_arrays(g.n, g.i, g.j, g.w * scale), b
+
+
+def _corpus():
+    """The draws of ``TestPartnerCore.test_matches_reference_certify`` (the
+    coefficients drawn between them are drawn and dropped), highland, the
+    n = 400 graph of the dense path, two components, two extra zeros, and
+    a Gram that underflows."""
+    rng = np.random.default_rng(83)
+    for _ in range(150):
+        yield random_gqsb_instance(rng)
+        rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0)
+    g = load_highland(ScenarioConfig("highland", (0,)))
+    yield g, bipartition_from_dominant(g, (0,))
+    yield dense_two_bloc()
+    yield _two_triangles()
+    yield _extra_zero_triangle()
+    yield _extra_zero_triangle(1e-300, (1.1, 2.3))
+    yield _scaled(dense_two_bloc(120), 1e305)
+
+
+def _solve_on_a_thread(monkeypatch, error=None, delay=0.0):
+    """Record the thread of each grounded solve; raise ``error`` from it,
+    ``delay`` seconds in, when given."""
+    threads = []
+    solve = spectral._grounded_solution
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        if error is not None:
+            time.sleep(delay)
+            raise error
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "_grounded_solution", recorded)
+    return threads
+
+
+class TestConcurrentCore:
+    """The Gram's half of a core (the grounded solve, the Gram and its
+    spectrum) runs beside the partner spectrum on a thread of its own;
+    every bit, error and warning is as when the two run in turn."""
+
+    def test_bits_match_the_sequential_build(self, monkeypatch):
+        threads = _solve_on_a_thread(monkeypatch)
+        before = threading.active_count()
+        cases = 0
+        for g, b in _corpus():
+            want = reference_build_core(g, b)
+            clear_partner_cache(g)
+            assert_same_core(partner_core(g, b), want)
+            # a kept spectrum: the Gram's half runs after it, on this thread
+            clear_partner_cache(g)
+            _partner(g, b).eigenvalues
+            assert_same_core(partner_core(g, b), want)
+            cases += 1
+        assert cases == 156 and threading.active_count() == before
+        main = threading.main_thread()
+        assert any(thread is not main for thread in threads)
+        assert any(thread is main for thread in threads)
+
+    def test_bits_under_a_short_switch_interval(self):
+        # the interpreter switches threads every microsecond, so the two
+        # halves interleave at many more points than they otherwise would
+        rng = np.random.default_rng(97)
+        pairs = [random_gqsb_instance(rng) for _ in range(60)] + [dense_two_bloc(60)]
+        wants = [reference_build_core(g, b) for g, b in pairs]
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cores = [partner_core(g, b) for g, b in pairs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(cores, wants):
+            assert_same_core(got, want)
+        assert threading.active_count() == before
+
+    def test_bits_without_a_thread(self, monkeypatch):
+        # no thread to be had: the solve runs in the caller, with the same bits
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for g, b in (dense_two_bloc(), _two_triangles(), _extra_zero_triangle()):
+            want = reference_build_core(g, b)
+            clear_partner_cache(g)
+            assert_same_core(partner_core(g, b), want)
+
+    def test_worker_error_reaches_certify(self, monkeypatch):
+        g, b = dense_two_bloc(60)
+        threads = _solve_on_a_thread(monkeypatch, MemoryError("no room for the solve"))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the solve"):
+            certify(g, b, 2.0)
+        assert threading.active_count() == before
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+
+    def test_spectrum_error_wins(self, monkeypatch):
+        # the solve fails after the spectrum has: still joined, and dropped
+        g, b = dense_two_bloc(60)
+        threads = _solve_on_a_thread(monkeypatch, MemoryError("no room for the solve"), 0.2)
+
+        def diverge(matrix):
+            raise NoConvergence("the spectrum failed")
+
+        monkeypatch.setattr(operators, "sym_eigvals", diverge)
+        before = threading.active_count()
+        with pytest.raises(NoConvergence, match="the spectrum failed"):
+            certify(g, b, 2.0)
+        assert threading.active_count() == before
+        assert len(threads) == 1
+
+    def test_gram_formed_again_in_the_caller(self, monkeypatch):
+        # a floating-point exception forming the Gram beside the spectrum:
+        # the caller forms it again, with the warnings and the error it
+        # gives when the two halves run in turn
+        forms = []
+        form = spectral._solution_gram
+
+        def recorded(*args):
+            forms.append(threading.current_thread() is threading.main_thread())
+            return form(*args)
+
+        monkeypatch.setattr(spectral, "_solution_gram", recorded)
+        for scale in (1e305, 1e-310):
+            outcomes = []
+            for kept in (False, True):
+                g, b = _scaled(dense_two_bloc(120), scale)
+                if kept:
+                    _partner(g, b).eigenvalues
+                forms.clear()
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    try:
+                        core = partner_core(g, b)
+                        got = [core.resistance.tobytes(), core.resistance_eigenvalues.tobytes()]
+                    except NotSymmetric as exc:
+                        got = [str(exc)]
+                outcomes.append((got, [str(w.message) for w in seen]))
+                assert forms == ([True] if kept else [False, True])
+            assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (["matrix has a NaN or infinite entry"],
+                               ["overflow encountered in divide", "overflow encountered in add"])
+
+    @pytest.mark.parametrize("scale, path", [(1.0, (1.0, 1.0)), (1e-300, (1.1, 2.3))])
+    def test_dropped_solve_is_silent(self, monkeypatch, scale, path):
+        g, b = _extra_zero_triangle(scale, path)
+        outcomes = []
+        solve = spectral._grounded_solution
+
+        def recorded(*args):
+            try:
+                y = solve(*args)
+            except np.linalg.LinAlgError as exc:
+                outcomes.append(exc)
+                raise
+            outcomes.append(float(np.max(np.abs(y[0]))))
+            return y
+
+        monkeypatch.setattr(spectral, "_grounded_solution", recorded)
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            cert = certify(g, b, 2.0)
+        assert seen == [] and threading.active_count() == before
+        assert (cert.zero_multiplicity, cert.decided_by) == (2, "zero_multiplicity")
+        assert cert.resistance_min_eig is not None and np.isfinite(cert.resistance_min_eig)
+        # the exact tie is singular; the other solve returns a huge, unread y
+        assert len(outcomes) == 1
+        if path == (1.0, 1.0):
+            assert isinstance(outcomes[0], np.linalg.LinAlgError)
+        else:
+            assert outcomes[0] > 1e15
+
+    @pytest.mark.parametrize("solve_first", [False, True])
+    def test_pair_recorded_in_one_order(self, monkeypatch, solve_first):
+        # whichever of the spectrum and the solve starts first, the calls
+        # read as the core's
+        g, b = dense_two_bloc(60)
+        calls = counting_linalg(monkeypatch)
+        started = threading.Event()
+
+        def ordered(name, fn, first):
+            # the other of the pair waits until the first has returned
+            def call(a, *args, **kwargs):
+                if name == first:
+                    try:
+                        return fn(a, *args, **kwargs)
+                    finally:
+                        started.set()
+                if np.shape(a)[0] == g.n or name == "solve":
+                    assert started.wait(10.0)
+                return fn(a, *args, **kwargs)
+            return call
+
+        first = "solve" if solve_first else "eigvalsh"
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, ordered(name, getattr(np.linalg, name), first))
+        core = partner_core(g, b)
+        assert calls == core_calls(g.n, len(core.forest_edges))
+
