@@ -166,9 +166,10 @@ def integrate(
 
     Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
     ``stop_tol`` not a non-negative real or ``record_every`` not an
-    integer of at least 1, TooLarge when ``t_max / dt`` steps do not
-    fit int64 step indices, and BadState when ``x0`` has a NaN or infinite
-    entry.
+    integer of at least 1, TooLarge when ``t_max / dt`` steps do not fit
+    int64 step indices or the coordinate gauge leaves the double range
+    (gamma below about 1e-154 or above about 4.5e307), and BadState when
+    ``x0`` has a NaN or infinite entry.
     """
     x = _state_vector(bundle, x0)
     steps = _horizon_steps(t_max, dt)
@@ -177,6 +178,11 @@ def integrate(
         raise BadStep(f"stop tolerance must be a non-negative real, got {stop_tol}")
     if record_every is not None and not _is_count(record_every):
         raise BadStep(f"record_every must be an integer of at least 1, got {record_every}")
+    gauge = bundle.coord_gauge
+    with np.errstate(over="ignore"):
+        square = float(gauge @ gauge)
+    if not square < np.inf or (np.abs(gauge) < np.finfo(float).tiny).any():
+        raise TooLarge(f"coordinate gauge past the double range at coefficient {bundle.gamma:g}")
     if dt is None:
         dt = default_step(bundle)
         steps = _horizon_steps(t_max, dt)
@@ -186,9 +192,8 @@ def integrate(
 
     lam = bundle.partner.eigenvalues
     vecs = bundle.partner.eigenvectors
-    gauge = bundle.coord_gauge
     total = float(gauge @ x)
-    normal = gauge / float(gauge @ gauge)
+    normal = gauge / square
     y = gauge * x
     level = float(y.mean())
     coeff0 = vecs.T @ (y - level)

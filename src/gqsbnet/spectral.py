@@ -18,14 +18,13 @@ the coefficient's verdict and null vectors.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooLarge
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
@@ -68,7 +67,7 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via its spectrum.
 
     Eigenvalues within the decomposition's ``zero_tol`` of zero are
-    dropped, the rest inverted.
+    dropped, the rest inverted; an entry past the double range is TooLarge.
     """
     return _pinv(sym_eigen(matrix))
 
@@ -76,7 +75,16 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
 def _pinv(dec: EigenDecomposition) -> np.ndarray:
     keep = np.abs(dec.eigenvalues) > dec.zero_tol
     v = dec.eigenvectors[:, keep]
-    return (v / dec.eigenvalues[keep]) @ v.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (v / dec.eigenvalues[keep]) @ v.T
+    return _in_range(p, "pseudoinverse")
+
+
+def _in_range(m: np.ndarray, what: str) -> np.ndarray:
+    """``m``, or TooLarge when an entry is infinite or NaN."""
+    if not _max_abs(m) < np.inf:
+        raise TooLarge(f"{what} entries leave the double range")
+    return m
 
 
 def psd_simple_zero(matrix: np.ndarray) -> bool:
@@ -93,13 +101,11 @@ def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.
 
     The Gram B^T P B of the forest's incidence columns B, column k being
     +1 at ``forest[k]``'s first endpoint a_k and -1 at its second b_k,
-    read off the pseudoinverse P: entry (k, l) is
-    (P[a_k, a_l] - P[b_k, a_l]) - (P[a_k, b_l] - P[b_k, b_l]), which
-    rounds as the product with the +-1 block does.  A non-integral
+    read off the pseudoinverse P (see ``_pinv_solution``).  A non-integral
     endpoint raises BadIndex, one outside the Laplacian's nodes
-    DimensionMismatch.
-    An empty forest yields the empty matrix, which downstream checks treat
-    as positive definite.
+    DimensionMismatch, an entry past the double range TooLarge.  An empty
+    forest yields the empty matrix, which downstream checks treat as
+    positive definite.
     """
     n = laplacian.shape[0]
     ends = [(_node_id(i), _node_id(j)) for i, j, _ in forest]
@@ -108,12 +114,16 @@ def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.
     if not ends:
         return np.zeros((0, 0))
     a, b = np.array(ends, dtype=np.int64).T
-    return _forest_gram(pseudoinverse(laplacian), a, b)
+    return _solution_gram(*_pinv_solution(sym_eigen(laplacian), a, b))
 
 
-def _forest_gram(pinv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = pinv[a] - pinv[b]
-    return _symmetrized(x[:, a] - x[:, b])
+def _pinv_solution(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray):
+    """``_grounded_solution``'s result off the pseudoinverse P of ``dec``:
+    (P[a] - P[b]).T in unit 1, whose ``_solution_gram`` has the bits of
+    B^T P B by column differences, as IEEE addition commutes."""
+    p = _pinv(dec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (p[a] - p[b]).T, a, b, 1.0
 
 
 def _grounded_solution(laplacian: np.ndarray, components, first: np.ndarray,
@@ -163,9 +173,11 @@ def _grounded_solution(laplacian: np.ndarray, components, first: np.ndarray,
 
 
 def _solution_gram(y: np.ndarray, a: np.ndarray, b: np.ndarray, unit: float) -> np.ndarray:
-    """The Gram of ``_grounded_solution``'s result: rows ``a`` minus rows
-    ``b`` of y, zero at the spare row, by row blocks, back in L's units
-    and symmetrized."""
+    """Every resistance Gram: rows ``a`` minus rows ``b`` of a solution y
+    of L y = B (zero at the spare row ``len(y)``), by row blocks, over
+    ``unit``, symmetrized.  Overflow and invalid operations are ignored,
+    and a result past the double range raises TooLarge (resistances above
+    1.8e308), so nothing warns."""
     size = y.shape[0]
 
     def x(nodes):
@@ -175,10 +187,12 @@ def _solution_gram(y: np.ndarray, a: np.ndarray, b: np.ndarray, unit: float) -> 
         return rows
 
     gram = np.empty((a.size, a.size))
-    for block in _blocks(a.size):
-        np.subtract(x(a[block]), x(b[block]), out=gram[block])
-    gram /= unit
-    return _symmetrized(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks(a.size):
+            np.subtract(x(a[block]), x(b[block]), out=gram[block])
+        gram /= unit
+        gram = _symmetrized(gram)
+    return _in_range(gram, "resistance Gram")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,19 +217,18 @@ class PartnerCore:
 
 
 class _Beside:
-    """``fn(*args)`` run on a thread of its own from construction, in a
-    copy of the caller's context, so numpy's error state goes with it.
-    ``join`` waits for it; ``result`` then returns its value, which is not
-    kept, or raises its error, ``MemoryError`` included.  When no thread
-    can be started, ``fn`` runs in the caller at once."""
+    """``fn(*args)`` run on a thread of its own from construction, whose
+    numpy error state need not be the caller's, so ``fn`` must not depend
+    on it.  ``join`` waits for it; ``result`` then returns its value or
+    raises its error, ``MemoryError`` included.  When no thread can be
+    started, ``fn`` runs in the caller at once."""
 
     def __init__(self, fn, *args):
         self._value = self._error = None
-        context = contextvars.copy_context()
 
         def run():
             try:
-                self._value = context.run(fn, *args)
+                self._value = fn(*args)
             except Exception as exc:
                 self._error = exc
 
@@ -233,8 +246,7 @@ class _Beside:
     def result(self):
         if self._error is not None:
             raise self._error
-        value, self._value = self._value, None
-        return value
+        return self._value
 
 
 def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
@@ -243,28 +255,27 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
 
     The two halves do not depend on each other.  So when the spectrum is
     not kept yet and the forest is not empty, the Gram's half
-    (``_quiet_resistance``: the grounded solve, the Gram and its
-    ``eigvalsh``) runs on a thread of its own while the partner's
-    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, so
-    every bit is as when the halves run one after the other, and the
-    thread is joined before this returns or raises.  An error from the
-    spectrum comes first.  The thread's result, or its error, is read only
-    when the spectrum has as many zeros as the graph has components.
-    Otherwise the Gram comes off the pseudoinverse, and the solve, whose
-    grounded system is then singular, is dropped without a trace.  A kept
-    spectrum (``default_step`` or ``spectrum --dominant`` read it) leaves
-    the Gram's half to run here, and only when it is used.  Running at
-    once costs one n x n array at the peak: ``eigvalsh``'s copy of L lives
-    beside the solve's copies.
+    (``_resistance``) runs on a thread of its own while the partner's
+    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, and
+    the Gram's half signals nothing in any error state, so every bit and
+    error is as when the halves run one after the other; the thread is
+    joined before this returns or raises.  An error from the spectrum
+    comes first.  The thread's result, or its error, is read only when the
+    spectrum has as many zeros as the graph has components; otherwise the
+    Gram comes off the pseudoinverse.  A kept spectrum (``default_step``
+    or ``spectrum --dominant`` read it) leaves the Gram's half to run
+    here.  Running at once costs one n x n array at the peak:
+    ``eigvalsh``'s copy of L lives beside the solve's copies.
     """
     laplacian = partner.laplacian
     components = connected_components(g)
     (i, j, weight), kept = _antagonistic_forest(partner.network)
     first, second = i[kept], j[kept]
     forest = _triples(first, second, weight[kept])
+    grounded = (_grounded_solution, laplacian, components, first, second)
     beside = None
     if forest and "eigenvalues" not in vars(partner):
-        beside = _Beside(_quiet_resistance, laplacian, components, first, second)
+        beside = _Beside(_resistance, *grounded)
     try:
         w = partner.eigenvalues
     finally:
@@ -273,36 +284,20 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
     if not forest:
         gram, res_w = _frozen(np.zeros((0, 0))), np.zeros(0)
     elif _zero_count(w) == len(components):
-        resistance, solution = (beside.result() if beside is not None else
-                                (None, _grounded_solution(laplacian, components, first, second)))
-        gram, res_w = resistance or _with_spectrum(_solution_gram(*solution))
+        gram, res_w = _resistance(*grounded) if beside is None else beside.result()
     else:
-        # a zero beyond the components' own: the grounded system is singular,
-        # so what ran beside is dropped unread, and the Gram is read off the
-        # pseudoinverse of the kept decomposition
-        del beside
-        gram, res_w = _with_spectrum(_forest_gram(_pinv(partner.eigen), first, second))
+        del beside  # an extra zero: the grounded system is singular
+        gram, res_w = _resistance(_pinv_solution, partner.eigen, first, second)
     return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
 
 
-def _with_spectrum(gram: np.ndarray):
-    """The resistance Gram, made read-only, and its spectrum."""
-    return _frozen(gram), sym_eigvals(gram)
-
-
-def _quiet_resistance(laplacian: np.ndarray, components, first: np.ndarray,
-                      second: np.ndarray):
-    """The grounded solve, then ``(_with_spectrum(its Gram), None)``; or,
-    when a floating-point exception (an overflow, say, or an underflow)
-    arises after the solve, ``(None, solution)``, for the caller to form
-    the Gram again under its own error state.  So what is dropped warns of
-    nothing, and what is read warns as it would have in the caller."""
-    solution = _grounded_solution(laplacian, components, first, second)
-    try:
-        with np.errstate(all="raise"):
-            return _with_spectrum(_solution_gram(*solution)), None
-    except FloatingPointError:
-        return None, solution
+def _resistance(solve, *args):
+    """The Gram's half of a core: ``_solution_gram`` of ``solve(*args)``,
+    read-only, and its spectrum, with underflow ignored: as the Gram
+    refuses overflow, nothing here signals in any error state."""
+    with np.errstate(under="ignore"):
+        gram = _frozen(_solution_gram(*solve(*args)))
+        return gram, sym_eigvals(gram)
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
@@ -317,7 +312,8 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     partner's one eigendecomposition, which integration reads too.  A cold
     build runs the spectrum and the grounded solve on two threads at once
     (see ``_build_core``), with the bits of running them in turn, and
-    leaves no thread behind.  A core for another bipartition replaces it.
+    leaves no thread behind; below about 1e-308 it raises TooLarge.  A
+    core for another bipartition replaces it.
     """
     partner = _partner(g, b)
     if partner.core is None:
@@ -402,10 +398,8 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     else:
         verdict, decided_by = Verdict.INCONCLUSIVE, "resistance_pd"
 
-    null_right = np.where(b.mask(), -gamma, 1.0)
-    null_left = coord / g.n
-    null_right.setflags(write=False)
-    null_left.setflags(write=False)
+    null_right = _frozen(np.where(b.mask(), -gamma, 1.0))
+    null_left = _frozen(coord / g.n)
     return PolarizationCertificate(
         connected=connected,
         spectrum=tuple(float(x) for x in w),

@@ -49,7 +49,7 @@ from gqsbnet.fileio import certificate_dict
 from gqsbnet.operators import OperatorBundle, _Partner, _zero_count, sym_eigvals
 from gqsbnet.signed_graph import (NeighborSets, _antagonistic_forest, _integer, _triples,
                                   positive_components)
-from gqsbnet.spectral import PartnerCore, _forest_gram, _pinv
+from gqsbnet.spectral import PartnerCore, _pinv
 
 
 def all_splits(n):
@@ -675,6 +675,15 @@ def reference_grounded_gram(laplacian, components, first, second):
     return (gram + gram.T) / 2.0
 
 
+def reference_forest_gram(pinv, a, b):
+    """The forest Gram read off a pseudoinverse as a whole: B^T P B by
+    the two column differences, then symmetrized.  The bits the blocked
+    pseudoinverse path must keep."""
+    x = pinv[a] - pinv[b]
+    gram = x[:, a] - x[:, b]
+    return (gram + gram.T) / 2.0
+
+
 def reference_build_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The partner core built one step after the other on a partner of
     its own: the spectrum, then the forest, then the Gram, by the grounded
@@ -691,7 +700,7 @@ def reference_build_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     elif _zero_count(w) == len(components):
         gram = reference_grounded_gram(laplacian, components, i[kept], j[kept])
     else:
-        gram = _forest_gram(_pinv(sym_eigen(laplacian)), i[kept], j[kept])
+        gram = reference_forest_gram(_pinv(sym_eigen(laplacian)), i[kept], j[kept])
     res_w = sym_eigvals(gram) if forest else np.zeros(0)
     return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
 

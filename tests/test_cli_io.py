@@ -775,6 +775,20 @@ class TestCli:
             assert got.err.startswith("error: entries too large: twice the absolute sum")
             assert got.err.count("\n") == 1
 
+    @pytest.mark.parametrize("gamma", ["1e-300", "1.7e308"])
+    def test_gauge_beyond_the_double_range_too_large(self, capsys, gamma):
+        # the flow's coordinate gauge cannot be represented: one error line
+        # (beside the note on a coefficient below 1), no warning, no outcome
+        for command in ("report", "simulate"):
+            argv = [command, "--network", "highland", "--dominant", "0", "--gamma", gamma,
+                    "--dt", "0.002"]
+            assert main(argv) == 1
+            got = capsys.readouterr()
+            errors = [line for line in got.err.splitlines() if line.startswith("error: ")]
+            assert got.out == ""
+            assert errors == ["error: coordinate gauge past the double range at coefficient "
+                              f"{float(gamma):g}"]
+
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a header naming a million nodes: the dense partner Laplacian
         # cannot be allocated, which the patch stands in for

@@ -174,6 +174,16 @@ class TestIntegrate:
         assert traj.terminated is Termination.CONVERGED
         assert np.array_equal(traj.states[-1], [0.3, -0.7])
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1.7e308])
+    def test_gauge_beyond_the_double_range_refused_first(self, allneg_triangle,
+                                                         allneg_split, gamma, no_eigh):
+        # at 1e-300 the gauge's squared norm overflows, at 1.7e308 its entry
+        # 1 / gamma is subnormal: TooLarge before any spectrum or gauge sum
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, gamma)
+        for dt in (None, 0.01):
+            with pytest.raises(TooLarge, match="coordinate gauge"):
+                integrate(bundle, [1.0, 0.0, 0.0], dt=dt)
+
     def test_default_step_uses_spectral_radius(self, worked_bundle):
         assert default_step(worked_bundle) == pytest.approx(1e-3 / 9.0, rel=1e-9)
 

@@ -11,6 +11,7 @@ import pytest
 
 from gqsbnet import (
     Bipartition,
+    GqsbError,
     SignedGraph,
     Termination,
     certify,
@@ -59,6 +60,22 @@ def test_weight_scaling(k):
             assert _close(cert.resistance_min_eig, base.resistance_min_eig / scale,
                           largest / scale)
     assert {"resistance_pd", "negative_eigenvalue", "plain_split"} <= decided
+
+
+def test_weight_scaling_below_the_double_range():
+    # resistances scale as 1/w, so at 1e-310 they pass 1.8e308: each draw
+    # certifies as at scale 1 or is refused, and a warning fails the test
+    outcomes = []
+    for _, g, b, gamma in _draws(101):
+        base = certify(g, b, gamma)
+        try:
+            cert = certify(g.reweighted(g.w * 1e-310), b, gamma)
+        except GqsbError as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        assert (cert.verdict, cert.decided_by) == (base.verdict, base.decided_by)
+        outcomes.append("certified")
+    assert set(outcomes) == {"certified", "TooLarge"}
 
 
 def test_node_relabelling():

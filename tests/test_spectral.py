@@ -52,6 +52,7 @@ from support import (
     reference_build_core,
     reference_certificate_dict,
     reference_certify,
+    reference_forest_gram,
 )
 
 
@@ -361,6 +362,25 @@ class TestEffectiveResistance:
         w2 = sym_eigen(r2).eigenvalues
         assert np.allclose(w1, w2, atol=1e-12)
         assert np.array_equal(np.diag(r), np.diag(r2))
+
+    def test_bits_of_the_whole_pseudoinverse_product(self):
+        # the blocked Gram of (P[a] - P[b]).T is the transpose of the
+        # column-difference product until symmetrized, the same bits after
+        bundle, forest = _partner_pieces(*dense_two_bloc(60), 2.0)
+        a, b = np.array([(i, j) for i, j, _ in forest]).T
+        want = reference_forest_gram(pseudoinverse(bundle.z_laplacian), a, b)
+        got = effective_resistance(bundle.z_laplacian, forest)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_below_the_double_range_is_too_large(self):
+        # weights times 1e-310: resistances pass 1.8e308, and so do the
+        # pseudoinverse's entries
+        g, b = dense_two_bloc(60)
+        bundle, forest = _partner_pieces(g.reweighted(g.w * 1e-310), b, 2.0)
+        with pytest.raises(TooLarge, match="pseudoinverse"):
+            pseudoinverse(bundle.z_laplacian)
+        with pytest.raises(TooLarge, match="pseudoinverse"):
+            effective_resistance(bundle.z_laplacian, forest)
 
 
 class TestCertify:
@@ -776,10 +796,9 @@ class TestConcurrentCore:
         assert threading.active_count() == before
         assert len(threads) == 1
 
-    def test_gram_formed_again_in_the_caller(self, monkeypatch):
-        # a floating-point exception forming the Gram beside the spectrum:
-        # the caller forms it again, with the warnings and the error it
-        # gives when the two halves run in turn
+    def test_gram_formed_once(self, monkeypatch):
+        # a Gram that underflows: formed once, on the thread when cold and
+        # here when the spectrum is kept, with the same bits either way
         forms = []
         form = spectral._solution_gram
 
@@ -788,25 +807,48 @@ class TestConcurrentCore:
             return form(*args)
 
         monkeypatch.setattr(spectral, "_solution_gram", recorded)
-        for scale in (1e305, 1e-310):
-            outcomes = []
-            for kept in (False, True):
-                g, b = _scaled(dense_two_bloc(120), scale)
-                if kept:
+        want = reference_build_core(*_scaled(dense_two_bloc(120), 1e305))
+        for kept in (False, True):
+            g, b = _scaled(dense_two_bloc(120), 1e305)
+            if kept:
+                _partner(g, b).eigenvalues
+            forms.clear()
+            assert_same_core(partner_core(g, b), want)
+            assert forms == [kept]
+
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_gram_beyond_the_double_range_is_too_large(self, kept):
+        # resistances above 1.8e308: TooLarge on either thread, no warning
+        g, b = _scaled(dense_two_bloc(120), 1e-310)
+        if kept:
+            _partner(g, b).eigenvalues
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(TooLarge, match="resistance Gram"):
+                partner_core(g, b)
+        assert seen == [] and threading.active_count() == before
+
+    def test_caller_error_state_changes_nothing(self, monkeypatch):
+        # the Gram's half ignores underflow and refuses overflow itself, so
+        # a caller raising on every floating-point exception gets the core
+        # of the default state, whichever thread forms the Gram
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        pair = _scaled(dense_two_bloc(120), 1e305)
+        want = reference_build_core(*pair)
+        cores = []
+        with np.errstate(all="raise"):
+            for path in ("cold", "kept", "no thread"):
+                g, b = _scaled(pair, 1.0)  # a fresh graph, with nothing kept
+                if path == "kept":
                     _partner(g, b).eigenvalues
-                forms.clear()
-                with warnings.catch_warnings(record=True) as seen:
-                    warnings.simplefilter("always")
-                    try:
-                        core = partner_core(g, b)
-                        got = [core.resistance.tobytes(), core.resistance_eigenvalues.tobytes()]
-                    except NotSymmetric as exc:
-                        got = [str(exc)]
-                outcomes.append((got, [str(w.message) for w in seen]))
-                assert forms == ([True] if kept else [False, True])
-            assert outcomes[0] == outcomes[1]
-        assert outcomes[0] == (["matrix has a NaN or infinite entry"],
-                               ["overflow encountered in divide", "overflow encountered in add"])
+                if path == "no thread":
+                    monkeypatch.setattr(threading.Thread, "start", refuse)
+                cores.append(partner_core(g, b))
+        for core in cores:
+            assert_same_core(core, want)
 
     @pytest.mark.parametrize("scale, path", [(1.0, (1.0, 1.0)), (1e-300, (1.1, 2.3))])
     def test_dropped_solve_is_silent(self, monkeypatch, scale, path):
