@@ -183,6 +183,8 @@ def integrate(
         square = float(gauge @ gauge)
     if not square < np.inf or (np.abs(gauge) < np.finfo(float).tiny).any():
         raise TooLarge(f"coordinate gauge past the double range at coefficient {bundle.gamma:g}")
+    # the one decomposition, made before the default step reads its spectrum
+    dec = bundle.partner
     if dt is None:
         dt = default_step(bundle)
         steps = _horizon_steps(t_max, dt)
@@ -190,14 +192,18 @@ def integrate(
     if record_every is None:
         record_every = max(1, steps // 2048)
 
-    lam = bundle.partner.eigenvalues
-    vecs = bundle.partner.eigenvectors
+    lam = dec.eigenvalues
+    vecs = dec.eigenvectors
     total = float(gauge @ x)
     normal = gauge / square
     y = gauge * x
     level = float(y.mean())
     coeff0 = vecs.T @ (y - level)
-    if float(np.max(np.abs(((coeff0 * lam) @ vecs.T) / gauge))) <= stop_tol:
+    # with the gauge near its limit (gamma above about 1e307) the velocity
+    # may pass the double range, where the state does not: such a state moves
+    with np.errstate(over="ignore"):
+        speed = float(np.max(np.abs(((coeff0 * lam) @ vecs.T) / gauge)))
+    if speed <= stop_tol:
         return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
     with np.errstate(over="ignore"):  # a step this large diverges at once
         factor = _rk4_factor(-dt * lam)
@@ -247,7 +253,7 @@ def integrate(
         done, probe = (mid, probe) if proven(mid) else (done, mid)
 
     # The head: the _HEAD slowest-fading modes that are not zero modes.
-    key = np.where(np.abs(lam) > bundle.partner.zero_tol, -np.abs(factor), np.inf)
+    key = np.where(np.abs(lam) > dec.zero_tol, -np.abs(factor), np.inf)
     head = np.argsort(key, kind="stable")[:_HEAD]
     tail = np.delete(np.arange(n), head)
     head_rows = vecs[:, head].T / gauge

@@ -311,10 +311,13 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     The network file is read once, and the bytes parsed are the bytes
     hashed; it and the start state are read before any coefficient is
     checked, and every report shares them read-only.
-    The gauge partner does not depend on the coefficient, so every
-    coefficient reads the one partner spectrum and resistance matrix kept
-    on the loaded graph (``spectral.partner_core``), and every integration
-    the one eigendecomposition kept beside them.  The time horizon and step
+    The gauge partner does not depend on the coefficient, so the sweep
+    makes one eigendecomposition of it, kept on the loaded graph, before
+    the first certificate: every integration reads it, and so does the
+    one partner core (``spectral.partner_core``), whose spectrum is its
+    eigenvalues and whose grounded solve runs after it on this thread.
+    The coefficient and the bipartition are checked before it is made, in
+    the certificate's order.  The time horizon and step
     are checked before the network is loaded, and the step count of the
     default step (which needs the partner spectrum) before the first
     report, whether or not a certificate lets the flow be integrated.
@@ -332,8 +335,11 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     x0 = start_state(config, g.n)
     x0.setflags(write=False)
     for gamma in gammas:
-        cert = certify(g, b, gamma)
         bundle = generalized_laplacian(g, b, gamma)
+        # the integrator's decomposition first, so the certificate reads
+        # its spectrum off it and the grounded solve runs here after it
+        bundle.partner
+        cert = certify(g, b, gamma)
         dt = default_step(bundle) if config.dt is None else config.dt
         _horizon_steps(config.t_max, dt)
         traj = None

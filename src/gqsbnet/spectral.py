@@ -5,9 +5,11 @@ dominance-scaled flow drives opinions to a split steady state: the gauge
 partner Laplacian must be positive semidefinite with a simple zero
 eigenvalue, which on a connected network is equivalent to positive
 definiteness of the forest resistance matrix.  Both are read from
-eigenvalues: the partner spectrum from ``sym_eigvals``, and the resistance
-matrix from one linear solve with the Laplacian grounded at a node of each
-component, so a certificate computes no eigenvector and no pseudoinverse.
+eigenvalues: the partner spectrum from ``sym_eigvals`` (or off the kept
+eigendecomposition, where a command that integrates made it first), and
+the resistance matrix from one linear solve with the Laplacian grounded
+at a node of each component, so a certificate computes no eigenvector and
+no pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
@@ -253,18 +255,20 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
     """The partner's core: its spectrum, and the forest's resistance Gram
     and that Gram's spectrum.
 
-    The two halves do not depend on each other.  So when the spectrum is
-    not kept yet and the forest is not empty, the Gram's half
-    (``_resistance``) runs on a thread of its own while the partner's
-    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, and
-    the Gram's half signals nothing in any error state, so every bit and
-    error is as when the halves run one after the other; the thread is
-    joined before this returns or raises.  An error from the spectrum
-    comes first.  The thread's result, or its error, is read only when the
-    spectrum has as many zeros as the graph has components; otherwise the
-    Gram comes off the pseudoinverse.  A kept spectrum (``default_step``
-    or ``spectrum --dominant`` read it) leaves the Gram's half to run
-    here.  Running at once costs one n x n array at the peak:
+    The two halves do not depend on each other.  So when neither the
+    spectrum nor the eigendecomposition is kept yet and the forest is not
+    empty, the Gram's half (``_resistance``) runs on a thread of its own
+    while the partner's ``eigvalsh`` runs here.  Each LAPACK call runs as
+    it would alone, and the Gram's half signals nothing in any error
+    state, so every bit and error is as when the halves run one after the
+    other; the thread is joined before this returns or raises.  An error
+    from the spectrum comes first.  The thread's result, or its error, is
+    read only when the spectrum has as many zeros as the graph has
+    components; otherwise the Gram comes off the pseudoinverse.  A kept
+    spectrum (``default_step`` or ``spectrum --dominant`` read it) or a
+    kept eigendecomposition (the commands that integrate read it first,
+    and the spectrum is its eigenvalues) leaves the Gram's half to run
+    here, after it.  Running at once costs one n x n array at the peak:
     ``eigvalsh``'s copy of L lives beside the solve's copies.
     """
     laplacian = partner.laplacian
@@ -274,7 +278,7 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
     forest = _triples(first, second, weight[kept])
     grounded = (_grounded_solution, laplacian, components, first, second)
     beside = None
-    if forest and "eigenvalues" not in vars(partner):
+    if forest and not {"eigenvalues", "eigen"} & vars(partner).keys():
         beside = _Beside(_resistance, *grounded)
     try:
         w = partner.eigenvalues
@@ -309,9 +313,10 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     and one resistance matrix.  Building it computes no eigenvector,
     except when the spectrum has more zeros than the graph has components
     (see ``_grounded_solution``): then the pseudoinverse is read off the
-    partner's one eigendecomposition, which integration reads too.  A cold
-    build runs the spectrum and the grounded solve on two threads at once
-    (see ``_build_core``), with the bits of running them in turn, and
+    partner's one eigendecomposition, which integration reads too; a core
+    built after that decomposition is kept reads its spectrum off it.  A
+    cold build runs the spectrum and the grounded solve on two threads at
+    once (see ``_build_core``), with the bits of running them in turn, and
     leaves no thread behind; below about 1e-308 it raises TooLarge.  A
     core for another bipartition replaces it.
     """

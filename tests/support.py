@@ -627,13 +627,48 @@ def counting_linalg(monkeypatch):
     return calls
 
 
-def core_calls(n, forest, roots=1):
+def core_calls(n, forest, roots=1, spectrum="eigvalsh"):
     """The numpy.linalg calls that build one partner core on n nodes with
-    ``forest`` forest edges, grounded at ``roots`` nodes."""
+    ``forest`` forest edges, grounded at ``roots`` nodes, the partner
+    spectrum made by ``spectrum``: ``eigvalsh`` for a cold core, ``eigh``
+    where a command that integrates makes the partner's decomposition
+    first."""
     if not forest:
-        return [("eigvalsh", (n, n))]
-    return [("eigvalsh", (n, n)), ("solve", (n - roots, n - roots)),
+        return [(spectrum, (n, n))]
+    return [(spectrum, (n, n)), ("solve", (n - roots, n - roots)),
             ("eigvalsh", (forest, forest))]
+
+
+def reference_headroom(g: SignedGraph, b: Bipartition) -> float:
+    """The antagonism headroom t*, in numpy alone: scaling every same-side
+    antagonistic tie by t keeps the flow polarizing for t < t* and makes
+    it diverge for t > t* (inf with no such tie).
+
+    The gauge partner flips the cross ties to cooperative, so its
+    Laplacian is L+ - L_A: L+ from its positive ties, L_A = B_A W B_A^T
+    from the same-side antagonistic ones.  L+ - t L_A is PSD with L+'s
+    kernel exactly when t W^1/2 B_A^T L+^+ B_A W^1/2 <= I, so t* is one
+    over that matrix's largest eigenvalue.  L+^+ comes from numpy's eigh
+    of a dense L+, a route ``certify`` does not take.  Assumes every
+    antagonistic tie joins two nodes of one component of L+."""
+    n, i, j = g.n, g.i, g.j
+    side = b.mask()
+    w = np.where(side[i] != side[j], -g.w, g.w)
+    pos, neg = w > 0, np.flatnonzero(w < 0)
+    if not neg.size:
+        return math.inf
+    plus = np.zeros((n, n))
+    np.add.at(plus, (i[pos], j[pos]), -w[pos])
+    np.add.at(plus, (j[pos], i[pos]), -w[pos])
+    plus[np.diag_indices(n)] = -plus.sum(axis=1)
+    values, vectors = np.linalg.eigh(plus)
+    keep = values > 1e-9 * np.max(np.abs(values))
+    pinv = (vectors[:, keep] / values[keep]) @ vectors[:, keep].T
+    cols = np.arange(neg.size)
+    root_w = np.zeros((n, neg.size))
+    root_w[i[neg], cols] = np.sqrt(-w[neg])
+    root_w[j[neg], cols] = -np.sqrt(-w[neg])
+    return float(1.0 / np.linalg.eigvalsh(root_w.T @ pinv @ root_w)[-1])
 
 
 def dense_two_bloc(n=400, seed=7):

@@ -394,10 +394,15 @@ class TestPipeline:
         g = load_network(allneg_file)
         b = bipartition_from_dominant(g, (0, 1))
         cert = certify(g, b, 2.0)
-        assert report.certificate.spectrum == cert.spectrum
+        # the report's spectrum is its integrator's eigh, bit for bit, and
+        # lies within rounding of certify's eigvalsh
+        bundle = generalized_laplacian(load_network(allneg_file), b, 2.0)
+        spectrum = report.certificate.spectrum
+        assert spectrum == tuple(map(float, bundle.partner.eigenvalues))
+        rho = max(map(abs, cert.spectrum))
+        assert max(abs(p - q) for p, q in zip(spectrum, cert.spectrum)) <= 1e-12 * rho
         assert report.certificate.verdict is cert.verdict
         assert np.array_equal(report.certificate.resistance, cert.resistance)
-        bundle = generalized_laplacian(g, b, 2.0)
         traj = integrate(bundle, report.x0, dt=0.01)
         assert np.array_equal(report.trajectory.states[-1], traj.states[-1])
 
@@ -789,6 +794,25 @@ class TestCli:
             assert errors == ["error: coordinate gauge past the double range at coefficient "
                               f"{float(gamma):g}"]
 
+    def test_gauge_near_the_double_range_runs_clean(self, capsys):
+        # up to the gauge's refusal the states are representable while the
+        # first velocity, the state over a gauge entry near 1e-308, is not:
+        # no warning, and the outcome scales with the coefficient
+        outcomes = {}
+        for gamma in ("1e307", "3e307", "4.4e307"):
+            argv = ["--network", "highland", "--dominant", "0", "--gamma", gamma,
+                    "--dt", "0.002"]
+            assert main(["simulate", *argv]) == 2  # past the divergence limit at once
+            assert capsys.readouterr().err == ""
+            assert main(["report", *argv]) == 0
+            got = capsys.readouterr()
+            assert got.err == ""
+            outcomes[float(gamma)] = json.loads(got.out)["outcome"]
+        for gamma, outcome in outcomes.items():
+            assert outcome["kind"] == "Divergence"
+            assert outcome["v1_value"] / gamma == pytest.approx(
+                outcomes[1e307]["v1_value"] / 1e307, rel=1e-12)
+
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a header naming a million nodes: the dense partner Laplacian
         # cannot be allocated, which the patch stands in for
@@ -810,8 +834,9 @@ class TestCli:
 
     def test_out_of_memory_in_the_grounded_solve_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # the solve runs on a thread of its own beside the partner spectrum;
-        # its MemoryError still reaches the command
+        # certify runs the solve on a thread of its own beside the partner
+        # spectrum, report on this thread after its decomposition; either
+        # way its MemoryError reaches the command
         g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
         path = tmp_path / "blocs.txt"
         path.write_text(dump_network(g))
@@ -831,7 +856,7 @@ class TestCli:
             assert got == ("", "error: Unable to allocate the grounded system\n")
             assert not out.exists()
         assert threading.active_count() == before
-        assert len(threads) == 2 and threading.main_thread() not in threads
+        assert [thread is threading.main_thread() for thread in threads] == [False, True]
 
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(["classify", "--network", str(tmp_path / "ghost.txt")])
@@ -920,9 +945,10 @@ class TestCli:
         calls = counting_linalg(monkeypatch)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
-        # the certificate's spectrum and Gram; the step check reads the same
-        # spectrum, and a divergent flow is not integrated
-        assert calls == core_calls(3, 1)
+        # the report's one decomposition, then the Gram; the certificate and
+        # the step check read its spectrum, and a divergent flow is not
+        # integrated
+        assert calls == core_calls(3, 1, spectrum="eigh")
 
     @pytest.mark.parametrize("argv, eighs", [
         (["certify", "--detail", "full"], 0),
@@ -930,6 +956,8 @@ class TestCli:
         (["spectrum"], 0),
         (["report", "--dt", "0.002"], 1),
         (["sweep", "--dt", "0.002", "--gammas", "1.5,2,3"], 1),
+        (["simulate"], 1),
+        (["simulate", "--dt", "0.002"], 1),
     ])
     def test_decompositions_per_command(self, argv, eighs, monkeypatch, capsys, tmp_path):
         g = load_highland(ScenarioConfig("highland", (0,)))
@@ -939,8 +967,43 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 0
         if argv[0] == "spectrum":  # three eigenvalue lists and no certificate
             assert calls == [("eigvalsh", (g.n, g.n))] * 3
+        elif argv[0] == "simulate":  # the default step reads the eigh's spectrum
+            assert calls == [("eigh", (g.n, g.n))] * eighs
         else:
-            assert calls == core_calls(g.n, nf) + [("eigh", (g.n, g.n))] * eighs
+            # an integrating command makes its eigh first, and the core reads
+            # its spectrum off it
+            assert calls == core_calls(g.n, nf, spectrum="eigh" if eighs else "eigvalsh")
+
+    def test_integrating_commands_start_no_thread(self, unstable_file, monkeypatch, capsys,
+                                                  tmp_path):
+        # they make the partner's eigh first, so the grounded solve runs
+        # after it on this thread; certify still runs it beside eigvalsh
+        g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
+        blocs = tmp_path / "blocs.txt"
+        blocs.write_text(dump_network(g))
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        out = str(tmp_path / "out")
+        codes = set()
+        for network, dominant in (("highland", "0"), (str(blocs), "0"), (unstable_file, "0,1")):
+            for argv in (["report", "--dt", "0.002"], ["simulate", "--dt", "0.002"],
+                         ["sweep", "--gammas", "1.5,2,3", "--dt", "0.002"]):
+                codes.add(main([argv[0], "--network", network, "--dominant", dominant,
+                                *argv[1:], "--out", out]))
+        for command in ("report", "simulate"):  # the default step
+            codes.add(main([command, "--network", "highland", "--dominant", "0",
+                            "--out", out]))
+        capsys.readouterr()
+        assert codes == {0, 2} and started == []
+        assert main(["certify", "--network", str(blocs), "--dominant", "0"]) == 0
+        capsys.readouterr()
+        assert started == ["gqsbnet-grounded-solve"]
 
     def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))

@@ -907,3 +907,37 @@ class TestConcurrentCore:
         core = partner_core(g, b)
         assert calls == core_calls(g.n, len(core.forest_edges))
 
+
+
+class TestReportRoute:
+    """``report``, ``sweep`` and ``simulate`` make the partner's ``eigh``
+    first, so their core reads its spectrum off that decomposition and
+    runs the Gram's half after it, on the calling thread."""
+
+    def test_route_matches_a_cold_certify(self, monkeypatch):
+        # everything but the spectrum bit for bit; the spectrum within
+        # rounding, since eigh and eigvalsh reduce L each in their own way
+        threads = _solve_on_a_thread(monkeypatch)
+        main, before = threading.main_thread(), threading.active_count()
+        verdicts = set()
+        for g, b in _corpus():
+            twin = SignedGraph.from_arrays(g.n, g.i, g.j, g.w)
+            for gamma in (1.0, 2.0, 3.5):
+                cold = certify(g, b, gamma)
+                seen = len(threads)
+                generalized_laplacian(twin, b, gamma).partner
+                kept = certify(twin, b, gamma)
+                assert all(thread is main for thread in threads[seen:])
+                for key in ("verdict", "decided_by", "zero_multiplicity", "connected",
+                            "forest_edges"):
+                    assert getattr(kept, key) == getattr(cold, key), key
+                assert kept.spectrum == tuple(map(float, _partner(twin, b).eigen.eigenvalues))
+                rho = max(map(abs, cold.spectrum))
+                assert max(abs(p - q) for p, q in zip(kept.spectrum, cold.spectrum)) <= 1e-12 * rho
+                assert kept.resistance.shape == cold.resistance.shape
+                assert kept.resistance.tobytes() == cold.resistance.tobytes()
+                assert kept.resistance_min_eig == cold.resistance_min_eig
+                verdicts.add(cold.verdict.value)
+        assert {"AsymmetricPolarization", "Divergence", "Consensus", "Inconclusive"} <= verdicts
+        assert main in threads and any(thread is not main for thread in threads)
+        assert threading.active_count() == before
