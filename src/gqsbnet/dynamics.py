@@ -80,7 +80,10 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
 def default_step(bundle: OperatorBundle) -> float:
     """Conservative default step: 1e-3 over the spectral radius of the
     gauge partner Laplacian (1e-3 outright for an edgeless network), read
-    from the spectrum kept on the graph, which certificates read too."""
+    from the spectrum kept on the graph, which certificates read too.
+    That spectrum is ``eigvalsh``'s, or the eigendecomposition's where
+    one was made first (``integrate`` makes it before this), so the
+    step's last bits depend on what ran before on the graph object."""
     w = _partner(bundle.graph, bundle.partition).eigenvalues
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     return 1e-3 / radius if radius > 0 else 1e-3

@@ -37,7 +37,7 @@ from .signed_graph import (
     classify,
     enumerate_gqsb_bipartitions,
 )
-from .spectral import _FLOWING, PolarizationCertificate, certify
+from .spectral import _FLOWING, PolarizationCertificate, certify, partner_core
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -311,16 +311,18 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     The network file is read once, and the bytes parsed are the bytes
     hashed; it and the start state are read before any coefficient is
     checked, and every report shares them read-only.
-    The gauge partner does not depend on the coefficient, so the sweep
-    makes one eigendecomposition of it, kept on the loaded graph, before
-    the first certificate: every integration reads it, and so does the
-    one partner core (``spectral.partner_core``), whose spectrum is its
-    eigenvalues and whose grounded solve runs after it on this thread.
-    The coefficient and the bipartition are checked before it is made, in
-    the certificate's order.  The time horizon and step
-    are checked before the network is loaded, and the step count of the
-    default step (which needs the partner spectrum) before the first
-    report, whether or not a certificate lets the flow be integrated.
+    The gauge partner does not depend on the coefficient, so every
+    coefficient reads the one partner core (``spectral.partner_core``),
+    built on this thread before the first certificate, after the
+    coefficient and the bipartition are checked, in the certificate's
+    order.  It runs the grounded solve first, and when that allows a
+    flowing verdict it makes the partner's one eigendecomposition, which
+    gives the spectrum and which every integration reads; otherwise the
+    spectrum is ``eigvalsh``'s and no eigenvector is made.  The time
+    horizon and step are checked before the network is loaded, and the
+    step count of the default step (which needs the partner spectrum)
+    before the first report, whether or not a certificate lets the flow
+    be integrated.
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, data = _resolve_network(config)
@@ -336,9 +338,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     x0.setflags(write=False)
     for gamma in gammas:
         bundle = generalized_laplacian(g, b, gamma)
-        # the integrator's decomposition first, so the certificate reads
-        # its spectrum off it and the grounded solve runs here after it
-        bundle.partner
+        partner_core(g, b, integrating=True)
         cert = certify(g, b, gamma)
         dt = default_step(bundle) if config.dt is None else config.dt
         _horizon_steps(config.t_max, dt)

@@ -394,8 +394,8 @@ class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
     its read-only ``laplacian``, and built on first read that Laplacian's
-    ``eigenvalues`` (``sym_eigvals``, or those of ``eigen`` once that is
-    kept) and ``eigen`` (``sym_eigen``).
+    ``eigenvalues`` (``sym_eigvals``) and ``eigen`` (``sym_eigen``), whose
+    eigenvalues are kept as the spectrum when none is kept yet.
     ``core`` is the slot ``spectral.partner_core`` fills.  Nothing here
     refers back to the graph, so what is kept on it goes with it."""
 
@@ -407,13 +407,13 @@ class _Partner:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if "eigen" in vars(self):
-            return self.eigen.eigenvalues
         return sym_eigvals(self.laplacian)
 
     @cached_property
     def eigen(self) -> EigenDecomposition:
-        return sym_eigen(self.laplacian)
+        dec = sym_eigen(self.laplacian)
+        vars(self).setdefault("eigenvalues", dec.eigenvalues)
+        return dec
 
 
 def _partner(g: SignedGraph, b: Bipartition) -> _Partner:

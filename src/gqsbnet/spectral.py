@@ -6,10 +6,9 @@ partner Laplacian must be positive semidefinite with a simple zero
 eigenvalue, which on a connected network is equivalent to positive
 definiteness of the forest resistance matrix.  Both are read from
 eigenvalues: the partner spectrum from ``sym_eigvals`` (or off the kept
-eigendecomposition, where a command that integrates made it first), and
-the resistance matrix from one linear solve with the Laplacian grounded
-at a node of each component, so a certificate computes no eigenvector and
-no pseudoinverse.
+eigendecomposition, where one was made first), and the resistance matrix
+from one linear solve with the Laplacian grounded at a node of each
+component, so a certificate computes no eigenvector and no pseudoinverse.
 
 The partner Laplacian does not depend on the dominance coefficient, so
 everything derived from it holds for every coefficient on one (graph,
@@ -222,11 +221,12 @@ class _Beside:
     """``fn(*args)`` run on a thread of its own from construction, whose
     numpy error state need not be the caller's, so ``fn`` must not depend
     on it.  ``join`` waits for it; ``result`` then returns its value or
-    raises its error, ``MemoryError`` included.  When no thread can be
-    started, ``fn`` runs in the caller at once."""
+    raises its error, ``MemoryError`` included, and ``value`` returns the
+    value or None.  Without ``thread``, or when no thread can be started,
+    ``fn`` runs in the caller at once."""
 
-    def __init__(self, fn, *args):
-        self._value = self._error = None
+    def __init__(self, fn, *args, thread: bool = True):
+        self._value = self._error = self._thread = None
 
         def run():
             try:
@@ -234,11 +234,13 @@ class _Beside:
             except Exception as exc:
                 self._error = exc
 
-        self._thread = threading.Thread(target=run, name="gqsbnet-grounded-solve")
-        try:
-            self._thread.start()
-        except RuntimeError:  # no thread to be had
-            self._thread = None
+        if thread:
+            self._thread = threading.Thread(target=run, name="gqsbnet-grounded-solve")
+            try:
+                self._thread.start()
+            except RuntimeError:  # no thread to be had
+                self._thread = None
+        if self._thread is None:
             run()
 
     def join(self) -> None:
@@ -250,26 +252,41 @@ class _Beside:
             raise self._error
         return self._value
 
+    def value(self):
+        return self._value
 
-def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
+
+def _positive_definite(spectrum: np.ndarray) -> bool:
+    """Whether an ascending spectrum counts as positive definite: its
+    least entry above ``default_zero_tol`` of it."""
+    return float(spectrum[0]) > default_zero_tol(spectrum)
+
+
+def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False) -> PartnerCore:
     """The partner's core: its spectrum, and the forest's resistance Gram
     and that Gram's spectrum.
 
-    The two halves do not depend on each other.  So when neither the
-    spectrum nor the eigendecomposition is kept yet and the forest is not
-    empty, the Gram's half (``_resistance``) runs on a thread of its own
-    while the partner's ``eigvalsh`` runs here.  Each LAPACK call runs as
-    it would alone, and the Gram's half signals nothing in any error
-    state, so every bit and error is as when the halves run one after the
-    other; the thread is joined before this returns or raises.  An error
-    from the spectrum comes first.  The thread's result, or its error, is
-    read only when the spectrum has as many zeros as the graph has
-    components; otherwise the Gram comes off the pseudoinverse.  A kept
-    spectrum (``default_step`` or ``spectrum --dominant`` read it) or a
-    kept eigendecomposition (the commands that integrate read it first,
-    and the spectrum is its eigenvalues) leaves the Gram's half to run
-    here, after it.  Running at once costs one n x n array at the peak:
-    ``eigvalsh``'s copy of L lives beside the solve's copies.
+    The two halves do not depend on each other.  So when the spectrum is
+    not kept yet and the forest is not empty, the Gram's half
+    (``_resistance``) runs on a thread of its own while the partner's
+    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, and
+    the Gram's half signals nothing in any error state, so every bit and
+    error is as when the halves run one after the other; the thread is
+    joined before this returns or raises.  An error from the spectrum
+    comes first.  The thread's result, or its error, is read only when the
+    spectrum has as many zeros as the graph has components; otherwise the
+    Gram comes off the pseudoinverse.  A kept spectrum (``default_step``,
+    ``spectrum --dominant`` or a kept ``eigen`` made it) leaves the Gram's
+    half to run here, after it.  Running at once costs one n x n array at
+    the peak: ``eigvalsh``'s copy of L lives beside the solve's copies.
+
+    ``integrating`` (a command that integrates every flowing verdict) runs
+    the Gram's half here first instead, and then makes the partner's
+    ``eigen``, whose eigenvalues are the spectrum, only when the network
+    is connected and that Gram is positive definite, or there is no
+    forest: ``certify`` calls a verdict flowing only then, and only then
+    is the flow integrated.  Otherwise the spectrum is ``eigvalsh``'s.
+    The errors are read as above, so they are the same on both routes.
     """
     laplacian = partner.laplacian
     components = connected_components(g)
@@ -277,9 +294,14 @@ def _build_core(g: SignedGraph, partner: _Partner) -> PartnerCore:
     first, second = i[kept], j[kept]
     forest = _triples(first, second, weight[kept])
     grounded = (_grounded_solution, laplacian, components, first, second)
+    cold = "eigenvalues" not in vars(partner)
     beside = None
-    if forest and not {"eigenvalues", "eigen"} & vars(partner).keys():
-        beside = _Beside(_resistance, *grounded)
+    if forest and cold:
+        beside = _Beside(_resistance, *grounded, thread=not integrating)
+    if integrating and cold and len(components) == 1:
+        half = beside.value() if forest else None  # None too when the solve failed
+        if not forest or (half is not None and _positive_definite(half[1])):
+            partner.eigen  # the integrator's decomposition, kept with the spectrum
     try:
         w = partner.eigenvalues
     finally:
@@ -304,7 +326,7 @@ def _resistance(solve, *args):
         return gram, sym_eigvals(gram)
 
 
-def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
+def partner_core(g: SignedGraph, b: Bipartition, *, integrating: bool = False) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b).
 
     Kept in the partner kept on ``g`` (one per graph object, see
@@ -318,11 +340,14 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     cold build runs the spectrum and the grounded solve on two threads at
     once (see ``_build_core``), with the bits of running them in turn, and
     leaves no thread behind; below about 1e-308 it raises TooLarge.  A
-    core for another bipartition replaces it.
+    cold build with ``integrating`` starts no thread, runs the solve
+    first, and makes the eigendecomposition in place of ``eigvalsh`` when
+    the verdict may be flowing.  A core for another bipartition replaces
+    it.
     """
     partner = _partner(g, b)
     if partner.core is None:
-        partner.core = _build_core(g, partner)
+        partner.core = _build_core(g, partner, integrating=integrating)
     return partner.core
 
 
@@ -370,6 +395,14 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     means divergence.  With coefficient 1 and no same-subset antagonism the
     split is a plain sign-flipped agreement, reported as Consensus.
     Disconnected or spectrally degenerate cases are Inconclusive.
+
+    The spectrum is the one kept on ``g``: ``eigvalsh``'s on a cold
+    graph, but the eigendecomposition's where one was made first (by
+    ``integrate``, ``OperatorBundle.partner`` or ``run_sweep``).  The two
+    differ in their last bits, so on one graph object the ``spectrum``
+    and ``zero_tol``, and a verdict or zero count within rounding of a
+    tolerance, depend on what ran before; the forest and the Gram do not,
+    as long as the zero count does not.
     """
     _, _, coord = _gauge_diagonals(gamma, b)
     gamma = float(gamma)
@@ -381,7 +414,7 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
         res_min = float(res_eigs[0])
         # scale-free: relative to the matrix's own largest eigenvalue
         res_pd_tol = default_zero_tol(res_eigs)
-        res_pd = res_min > res_pd_tol
+        res_pd = _positive_definite(res_eigs)
     else:
         res_min = res_pd_tol = None
         res_pd = True

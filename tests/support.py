@@ -627,16 +627,18 @@ def counting_linalg(monkeypatch):
     return calls
 
 
-def core_calls(n, forest, roots=1, spectrum="eigvalsh"):
+def core_calls(n, forest, roots=1, integrating=None):
     """The numpy.linalg calls that build one partner core on n nodes with
-    ``forest`` forest edges, grounded at ``roots`` nodes, the partner
-    spectrum made by ``spectrum``: ``eigvalsh`` for a cold core, ``eigh``
-    where a command that integrates makes the partner's decomposition
-    first."""
+    ``forest`` forest edges, grounded at ``roots`` nodes.  A cold core
+    makes the partner spectrum first; one built for a command that
+    integrates (``partner_core(..., integrating=True)``) makes the Gram's
+    half first and then the spectrum by ``integrating``: ``"eigh"`` when
+    the verdict may be flowing, ``"eigvalsh"`` otherwise."""
+    spectrum = [(integrating or "eigvalsh", (n, n))]
     if not forest:
-        return [(spectrum, (n, n))]
-    return [(spectrum, (n, n)), ("solve", (n - roots, n - roots)),
-            ("eigvalsh", (forest, forest))]
+        return spectrum
+    gram = [("solve", (n - roots, n - roots)), ("eigvalsh", (forest, forest))]
+    return gram + spectrum if integrating else spectrum + gram
 
 
 def reference_headroom(g: SignedGraph, b: Bipartition) -> float:

@@ -8,10 +8,12 @@ cooperative Laplacian, a route ``certify`` does not take).  So a network
 scaled to t*(1 - d) polarizes and one scaled to t*(1 + d) diverges.
 ``certify`` must say so outside its Inconclusive band, and inside the
 band it must never say the opposite.  Each case is certified on a cold
-graph and on the route of the commands that integrate, which read the
-partner's eigendecomposition first.
+graph, on the route of ``report`` and ``sweep`` (the grounded solve
+first, then ``eigh`` where the Gram allows a flowing verdict), and after
+the partner's eigendecomposition was read, as a library ``certify``
+after ``integrate`` is.
 
-The band today, the same in every variant and on both routes, is lopsided.
+The band today, the same in every variant and on every route, is lopsided.
 On the polarizing side d = 1e-6 is definite on all 7 networks, and
 Inconclusive is the verdict on 4 of them at d = 1e-7, on 6 at 1e-8 and on
 all at 1e-9.  On the diverging side d = 1e-7 is definite on all, 1e-8 on
@@ -33,6 +35,7 @@ from gqsbnet import (
     enumerate_gqsb_bipartitions,
     generalized_laplacian,
     load_highland,
+    partner_core,
 )
 from support import random_bloc_graph, reference_headroom
 
@@ -74,12 +77,13 @@ def _variant(g, b, name, rng):
 
 
 def _verdicts(g, b):
-    """The verdict on a cold graph, and on an equal graph whose partner
+    """The verdict on a cold graph, on an equal graph whose core was built
+    for a command that integrates, and on one whose partner
     eigendecomposition was read first."""
-    cold = certify(g, b, 2.0).verdict
-    twin = SignedGraph.from_arrays(g.n, g.i, g.j, g.w)
-    generalized_laplacian(twin, b, 2.0).partner
-    return cold, certify(twin, b, 2.0).verdict
+    report, library = (SignedGraph.from_arrays(g.n, g.i, g.j, g.w) for _ in range(2))
+    partner_core(report, b, integrating=True)
+    generalized_laplacian(library, b, 2.0).partner
+    return [certify(h, b, 2.0).verdict for h in (g, report, library)]
 
 
 def test_corpus_straddles_the_boundary():

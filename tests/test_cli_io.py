@@ -30,6 +30,7 @@ from gqsbnet import (
     Verdict,
     bipartition_from_dominant,
     certify,
+    connected_components,
     dump_network,
     enumerate_gqsb_bipartitions,
     highland_path,
@@ -945,10 +946,10 @@ class TestCli:
         calls = counting_linalg(monkeypatch)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
-        # the report's one decomposition, then the Gram; the certificate and
-        # the step check read its spectrum, and a divergent flow is not
-        # integrated
-        assert calls == core_calls(3, 1, spectrum="eigh")
+        # the Gram, which is not positive definite, then eigvalsh and no
+        # eigh: the certificate and the step check read that spectrum, and
+        # a divergent flow is not integrated
+        assert calls == core_calls(3, 1, integrating="eigvalsh")
 
     @pytest.mark.parametrize("argv, eighs", [
         (["certify", "--detail", "full"], 0),
@@ -970,14 +971,46 @@ class TestCli:
         elif argv[0] == "simulate":  # the default step reads the eigh's spectrum
             assert calls == [("eigh", (g.n, g.n))] * eighs
         else:
-            # an integrating command makes its eigh first, and the core reads
-            # its spectrum off it
-            assert calls == core_calls(g.n, nf, spectrum="eigh" if eighs else "eigvalsh")
+            # an integrating command makes the Gram first; it is positive
+            # definite, so the core reads its spectrum off the one eigh
+            assert calls == (core_calls(g.n, nf, integrating="eigh") if eighs
+                             else core_calls(g.n, nf))
+
+    def test_report_decomposes_the_partner_once(self, monkeypatch, capsys, tmp_path):
+        # the Gram picks the one decomposition: eigh where the verdict may
+        # flow, which integration then reads, and eigvalsh where it cannot
+        rng = np.random.default_rng(5)
+        networks = []
+        for intra_extra, intra_neg in ((0.3, 0.15), (0.6, 0.9)):
+            g, _ = random_bloc_graph(rng, 60, 2, intra_extra, intra_neg=intra_neg)
+            networks.append(tmp_path / f"blocs{intra_neg}.txt")
+            networks[-1].write_text(dump_network(g))
+        networks.append(tmp_path / "apart.txt")
+        networks[-1].write_text("4 2\n0 1 -1\n2 3 -1\n")
+        expected, verdicts = [], set()
+        for network in networks:
+            g = load_network(network)
+            cert = certify(g, bipartition_from_dominant(g, (0,)), 2.0)
+            flowing = cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
+            verdicts.add(cert.verdict)
+            roots = len(connected_components(g))
+            expected.append(core_calls(g.n, len(cert.forest_edges), roots,
+                                       integrating="eigh" if flowing else "eigvalsh"))
+        assert verdicts == {Verdict.ASYMMETRIC_POLARIZATION, Verdict.DIVERGENCE,
+                            Verdict.INCONCLUSIVE}
+        calls = counting_linalg(monkeypatch)
+        for network, want in zip(networks, expected):
+            for argv in (["report"], ["sweep", "--gammas", "1.5,2,3"]):
+                calls.clear()
+                main([argv[0], "--network", str(network), "--dominant", "0", *argv[1:],
+                      "--dt", "0.001", "--tmax", "1", "--out", str(tmp_path / "out")])
+                capsys.readouterr()
+                assert calls == want, (network.name, argv[0])
 
     def test_integrating_commands_start_no_thread(self, unstable_file, monkeypatch, capsys,
                                                   tmp_path):
-        # they make the partner's eigh first, so the grounded solve runs
-        # after it on this thread; certify still runs it beside eigvalsh
+        # they run the grounded solve on this thread, before the partner's
+        # eigh or eigvalsh; certify still runs it beside eigvalsh
         g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
         blocs = tmp_path / "blocs.txt"
         blocs.write_text(dump_network(g))

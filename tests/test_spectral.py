@@ -24,6 +24,7 @@ from gqsbnet import (
     bipartition_from_dominant,
     certify,
     clear_partner_cache,
+    connected_components,
     default_zero_tol,
     effective_resistance,
     generalized_laplacian,
@@ -910,34 +911,56 @@ class TestConcurrentCore:
 
 
 class TestReportRoute:
-    """``report``, ``sweep`` and ``simulate`` make the partner's ``eigh``
-    first, so their core reads its spectrum off that decomposition and
-    runs the Gram's half after it, on the calling thread."""
+    """``report`` and ``sweep`` build their core with ``integrating``: the
+    Gram's half first, on the calling thread, then the partner's ``eigh``
+    when the network is connected and the Gram positive definite (or there
+    is no forest), and ``eigvalsh`` otherwise.  A library ``certify`` after
+    ``integrate`` reads the ``eigh`` that ``integrate`` kept."""
 
     def test_route_matches_a_cold_certify(self, monkeypatch):
-        # everything but the spectrum bit for bit; the spectrum within
+        # everything but the spectrum bit for bit; an eigh spectrum within
         # rounding, since eigh and eigvalsh reduce L each in their own way
         threads = _solve_on_a_thread(monkeypatch)
         main, before = threading.main_thread(), threading.active_count()
-        verdicts = set()
+        rng = np.random.default_rng(29)
+        verdicts, eighs = set(), set()
         for g, b in _corpus():
-            twin = SignedGraph.from_arrays(g.n, g.i, g.j, g.w)
+            report, library = (SignedGraph.from_arrays(g.n, g.i, g.j, g.w) for _ in range(2))
+            seen = len(threads)
+            core = partner_core(report, b, integrating=True)
+            assert threads[seen:] == [main] * bool(core.forest_edges)
+            made = "eigen" in vars(_partner(report, b))
+            eighs.add(made)
+            integrate(generalized_laplacian(library, b, 2.0), rng.uniform(-1.0, 1.0, g.n),
+                      dt=1.0, t_max=1.0)
             for gamma in (1.0, 2.0, 3.5):
                 cold = certify(g, b, gamma)
-                seen = len(threads)
-                generalized_laplacian(twin, b, gamma).partner
-                kept = certify(twin, b, gamma)
-                assert all(thread is main for thread in threads[seen:])
-                for key in ("verdict", "decided_by", "zero_multiplicity", "connected",
-                            "forest_edges"):
-                    assert getattr(kept, key) == getattr(cold, key), key
-                assert kept.spectrum == tuple(map(float, _partner(twin, b).eigen.eigenvalues))
-                rho = max(map(abs, cold.spectrum))
-                assert max(abs(p - q) for p, q in zip(kept.spectrum, cold.spectrum)) <= 1e-12 * rho
-                assert kept.resistance.shape == cold.resistance.shape
-                assert kept.resistance.tobytes() == cold.resistance.tobytes()
-                assert kept.resistance_min_eig == cold.resistance_min_eig
                 verdicts.add(cold.verdict.value)
+                for twin, spectrum in ((report, core.eigenvalues if made else None),
+                                       (library, _partner(library, b).eigen.eigenvalues)):
+                    kept = certify(twin, b, gamma)
+                    for key in ("verdict", "decided_by", "zero_multiplicity", "connected",
+                                "forest_edges"):
+                        assert getattr(kept, key) == getattr(cold, key), key
+                    assert kept.resistance.shape == cold.resistance.shape
+                    assert kept.resistance.tobytes() == cold.resistance.tobytes()
+                    assert kept.resistance_min_eig == cold.resistance_min_eig
+                    if spectrum is None:
+                        assert kept.spectrum == cold.spectrum
+                        continue
+                    assert kept.spectrum == tuple(map(float, spectrum))
+                    rho = max(map(abs, cold.spectrum))
+                    assert max(abs(p - q) for p, q in zip(kept.spectrum, cold.spectrum)) <= (
+                        1e-12 * rho)
+                # an eigh exactly when the verdict may flow: every flowing
+                # verdict integrates off it, and no other makes it
+                if cold.verdict in spectral._FLOWING:
+                    assert made
+                if cold.zero_multiplicity == len(connected_components(g)):
+                    assert made == (cold.connected and (
+                        cold.resistance_min_eig is None
+                        or cold.resistance_min_eig > cold.resistance_pd_tol))
         assert {"AsymmetricPolarization", "Divergence", "Consensus", "Inconclusive"} <= verdicts
-        assert main in threads and any(thread is not main for thread in threads)
+        assert eighs == {True, False}
+        assert any(thread is not main for thread in threads)
         assert threading.active_count() == before
