@@ -172,12 +172,12 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("--gamma applies only with --dominant")
     config, g, b = _scenario(args)
     doc = {
-        "repelling": list(map(float, sym_eigvals(repelling_laplacian(g)))),
-        "opposing": list(map(float, sym_eigvals(opposing_laplacian(g)))),
+        "repelling": sym_eigvals(repelling_laplacian(g)).tolist(),
+        "opposing": sym_eigvals(opposing_laplacian(g)).tolist(),
     }
     if b is not None:
         generalized_laplacian(g, b, config.gamma)  # checks the coefficient
-        doc["scaled"] = list(map(float, _partner(g, b).eigenvalues))
+        doc["scaled"] = _partner(g, b).eigenvalues.tolist()
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 
@@ -204,8 +204,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_predict(args) -> int:
     config, g, b = _scenario(args)
     final = predict_final(generalized_laplacian(g, b, config.gamma), start_state(config, g.n))
-    _emit(args, {"final_state.json":
-                 render_json({"x_final": [float(v) for v in final]}) + "\n"})
+    _emit(args, {"final_state.json": render_json({"x_final": final.tolist()}) + "\n"})
     return 0
 
 

@@ -346,17 +346,19 @@ def assess(traj: Trajectory, b: Bipartition, gamma: float) -> OutcomeReport:
     is symmetric.  Divergence passes through from the integrator.  A final
     state near zero is neutral consensus, a uniform nonzero state is
     consensus, and anything else (a truncated run, say) is undetermined.
+    Raises TooLarge, with no warning, when the final state, a side's mean,
+    the spread, the cross sum or the ratio leaves the double range (a run
+    that stopped on a state past it, say).
     """
     x = traj.states[-1]
     mask = b.mask()
     side1 = x[mask]
     side2 = x[~mask]
-    v1 = float(side1.mean())
-    v2 = float(side2.mean())
-    spread = max(
-        float(np.ptp(side1)) if side1.size else 0.0,
-        float(np.ptp(side2)) if side2.size else 0.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1 = float(side1.mean())
+        v2 = float(side2.mean())
+        spread = max(float(np.ptp(side1)), float(np.ptp(side2)))
+        uniform = float(np.ptp(x)) <= _OUTCOME_TOL
     cross = max(
         abs(float(a) + gamma * float(c))
         for a in (side1.min(), side1.max())
@@ -364,12 +366,14 @@ def assess(traj: Trajectory, b: Bipartition, gamma: float) -> OutcomeReport:
     )
     defect = max(spread, cross)
     ratio = v1 / v2 if v2 != 0.0 else None
+    if not np.isfinite([v1, v2, defect, ratio or 0.0]).all():
+        raise TooLarge("the final state, or a mean or spread of it, leaves the double range")
 
     if traj.terminated is Termination.DIVERGED:
         kind = OutcomeKind.DIVERGENCE
     elif float(np.max(np.abs(x))) <= _OUTCOME_TOL:
         kind = OutcomeKind.NEUTRAL_CONSENSUS
-    elif float(np.ptp(x)) <= _OUTCOME_TOL:
+    elif uniform:
         kind = OutcomeKind.CONSENSUS
     elif spread <= _OUTCOME_TOL and cross <= _OUTCOME_TOL * max(1.0, abs(v1)):
         if gamma == 1.0:

@@ -471,10 +471,10 @@ def certificate_dict(cert: PolarizationCertificate, detail: str = "summary") -> 
         "spectrum": list(cert.spectrum),
         "zero_multiplicity": cert.zero_multiplicity,
         "forest_edges": [[i, j, w] for i, j, w in cert.forest_edges],
-        "resistance": [list(row) for row in cert.resistance],
+        "resistance": cert.resistance.tolist(),
         "resistance_min_eig": cert.resistance_min_eig,
-        "null_right": list(cert.null_right),
-        "null_left": list(cert.null_left),
+        "null_right": cert.null_right.tolist(),
+        "null_left": cert.null_left.tolist(),
     }
 
 
@@ -493,7 +493,7 @@ def outcome_dict(outcome: OutcomeReport | None) -> dict | None:
 def report_dict(report: Report, detail: str = "summary") -> dict:
     """The report as a document; ``detail`` is ``certificate_dict``'s."""
     prov = dict(report.provenance)
-    prov["x0"] = list(report.x0)
+    prov["x0"] = report.x0.tolist()
     return {
         "classification": report.classification,
         "p": report.p,

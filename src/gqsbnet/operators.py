@@ -50,9 +50,9 @@ def _max_of(parts) -> float:
 
 
 def _max_abs(m: np.ndarray) -> float:
-    """The largest entry magnitude of the square ``m`` (0 when empty),
-    one row block at a time."""
-    return _max_of(np.max(np.abs(m[rows]), initial=0.0) for rows in _blocks(m.shape[0]))
+    """The largest entry magnitude of ``m`` (0 when empty), from two
+    reductions that allocate nothing; a NaN entry gives NaN."""
+    return abs(float(np.maximum(m.max(initial=0.0), -m.min(initial=0.0))))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -187,19 +187,20 @@ def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
     twice each absolute row sum finite (TooLarge), and symmetric within
     1e-12 of the largest entry.
 
-    Each check is one pass over row blocks, in that order, so the first
-    failing check names the error wherever its entry sits.  An input
-    symmetric bit for bit is returned itself: it equals (m + m.T) / 2,
-    since doubling cannot overflow once the row sums pass and halving is
-    exact.  Otherwise the result is a symmetrized copy."""
+    The checks run in that order, so the first failing check names the
+    error wherever its entry sits: finiteness is read off the largest
+    magnitude (two reductions), the row sums and symmetry off row blocks.
+    An input symmetric bit for bit is returned itself: it equals
+    (m + m.T) / 2, since doubling cannot overflow once the row sums pass
+    and halving is exact.  Otherwise the result is a symmetrized copy."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    blocks = _blocks(m.shape[0])
-    if not all(np.isfinite(m[rows]).all() for rows in blocks):
+    scale = _max_abs(m)
+    if not scale < np.inf:
         raise NotSymmetric("matrix has a NaN or infinite entry")
     _row_sums(m)
-    scale = _max_abs(m)
+    blocks = _blocks(m.shape[0])
     # compared as bits, so that -0.0 facing +0.0 counts as asymmetric
     exact = all(np.array_equal(m[rows].view(np.uint64), m[:, rows].T.view(np.uint64))
                 for rows in blocks)

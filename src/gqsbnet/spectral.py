@@ -266,39 +266,38 @@ def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False)
     """The partner's core: its spectrum, and the forest's resistance Gram
     and that Gram's spectrum.
 
-    The two halves do not depend on each other.  So when the spectrum is
-    not kept yet and the forest is not empty, the Gram's half
-    (``_resistance``) runs on a thread of its own while the partner's
-    ``eigvalsh`` runs here.  Each LAPACK call runs as it would alone, and
-    the Gram's half signals nothing in any error state, so every bit and
-    error is as when the halves run one after the other; the thread is
-    joined before this returns or raises.  An error from the spectrum
-    comes first.  The thread's result, or its error, is read only when the
-    spectrum has as many zeros as the graph has components; otherwise the
-    Gram comes off the pseudoinverse.  A kept spectrum (``default_step``,
-    ``spectrum --dominant`` or a kept ``eigen`` made it) leaves the Gram's
-    half to run here, after it.  Running at once costs one n x n array at
-    the peak: ``eigvalsh``'s copy of L lives beside the solve's copies.
+    The two halves do not depend on each other.  So when the forest is
+    not empty, the Gram's half (``_resistance`` of the grounded solve)
+    runs on a thread of its own while the partner's spectrum is read
+    here: ``eigvalsh``, or the spectrum kept already (``default_step``,
+    ``spectrum --dominant`` or a kept ``eigen`` made it).  Each LAPACK
+    call runs as it would alone, and the Gram's half signals nothing in
+    any error state, so every bit and error is as when the halves run one
+    after the other; the thread is joined before this returns or raises.
+    An error from the spectrum comes first.  The thread's result, or its
+    error, is read only when the spectrum has as many zeros as the graph
+    has components; otherwise the Gram comes off the pseudoinverse.
+    Running at once costs one n x n array at the peak: ``eigvalsh``'s
+    copy of L lives beside the solve's copies.
 
     ``integrating`` (a command that integrates every flowing verdict) runs
     the Gram's half here first instead, and then makes the partner's
-    ``eigen``, whose eigenvalues are the spectrum, only when the network
-    is connected and that Gram is positive definite, or there is no
-    forest: ``certify`` calls a verdict flowing only then, and only then
-    is the flow integrated.  Otherwise the spectrum is ``eigvalsh``'s.
-    The errors are read as above, so they are the same on both routes.
+    ``eigen``, whose eigenvalues are the spectrum when none is kept, only
+    when the network is connected and that Gram is positive definite, or
+    there is no forest: ``certify`` calls a verdict flowing only then, and
+    only then is the flow integrated.  Otherwise the spectrum is
+    ``eigvalsh``'s.  The errors are read as above, so they are the same on
+    both routes.
     """
-    laplacian = partner.laplacian
     components = connected_components(g)
     (i, j, weight), kept = _antagonistic_forest(partner.network)
     first, second = i[kept], j[kept]
     forest = _triples(first, second, weight[kept])
-    grounded = (_grounded_solution, laplacian, components, first, second)
-    cold = "eigenvalues" not in vars(partner)
     beside = None
-    if forest and cold:
-        beside = _Beside(_resistance, *grounded, thread=not integrating)
-    if integrating and cold and len(components) == 1:
+    if forest:
+        beside = _Beside(_resistance, _grounded_solution, partner.laplacian, components,
+                         first, second, thread=not integrating)
+    if integrating and len(components) == 1:
         half = beside.value() if forest else None  # None too when the solve failed
         if not forest or (half is not None and _positive_definite(half[1])):
             partner.eigen  # the integrator's decomposition, kept with the spectrum
@@ -310,7 +309,7 @@ def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False)
     if not forest:
         gram, res_w = _frozen(np.zeros((0, 0))), np.zeros(0)
     elif _zero_count(w) == len(components):
-        gram, res_w = _resistance(*grounded) if beside is None else beside.result()
+        gram, res_w = beside.result()
     else:
         del beside  # an extra zero: the grounded system is singular
         gram, res_w = _resistance(_pinv_solution, partner.eigen, first, second)
@@ -337,13 +336,12 @@ def partner_core(g: SignedGraph, b: Bipartition, *, integrating: bool = False) -
     (see ``_grounded_solution``): then the pseudoinverse is read off the
     partner's one eigendecomposition, which integration reads too; a core
     built after that decomposition is kept reads its spectrum off it.  A
-    cold build runs the spectrum and the grounded solve on two threads at
-    once (see ``_build_core``), with the bits of running them in turn, and
+    build runs the spectrum and the grounded solve on two threads at once
+    (see ``_build_core``), with the bits of running them in turn, and
     leaves no thread behind; below about 1e-308 it raises TooLarge.  A
-    cold build with ``integrating`` starts no thread, runs the solve
-    first, and makes the eigendecomposition in place of ``eigvalsh`` when
-    the verdict may be flowing.  A core for another bipartition replaces
-    it.
+    build with ``integrating`` starts no thread, runs the solve first, and
+    makes the eigendecomposition in place of ``eigvalsh`` when the verdict
+    may be flowing.  A core for another bipartition replaces it.
     """
     partner = _partner(g, b)
     if partner.core is None:

@@ -13,6 +13,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -933,3 +934,131 @@ def reference_condense(g: SignedGraph) -> SignedGraph:
         agg[key] = agg.get(key, 0.0) + w
     edges = tuple((i, j, w) for (i, j), w in sorted(agg.items()))
     return SignedGraph(len(comps), edges)
+
+
+def exact_partner_laplacian(g: SignedGraph, b: Bipartition) -> list[list[Fraction]]:
+    """The gauge partner Laplacian in exact arithmetic: every float weight
+    as the rational it is, cross ties sign-flipped, the diagonal summing
+    the signed weights."""
+    side = b.mask()
+    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for i, j, w in g.edges:
+        w = -Fraction(w) if side[i] != side[j] else Fraction(w)
+        lap[i][j] -= w
+        lap[j][i] -= w
+        lap[i][i] += w
+        lap[j][j] += w
+    return lap
+
+
+def exact_charpoly(a: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients c[0..n] of det(x I - a), c[k] at x^k, by
+    Faddeev-LeVerrier: M_1 = I, c[n-k] = -tr(a M_k) / k and
+    M_{k+1} = a M_k + c[n-k] I."""
+    n = len(a)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(am[i][i] for i in range(n)) / k
+        m = [[am[i][j] + (c[n - k] if i == j else 0) for j in range(n)] for i in range(n)]
+    return c
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [v > 0 for v in coeffs if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _taylor_shift(c, t: Fraction) -> list[Fraction]:
+    """Coefficients of p(x + t) from those of p(x)."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += t * c[k + 1]
+    return c
+
+
+def _reflected(c) -> list[Fraction]:
+    """Coefficients of p(-x) from those of p(x)."""
+    return [-v if k % 2 else v for k, v in enumerate(c)]
+
+
+def exact_inertia(c) -> tuple[int, int, int]:
+    """(negative, zero, positive) root counts of a real-rooted polynomial,
+    as a symmetric matrix's characteristic polynomial is: Descartes' rule
+    of signs is exact for such polynomials."""
+    zero = next(k for k, v in enumerate(c) if v)
+    pos = _sign_changes(c)
+    return len(c) - 1 - zero - pos, zero, pos
+
+
+def exact_band_count(c, tol: Fraction) -> int:
+    """Roots of the real-rooted polynomial ``c`` in [-tol, tol]: all of
+    them less those above tol (the positive roots of p(x + tol)) and those
+    below -tol (the positive roots of p(-x - tol))."""
+    above = _sign_changes(_taylor_shift(c, tol))
+    below = _sign_changes(_taylor_shift(_reflected(c), tol))
+    return len(c) - 1 - above - below
+
+
+def _exact_solve(a, rhs):
+    """x with a x = rhs for a nonsingular square ``a`` and a list of
+    right-hand columns (rows of ``rhs``), by Gauss-Jordan elimination in
+    Fractions; None when ``a`` is singular."""
+    n = len(a)
+    rows = [list(a[i]) + [col[i] for col in rhs] for i in range(n)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        head = rows[k][k]
+        rows[k] = [v / head for v in rows[k]]
+        for r in range(n):
+            if r != k and rows[r][k]:
+                f = rows[r][k]
+                rows[r] = [v - f * u for v, u in zip(rows[r], rows[k])]
+    return [[rows[i][n + q] for i in range(n)] for q in range(len(rhs))]
+
+
+def exact_gram_positive_definite(lap, forest) -> bool | None:
+    """Whether the forest's resistance Gram B^T L^+ B is positive definite,
+    in exact arithmetic, on a connected network: L grounded at node 0
+    (``_grounded_solution`` says why that gives the Gram), then every
+    pivot of the Gram's elimination positive.  None when the grounded
+    Laplacian is singular (an extra zero in the spectrum)."""
+    n = len(lap)
+    grounded = [row[1:] for row in lap[1:]]
+    cols = []
+    for i, j, _ in forest:
+        col = [Fraction(0)] * (n - 1)
+        if i:
+            col[i - 1] += 1
+        if j:
+            col[j - 1] -= 1
+        cols.append(col)
+    y = _exact_solve(grounded, cols)
+    if y is None:
+        return None
+    gram = [[sum(u * v for u, v in zip(cq, yp)) for yp in y] for cq in cols]
+    for k in range(len(gram)):
+        if not gram[k][k] > 0:
+            return False
+        for r in range(k + 1, len(gram)):
+            f = gram[r][k] / gram[k][k]
+            gram[r] = [v - f * u for v, u in zip(gram[r], gram[k])]
+    return True
+
+
+def exact_verdict(g: SignedGraph, b: Bipartition) -> Verdict:
+    """``certify``'s verdict at a coefficient other than 1, in exact
+    arithmetic: Inconclusive on a disconnected network, Divergence with a
+    negative partner eigenvalue, asymmetric polarization with a simple
+    zero, Inconclusive with more zeros."""
+    if len(reference_components(g.n, g.edges)) > 1:
+        return Verdict.INCONCLUSIVE
+    neg, zero, _ = exact_inertia(exact_charpoly(exact_partner_laplacian(g, b)))
+    if neg:
+        return Verdict.DIVERGENCE
+    return Verdict.ASYMMETRIC_POLARIZATION if zero == 1 else Verdict.INCONCLUSIVE

@@ -814,6 +814,22 @@ class TestCli:
             assert outcome["v1_value"] / gamma == pytest.approx(
                 outcomes[1e307]["v1_value"] / 1e307, rel=1e-12)
 
+    @pytest.mark.parametrize("command, gamma", [
+        ("report", "1e307"), ("report", "4.4e307"), ("simulate", "1e307"),
+    ])
+    def test_state_past_the_double_range_too_large(self, tmp_path, command, gamma):
+        # start entries of +-1000 times a coefficient near 1e307 put the
+        # first formed state past 1.8e308: one TooLarge line, no warning
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(" ".join(["1000"] * 8 + ["-1000"] * 8))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gqsbnet", command, "--network", "highland",
+             "--dominant", "0", "--dt", "0.002", "--gamma", gamma, "--x0", str(x0)],
+            env=_child_env(PYTHONWARNINGS="error"), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: the final state, or a mean or spread of it, "
+                               "leaves the double range\n")
+
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a header naming a million nodes: the dense partner Laplacian
         # cannot be allocated, which the patch stands in for

@@ -74,6 +74,17 @@ class TestIntegrate:
         assert traj.terminated is Termination.DIVERGED
         assert float(np.max(np.abs(traj.states[-1]))) > 1e12
 
+    def test_state_past_the_double_range_diverges_quietly(self):
+        # x0 entries of +-1000 times a coefficient of 1e307 put the first
+        # formed state past 1.8e308: it stops the run, and nothing warns
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        b = bipartition_from_dominant(g, (0,))
+        x0 = np.repeat([1000.0, -1000.0], 8)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            traj = integrate(generalized_laplacian(g, b, 1e307), x0, dt=0.002)
+        assert traj.terminated is Termination.DIVERGED
+        assert not np.isfinite(traj.states[-1]).all()
+
     def test_time_limit(self, worked_bundle):
         traj = integrate(worked_bundle, [1.0, 0.0, 0.0], dt=0.01, t_max=0.05,
                          stop_tol=0.0)
@@ -589,3 +600,22 @@ class TestAssess:
     def test_defect_combines_spread_and_cross_error(self, allneg_split):
         report = assess(_made_up_trajectory([0.4, 0.5, -0.2]), allneg_split, 2.0)
         assert report.defect == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        [np.inf, 1.0, 1.0],  # a state past the double range
+        [np.nan, 1.0, 1.0],
+        [1.5e308, 1.5e308, 1.0],  # a side's mean
+        [1.5e308, -1.5e308, 0.0],  # a side's spread
+        [1.0, 1.0, 1e308],  # the cross sum, with the coefficient 2
+        [1e300, 1e300, 1e-300],  # the ratio
+    ])
+    def test_past_the_double_range_too_large(self, allneg_split, state):
+        for terminated in (Termination.DIVERGED, Termination.MAX_TIME):
+            with pytest.raises(TooLarge, match="leaves the double range"):
+                assess(_made_up_trajectory(state, terminated), allneg_split, 2.0)
+
+    def test_state_range_past_the_double_range_is_read(self):
+        # every reported value is finite, the range of the whole state is not
+        report = assess(_made_up_trajectory([-1e308, 1e308, 5e307]),
+                        Bipartition(3, frozenset({0})), 1.5)
+        assert report.kind is OutcomeKind.UNDETERMINED
