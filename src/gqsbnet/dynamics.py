@@ -91,7 +91,7 @@ def default_step(bundle: OperatorBundle) -> float:
 
 # Cap on the floats in one block array of integrate (64 KiB).
 _BLOCK_FLOATS = 1 << 13
-# Modes whose velocity integrate's screen forms exactly on every step.
+# Modes whose velocity integrate's run bound keeps apart from the tail's.
 _HEAD = 4
 # integrate's rounding slack, in units of (n + 1) * eps * G * ||d||_2.
 _SLACK = 16.0
@@ -152,20 +152,22 @@ def integrate(
     Stops when the flow velocity drops below ``stop_tol`` (Converged), the
     state magnitude passes 1e12 or stops being finite (Diverged), or time
     runs out (MaxTime).  States are recorded every ``record_every``
-    accepted steps (auto-chosen to keep a few thousand samples when
-    omitted); the initial and final states are always recorded.
+    accepted steps; when it is omitted that is the horizon's step count
+    over 2048, rounded down (at least 1), so a run that stops early keeps
+    few rows.  The initial and final states are always recorded.
 
     The flow is gauge-similar to the partner Laplacian V diag(lambda) V^T,
     so k RK4 steps act on the partner's modes as the k-th powers of the
     stability polynomial at -dt * lambda.  Steps are searched in blocks
     from those powers, with no per-step loop.  Norm bounds on the modes
-    only clear steps: those they prove moving are skipped, outright up to
-    the last such step and a block at a time after it.  Every other block
-    is formed whole in node space, where the first step that meets a stop
-    rule ends the run.  The recorded rows are formed in one pass after the
-    search.  The stationary mode is carried exactly and every state is
-    projected back onto the conserved level set of the gauge-weighted
-    total.
+    only clear steps: a run of whole blocks that they prove moving and
+    calm from its two ends is skipped, and the run doubles while they
+    clear it and halves when they do not.  A block they cannot clear, and
+    the horizon's block, is formed whole in node space, where the first
+    step that meets a stop rule ends the run.  The recorded rows are
+    formed in one pass after the search.  The stationary mode is carried
+    exactly and every state is projected back onto the conserved level
+    set of the gauge-weighted total.
 
     Raises BadStep when ``dt`` or ``t_max`` is not a positive real,
     ``stop_tol`` not a non-negative real or ``record_every`` not an
@@ -235,55 +237,58 @@ def integrate(
         a = big * (c + abs(level))
         return 2.0 * (a + np.max(np.abs(normal)) * (np.sum(np.abs(gauge)) * a + abs(total)))
 
-    # Skip-ahead: modes with |factor| <= 1 only shrink and the others grow
-    # by at most max|factor| a step, so the bounds proving step k moving and
-    # below the divergence limit prove every earlier step so too.
-    fade = np.abs(factor) <= 1.0
-    grow = np.max(np.abs(factor), initial=1.0)
-    c_fade, c_grow = np.linalg.norm(coeff0[fade]), np.linalg.norm(coeff0[~fade])
-
-    def proven(k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.linalg.norm(factor[fade] ** k * coeff0[fade] * lam[fade])
-            return bool(d * (low - slack) > stop_tol
-                        and ceiling(c_fade + c_grow * grow ** k) <= DIVERGENCE_LIMIT)
-
-    done, probe = 0, 1  # gallop, then bisect, to the last proven step
-    while probe < steps and proven(probe):
-        done, probe = probe, min(2 * probe, steps)
-    while probe - done > 1:
-        mid = (done + probe) // 2
-        done, probe = (mid, probe) if proven(mid) else (done, mid)
-
-    # The head: the _HEAD slowest-fading modes that are not zero modes.
+    # The head: the _HEAD slowest-fading modes, zero modes last.
     key = np.where(np.abs(lam) > dec.zero_tol, -np.abs(factor), np.inf)
     head = np.argsort(key, kind="stable")[:_HEAD]
     tail = np.delete(np.arange(n), head)
     head_rows = vecs[:, head].T / gauge
-    # Blocks keep their grid from step 1, whatever the skip: same bits.  The
-    # bounds only clear a block short of the horizon whose every step they
-    # prove moving and calm; every other block is formed whole and node
-    # space alone decides the stop, the termination and the final state.
-    for first in range(1 + done // block * block, steps + 1, block):
-        k = np.arange(first, min(first + block, steps + 1))
-        # rows past a divergence may overflow; the search stops before them
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeff = factor ** k[:, None] * coeff0
-            d = coeff * lam
-            if k[-1] < steps:
-                dn = np.linalg.norm(d, axis=1)
-                h = np.max(np.abs(d[:, head] @ head_rows), axis=1)
-                t = big * np.linalg.norm(d[:, tail], axis=1)
-                moving = np.maximum(h - t, low * dn) - slack * dn > stop_tol
-                if (moving & (ceiling(np.linalg.norm(coeff, axis=1)) <= DIVERGENCE_LIMIT)).all():
-                    continue
-            xs = form(coeff)
-            diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
-            settled = (np.max(np.abs((d @ vecs.T) / gauge), axis=1) <= stop_tol) & (k < steps)
-        stop = diverged | settled
-        if stop.any():
-            break
-    # the horizon's block is never cleared, so the loop always forms one
+
+    def clear(a, b):
+        """Whether the bounds prove every step a..b moving and calm.
+
+        RK4's factor is positive on a real spectrum, so each mode's size,
+        and each head mode's ratio to the first, lies between its values
+        at a and at b, whichever of them is the larger.  Each entry of
+        the head's velocity is the first mode's size times a sum linear in
+        those ratios, which on their box lies within ``half @ |rows|`` of
+        its value at the box's midpoint."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = factor ** np.array([[a], [b]]) * coeff0
+            d = c * lam
+            small, large = np.min(np.abs(d), axis=0), np.max(np.abs(d), axis=0)
+            ratio = d[:, head] / d[:, head[:1]]
+            mid, half = (ratio[0] + ratio[1]) / 2.0, np.abs(ratio[0] - ratio[1]) / 2.0
+            h = small[head[0]] * np.max(np.abs(mid @ head_rows) - half @ np.abs(head_rows))
+            t = big * np.linalg.norm(large[tail])
+            bound = np.fmax(h - t, low * np.linalg.norm(small)) - slack * np.linalg.norm(large)
+            top = np.linalg.norm(np.max(np.abs(c), axis=0))
+            return bool(bound > stop_tol and ceiling(top) <= DIVERGENCE_LIMIT)
+
+    # Runs of whole blocks keep the blocks' grid from step 1: same bits.  A
+    # run doubles while the bounds clear it and halves when they do not; a
+    # block they cannot clear, and the horizon's block, is formed whole, and
+    # node space alone decides the stop, the termination and the final state.
+    blocks = -(-steps // block)
+    j, run = 0, 1  # the next block, and the run to try from it, in blocks
+    while True:
+        run = min(run, blocks - 1 - j)
+        if run and clear(1 + j * block, (j + run) * block):
+            j, run = j + run, 2 * run
+        elif run > 1:
+            run //= 2
+        else:
+            k = np.arange(1 + j * block, min((j + 1) * block, steps) + 1)
+            # rows past a divergence may overflow; the search stops before them
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeff = factor ** k[:, None] * coeff0
+                xs = form(coeff)
+                diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
+                velocity = ((coeff * lam) @ vecs.T) / gauge
+                settled = (np.max(np.abs(velocity), axis=1) <= stop_tol) & (k < steps)
+            stop = diverged | settled
+            if stop.any() or j == blocks - 1:
+                break
+            j += 1
     last = int(np.argmax(stop)) if stop.any() else k.size - 1
     status = Termination.MAX_TIME
     if stop[last]:

@@ -117,8 +117,14 @@ def _require_gqsb(g: SignedGraph, b: Bipartition) -> None:
 
 def _gauge_diagonals(gamma: float, b: Bipartition):
     """Diagonals of the three gauges: scale (gamma on side one, else 1),
-    sign (-1 on side one, else 1), and coordinate (sign / scale)."""
+    sign (-1 on side one, else 1), and coordinate (sign / scale).
+
+    Raises TooLarge, with no warning, when 1/gamma overflows (gamma below
+    about 5.6e-309), so no gauge is formed past the double range."""
     gamma = _check_gamma(gamma)
+    with np.errstate(over="ignore"):
+        if np.isinf(1.0 / np.float64(gamma)):
+            raise TooLarge(f"coordinate gauge past the double range at coefficient {gamma:g}")
     m = b.mask()
     scale = np.where(m, gamma, 1.0)
     sign = np.where(m, -1.0, 1.0)

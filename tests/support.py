@@ -406,8 +406,9 @@ def reference_block_integrate(
     Stops when the flow velocity drops below ``stop_tol`` (Converged), the
     state magnitude passes 1e12 or stops being finite (Diverged), or time
     runs out (MaxTime).  States are recorded every ``record_every``
-    accepted steps (auto-chosen to keep a few thousand samples when
-    omitted); the initial and final states are always recorded.
+    accepted steps; when it is omitted that is the horizon's step count
+    over 2048, rounded down (at least 1), so a run that stops early keeps
+    few rows.  The initial and final states are always recorded.
 
     The flow is gauge-similar to the partner Laplacian V diag(lambda) V^T,
     so k RK4 steps act on the partner's modes as the k-th powers of the

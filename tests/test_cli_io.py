@@ -795,6 +795,24 @@ class TestCli:
             assert errors == ["error: coordinate gauge past the double range at coefficient "
                               f"{float(gamma):g}"]
 
+    def test_gauge_entry_past_the_double_range_too_large(self, capsys):
+        # below about 5.6e-309 the gauge entry 1 / gamma overflows: every
+        # command that forms a gauge refuses it in one line, with no warning
+        # (each runs in a child under PYTHONWARNINGS=error)
+        for argv in (["certify"], ["certify", "--detail", "full"], ["predict"], ["report"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gqsbnet", *argv, "--network", "highland",
+                 "--dominant", "0", "--gamma", "1e-320"],
+                env=_child_env(PYTHONWARNINGS="error"), capture_output=True, text=True)
+            errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert errors == ["error: coordinate gauge past the double range at coefficient "
+                              f"{1e-320:g}"]
+        # a coefficient whose gauge entry is representable certifies as before
+        assert main(["certify", "--network", "highland", "--dominant", "0",
+                     "--gamma", "1e-300"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "AsymmetricPolarization"
+
     def test_gauge_near_the_double_range_runs_clean(self, capsys):
         # up to the gauge's refusal the states are representable while the
         # first velocity, the state over a gauge entry near 1e-308, is not:

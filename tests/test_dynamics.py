@@ -13,6 +13,7 @@ from gqsbnet import (
     TooLarge,
     Trajectory,
     assess,
+    certify,
     closed_form_state,
     default_step,
     generalized_laplacian,
@@ -194,6 +195,16 @@ class TestIntegrate:
         for dt in (None, 0.01):
             with pytest.raises(TooLarge, match="coordinate gauge"):
                 integrate(bundle, [1.0, 0.0, 0.0], dt=dt)
+
+    def test_gauge_entry_past_the_double_range_refused(self, allneg_triangle, allneg_split):
+        # below about 5.6e-309 the entry 1 / gamma itself overflows: TooLarge
+        # where every gauge is formed, so certify and predict_final refuse
+        # it with no warning and no infinite null vector
+        with pytest.raises(TooLarge, match="coordinate gauge"):
+            certify(allneg_triangle, allneg_split, 1e-320)
+        bundle = generalized_laplacian(allneg_triangle, allneg_split, 1e-320)
+        with pytest.raises(TooLarge, match="coordinate gauge"):
+            predict_final(bundle, [1.0, 0.0, 0.0])
 
     def test_default_step_uses_spectral_radius(self, worked_bundle):
         assert default_step(worked_bundle) == pytest.approx(1e-3 / 9.0, rel=1e-9)
@@ -390,6 +401,65 @@ class TestAgainstBlockSearch:
         x0 = [1.0, -0.5, 0.25, 2.0, -3.0]
         assert _assert_matches_block_search(bundle, x0).terminated is Termination.CONVERGED
         assert _assert_matches_block_search(bundle, x0, 0.01).terminated is Termination.CONVERGED
+        # K4's partner has three nonzero modes, all at 4: beside two isolated
+        # nodes the head is those three and a zero mode
+        edges = [(i, j, 1.0 if (i < 2) == (j < 2) else -1.0)
+                 for i in range(4) for j in range(i + 1, 4)]
+        g = SignedGraph.from_edge_list(6, edges)
+        bundle = generalized_laplacian(g, Bipartition(6, frozenset({0, 1, 4})), 3.0)
+        assert np.sum(np.abs(bundle.partner.eigenvalues) > bundle.partner.zero_tol) == 3
+        x0 = [1.0, -0.5, 0.25, 2.0, -3.0, 0.5]
+        assert _assert_matches_block_search(bundle, x0).terminated is Termination.CONVERGED
+
+    def test_repeated_slowest_mode(self):
+        # a cycle's slowest nonzero eigenvalue is double: two head modes fade
+        # at one rate, so their ratio keeps its value over every run
+        n = 8
+        edges = [(i, (i + 1) % n, -1.0 if i in (3, 7) else 1.0) for i in range(n)]
+        bundle = generalized_laplacian(SignedGraph.from_edge_list(n, edges),
+                                       Bipartition(n, frozenset(range(4))), 2.0)
+        factor = _rk4_factor(-default_step(bundle) * bundle.partner.eigenvalues)
+        assert factor[1] == factor[2] > factor[3]
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+        ref = _assert_matches_block_search(bundle, x0, records=(None, 5))
+        assert ref.terminated is Termination.CONVERGED
+
+    def test_coefficient_below_one(self):
+        # the larger coordinate gauge entry sits on side one, over runs of
+        # many blocks
+        bundle, x0, _ = _two_bloc(6, n=60, gamma=0.4)
+        ref = _assert_matches_block_search(bundle, x0, records=(None,))
+        assert ref.terminated is Termination.CONVERGED
+
+    def test_start_state_nearly_free_of_the_slowest_mode(self):
+        # the second head mode carries the run and its ratio to the first
+        # falls over every run, so the head bound must hold at both ends
+        bundle, _, _ = _two_bloc(0, n=12)
+        c = np.zeros(12)
+        c[1:4] = 1e-6, 1.0, 0.5
+        x0 = (bundle.partner.eigenvectors @ c + 0.3) / bundle.coord_gauge
+        ref = _assert_matches_block_search(bundle, x0, records=(None,))
+        assert ref.terminated is Termination.CONVERGED
+
+    def test_two_bloc_at_the_default_step(self):
+        bundle, x0, _ = _two_bloc(2)
+        ref = _assert_matches_block_search(bundle, x0, records=(None,))
+        assert ref.terminated is Termination.CONVERGED
+
+    def test_stop_tol_at_the_last_steps_at_the_default_step(self):
+        # the last three steps before the stop, each at its own node-space
+        # speed and one ulp either side, after many cleared blocks
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            g, b = random_gqsb_instance(rng, n_max=6)
+            bundle = generalized_laplacian(g, b, float(rng.uniform(0.5, 3.0)))
+            x0 = rng.uniform(-1.0, 1.0, bundle.n)
+            dt = default_step(bundle)
+            stop = round(reference_block_integrate(bundle, x0, dt).times[-1] / dt)
+            for k in range(stop - 2, stop + 1):
+                speed = _block_search_speed(bundle, x0, dt, 1000.0, k)
+                for tol in (speed, np.nextafter(speed, 0.0), np.nextafter(speed, 1.0)):
+                    _assert_matches_block_search(bundle, x0, dt, stop_tol=tol, records=(None,))
 
     def test_zero_stop_tol_runs_out_of_time(self, worked_bundle):
         ref = _assert_matches_block_search(worked_bundle, [1.0, 0.0, 0.0], 0.01, 30.0, 0.0)
