@@ -6,9 +6,10 @@ sweep that runs in process on one loaded network and one partner
 spectrum.  Each subcommand takes only the flags it reads, and every
 one loads its network through one scenario, for node 0's group when no
 ``--dominant`` is given.  Exit codes: 0 on success, 2 when a certificate
-(``certify``, ``report``) lands on Inconclusive or Divergence or a
-simulated outcome (``simulate``) on Divergence or Undetermined, 1 on any
-error.  A failing command writes nothing.
+(``certify``, ``report``) lands on a verdict that does not let the flow
+run (``Verdict.flows``: Inconclusive or Divergence) or a simulated
+outcome (``simulate``) on Divergence or Undetermined, 1 on any error.  A
+failing command writes nothing.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ from .fileio import (
 from .operators import (_partner, generalized_laplacian, opposing_laplacian,
                         repelling_laplacian, sym_eigvals)
 from .signed_graph import bipartition_from_dominant
-from .spectral import Verdict, certify
-
-_BAD_VERDICTS = {Verdict.INCONCLUSIVE.value, Verdict.DIVERGENCE.value,
-                 OutcomeKind.DIVERGENCE.value, OutcomeKind.UNDETERMINED.value}
+from .spectral import certify
 
 
 def _stride(text: str) -> int:
@@ -186,7 +184,7 @@ def _cmd_certify(args) -> int:
     config, g, b = _scenario(args)
     cert = certify(g, b, config.gamma)
     _emit(args, {"certificate.json": render_json(certificate_dict(cert, args.detail)) + "\n"})
-    return 2 if cert.verdict.value in _BAD_VERDICTS else 0
+    return 0 if cert.verdict.flows else 2
 
 
 def _cmd_simulate(args) -> int:
@@ -198,7 +196,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         files["outcome.json"] = render_json(outcome_dict(outcome)) + "\n"
     _emit(args, files)
-    return 2 if outcome.kind.value in _BAD_VERDICTS else 0
+    return 2 if outcome.kind in (OutcomeKind.DIVERGENCE, OutcomeKind.UNDETERMINED) else 0
 
 
 def _cmd_predict(args) -> int:
@@ -216,7 +214,7 @@ def _cmd_report(args) -> int:
     if args.out and report.trajectory is not None:
         files["trajectory.csv"] = trajectory_to_csv(report.trajectory, stride=args.stride)
     _emit(args, files)
-    return 2 if report.certificate.verdict.value in _BAD_VERDICTS else 0
+    return 0 if report.certificate.verdict.flows else 2
 
 
 def _cmd_sweep(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle, _partner
 from .signed_graph import Bipartition
-from .spectral import _FLOWING, certify
+from .spectral import certify
 
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
@@ -338,7 +338,7 @@ def predict_final(bundle: OperatorBundle, x0) -> np.ndarray:
     """
     x = _state_vector(bundle, x0)
     cert = certify(bundle.graph, bundle.partition, bundle.gamma)
-    if cert.verdict not in _FLOWING:
+    if not cert.verdict.flows:
         raise NotPolarizing(f"certificate verdict is {cert.verdict.value}")
     return cert.null_right * (float(bundle.coord_gauge @ x) / bundle.n)
 

@@ -37,7 +37,7 @@ from .signed_graph import (
     classify,
     enumerate_gqsb_bipartitions,
 )
-from .spectral import _FLOWING, PolarizationCertificate, certify, partner_core
+from .spectral import PolarizationCertificate, certify, partner_core
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -344,7 +344,7 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
         _horizon_steps(config.t_max, dt)
         traj = None
         outcome = None
-        if cert.verdict in _FLOWING:
+        if cert.verdict.flows:
             traj = integrate(bundle, x0, dt=dt, t_max=config.t_max)
             outcome = assess(traj, b, gamma)
         provenance = {
@@ -399,6 +399,14 @@ def _float_row(values, sep: str = ", ") -> str:
     return sep.join(["%.15g"] * arr.size) % tuple((arr + 0.0).tolist())
 
 
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string, for keys and values alike; a lone
+    surrogate (an undecodable path byte) becomes a \\udcXX escape."""
+    if text.isidentifier():  # letters, digits and underscores: nothing to escape
+        return f'"{text}"'
+    return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats via format_float."""
     pad = "  " * indent
@@ -407,7 +415,7 @@ def render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         rows = ",\n".join(
-            f'{inner}"{key}": {render_json(value, indent + 1)}'
+            f'{inner}{_json_string(str(key))}: {render_json(value, indent + 1)}'
             for key, value in obj.items()
         )
         return "{\n" + rows + "\n" + pad + "}"
@@ -422,8 +430,7 @@ def render_json(obj, indent: int = 0) -> str:
         rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in obj)
         return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, str):
-        # a lone surrogate (an undecodable path byte) becomes a \udcXX escape
-        return json.dumps(obj, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
+        return _json_string(obj)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):

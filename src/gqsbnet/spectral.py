@@ -59,9 +59,11 @@ class Verdict(str, enum.Enum):
     DIVERGENCE = "Divergence"
     INCONCLUSIVE = "Inconclusive"
 
-
-# The verdicts under which the flow settles, so it is integrated or predicted.
-_FLOWING = (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS)
+    @property
+    def flows(self) -> bool:
+        """Whether the flow settles under this verdict, so that it may be
+        integrated or its limit predicted: the one list of such verdicts."""
+        return self in (Verdict.ASYMMETRIC_POLARIZATION, Verdict.CONSENSUS)
 
 
 def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
@@ -91,10 +93,17 @@ def _in_range(m: np.ndarray, what: str) -> np.ndarray:
 def psd_simple_zero(matrix: np.ndarray) -> bool:
     """True when the symmetric matrix is positive semidefinite with exactly
     one eigenvalue at zero (within tolerance)."""
-    w = sym_eigvals(matrix)
+    return _spectrum_fault(sym_eigvals(matrix)) is None
+
+
+def _spectrum_fault(w: np.ndarray) -> str | None:
+    """The spectrum test: None when the ascending spectrum ``w`` has no
+    entry below -``default_zero_tol`` and exactly one within it of zero,
+    else the part that fails, ``negative_eigenvalue`` or
+    ``zero_multiplicity``."""
     if w.size and float(w[0]) < -default_zero_tol(w):
-        return False
-    return _zero_count(w) == 1
+        return "negative_eigenvalue"
+    return None if _zero_count(w) == 1 else "zero_multiplicity"
 
 
 def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.ndarray:
@@ -257,63 +266,59 @@ class _Beside:
 
 
 def _positive_definite(spectrum: np.ndarray) -> bool:
-    """Whether an ascending spectrum counts as positive definite: its
-    least entry above ``default_zero_tol`` of it."""
-    return float(spectrum[0]) > default_zero_tol(spectrum)
+    """The Gram test: whether an ascending resistance spectrum counts as
+    positive definite, every entry above ``default_zero_tol`` of it.  The
+    empty spectrum of an empty forest passes."""
+    return bool(np.all(spectrum > default_zero_tol(spectrum)))
 
 
 def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False) -> PartnerCore:
     """The partner's core: its spectrum, and the forest's resistance Gram
     and that Gram's spectrum.
 
-    The two halves do not depend on each other.  So when the forest is
-    not empty, the Gram's half (``_resistance`` of the grounded solve)
-    runs on a thread of its own while the partner's spectrum is read
-    here: ``eigvalsh``, or the spectrum kept already (``default_step``,
-    ``spectrum --dominant`` or a kept ``eigen`` made it).  Each LAPACK
-    call runs as it would alone, and the Gram's half signals nothing in
-    any error state, so every bit and error is as when the halves run one
-    after the other; the thread is joined before this returns or raises.
-    An error from the spectrum comes first.  The thread's result, or its
-    error, is read only when the spectrum has as many zeros as the graph
-    has components; otherwise the Gram comes off the pseudoinverse.
-    Running at once costs one n x n array at the peak: ``eigvalsh``'s
-    copy of L lives beside the solve's copies.
+    The two halves do not depend on each other.  So the Gram's half
+    (``_resistance`` of the grounded solve) runs on a thread of its own
+    while the partner's spectrum is read here: ``eigvalsh``, or the
+    spectrum kept already (``default_step``, ``spectrum --dominant`` or a
+    kept ``eigen`` made it).  Each LAPACK call runs as it would alone,
+    and the Gram's half signals nothing in any error state, so every bit
+    and error is as when the halves run one after the other; the thread
+    is joined before this returns or raises.  An error from the spectrum
+    comes first.  The thread's result, or its error, is read only when
+    the spectrum has as many zeros as the graph has components;
+    otherwise the Gram comes off the pseudoinverse.  Running at once
+    costs one n x n array at the peak: ``eigvalsh``'s copy of L lives
+    beside the solve's copies.  With no forest the Gram is empty, and
+    no thread is started and nothing solved.
 
     ``integrating`` (a command that integrates every flowing verdict) runs
     the Gram's half here first instead, and then makes the partner's
     ``eigen``, whose eigenvalues are the spectrum when none is kept, only
-    when the network is connected and that Gram is positive definite, or
-    there is no forest: ``certify`` calls a verdict flowing only then, and
-    only then is the flow integrated.  Otherwise the spectrum is
-    ``eigvalsh``'s.  The errors are read as above, so they are the same on
-    both routes.
+    when the network is connected and that Gram passes the Gram test:
+    ``certify`` calls a verdict flowing only then, and only then is the
+    flow integrated.  Otherwise the spectrum is ``eigvalsh``'s.  The
+    errors are read as above, so they are the same on both routes.
     """
     components = connected_components(g)
     (i, j, weight), kept = _antagonistic_forest(partner.network)
     first, second = i[kept], j[kept]
     forest = _triples(first, second, weight[kept])
-    beside = None
-    if forest:
-        beside = _Beside(_resistance, _grounded_solution, partner.laplacian, components,
-                         first, second, thread=not integrating)
+    half = (_Beside(_resistance, _grounded_solution, partner.laplacian, components,
+                    first, second, thread=not integrating)
+            if forest else _Beside(lambda: (_frozen(np.zeros((0, 0))), np.zeros(0)),
+                                   thread=False))
     if integrating and len(components) == 1:
-        half = beside.value() if forest else None  # None too when the solve failed
-        if not forest or (half is not None and _positive_definite(half[1])):
+        value = half.value()  # None when the solve failed
+        if value is not None and _positive_definite(value[1]):
             partner.eigen  # the integrator's decomposition, kept with the spectrum
     try:
         w = partner.eigenvalues
     finally:
-        if beside is not None:
-            beside.join()
-    if not forest:
-        gram, res_w = _frozen(np.zeros((0, 0))), np.zeros(0)
-    elif _zero_count(w) == len(components):
-        gram, res_w = beside.result()
-    else:
-        del beside  # an extra zero: the grounded system is singular
-        gram, res_w = _resistance(_pinv_solution, partner.eigen, first, second)
-    return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
+        half.join()
+    if forest and _zero_count(w) != len(components):
+        del half  # an extra zero: the grounded system is singular
+        half = _Beside(_resistance, _pinv_solution, partner.eigen, first, second, thread=False)
+    return PartnerCore(partner.partition, w, len(components) == 1, forest, *half.result())
 
 
 def _resistance(solve, *args):
@@ -392,7 +397,11 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     being positive semidefinite with a simple zero.  A negative eigenvalue
     means divergence.  With coefficient 1 and no same-subset antagonism the
     split is a plain sign-flipped agreement, reported as Consensus.
-    Disconnected or spectrally degenerate cases are Inconclusive.
+    Disconnected or spectrally degenerate cases are Inconclusive.  The
+    spectrum test (``_spectrum_fault``) and the Gram test
+    (``_positive_definite``) are the ones ``psd_simple_zero`` and the
+    core's integrating route read, and ``Verdict.flows`` says which
+    verdicts let the flow run.
 
     The spectrum is the one kept on ``g``: ``eigvalsh``'s on a cold
     graph, but the eigendecomposition's where one was made first (by
@@ -402,52 +411,38 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     tolerance, depend on what ran before; the forest and the Gram do not,
     as long as the zero count does not.
     """
-    _, _, coord = _gauge_diagonals(gamma, b)
+    scale, sign, coord = _gauge_diagonals(gamma, b)
     gamma = float(gamma)
     core = partner_core(g, b)
     w = core.eigenvalues
-    tol = default_zero_tol(w)
-    if core.forest_edges:
-        res_eigs = core.resistance_eigenvalues
-        res_min = float(res_eigs[0])
-        # scale-free: relative to the matrix's own largest eigenvalue
-        res_pd_tol = default_zero_tol(res_eigs)
-        res_pd = _positive_definite(res_eigs)
-    else:
-        res_min = res_pd_tol = None
-        res_pd = True
-    connected = core.connected
-    zero_mult = _zero_count(w)
-
-    if not connected:
+    res_eigs = core.resistance_eigenvalues
+    fault = _spectrum_fault(w)
+    if not core.connected:
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
-    elif w.size and float(w[0]) < -tol:
-        verdict, decided_by = Verdict.DIVERGENCE, "negative_eigenvalue"
-    elif zero_mult == 1 and res_pd:
-        # an exact compare: gamma = 1 + 1e-15 already scales the split
-        if gamma == 1.0 and _no_antagonism_within(g, b.mask()):
-            verdict, decided_by = Verdict.CONSENSUS, "plain_split"
-        else:
-            verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "resistance_pd"
-    elif zero_mult != 1:
-        verdict, decided_by = Verdict.INCONCLUSIVE, "zero_multiplicity"
-    else:
+    elif fault == "negative_eigenvalue":
+        verdict, decided_by = Verdict.DIVERGENCE, fault
+    elif fault is not None:
+        verdict, decided_by = Verdict.INCONCLUSIVE, fault
+    elif not _positive_definite(res_eigs):
         verdict, decided_by = Verdict.INCONCLUSIVE, "resistance_pd"
-
-    null_right = _frozen(np.where(b.mask(), -gamma, 1.0))
-    null_left = _frozen(coord / g.n)
+    # an exact compare: gamma = 1 + 1e-15 already scales the split
+    elif gamma == 1.0 and _no_antagonism_within(g, b.mask()):
+        verdict, decided_by = Verdict.CONSENSUS, "plain_split"
+    else:
+        verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "resistance_pd"
     return PolarizationCertificate(
-        connected=connected,
+        connected=core.connected,
         spectrum=tuple(float(x) for x in w),
-        zero_multiplicity=zero_mult,
+        zero_multiplicity=_zero_count(w),
         gamma=gamma,
         forest_edges=core.forest_edges,
         resistance=core.resistance,
-        resistance_min_eig=res_min,
+        resistance_min_eig=float(res_eigs[0]) if res_eigs.size else None,
         verdict=verdict,
-        null_right=null_right,
-        null_left=null_left,
+        null_right=_frozen(sign * scale),
+        null_left=_frozen(coord / g.n),
         decided_by=decided_by,
-        zero_tol=tol,
-        resistance_pd_tol=res_pd_tol,
+        zero_tol=default_zero_tol(w),
+        # scale-free: relative to the Gram's own largest eigenvalue
+        resistance_pd_tol=default_zero_tol(res_eigs) if res_eigs.size else None,
     )

@@ -454,6 +454,12 @@ class TestSerialization:
         # a lone surrogate (os.fsdecode of an undecodable byte) is escaped
         assert render_json(os.fsdecode(b"tri\xff.txt")) == '"tri\\udcff.txt"'
 
+    @pytest.mark.parametrize("key", ['a"b', "a\\b", "a\tb", "café", os.fsdecode(b"\xff")])
+    def test_render_json_escapes_keys(self, key):
+        # keys go through the string branch that values use
+        doc = {key: 1, "inner": {key: [key]}}
+        assert json.loads(render_json(doc)) == doc
+
     def test_render_json_empty_containers(self):
         assert render_json({}) == "{}"
         assert render_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'

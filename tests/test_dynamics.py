@@ -461,6 +461,57 @@ class TestAgainstBlockSearch:
                 for tol in (speed, np.nextafter(speed, 0.0), np.nextafter(speed, 1.0)):
                     _assert_matches_block_search(bundle, x0, dt, stop_tol=tol, records=(None,))
 
+    # (draw, coefficient, mode, block whose last step stops the run); the
+    # draws are random_gqsb_instance(default_rng(3), n_max=12)'s, then highland
+    @pytest.mark.parametrize("draw, gamma, mode, last", [
+        (1, 2.0, 2, 3), (7, 2.0, 3, 3), (7, 3.0, 4, 7), (11, 2.0, 4, 7), (12, 2.0, 2, 127)])
+    def test_one_mode_stopping_at_a_block_end(self, draw, gamma, mode, last):
+        # a start state on one nonzero mode, with the stop tolerance at the
+        # speed of a block's last step: a run ending at that step is bounded
+        # at that step's own speed up to rounding, so the rounding slack
+        # alone keeps the run bound from clearing the stop
+        rng = np.random.default_rng(3)
+        draws = [random_gqsb_instance(rng, n_max=12) for _ in range(12)]
+        g = load_highland(ScenarioConfig("highland", (0,)))
+        g, b = (draws + [(g, bipartition_from_dominant(g, (0,)))])[draw]
+        bundle = generalized_laplacian(g, b, gamma)
+        c = np.zeros(g.n)
+        c[mode] = 1.0
+        x0 = (bundle.partner.eigenvectors @ c + 0.3) / bundle.coord_gauge
+        dt = default_step(bundle)
+        k = last * max(1, _BLOCK_FLOATS // g.n)
+        tol = _block_search_speed(bundle, x0, dt, 1000.0, k)
+        ref = _assert_matches_block_search(bundle, x0, stop_tol=tol, records=(None,))
+        assert round(ref.times[-1] / dt) == k
+
+    # (draw, coefficient, second mode's weight against the first's 1); the
+    # draws are random_gqsb_instance(default_rng(7))'s, both polarizing
+    @pytest.mark.parametrize("draw, gamma, weight", [
+        (4, 2.0, -1.0), (4, 1.5, -200.0), (6, 2.0, 0.5), (6, 3.0, 20.0)])
+    def test_two_slow_modes_whose_speed_dips(self, draw, gamma, weight):
+        # a start state on the two slowest-fading modes whose node-space
+        # speed falls to a low point and rises again before it fades: with
+        # the stop tolerance at the low point, a run around it starts and
+        # ends faster than the tolerance, so the head's ratios must be
+        # bounded at both of a run's ends
+        rng = np.random.default_rng(7)
+        g, b = [random_gqsb_instance(rng) for _ in range(draw + 1)][draw]
+        bundle = generalized_laplacian(g, b, gamma)
+        c = np.zeros(g.n)
+        c[1:3] = 1.0, weight
+        x0 = (bundle.partner.eigenvectors @ c + 0.3) / bundle.coord_gauge
+        dt = default_step(bundle)
+        lam, vecs = bundle.partner.eigenvalues, bundle.partner.eigenvectors
+        steps = np.arange(1, 50_000)
+        speed = np.max(np.abs(((_rk4_factor(-dt * lam) ** steps[:, None] * c * lam)
+                               @ vecs.T) / bundle.coord_gauge), axis=1)
+        dip = (speed[1:-1] < speed[:-2]) & (speed[1:-1] < speed[2:])
+        assert dip.any()
+        k = 2 + int(np.argmax(dip))  # the first step slower than both its neighbours
+        tol = _block_search_speed(bundle, x0, dt, 1000.0, k)
+        ref = _assert_matches_block_search(bundle, x0, stop_tol=tol, records=(None,))
+        assert round(ref.times[-1] / dt) == k
+
     def test_zero_stop_tol_runs_out_of_time(self, worked_bundle):
         ref = _assert_matches_block_search(worked_bundle, [1.0, 0.0, 0.0], 0.01, 30.0, 0.0)
         assert ref.terminated is Termination.MAX_TIME

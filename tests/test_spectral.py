@@ -398,6 +398,16 @@ class TestCertify:
         assert np.array_equal(cert.null_right, np.array([-2.0, -2.0, 1.0]))
         assert np.allclose(cert.null_left, [-1 / 6, -1 / 6, 1 / 3], atol=1e-15)
 
+    def test_flowing_verdicts(self):
+        assert {v for v in Verdict if v.flows} == {Verdict.ASYMMETRIC_POLARIZATION,
+                                                   Verdict.CONSENSUS}
+
+    def test_null_right_is_the_split(self, allneg_triangle, allneg_split):
+        # -gamma on side one and 1 on side two, bit for bit
+        for gamma in (1.0, 2.0, 0.1, 1 / 3, 1e-300, 1e300, np.nextafter(1.0, 0.0)):
+            null = certify(allneg_triangle, allneg_split, gamma).null_right
+            assert null.tobytes() == np.array([-gamma, -gamma, 1.0]).tobytes()
+
     def test_null_vectors_read_only(self, allneg_triangle, allneg_split):
         cert = certify(allneg_triangle, allneg_split, 2.0)
         for vector in (cert.null_right, cert.null_left):
@@ -953,7 +963,7 @@ class TestReportRoute:
                         1e-12 * rho)
                 # an eigh exactly when the verdict may flow: every flowing
                 # verdict integrates off it, and no other makes it
-                if cold.verdict in spectral._FLOWING:
+                if cold.verdict.flows:
                     assert made
                 if cold.zero_multiplicity == len(connected_components(g)):
                     assert made == (cold.connected and (
