@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
+from .errors import BadIndex, BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle, _partner
 from .signed_graph import Bipartition
 from .spectral import certify
@@ -353,9 +353,12 @@ def assess(traj: Trajectory, b: Bipartition, gamma: float) -> OutcomeReport:
     consensus, and anything else (a truncated run, say) is undetermined.
     Raises TooLarge, with no warning, when the final state, a side's mean,
     the spread, the cross sum or the ratio leaves the double range (a run
-    that stopped on a state past it, say).
+    that stopped on a state past it, say), and BadIndex when ``b`` covers
+    another number of nodes than the trajectory.
     """
     x = traj.states[-1]
+    if b.n != x.size:
+        raise BadIndex("bipartition and graph disagree on node count")
     mask = b.mask()
     side1 = x[mask]
     side2 = x[~mask]

@@ -164,14 +164,16 @@ def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
     """Parse the edge-list format from a file's bytes (UTF-8, each
     undecodable byte kept as a lone surrogate) or from a string's.
 
-    Raises ParseError with the offending one-based line number.  ASCII
-    input with ``\\n`` or ``\\r\\n`` line breaks is read in bulk, in place;
-    input the bulk reader refuses, and any other input, goes through the
-    line reader, which accepts the same spellings as ``int()`` and
-    ``float()``.
+    Raises ParseError with the offending one-based line number.  One
+    UTF-8 byte-order mark at the very start is dropped, as ``utf-8-sig``
+    drops it; one anywhere else is a ParseError.  ASCII input with
+    ``\\n`` or ``\\r\\n`` line breaks is read in bulk, in place; input the
+    bulk reader refuses, and any other input, goes through the line
+    reader, which accepts the same spellings as ``int()`` and ``float()``.
     """
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
+    text = text.removeprefix(b"\xef\xbb\xbf")
     if (text.isascii() and text.count(b"\r") == text.count(b"\r\n")
             and not any(c in text for c in _OTHER_BREAKS)):
         g = _loads_bulk(text, name)
@@ -261,8 +263,9 @@ def _resolve_network(config: ScenarioConfig) -> tuple[SignedGraph, str, bytes]:
 
 def load_state_file(path, n: int) -> np.ndarray:
     """Read a start state: n finite reals, whitespace or comma separated,
-    in UTF-8 whatever the locale (an undecodable byte is not a real)."""
-    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    in UTF-8 whatever the locale (an undecodable byte is not a real), one
+    byte-order mark at the start dropped."""
+    text = Path(path).read_bytes().decode("utf-8-sig", "surrogateescape")
     values = []
     for k, field in enumerate(text.replace(",", " ").split(), start=1):
         try:

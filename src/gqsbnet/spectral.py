@@ -29,7 +29,6 @@ from .errors import DimensionMismatch, TooLarge
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
-    _Partner,
     _blocks,
     _frozen,
     _max_abs,
@@ -226,45 +225,6 @@ class PartnerCore:
     resistance_eigenvalues: np.ndarray
 
 
-class _Beside:
-    """``fn(*args)`` run on a thread of its own from construction, whose
-    numpy error state need not be the caller's, so ``fn`` must not depend
-    on it.  ``join`` waits for it; ``result`` then returns its value or
-    raises its error, ``MemoryError`` included, and ``value`` returns the
-    value or None.  Without ``thread``, or when no thread can be started,
-    ``fn`` runs in the caller at once."""
-
-    def __init__(self, fn, *args, thread: bool = True):
-        self._value = self._error = self._thread = None
-
-        def run():
-            try:
-                self._value = fn(*args)
-            except Exception as exc:
-                self._error = exc
-
-        if thread:
-            self._thread = threading.Thread(target=run, name="gqsbnet-grounded-solve")
-            try:
-                self._thread.start()
-            except RuntimeError:  # no thread to be had
-                self._thread = None
-        if self._thread is None:
-            run()
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def value(self):
-        return self._value
-
-
 def _positive_definite(spectrum: np.ndarray) -> bool:
     """The Gram test: whether an ascending resistance spectrum counts as
     positive definite, every entry above ``default_zero_tol`` of it.  The
@@ -272,24 +232,35 @@ def _positive_definite(spectrum: np.ndarray) -> bool:
     return bool(np.all(spectrum > default_zero_tol(spectrum)))
 
 
-def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False) -> PartnerCore:
-    """The partner's core: its spectrum, and the forest's resistance Gram
-    and that Gram's spectrum.
+def partner_core(g: SignedGraph, b: Bipartition, *, integrating: bool = False) -> PartnerCore:
+    """The coefficient-free part of the certificate for (g, b): the
+    partner's spectrum, and the forest's resistance Gram and that Gram's
+    spectrum.
+
+    Kept in the partner kept on ``g`` (one per graph object, see
+    ``operators._partner``), so certificates and predictions at any
+    number of coefficients on one (graph, bipartition) share one spectrum
+    and one resistance matrix; a core for another bipartition replaces it.
+    Building it computes no eigenvector, except when the spectrum has
+    more zeros than the graph has components (see ``_grounded_solution``):
+    then the Gram comes off the pseudoinverse of the partner's one
+    eigendecomposition, which integration reads too.
 
     The two halves do not depend on each other.  So the Gram's half
-    (``_resistance`` of the grounded solve) runs on a thread of its own
-    while the partner's spectrum is read here: ``eigvalsh``, or the
-    spectrum kept already (``default_step``, ``spectrum --dominant`` or a
-    kept ``eigen`` made it).  Each LAPACK call runs as it would alone,
-    and the Gram's half signals nothing in any error state, so every bit
-    and error is as when the halves run one after the other; the thread
-    is joined before this returns or raises.  An error from the spectrum
-    comes first.  The thread's result, or its error, is read only when
-    the spectrum has as many zeros as the graph has components;
-    otherwise the Gram comes off the pseudoinverse.  Running at once
-    costs one n x n array at the peak: ``eigvalsh``'s copy of L lives
-    beside the solve's copies.  With no forest the Gram is empty, and
-    no thread is started and nothing solved.
+    (``gram`` of the grounded solve) runs on a thread of its own,
+    or here when none can be started, while the partner's spectrum is
+    read here: ``eigvalsh``, or the spectrum kept already
+    (``default_step``, ``spectrum --dominant`` or a kept ``eigen`` made
+    it).  Each LAPACK call runs as it would alone, and the Gram's half
+    signals nothing in any error state, so every bit and error is as when
+    the halves run one after the other; the thread is joined before this
+    returns or raises.  An error from the spectrum comes first.  The
+    Gram's value, or its error, is read only when the spectrum has as
+    many zeros as the graph has components.  Running at once costs one
+    n x n array at the peak: ``eigvalsh``'s copy of L lives beside the
+    solve's copies.  With no forest the Gram is empty, and no thread is
+    started and nothing solved.  Below about 1e-308 a build raises
+    TooLarge.
 
     ``integrating`` (a command that integrates every flowing verdict) runs
     the Gram's half here first instead, and then makes the partner's
@@ -299,58 +270,50 @@ def _build_core(g: SignedGraph, partner: _Partner, *, integrating: bool = False)
     flow integrated.  Otherwise the spectrum is ``eigvalsh``'s.  The
     errors are read as above, so they are the same on both routes.
     """
+    partner = _partner(g, b)
+    if partner.core is not None:
+        return partner.core
     components = connected_components(g)
     (i, j, weight), kept = _antagonistic_forest(partner.network)
     first, second = i[kept], j[kept]
     forest = _triples(first, second, weight[kept])
-    half = (_Beside(_resistance, _grounded_solution, partner.laplacian, components,
-                    first, second, thread=not integrating)
-            if forest else _Beside(lambda: (_frozen(np.zeros((0, 0))), np.zeros(0)),
-                                   thread=False))
-    if integrating and len(components) == 1:
-        value = half.value()  # None when the solve failed
-        if value is not None and _positive_definite(value[1]):
-            partner.eigen  # the integrator's decomposition, kept with the spectrum
+    value, error, thread = (_frozen(np.zeros((0, 0))), np.zeros(0)), None, None
+
+    def gram(solve, *args):
+        # ``_solution_gram`` of ``solve(*args)``, read-only, and its spectrum
+        # into ``value``, or the error into ``error``; underflow is ignored
+        # and the Gram refuses overflow, so nothing here signals in any
+        # error state and it may run on a thread of its own
+        nonlocal value, error
+        try:
+            with np.errstate(under="ignore"):
+                resistance = _frozen(_solution_gram(*solve(*args)))
+                value = resistance, sym_eigvals(resistance)
+        except Exception as exc:  # MemoryError included
+            error = exc
+
+    grounded = (_grounded_solution, partner.laplacian, components, first, second)
+    if forest and not integrating:
+        thread = threading.Thread(target=gram, args=grounded, name="gqsbnet-grounded-solve")
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had
+            thread = None
+    if forest and thread is None:
+        gram(*grounded)
+    if integrating and len(components) == 1 and error is None and _positive_definite(value[1]):
+        partner.eigen  # the integrator's decomposition, kept with the spectrum
     try:
         w = partner.eigenvalues
     finally:
-        half.join()
+        if thread is not None:
+            thread.join()
     if forest and _zero_count(w) != len(components):
-        del half  # an extra zero: the grounded system is singular
-        half = _Beside(_resistance, _pinv_solution, partner.eigen, first, second, thread=False)
-    return PartnerCore(partner.partition, w, len(components) == 1, forest, *half.result())
-
-
-def _resistance(solve, *args):
-    """The Gram's half of a core: ``_solution_gram`` of ``solve(*args)``,
-    read-only, and its spectrum, with underflow ignored: as the Gram
-    refuses overflow, nothing here signals in any error state."""
-    with np.errstate(under="ignore"):
-        gram = _frozen(_solution_gram(*solve(*args)))
-        return gram, sym_eigvals(gram)
-
-
-def partner_core(g: SignedGraph, b: Bipartition, *, integrating: bool = False) -> PartnerCore:
-    """The coefficient-free part of the certificate for (g, b).
-
-    Kept in the partner kept on ``g`` (one per graph object, see
-    ``operators._partner``), so certificates and predictions at any
-    number of coefficients on one (graph, bipartition) share one spectrum
-    and one resistance matrix.  Building it computes no eigenvector,
-    except when the spectrum has more zeros than the graph has components
-    (see ``_grounded_solution``): then the pseudoinverse is read off the
-    partner's one eigendecomposition, which integration reads too; a core
-    built after that decomposition is kept reads its spectrum off it.  A
-    build runs the spectrum and the grounded solve on two threads at once
-    (see ``_build_core``), with the bits of running them in turn, and
-    leaves no thread behind; below about 1e-308 it raises TooLarge.  A
-    build with ``integrating`` starts no thread, runs the solve first, and
-    makes the eigendecomposition in place of ``eigvalsh`` when the verdict
-    may be flowing.  A core for another bipartition replaces it.
-    """
-    partner = _partner(g, b)
-    if partner.core is None:
-        partner.core = _build_core(g, partner, integrating=integrating)
+        value = error = None  # an extra zero: the grounded system is singular
+        gram(_pinv_solution, partner.eigen, first, second)
+    if error is not None:
+        raise error
+    partner.core = PartnerCore(partner.partition, w, len(components) == 1, forest, *value)
     return partner.core
 
 

@@ -57,6 +57,7 @@ from support import core_calls, counting_linalg, random_bloc_graph, reference_bl
 
 ALLNEG = "3 3\n0 1 -1\n0 2 -3\n1 2 -3\n"
 UNSTABLE = "3 3\n0 1 -5\n0 2 -1\n1 2 -1\n"
+BOM = b"\xef\xbb\xbf"  # UTF-8's byte-order mark
 
 
 @pytest.fixture
@@ -241,6 +242,57 @@ class TestFileEncoding:
         got = capsys.readouterr()
         assert main(["certify", "--network", str(clean), "--dominant", "0,1"]) == 0
         assert got == capsys.readouterr()
+
+
+    @pytest.mark.parametrize("body", [
+        ALLNEG.encode(),
+        ALLNEG.replace("\n", "\r\n").encode(),
+        "# café\n".encode() + ALLNEG.encode(),
+        b"3 3\n0 1 -1\n0 0 -3\n1 2 -3\n",
+    ], ids=["lf", "crlf", "cafe", "bad_edge"])
+    def test_byte_order_mark(self, tmp_path, capsys, body):
+        # dropped at the start, as utf-8-sig drops it: the file without it
+        # gives the same output, or the same error on the same line
+        got = []
+        for data in (BOM + body, body):
+            path = tmp_path / "net.txt"
+            path.write_bytes(data)
+            code = main(["certify", "--network", str(path), "--dominant", "0,1"])
+            got.append((code, *capsys.readouterr()))
+        assert got[0] == got[1]
+        if body.startswith(b"3 3\n0 1 -1\n0 0"):
+            assert got[0][0] == 1 and f"{tmp_path / 'net.txt'}: line 3: self-loop" in got[0][2]
+        else:
+            assert got[0][0] == 0
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_byte_order_mark_before_ascii_is_read_in_bulk(self, monkeypatch, newline):
+        text = ALLNEG.replace("\n", newline)
+        want = loads_network(text)
+
+        def refuse(*args):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(fileio, "_loads_by_line", refuse)
+        assert loads_network(BOM + text.encode()) == want
+        assert loads_network("\ufeff" + text) == want
+
+    @pytest.mark.parametrize("data, line", [
+        (BOM + BOM + ALLNEG.encode(), 1),
+        (ALLNEG.encode().replace(b"0 2", BOM + b"0 2"), 3),
+    ], ids=["twice", "inside"])
+    def test_byte_order_mark_elsewhere_is_a_parse_error(self, data, line):
+        with pytest.raises(ParseError) as info:
+            loads_network(data)
+        assert info.value.line == line
+
+    def test_byte_order_mark_in_state_file(self, tmp_path):
+        path = tmp_path / "x0.txt"
+        path.write_bytes(BOM + b"1 -2 3")
+        assert np.array_equal(load_state_file(path, 3), [1.0, -2.0, 3.0])
+        path.write_bytes(b"1 " + BOM + b"-2 3")
+        with pytest.raises(ParseError, match=r"entry 2 is not a real: '\\ufeff-2'"):
+            load_state_file(path, 3)
 
 
 class TestBundledDataset:

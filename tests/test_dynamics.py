@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gqsbnet import (
+    BadIndex,
     BadState,
     BadStep,
     Bipartition,
@@ -21,10 +22,11 @@ from gqsbnet import (
     predict_final,
 )
 from gqsbnet.dynamics import STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor
-from gqsbnet.fileio import ScenarioConfig, load_highland, run_pipeline
+from gqsbnet.fileio import ScenarioConfig, load_highland, run_pipeline, start_state
 from gqsbnet.signed_graph import bipartition_from_dominant
 from support import (
     counting_linalg,
+    dense_two_bloc,
     random_bloc_graph,
     random_gqsb_instance,
     reference_block_integrate,
@@ -536,6 +538,54 @@ class TestAgainstBlockSearch:
         assert stops[0] == k < stops[1]
 
 
+def _searched(monkeypatch, bundle, x0, dt=None):
+    """integrate's run from ``x0``, the node-space blocks it formed and the
+    run checks it made, counted by their numpy calls: each run makes two
+    ``np.arange`` calls and each formed block one more, and each check
+    makes four ``np.linalg.norm`` calls.  The partner's decomposition is
+    made first, so its calls are not counted."""
+    bundle.partner
+    calls = {"arange": 0, "norm": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "arange", counted("arange", np.arange))
+        patch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        traj = integrate(bundle, x0, dt)
+    formed, norms = calls["arange"] - 2, calls["norm"]
+    assert formed >= 1 and norms % 4 == 0
+    return traj, formed, norms // 4
+
+
+class TestClearingBounds:
+    """Each of the run bound's two lower bounds clears what the other
+    cannot.  Node space decides every stop, so a lost bound changes no bit;
+    it shows only in the blocks formed whole, which these cases count.
+    Without either bound each case forms more than a hundred blocks."""
+
+    def test_highland_at_a_tiny_step(self, monkeypatch):
+        # about 1.9e8 steps to the stop, cleared in a few dozen checks
+        config = ScenarioConfig("highland", (0,))
+        g = load_highland(config)
+        bundle = generalized_laplacian(g, bipartition_from_dominant(g, (0,)), 2.0)
+        traj, formed, checks = _searched(monkeypatch, bundle, start_state(config, g.n), 1e-8)
+        assert traj.terminated is Termination.CONVERGED and traj.times[-1] > 1.0
+        assert formed <= 2 and checks <= 100
+
+    def test_dense_two_bloc_at_the_default_step(self, monkeypatch):
+        g, b = dense_two_bloc(60)
+        bundle = generalized_laplacian(g, b, 2.0)
+        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, g.n)
+        traj, formed, checks = _searched(monkeypatch, bundle, x0)
+        assert traj.terminated is Termination.CONVERGED
+        assert formed <= 2 and checks <= 60
+
+
 class TestStartStateUnits:
     """The simulated outcome should not depend on the units of x0, but the
     divergence limit, the stop tolerance and the outcome tolerance are
@@ -713,6 +763,17 @@ class TestAssess:
     def test_scrambled_state_is_undetermined(self, allneg_split):
         traj = _made_up_trajectory([0.5, -0.3, 0.9])
         assert assess(traj, allneg_split, 2.0).kind is OutcomeKind.UNDETERMINED
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bipartition_of_another_size_is_bad_index(self, worked_bundle, n):
+        # the error certify gives for the same input, not numpy's IndexError
+        traj = integrate(worked_bundle, [1.0, 0.0, 0.0], dt=0.01)
+        b = Bipartition(n, frozenset({0}))
+        message = "^bipartition and graph disagree on node count$"
+        with pytest.raises(BadIndex, match=message):
+            assess(traj, b, 2.0)
+        with pytest.raises(BadIndex, match=message):
+            certify(worked_bundle.graph, b, 2.0)
 
     def test_ratio_none_when_other_side_flat_zero(self, allneg_split):
         report = assess(_made_up_trajectory([1.0, 1.0, 0.0]), allneg_split, 2.0)
