@@ -2,9 +2,10 @@
 
 Classifies balance structure (structural, quasi, and generalized quasi
 balance), builds the dominance-scaled Laplacian flow for a chosen dominant
-subset, certifies whether the flow polarizes asymmetrically by a spectral
-and effective-resistance test, and simulates or predicts the final opinion
-profile.  A small CLI drives the same pipeline from edge-list files.
+subset, certifies whether the flow polarizes asymmetrically by its
+antagonism headroom, an effective-resistance test, and simulates or
+predicts the final opinion profile.  A small CLI drives the same pipeline
+from edge-list files.
 """
 
 __version__ = "0.1.0"

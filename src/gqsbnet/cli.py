@@ -3,7 +3,7 @@
 Subcommands cover the pipeline stages one by one (classify, bipartitions,
 spectrum, certify, simulate, predict), the full report, and a coefficient
 sweep that runs in process on one loaded network and one partner
-spectrum.  Each subcommand takes only the flags it reads, and every
+core.  Each subcommand takes only the flags it reads, and every
 one loads its network through one scenario, for node 0's group when no
 ``--dominant`` is given.  Exit codes: 0 on success, 2 when a certificate
 (``certify``, ``report``) lands on a verdict that does not let the flow
@@ -68,8 +68,8 @@ _FLAGS = {
     "tmax": dict(type=float, default=ScenarioConfig.t_max),
     "stride": dict(type=_stride, default=1),
     "detail": dict(choices=DETAILS, default=DETAILS[0],
-                   help="certificate detail: the verdict's margins (summary) "
-                        "or also the spectrum, forest and resistance Gram (full)"),
+                   help="certificate detail: the verdict and its headroom (summary) "
+                        "or the partner spectrum, forest and resistance Gram (full)"),
 }
 
 

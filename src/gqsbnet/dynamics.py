@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
-from .operators import OperatorBundle, _partner
+from .operators import OperatorBundle, _real_array
 from .signed_graph import Bipartition
 from .spectral import certify
 
@@ -67,7 +67,13 @@ class OutcomeReport:
 
 
 def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    """``x0`` as the bundle's start state: BadState unless it holds real
+    numbers, all finite, and DimensionMismatch unless it is one entry per
+    node in at most one dimension."""
+    x = _real_array(x0, BadState, "a start state")
+    if x.ndim > 1:
+        raise DimensionMismatch(f"start state must be a vector, got shape {x.shape}")
+    x = x.reshape(-1)
     if x.shape[0] != bundle.n:
         raise DimensionMismatch(f"expected {bundle.n} entries, got {x.shape[0]}")
     bad = ~np.isfinite(x)
@@ -80,11 +86,8 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
 def default_step(bundle: OperatorBundle) -> float:
     """Conservative default step: 1e-3 over the spectral radius of the
     gauge partner Laplacian (1e-3 outright for an edgeless network), read
-    from the spectrum kept on the graph, which certificates read too.
-    That spectrum is ``eigvalsh``'s, or the eigendecomposition's where
-    one was made first (``integrate`` makes it before this), so the
-    step's last bits depend on what ran before on the graph object."""
-    w = _partner(bundle.graph, bundle.partition).eigenvalues
+    off the partner's one eigendecomposition, which ``integrate`` reads."""
+    w = bundle.partner.eigenvalues
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     return 1e-3 / radius if radius > 0 else 1e-3
 
@@ -188,7 +191,6 @@ def integrate(
         square = float(gauge @ gauge)
     if not square < np.inf or (np.abs(gauge) < np.finfo(float).tiny).any():
         raise TooLarge(f"coordinate gauge past the double range at coefficient {bundle.gamma:g}")
-    # the one decomposition, made before the default step reads its spectrum
     dec = bundle.partner
     if dt is None:
         dt = default_step(bundle)

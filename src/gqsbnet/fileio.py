@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (STOP_TOL, OutcomeReport, Trajectory, _horizon_steps, _is_count,
-                       assess, default_step, integrate)
+                       assess, integrate)
 from .errors import BadState, GqsbError, MissingDataset, ParseError
 from .operators import generalized_laplacian
 from .signed_graph import (
@@ -37,7 +37,7 @@ from .signed_graph import (
     classify,
     enumerate_gqsb_bipartitions,
 )
-from .spectral import PolarizationCertificate, certify, partner_core
+from .spectral import HEADROOM_TOL, PolarizationCertificate, certify
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -315,17 +315,13 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     hashed; it and the start state are read before any coefficient is
     checked, and every report shares them read-only.
     The gauge partner does not depend on the coefficient, so every
-    coefficient reads the one partner core (``spectral.partner_core``),
-    built on this thread before the first certificate, after the
-    coefficient and the bipartition are checked, in the certificate's
-    order.  It runs the grounded solve first, and when that allows a
-    flowing verdict it makes the partner's one eigendecomposition, which
-    gives the spectrum and which every integration reads; otherwise the
-    spectrum is ``eigvalsh``'s and no eigenvector is made.  The time
-    horizon and step are checked before the network is loaded, and the
-    step count of the default step (which needs the partner spectrum)
-    before the first report, whether or not a certificate lets the flow
-    be integrated.
+    certificate reads one partner core (``spectral.partner_core``), and
+    every integration one eigendecomposition of the partner, made only
+    when the verdict lets the flow run; a verdict that does not makes no
+    n x n decomposition.  The time horizon and a given step are checked
+    before the network is loaded; the default step, which needs the
+    partner spectrum, is taken and its step count checked only where the
+    flow is integrated.
     """
     _horizon_steps(config.t_max, config.dt)
     g, label, data = _resolve_network(config)
@@ -341,14 +337,10 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     x0.setflags(write=False)
     for gamma in gammas:
         bundle = generalized_laplacian(g, b, gamma)
-        partner_core(g, b, integrating=True)
         cert = certify(g, b, gamma)
-        dt = default_step(bundle) if config.dt is None else config.dt
-        _horizon_steps(config.t_max, dt)
-        traj = None
-        outcome = None
+        traj = outcome = None
         if cert.verdict.flows:
-            traj = integrate(bundle, x0, dt=dt, t_max=config.t_max)
+            traj = integrate(bundle, x0, dt=config.dt, t_max=config.t_max)
             outcome = assess(traj, b, gamma)
         provenance = {
             "tool": "gqsbnet",
@@ -451,38 +443,38 @@ DETAILS = ("summary", "full")
 def certificate_dict(cert: PolarizationCertificate, detail: str = "summary") -> dict:
     """The certificate as a document.
 
-    ``"summary"`` gives schema 2: the verdict, the criterion that decided
-    it, and each criterion's value beside its tolerance, with no array.
-    ``"full"`` gives the schema-less document that embeds the spectrum,
-    the forest, its resistance Gram and the null vectors.
+    ``"summary"`` gives schema 3: the verdict, the criterion that decided
+    it, and the antagonism headroom beside the Inconclusive band's
+    half-width, with no array (a headroom that is infinite, with no
+    same-side tie, or absent, on a disconnected network, is null).
+    ``"full"`` gives the schema-less document that embeds the partner
+    spectrum, the forest, its resistance Gram and the null vectors, which
+    it computes (``PolarizationCertificate.detail``).
     """
     if detail == "summary":
-        w = cert.spectrum
+        t = cert.antagonism_headroom
         return {
-            "schema": 2,
+            "schema": 3,
             "gamma": cert.gamma,
             "verdict": cert.verdict.value,
             "decided_by": cert.decided_by,
             "connected": cert.connected,
-            "lambda_min": w[0] if w else None,
-            "lambda_2": w[1] if len(w) > 1 else None,
-            "zero_tol": cert.zero_tol,
-            "zero_multiplicity": cert.zero_multiplicity,
-            "forest_size": len(cert.forest_edges),
-            "resistance_min_eig": cert.resistance_min_eig,
-            "resistance_pd_tol": cert.resistance_pd_tol,
+            "antagonism_headroom": t if t is not None and t < math.inf else None,
+            "headroom_tol": HEADROOM_TOL,
+            "same_side_ties": cert.same_side_ties,
         }
     if detail != "full":
         raise ValueError(f"detail must be one of {', '.join(DETAILS)}, got {detail!r}")
+    partner = cert.detail
     return {
         "gamma": cert.gamma,
         "connected": cert.connected,
         "verdict": cert.verdict.value,
-        "spectrum": list(cert.spectrum),
-        "zero_multiplicity": cert.zero_multiplicity,
-        "forest_edges": [[i, j, w] for i, j, w in cert.forest_edges],
-        "resistance": cert.resistance.tolist(),
-        "resistance_min_eig": cert.resistance_min_eig,
+        "spectrum": partner.spectrum.tolist(),
+        "zero_multiplicity": partner.zero_multiplicity,
+        "forest_edges": [[i, j, w] for i, j, w in partner.forest_edges],
+        "resistance": partner.resistance.tolist(),
+        "resistance_min_eig": partner.resistance_min_eig,
         "null_right": cert.null_right.tolist(),
         "null_left": cert.null_left.tolist(),
     }

@@ -187,9 +187,25 @@ def _zero_count(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(np.abs(eigenvalues) <= default_zero_tol(eigenvalues)))
 
 
+def _real_array(value, error: type, what: str) -> np.ndarray:
+    """``value`` as a float array, or ``error`` when it does not hold real
+    numbers: a complex, non-numeric or ragged input, which a float
+    conversion would cut to its real part or refuse with numpy's own
+    error."""
+    try:
+        a = np.asarray(value)
+        real = a.dtype.kind in "biuf"
+    except (TypeError, ValueError):
+        real = False
+    if not real:
+        raise error(f"{what} must hold real numbers")
+    return a.astype(float, copy=False)
+
+
 def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
     """The symmetrized input and its largest entry magnitude, after the
-    input checks of ``sym_eigen`` and ``sym_eigvals``: square, finite,
+    input checks of ``sym_eigen`` and ``sym_eigvals``: real numbers (a
+    complex or non-numeric entry is NotSymmetric), square, finite,
     twice each absolute row sum finite (TooLarge), and symmetric within
     1e-12 of the largest entry.
 
@@ -199,7 +215,7 @@ def _checked_symmetric(matrix) -> tuple[np.ndarray, float]:
     An input symmetric bit for bit is returned itself: it equals
     (m + m.T) / 2, since doubling cannot overflow once the row sums pass
     and halving is exact.  Otherwise the result is a symmetrized copy."""
-    m = np.asarray(matrix, dtype=float)
+    m = _real_array(matrix, NotSymmetric, "a matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     scale = _max_abs(m)
@@ -400,17 +416,19 @@ def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
 class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
-    its read-only ``laplacian``, and built on first read that Laplacian's
-    ``eigenvalues`` (``sym_eigvals``) and ``eigen`` (``sym_eigen``), whose
-    eigenvalues are kept as the spectrum when none is kept yet.
-    ``core`` is the slot ``spectral.partner_core`` fills.  Nothing here
-    refers back to the graph, so what is kept on it goes with it."""
+    and built on first read its read-only ``laplacian``, that Laplacian's
+    ``eigenvalues`` (``sym_eigvals``) and ``eigen`` (``sym_eigen``).
+    ``core`` and ``detail`` are the slots ``spectral`` fills.  Nothing
+    here refers back to the graph, so what is kept on it goes with it."""
 
     def __init__(self, g: SignedGraph, b: Bipartition):
         self.partition = b
         self.network = partner_network(g, b)
-        self.laplacian = _frozen(repelling_laplacian(self.network))
-        self.core = None
+        self.core = self.detail = None
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return _frozen(repelling_laplacian(self.network))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -418,9 +436,7 @@ class _Partner:
 
     @cached_property
     def eigen(self) -> EigenDecomposition:
-        dec = sym_eigen(self.laplacian)
-        vars(self).setdefault("eigenvalues", dec.eigenvalues)
-        return dec
+        return sym_eigen(self.laplacian)
 
 
 def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
@@ -438,5 +454,6 @@ def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
 
 def clear_partner_cache(g: SignedGraph) -> None:
     """Drop what is kept on ``g`` for its partner: the network, the
-    Laplacian, its spectrum and eigendecomposition, and the core."""
+    Laplacian, its spectrum and eigendecomposition, the core and the
+    detail."""
     vars(g).pop("_partner", None)

@@ -2,26 +2,29 @@
 
 The certificate machinery decides, ahead of any simulation, whether the
 dominance-scaled flow drives opinions to a split steady state: the gauge
-partner Laplacian must be positive semidefinite with a simple zero
-eigenvalue, which on a connected network is equivalent to positive
-definiteness of the forest resistance matrix.  Both are read from
-eigenvalues: the partner spectrum from ``sym_eigvals`` (or off the kept
-eigendecomposition, where one was made first), and the resistance matrix
-from one linear solve with the Laplacian grounded at a node of each
-component, so a certificate computes no eigenvector and no pseudoinverse.
+partner Laplacian L must be positive semidefinite with a simple zero
+eigenvalue.  On a connected network that is one number, the antagonism
+headroom t*.  Write L = L_abs - 2 L_A, where L_abs is the Laplacian of
+the absolute weights, which no bipartition changes, and L_A = B_A W B_A^T
+comes from the same-side antagonistic ties, the only antagonism the gauge
+leaves.  Scaling those ties by t keeps L positive semidefinite with a
+simple zero exactly for t < t*, and t* = 1 / lambda_max(M) - 1 with
+M = W^1/2 B_A^T L_abs^+ B_A W^1/2 (Zelazo and Buerger, CDC 2014, for one
+tie; Chen, Khong and Georgiou, ACC 2016, for many).  So a certificate
+factors L_abs once, by Cholesky, and computes no spectrum of L.
 
-The partner Laplacian does not depend on the dominance coefficient, so
-everything derived from it holds for every coefficient on one (graph,
-bipartition).  That part is computed once (``partner_core``) and kept in
-the partner that ``operators`` keeps on the graph; a certificate adds only
-the coefficient's verdict and null vectors.
+The headroom does not depend on the dominance coefficient, so it is
+computed once per (graph, bipartition) (``partner_core``) and kept in the
+partner that ``operators`` keeps on the graph; a certificate adds only the
+coefficient's verdict and null vectors.  The partner's spectrum and its
+forest's resistance Gram are computed only where they are printed
+(``PolarizationCertificate.detail``).
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,9 +33,12 @@ from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
     _blocks,
+    _checked_symmetric,
     _frozen,
+    _laplacian_of,
     _max_abs,
     _partner,
+    _row_sums,
     _symmetrized,
     _zero_count,
     clear_partner_cache,  # re-exported
@@ -45,11 +51,17 @@ from .signed_graph import (
     Edge,
     SignedGraph,
     _antagonistic_forest,
-    _no_antagonism_within,
     _node_id,
     _triples,
     connected_components,
 )
+
+# The Inconclusive band: a headroom within this of 1 decides nothing
+# (tests/test_boundary.py gives the measured error it covers).
+HEADROOM_TOL = 2e-9
+# Rows of each diagonal block of the forward substitution.
+_PANEL = 64
+
 
 class Verdict(str, enum.Enum):
     ASYMMETRIC_POLARIZATION = "AsymmetricPolarization"
@@ -91,117 +103,110 @@ def _in_range(m: np.ndarray, what: str) -> np.ndarray:
 
 def psd_simple_zero(matrix: np.ndarray) -> bool:
     """True when the symmetric matrix is positive semidefinite with exactly
-    one eigenvalue at zero (within tolerance)."""
-    return _spectrum_fault(sym_eigvals(matrix)) is None
-
-
-def _spectrum_fault(w: np.ndarray) -> str | None:
-    """The spectrum test: None when the ascending spectrum ``w`` has no
-    entry below -``default_zero_tol`` and exactly one within it of zero,
-    else the part that fails, ``negative_eigenvalue`` or
-    ``zero_multiplicity``."""
-    if w.size and float(w[0]) < -default_zero_tol(w):
-        return "negative_eigenvalue"
-    return None if _zero_count(w) == 1 else "zero_multiplicity"
+    one eigenvalue at zero, both within ``default_zero_tol``."""
+    w = sym_eigvals(matrix)
+    return not (w.size and float(w[0]) < -default_zero_tol(w)) and _zero_count(w) == 1
 
 
 def effective_resistance(laplacian: np.ndarray, forest: tuple[Edge, ...]) -> np.ndarray:
     """Resistance matrix of the forest edges through the given Laplacian.
 
     The Gram B^T P B of the forest's incidence columns B, column k being
-    +1 at ``forest[k]``'s first endpoint a_k and -1 at its second b_k,
-    read off the pseudoinverse P (see ``_pinv_solution``).  A non-integral
-    endpoint raises BadIndex, one outside the Laplacian's nodes
-    DimensionMismatch, an entry past the double range TooLarge.  An empty
-    forest yields the empty matrix, which downstream checks treat as
-    positive definite.
+    +1 at ``forest[k]``'s first endpoint and -1 at its second, read off the
+    pseudoinverse P (see ``_forest_gram``).  The Laplacian is checked as
+    ``sym_eigen`` checks it; then a non-integral endpoint raises BadIndex,
+    one outside the Laplacian's nodes DimensionMismatch, an entry past the
+    double range TooLarge.  An empty forest yields the empty matrix.
     """
-    n = laplacian.shape[0]
     ends = [(_node_id(i), _node_id(j)) for i, j, _ in forest]
+    dec = sym_eigen(laplacian)
+    n = dec.eigenvalues.size
     if not all(0 <= v < n for pair in ends for v in pair):
         raise DimensionMismatch(f"forest endpoint outside the Laplacian's {n} nodes")
     if not ends:
         return np.zeros((0, 0))
-    a, b = np.array(ends, dtype=np.int64).T
-    return _solution_gram(*_pinv_solution(sym_eigen(laplacian), a, b))
+    return _forest_gram(dec, *np.array(ends, dtype=np.int64).T)
 
 
-def _pinv_solution(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray):
-    """``_grounded_solution``'s result off the pseudoinverse P of ``dec``:
-    (P[a] - P[b]).T in unit 1, whose ``_solution_gram`` has the bits of
-    B^T P B by column differences, as IEEE addition commutes."""
-    p = _pinv(dec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (p[a] - p[b]).T, a, b, 1.0
-
-
-def _grounded_solution(laplacian: np.ndarray, components, first: np.ndarray,
-                       second: np.ndarray):
-    """The grounded solve behind the resistance matrix B^T L^+ B of the
-    incidence columns B, column k +1 at ``first[k]`` and -1 at
-    ``second[k]`` (two nodes of one component), which equals
-    B_g^T L_g^-1 B_g: L_g is L with the smallest node of each component
-    deleted, B_g is B without those rows.  Returns the solution y of
-    L_g y = B_g in units of L's largest entry, each column's two rows of
-    y (the roots share the spare row ``len(y)``) and that unit;
-    ``_solution_gram`` forms the Gram from them.
-
-    Why it holds: L is symmetric with L 1_C = 0 on each component C, and
-    its kernel is spanned by those indicators alone.  Each column b of B
-    sums to zero on every component, so it is orthogonal to the kernel
-    and L^+ b is a solution of L y = b.  Let y solve L_g y_g = b_g and be
-    zero at the deleted roots.  Then (L y)_i = b_i at every other node,
-    and at the root r of C, (L y)_r = -sum over the rest of C of (L y)_i
-    = b_r, because 1_C^T L y = 0 and 1_C^T b = 0.  So L y = b, y differs
-    from L^+ b by a kernel vector, which every column of B is orthogonal
-    to, and b'^T L^+ b = b'^T y = b_g'^T L_g^-1 b_g.  The same argument
-    with b = 0 shows that L_g y_g = 0 puts y in the kernel with zeros at
-    the roots, so y = 0 and L_g is nonsingular.
-
-    The units keep the solve from over- or underflowing at any scale of
-    the weights.  Beside L, one grounded copy and one right-hand side are
-    held while the solve runs, and both are dropped on return.  L is only
-    read.  Nothing here warns: a singular L_g raises LinAlgError, which
-    only a spectrum with more zeros than components allows.
-    """
-    n = laplacian.shape[0]
-    keep = np.ones(n, dtype=bool)
-    keep[[min(c) for c in components]] = False
-    size = int(np.count_nonzero(keep))
-    # each node's row in the grounded system; the roots share the spare row
-    row = np.where(keep, np.cumsum(keep) - 1, size)
-    unit = _max_abs(laplacian)
-    grounded = laplacian[np.ix_(keep, keep)]
-    grounded /= unit
-    a, b = row[first], row[second]
-    cols = np.arange(a.size)
-    rhs = np.zeros((size + 1, a.size))
-    rhs[a, cols] = 1.0
-    rhs[b, cols] = -1.0
-    return np.linalg.solve(grounded, rhs[:size]), a, b, unit
-
-
-def _solution_gram(y: np.ndarray, a: np.ndarray, b: np.ndarray, unit: float) -> np.ndarray:
-    """Every resistance Gram: rows ``a`` minus rows ``b`` of a solution y
-    of L y = B (zero at the spare row ``len(y)``), by row blocks, over
-    ``unit``, symmetrized.  Overflow and invalid operations are ignored,
+def _forest_gram(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B^T P B off the pseudoinverse P of ``dec``, for the incidence
+    columns +1 at ``a`` and -1 at ``b``: the column differences of P, then
+    their rows ``a`` minus rows ``b`` by row blocks, symmetrized (the bits
+    of the whole product, as IEEE addition commutes).  Overflow is ignored
     and a result past the double range raises TooLarge (resistances above
     1.8e308), so nothing warns."""
-    size = y.shape[0]
-
-    def x(nodes):
-        # the rows of y at these grounded rows, zero at the roots' spare row
-        rows = y[np.minimum(nodes, size - 1)]
-        rows[nodes == size] = 0.0
-        return rows
-
+    y = _pinv(dec)
     gram = np.empty((a.size, a.size))
     with np.errstate(over="ignore", invalid="ignore"):
+        y = (y[a] - y[b]).T
         for block in _blocks(a.size):
-            np.subtract(x(a[block]), x(b[block]), out=gram[block])
-        gram /= unit
+            np.subtract(y[a[block]], y[b[block]], out=gram[block])
         gram = _symmetrized(gram)
     return _in_range(gram, "resistance Gram")
+
+
+def _forward(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution y of the lower-triangular c y = rhs, written over
+    ``rhs``: each ``_PANEL``-row diagonal block by ``np.linalg.solve``
+    after one GEMM with the rows solved above it (numpy has no triangular
+    solve)."""
+    for lo in range(0, c.shape[0], _PANEL):
+        rows = slice(lo, lo + _PANEL)
+        rhs[rows] -= c[rows, :lo] @ rhs[:lo]
+        rhs[rows] = np.linalg.solve(c[rows, rows], rhs[rows])
+    return rhs
+
+
+def _headroom(g: SignedGraph, tie: np.ndarray) -> float | None:
+    """The antagonism headroom t* of the connected graph ``g`` whose
+    same-side antagonistic ties are the edges ``tie`` (at least one).
+
+    L_abs is built over ``g.adjacency()``, checked as ``sym_eigvals``
+    checks its input, scaled by its largest entry (so weights at 10^+-300
+    stay representable and t*, a ratio of weights, keeps no unit),
+    grounded at node 0, where it is positive definite on a connected
+    network, and factored as C C^T.  Then Z = C^-1 B_A W^1/2 and
+    M = Z^T Z, whose largest eigenvalue mu gives t* = 1/mu - 1.  With more
+    ties than grounded nodes, mu comes instead from Z Z^T = C^-1 L_A C^-T,
+    which has the same nonzero spectrum, summed over Z's columns n - 1 at
+    a time, so memory stays O(n^2).  Each column of B_A sums to zero, so
+    it is orthogonal to what grounding leaves nearly singular (a side held
+    on by a weak tie), and rounding there reaches M only squared; forming
+    C^-1 L_A C^-T from L_A itself would not keep that.  None when rounding
+    leaves the grounded L_abs without a factor: a network held together
+    by a tie below about 1e-14 of the largest weight is disconnected in
+    double precision.  Raises TooLarge and NoConvergence as
+    ``sym_eigvals`` does; signals nothing.
+    """
+    n = g.n
+    a = g.adjacency()
+    np.abs(a, out=a)
+    lap, unit = _checked_symmetric(_laplacian_of(a, _row_sums(a), out=a))
+    i, j = g.i[tie], g.j[tie]
+    with np.errstate(under="ignore"):
+        lap /= unit
+        w = -g.w[tie] / unit
+        try:
+            c = np.linalg.cholesky(lap[1:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        del a, lap
+        few = w.size < n
+        m = None if few else np.zeros((n - 1, n - 1))
+        for lo in range(0, w.size, n - 1):  # at most n - 1 ties at a time
+            part = slice(lo, lo + n - 1)
+            root = np.sqrt(w[part])
+            cols = np.arange(root.size)
+            rhs = np.zeros((n, root.size))
+            rhs[i[part], cols], rhs[j[part], cols] = root, -root
+            z = _forward(c, rhs[1:])
+            if few:
+                m = z.T @ z
+            else:
+                for rows in _blocks(n - 1):
+                    m[rows] += z[rows] @ z.T
+        mu = float(sym_eigvals(m)[-1])
+    return 1.0 / mu - 1.0 if mu > 0.0 else np.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,203 +214,134 @@ class PartnerCore:
     """The coefficient-free part of a certificate for one (graph,
     bipartition), computed once.
 
-    ``eigenvalues`` is the gauge partner Laplacian's ascending spectrum,
-    ``connected`` the graph's connectivity and ``forest_edges`` the
-    partner network's antagonistic forest.  ``resistance`` is that
-    forest's resistance matrix and ``resistance_eigenvalues`` its
-    ascending spectrum, both empty with no forest.  Nothing n x n is kept
-    and no graph, so a core kept on its graph goes with it.
+    ``connected`` is the graph's connectivity, ``same_side_ties`` the
+    number of antagonistic ties within a side, and ``headroom`` the
+    antagonism headroom t* (inf with no such tie; None on a disconnected
+    graph, where nothing is factored, or where ``_headroom`` finds no
+    factor).  Nothing n x n is kept and no graph, so a core kept on its
+    graph goes with it.
     """
 
     partition: Bipartition
-    eigenvalues: np.ndarray
     connected: bool
-    forest_edges: tuple[Edge, ...]
-    resistance: np.ndarray
-    resistance_eigenvalues: np.ndarray
+    headroom: float | None
+    same_side_ties: int
 
 
-def _positive_definite(spectrum: np.ndarray) -> bool:
-    """The Gram test: whether an ascending resistance spectrum counts as
-    positive definite, every entry above ``default_zero_tol`` of it.  The
-    empty spectrum of an empty forest passes."""
-    return bool(np.all(spectrum > default_zero_tol(spectrum)))
-
-
-def partner_core(g: SignedGraph, b: Bipartition, *, integrating: bool = False) -> PartnerCore:
-    """The coefficient-free part of the certificate for (g, b): the
-    partner's spectrum, and the forest's resistance Gram and that Gram's
-    spectrum.
+def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
+    """The coefficient-free part of the certificate for (g, b): one
+    Cholesky factorization of the grounded L_abs (``_headroom``) on a
+    connected network with same-side antagonism, none otherwise.
 
     Kept in the partner kept on ``g`` (one per graph object, see
     ``operators._partner``), so certificates and predictions at any
-    number of coefficients on one (graph, bipartition) share one spectrum
-    and one resistance matrix; a core for another bipartition replaces it.
-    Building it computes no eigenvector, except when the spectrum has
-    more zeros than the graph has components (see ``_grounded_solution``):
-    then the Gram comes off the pseudoinverse of the partner's one
-    eigendecomposition, which integration reads too.
-
-    The two halves do not depend on each other.  So the Gram's half
-    (``gram`` of the grounded solve) runs on a thread of its own,
-    or here when none can be started, while the partner's spectrum is
-    read here: ``eigvalsh``, or the spectrum kept already
-    (``default_step``, ``spectrum --dominant`` or a kept ``eigen`` made
-    it).  Each LAPACK call runs as it would alone, and the Gram's half
-    signals nothing in any error state, so every bit and error is as when
-    the halves run one after the other; the thread is joined before this
-    returns or raises.  An error from the spectrum comes first.  The
-    Gram's value, or its error, is read only when the spectrum has as
-    many zeros as the graph has components.  Running at once costs one
-    n x n array at the peak: ``eigvalsh``'s copy of L lives beside the
-    solve's copies.  With no forest the Gram is empty, and no thread is
-    started and nothing solved.  Below about 1e-308 a build raises
-    TooLarge.
-
-    ``integrating`` (a command that integrates every flowing verdict) runs
-    the Gram's half here first instead, and then makes the partner's
-    ``eigen``, whose eigenvalues are the spectrum when none is kept, only
-    when the network is connected and that Gram passes the Gram test:
-    ``certify`` calls a verdict flowing only then, and only then is the
-    flow integrated.  Otherwise the spectrum is ``eigvalsh``'s.  The
-    errors are read as above, so they are the same on both routes.
+    number of coefficients on one (graph, bipartition) share it; a core
+    for another bipartition replaces it.  Nothing is kept when a step
+    raises.
     """
     partner = _partner(g, b)
-    if partner.core is not None:
-        return partner.core
-    components = connected_components(g)
-    (i, j, weight), kept = _antagonistic_forest(partner.network)
-    first, second = i[kept], j[kept]
-    forest = _triples(first, second, weight[kept])
-    value, error, thread = (_frozen(np.zeros((0, 0))), np.zeros(0)), None, None
-
-    def gram(solve, *args):
-        # ``_solution_gram`` of ``solve(*args)``, read-only, and its spectrum
-        # into ``value``, or the error into ``error``; underflow is ignored
-        # and the Gram refuses overflow, so nothing here signals in any
-        # error state and it may run on a thread of its own
-        nonlocal value, error
-        try:
-            with np.errstate(under="ignore"):
-                resistance = _frozen(_solution_gram(*solve(*args)))
-                value = resistance, sym_eigvals(resistance)
-        except Exception as exc:  # MemoryError included
-            error = exc
-
-    grounded = (_grounded_solution, partner.laplacian, components, first, second)
-    if forest and not integrating:
-        thread = threading.Thread(target=gram, args=grounded, name="gqsbnet-grounded-solve")
-        try:
-            thread.start()
-        except RuntimeError:  # no thread to be had
-            thread = None
-    if forest and thread is None:
-        gram(*grounded)
-    if integrating and len(components) == 1 and error is None and _positive_definite(value[1]):
-        partner.eigen  # the integrator's decomposition, kept with the spectrum
-    try:
-        w = partner.eigenvalues
-    finally:
-        if thread is not None:
-            thread.join()
-    if forest and _zero_count(w) != len(components):
-        value = error = None  # an extra zero: the grounded system is singular
-        gram(_pinv_solution, partner.eigen, first, second)
-    if error is not None:
-        raise error
-    partner.core = PartnerCore(partner.partition, w, len(components) == 1, forest, *value)
+    if partner.core is None:
+        side = b.mask()
+        tie = (g.w < 0) & (side[g.i] == side[g.j])
+        connected = len(connected_components(g)) == 1
+        headroom = None
+        if connected:
+            headroom = _headroom(g, tie) if tie.any() else np.inf
+        partner.core = PartnerCore(b, connected, headroom, int(np.count_nonzero(tie)))
     return partner.core
 
 
-@dataclass(frozen=True)
-class PolarizationCertificate:
-    """Spectral verdict on the dominance-scaled flow for one scenario.
+@dataclass(frozen=True, eq=False)
+class PartnerDetail:
+    """What ``--detail full`` prints of the partner: its ascending
+    ``spectrum`` and ``zero_multiplicity``, its antagonistic forest, that
+    forest's resistance Gram read off the pseudoinverse, and the Gram's
+    smallest eigenvalue (None with no forest).  All from the partner's one
+    eigendecomposition, the one integration reads."""
 
-    ``spectrum`` is the gauge partner Laplacian's spectrum (shared with the
-    flow matrix).  ``resistance`` covers the partner network's antagonistic
-    forest; its minimum eigenvalue is None when that forest is empty.
-    ``null_right`` and ``null_left`` span the flow's stationary direction
-    and conserved functional; in gauge coordinates they are the all-ones
-    vector and its 1/n scaling.
-
-    ``decided_by`` names the ``certify`` branch that settled the verdict:
-    ``connectivity``, ``negative_eigenvalue``, ``zero_multiplicity``,
-    ``resistance_pd`` or ``plain_split``.  ``zero_tol`` is the threshold
-    below which a spectrum entry counts as zero, and ``resistance_pd_tol``
-    the one above which the resistance Gram's smallest eigenvalue counts as
-    positive (None with an empty forest).  The three default to None, for
-    certificates built by hand.
-    """
-
-    connected: bool
-    spectrum: tuple[float, ...]
+    spectrum: np.ndarray
     zero_multiplicity: int
-    gamma: float
     forest_edges: tuple[Edge, ...]
     resistance: np.ndarray
     resistance_min_eig: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class PolarizationCertificate:
+    """Verdict on the dominance-scaled flow for one scenario.
+
+    ``decided_by`` names the ``certify`` branch that settled the verdict:
+    ``connectivity``, ``headroom`` or ``plain_split``.
+    ``antagonism_headroom`` is the core's t* (``PartnerCore.headroom``)
+    and ``same_side_ties`` counts the same-side antagonistic ties.
+    ``null_right`` and ``null_left`` span the flow's stationary direction
+    and conserved functional; in gauge coordinates they are the all-ones
+    vector and its 1/n scaling.  ``detail`` computes, on first read, the
+    partner's spectrum and forest Gram (``PartnerDetail``) from the
+    ``partner`` the certificate was made on; a certificate built by hand
+    has none.
+    """
+
+    connected: bool
+    gamma: float
     verdict: Verdict
     null_right: np.ndarray
     null_left: np.ndarray
     decided_by: str | None = None
-    zero_tol: float | None = None
-    resistance_pd_tol: float | None = None
+    antagonism_headroom: float | None = None
+    same_side_ties: int = 0
+    partner: object = field(default=None, repr=False)
+
+    @property
+    def detail(self) -> PartnerDetail:
+        partner = self.partner
+        if partner.detail is None:
+            dec = partner.eigen
+            (i, j, w), kept = _antagonistic_forest(partner.network)
+            a, b = i[kept], j[kept]
+            gram = _frozen(_forest_gram(dec, a, b) if a.size else np.zeros((0, 0)))
+            partner.detail = PartnerDetail(
+                dec.eigenvalues, dec.zero_count, _triples(a, b, w[kept]), gram,
+                float(sym_eigvals(gram)[0]) if a.size else None)
+        return partner.detail
 
 
 def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertificate:
     """Classify the long-run behavior of the dominance-scaled flow.
 
-    Asymmetric polarization requires a connected network and a positive
-    definite forest resistance matrix, which matches the partner Laplacian
-    being positive semidefinite with a simple zero.  A negative eigenvalue
-    means divergence.  With coefficient 1 and no same-subset antagonism the
-    split is a plain sign-flipped agreement, reported as Consensus.
-    Disconnected or spectrally degenerate cases are Inconclusive.  The
-    spectrum test (``_spectrum_fault``) and the Gram test
-    (``_positive_definite``) are the ones ``psd_simple_zero`` and the
-    core's integrating route read, and ``Verdict.flows`` says which
-    verdicts let the flow run.
-
-    The spectrum is the one kept on ``g``: ``eigvalsh``'s on a cold
-    graph, but the eigendecomposition's where one was made first (by
-    ``integrate``, ``OperatorBundle.partner`` or ``run_sweep``).  The two
-    differ in their last bits, so on one graph object the ``spectrum``
-    and ``zero_tol``, and a verdict or zero count within rounding of a
-    tolerance, depend on what ran before; the forest and the Gram do not,
-    as long as the zero count does not.
+    A disconnected network is Inconclusive.  Otherwise the antagonism
+    headroom t* (``partner_core``) decides: above 1 + ``HEADROOM_TOL``
+    the flow polarizes asymmetrically, or, with coefficient 1 and no
+    same-side antagonism, settles into a plain sign-flipped agreement
+    reported as Consensus; below 1 - ``HEADROOM_TOL`` it diverges; in
+    between, or where t* has no value, it is Inconclusive.
+    ``Verdict.flows`` says which verdicts let the flow run.  No spectrum
+    is computed, so the verdict and every field are the same whatever ran
+    before on the graph object.
     """
     scale, sign, coord = _gauge_diagonals(gamma, b)
     gamma = float(gamma)
     core = partner_core(g, b)
-    w = core.eigenvalues
-    res_eigs = core.resistance_eigenvalues
-    fault = _spectrum_fault(w)
+    t = core.headroom
     if not core.connected:
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
-    elif fault == "negative_eigenvalue":
-        verdict, decided_by = Verdict.DIVERGENCE, fault
-    elif fault is not None:
-        verdict, decided_by = Verdict.INCONCLUSIVE, fault
-    elif not _positive_definite(res_eigs):
-        verdict, decided_by = Verdict.INCONCLUSIVE, "resistance_pd"
+    elif t is None or abs(t - 1.0) <= HEADROOM_TOL:
+        verdict, decided_by = Verdict.INCONCLUSIVE, "headroom"
+    elif t < 1.0:
+        verdict, decided_by = Verdict.DIVERGENCE, "headroom"
     # an exact compare: gamma = 1 + 1e-15 already scales the split
-    elif gamma == 1.0 and _no_antagonism_within(g, b.mask()):
+    elif gamma == 1.0 and not core.same_side_ties:
         verdict, decided_by = Verdict.CONSENSUS, "plain_split"
     else:
-        verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "resistance_pd"
+        verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "headroom"
     return PolarizationCertificate(
         connected=core.connected,
-        spectrum=tuple(float(x) for x in w),
-        zero_multiplicity=_zero_count(w),
         gamma=gamma,
-        forest_edges=core.forest_edges,
-        resistance=core.resistance,
-        resistance_min_eig=float(res_eigs[0]) if res_eigs.size else None,
         verdict=verdict,
         null_right=_frozen(sign * scale),
         null_left=_frozen(coord / g.n),
         decided_by=decided_by,
-        zero_tol=default_zero_tol(w),
-        # scale-free: relative to the Gram's own largest eigenvalue
-        resistance_pd_tol=default_zero_tol(res_eigs) if res_eigs.size else None,
+        antagonism_headroom=t,
+        same_side_ties=core.same_side_ties,
+        partner=_partner(g, b),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +46,10 @@ from gqsbnet import (
 from gqsbnet.dynamics import (STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor,
                               _state_vector, _trajectory)
 from gqsbnet.fileio import certificate_dict
-from gqsbnet.operators import OperatorBundle, _Partner, _zero_count, sym_eigvals
-from gqsbnet.signed_graph import (NeighborSets, _antagonistic_forest, _integer, _triples,
+from gqsbnet.operators import OperatorBundle
+from gqsbnet.signed_graph import (NeighborSets, _integer,
                                   positive_components)
-from gqsbnet.spectral import PartnerCore, _pinv
+from gqsbnet.spectral import HEADROOM_TOL, PartnerCore
 
 
 def all_splits(n):
@@ -479,168 +478,125 @@ def reference_block_integrate(
 
 
 def reference_certify(g, b, gamma):
-    """Certificate computed afresh with three eigendecompositions
-    (the partner Laplacian, again inside the pseudoinverse, and the
-    resistance matrix) and the resistance matrix as the dense product of
-    the pseudoinverse with the forest's columns of the full incidence
-    matrix: the oracle for the shared partner decomposition and for
-    ``effective_resistance``.  The resistance matrix counts as
-    positive definite above the partner Laplacian's zero tolerance; the
-    reported ``resistance_pd_tol`` is 1e-9 times its largest eigenvalue
-    magnitude, and ``decided_by`` names the branch below that returned."""
+    """Both certificate documents computed afresh, the oracle for
+    ``certificate_dict``: the summary's verdict and headroom from
+    ``reference_headroom`` (the eigh of a dense cooperative Laplacian) and
+    connectivity, the full document's resistance Gram as the dense product
+    of the pseudoinverse with the forest's columns of the full incidence
+    matrix.  The Gram's spectrum comes from its own ``sym_eigen``."""
     bundle = generalized_laplacian(g, b, gamma)
     partner = z_transform_network(bundle)
     dec = spanning_forest(partner)
     inc = incidence_matrix(partner, dec)
     nf = len(dec.forest_edges)
     eig = sym_eigen(bundle.z_laplacian)
-    tol = eig.zero_tol
     block = inc.matrix[:, :nf]
     resistance = block.T @ pseudoinverse(bundle.z_laplacian) @ block
     resistance = (resistance + resistance.T) / 2.0
-    if nf:
-        res_eigs = sym_eigen(resistance).eigenvalues
-        res_min = float(res_eigs[0])
-        res_pd_tol = 1e-9 * max(abs(float(x)) for x in res_eigs)
-        res_pd = res_min > tol
-    else:
-        res_min = res_pd_tol = None
-        res_pd = True
     connected = len(connected_components(g)) == 1
-    w = eig.eigenvalues
-    zero_mult = eig.zero_count
-
+    ties = sum(1 for i, j, w in g.edges if w < 0 and (i in b.v1) == (j in b.v1))
+    t = reference_headroom(g, b) if connected else None
     if not connected:
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
-    elif w.size and float(w[0]) < -tol:
-        verdict, decided_by = Verdict.DIVERGENCE, "negative_eigenvalue"
-    elif zero_mult == 0:
-        verdict, decided_by = Verdict.NEUTRAL_CONSENSUS, "zero_multiplicity"
-    elif zero_mult == 1 and res_pd:
-        v1 = b.v1
-        plain_split = gamma == 1.0 and not any(
-            w_ < 0 and (i in v1) == (j in v1) for i, j, w_ in g.edges
-        )
-        verdict = Verdict.CONSENSUS if plain_split else Verdict.ASYMMETRIC_POLARIZATION
-        decided_by = "plain_split" if plain_split else "resistance_pd"
+    elif abs(t - 1.0) <= HEADROOM_TOL:
+        verdict, decided_by = Verdict.INCONCLUSIVE, "headroom"
+    elif t < 1.0:
+        verdict, decided_by = Verdict.DIVERGENCE, "headroom"
+    elif gamma == 1.0 and not ties:
+        verdict, decided_by = Verdict.CONSENSUS, "plain_split"
     else:
-        verdict = Verdict.INCONCLUSIVE
-        decided_by = "resistance_pd" if zero_mult == 1 else "zero_multiplicity"
-
-    return PolarizationCertificate(
-        connected=connected,
-        spectrum=tuple(float(x) for x in w),
-        zero_multiplicity=zero_mult,
-        gamma=bundle.gamma,
-        forest_edges=dec.forest_edges,
-        resistance=resistance,
-        resistance_min_eig=res_min,
-        verdict=verdict,
-        null_right=np.where(b.mask(), -bundle.gamma, 1.0),
-        null_left=bundle.coord_gauge / g.n,
-        decided_by=decided_by,
-        zero_tol=tol,
-        resistance_pd_tol=res_pd_tol,
-    )
+        verdict, decided_by = Verdict.ASYMMETRIC_POLARIZATION, "headroom"
+    null_right = np.where(b.mask(), -bundle.gamma, 1.0)
+    summary = {
+        "schema": 3, "gamma": bundle.gamma, "verdict": verdict.value,
+        "decided_by": decided_by, "connected": connected,
+        "antagonism_headroom": t if t is not None and t < math.inf else None,
+        "headroom_tol": HEADROOM_TOL, "same_side_ties": ties,
+    }
+    full = {
+        "gamma": bundle.gamma, "connected": connected, "verdict": verdict.value,
+        "spectrum": list(eig.eigenvalues), "zero_multiplicity": eig.zero_count,
+        "forest_edges": [[i, j, w] for i, j, w in dec.forest_edges],
+        "resistance": [list(row) for row in resistance],
+        "resistance_min_eig": float(sym_eigen(resistance).eigenvalues[0]) if nf else None,
+        "null_right": list(null_right), "null_left": list(bundle.coord_gauge / g.n),
+    }
+    return {"summary": summary, "full": full}
 
 
 def reference_certificate_dict(cert: PolarizationCertificate) -> dict:
-    """The certificate document as it was before schema 2: the oracle for
+    """The full certificate document as it was before schema 2, read off
+    the certificate's fields and ``detail``: the oracle for
     ``certificate_dict(cert, detail="full")``."""
+    detail = cert.detail
     return {
         "gamma": cert.gamma,
         "connected": cert.connected,
         "verdict": cert.verdict.value,
-        "spectrum": list(cert.spectrum),
-        "zero_multiplicity": cert.zero_multiplicity,
-        "forest_edges": [[i, j, w] for i, j, w in cert.forest_edges],
-        "resistance": [list(row) for row in cert.resistance],
-        "resistance_min_eig": cert.resistance_min_eig,
+        "spectrum": list(detail.spectrum),
+        "zero_multiplicity": detail.zero_multiplicity,
+        "forest_edges": [[i, j, w] for i, j, w in detail.forest_edges],
+        "resistance": [list(row) for row in detail.resistance],
+        "resistance_min_eig": detail.resistance_min_eig,
         "null_right": list(cert.null_right),
         "null_left": list(cert.null_left),
     }
 
 
-# Float entries of the certificate documents that come from the partner
-# spectrum, and those that come from the resistance Gram.
-SPECTRAL_KEYS = ("lambda_min", "lambda_2", "zero_tol", "spectrum")
-GRAM_KEYS = ("resistance_min_eig", "resistance_pd_tol", "resistance")
-
-
-def assert_matches_reference(cert: PolarizationCertificate, ref: PolarizationCertificate):
-    """Compare a certificate with ``reference_certify``'s through both
-    documents.  Entries from the spectrum agree within 1e-12 of the
-    spectral radius and entries from the resistance Gram within 1e-10 of
-    the Gram's largest eigenvalue magnitude; every other entry (verdict,
-    criterion, connectivity, zero count, forest, null vectors) is exact.
-    Two algorithms cannot agree on the noise digits of a structural zero,
-    so the floats are not compared bit for bit."""
-    radius = max((abs(x) for x in ref.spectrum), default=0.0)
-    gram = (ref.resistance_pd_tol or 0.0) / 1e-9  # the reference's 1e-9 * norm
-    for detail in ("summary", "full"):
+def assert_matches_reference(cert: PolarizationCertificate, ref: dict):
+    """Compare a certificate's two documents with ``reference_certify``'s.
+    The headroom agrees within 1e-10 relative, the spectrum within 1e-12
+    of the spectral radius and the resistance Gram within 1e-10 of its
+    largest entry; every other entry (verdict, criterion, connectivity,
+    counts, forest, null vectors) is exact.  Two algorithms cannot agree
+    on the noise digits of a structural zero, so the floats are not
+    compared bit for bit."""
+    for detail, want in ref.items():
         got = certificate_dict(cert, detail)
-        want = certificate_dict(ref, detail)
         assert list(got) == list(want)
         for key, value in want.items():
-            if key in SPECTRAL_KEYS or key in GRAM_KEYS:
-                atol = 1e-12 * radius if key in SPECTRAL_KEYS else 1e-10 * gram
+            if key in ("antagonism_headroom", "spectrum", "resistance", "resistance_min_eig"):
                 assert (got[key] is None) == (value is None), key
-                if value is not None:
-                    assert np.shape(got[key]) == np.shape(value), key
-                    assert np.allclose(got[key], value, rtol=0.0, atol=atol), key
+                if value is None:
+                    continue
+                scale = float(np.max(np.abs(want["resistance"] if key.startswith("res")
+                                            else value), initial=0.0))
+                assert np.shape(got[key]) == np.shape(value), key
+                rtol = 1e-12 if key == "spectrum" else 1e-10
+                assert np.allclose(got[key], value, rtol=0.0, atol=rtol * scale), key
             else:
                 assert got[key] == value, key
 
 
 def counting_linalg(monkeypatch):
     """Record ``(name, input shape)`` of every numpy.linalg ``eigh``,
-    ``eigvalsh`` and ``solve`` call from now on.
-
-    A core computes its partner spectrum on the calling thread while a
-    second thread makes the grounded ``solve`` and the Gram's
-    ``eigvalsh``, so the calls of the two may interleave in any way.  A
-    call made on another thread is recorded when that thread is joined,
-    after the calling thread's own calls up to the join; so a core's calls
-    read as ``core_calls`` lists them.  Calls on a thread that is never
-    joined are not recorded."""
+    ``eigvalsh``, ``solve`` and ``cholesky`` call from now on."""
     calls = []
-    held = {}  # calls made on other threads, by thread, until it is joined
-    home = threading.get_ident()
-    lock = threading.Lock()
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
-            me = threading.get_ident()
-            with lock:
-                (calls if me == home else held.setdefault(me, [])).append((name, np.shape(a)))
+            calls.append((name, np.shape(a)))
             return fn(a, *args, **kwargs)
         return call
 
-    join = threading.Thread.join
-
-    def joined(thread, *args, **kwargs):
-        join(thread, *args, **kwargs)
-        with lock:
-            calls.extend(held.pop(thread.ident, []))
-
-    monkeypatch.setattr(threading.Thread, "join", joined)
-    for name in ("eigh", "eigvalsh", "solve"):
+    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
 
 
-def core_calls(n, forest, roots=1, integrating=None):
-    """The numpy.linalg calls that build one partner core on n nodes with
-    ``forest`` forest edges, grounded at ``roots`` nodes.  A cold core
-    makes the partner spectrum first; one built for a command that
-    integrates (``partner_core(..., integrating=True)``) makes the Gram's
-    half first and then the spectrum by ``integrating``: ``"eigh"`` when
-    the verdict may be flowing, ``"eigvalsh"`` otherwise."""
-    spectrum = [(integrating or "eigvalsh", (n, n))]
-    if not forest:
-        return spectrum
-    gram = [("solve", (n - roots, n - roots)), ("eigvalsh", (forest, forest))]
-    return gram + spectrum if integrating else spectrum + gram
+def core_calls(n, ties):
+    """The numpy.linalg calls that build one partner core on a connected
+    n-node graph with ``ties`` same-side antagonistic ties: the grounded
+    L_abs's ``cholesky``, a ``solve`` per diagonal block of the forward
+    substitution of each n - 1 ties, and the ``eigvalsh`` of M (k square,
+    or n - 1 square with more ties than that).  None without such a tie."""
+    if not ties:
+        return []
+    size = n - 1
+    panels = [("solve", (min(64, size - lo),) * 2) for lo in range(0, size, 64)]
+    side = min(ties, size)
+    return ([("cholesky", (size, size))] + panels * -(-ties // size)
+            + [("eigvalsh", (side, side))])
 
 
 def reference_headroom(g: SignedGraph, b: Bipartition) -> float:
@@ -693,25 +649,27 @@ def dense_two_bloc(n=400, seed=7):
     return SignedGraph.from_arrays(n, i, j, w), Bipartition(n, frozenset(np.flatnonzero(side)))
 
 
-def reference_grounded_gram(laplacian, components, first, second):
-    """The grounded Gram as formed with a padded right-hand side and a
-    zero-padded solution: the bits the blocked one must keep."""
-    n = laplacian.shape[0]
-    keep = np.ones(n, dtype=bool)
-    keep[[min(c) for c in components]] = False
-    size = int(np.count_nonzero(keep))
-    row = np.where(keep, np.cumsum(keep) - 1, size)
-    unit = float(np.max(np.abs(laplacian)))
-    grounded = laplacian[np.ix_(keep, keep)] / unit
-    a, b = row[first], row[second]
-    cols = np.arange(a.size)
-    block = np.zeros((size + 1, a.size))
-    block[a, cols] = 1.0
-    block[b, cols] = -1.0
-    x = np.zeros_like(block)
-    x[:size] = np.linalg.solve(grounded, block[:size])
-    gram = (x[a] - x[b]) / unit
-    return (gram + gram.T) / 2.0
+def reference_grounded_gram(g: SignedGraph, b: Bipartition) -> np.ndarray:
+    """The headroom's Gram M = Z^T Z formed the plain way: L_abs summed
+    with ``np.add.at``, grounded at node 0, scaled by its largest entry,
+    and Z = C^-1 B_A W^1/2 by one ``np.linalg.solve`` on the whole
+    Cholesky factor C."""
+    n, i, j = g.n, g.i, g.j
+    side = b.mask()
+    tie = (g.w < 0) & (side[i] == side[j])
+    lap = np.zeros((n, n))
+    np.add.at(lap, (i, j), -np.abs(g.w))
+    np.add.at(lap, (j, i), -np.abs(g.w))
+    lap[np.diag_indices(n)] = -lap.sum(axis=1)
+    unit = float(np.max(np.abs(lap)))
+    c = np.linalg.cholesky(lap[1:, 1:] / unit)
+    cols = np.arange(int(tie.sum()))
+    rhs = np.zeros((n, cols.size))
+    root = np.sqrt(-g.w[tie] / unit)
+    rhs[i[tie], cols] = root
+    rhs[j[tie], cols] = -root
+    z = np.linalg.solve(c, rhs[1:])
+    return z.T @ z
 
 
 def reference_forest_gram(pinv, a, b):
@@ -724,36 +682,26 @@ def reference_forest_gram(pinv, a, b):
 
 
 def reference_build_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
-    """The partner core built one step after the other on a partner of
-    its own: the spectrum, then the forest, then the Gram, by the grounded
-    solve when the spectrum has one zero per component and off the
-    pseudoinverse otherwise.  The bits the concurrent build must keep."""
-    partner = _Partner(g, b)
-    laplacian = partner.laplacian
-    w = sym_eigvals(laplacian)
-    components = connected_components(g)
-    (i, j, weight), kept = _antagonistic_forest(partner.network)
-    forest = _triples(i[kept], j[kept], weight[kept])
-    if not forest:
-        gram = np.zeros((0, 0))
-    elif _zero_count(w) == len(components):
-        gram = reference_grounded_gram(laplacian, components, i[kept], j[kept])
-    else:
-        gram = reference_forest_gram(_pinv(sym_eigen(laplacian)), i[kept], j[kept])
-    res_w = sym_eigvals(gram) if forest else np.zeros(0)
-    return PartnerCore(partner.partition, w, len(components) == 1, forest, gram, res_w)
+    """The partner core from outside: connectivity from a union-find,
+    the same-side antagonistic ties counted edge by edge, and the headroom
+    from ``reference_headroom`` (inf with no such tie, None when
+    disconnected)."""
+    connected = len(reference_components(g.n, g.edges)) == 1
+    ties = sum(1 for i, j, w in g.edges if w < 0 and (i in b.v1) == (j in b.v1))
+    t = None
+    if connected:
+        t = reference_headroom(g, b) if ties else math.inf
+    return PartnerCore(b, connected, t, ties)
 
 
-def assert_same_core(got: PartnerCore, want: PartnerCore):
-    """Every field equal, the arrays bit for bit (as uint64, so -0.0 and
-    +0.0 differ) and in shape."""
+def assert_same_core(got: PartnerCore, want: PartnerCore, rtol: float = 1e-10):
+    """Every field equal, the headroom within ``rtol`` relative."""
     assert got.partition == want.partition
-    assert (got.connected, got.forest_edges) == (want.connected, want.forest_edges)
-    for key in ("eigenvalues", "resistance", "resistance_eigenvalues"):
-        mine, theirs = getattr(got, key), getattr(want, key)
-        assert mine.shape == theirs.shape, key
-        assert np.array_equal(np.ascontiguousarray(mine).view(np.uint64),
-                              np.ascontiguousarray(theirs).view(np.uint64)), key
+    assert (got.connected, got.same_side_ties) == (want.connected, want.same_side_ties)
+    if want.headroom is None or want.headroom == math.inf:
+        assert got.headroom == want.headroom
+    else:
+        assert abs(got.headroom - want.headroom) <= rtol * want.headroom
 
 
 def _reference_id(v):
@@ -971,20 +919,6 @@ def _sign_changes(coeffs) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _taylor_shift(c, t: Fraction) -> list[Fraction]:
-    """Coefficients of p(x + t) from those of p(x)."""
-    c = list(c)
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] += t * c[k + 1]
-    return c
-
-
-def _reflected(c) -> list[Fraction]:
-    """Coefficients of p(-x) from those of p(x)."""
-    return [-v if k % 2 else v for k, v in enumerate(c)]
-
-
 def exact_inertia(c) -> tuple[int, int, int]:
     """(negative, zero, positive) root counts of a real-rooted polynomial,
     as a symmetric matrix's characteristic polynomial is: Descartes' rule
@@ -992,15 +926,6 @@ def exact_inertia(c) -> tuple[int, int, int]:
     zero = next(k for k, v in enumerate(c) if v)
     pos = _sign_changes(c)
     return len(c) - 1 - zero - pos, zero, pos
-
-
-def exact_band_count(c, tol: Fraction) -> int:
-    """Roots of the real-rooted polynomial ``c`` in [-tol, tol]: all of
-    them less those above tol (the positive roots of p(x + tol)) and those
-    below -tol (the positive roots of p(-x - tol))."""
-    above = _sign_changes(_taylor_shift(c, tol))
-    below = _sign_changes(_taylor_shift(_reflected(c), tol))
-    return len(c) - 1 - above - below
 
 
 def _exact_solve(a, rhs):
@@ -1026,7 +951,9 @@ def _exact_solve(a, rhs):
 def exact_gram_positive_definite(lap, forest) -> bool | None:
     """Whether the forest's resistance Gram B^T L^+ B is positive definite,
     in exact arithmetic, on a connected network: L grounded at node 0
-    (``_grounded_solution`` says why that gives the Gram), then every
+    (each column sums to zero, so L^+ b and the solution of the grounded
+    system, zero at the root, differ by a kernel vector every column is
+    orthogonal to, and the two Grams agree), then every
     pivot of the Gram's elimination positive.  None when the grounded
     Laplacian is singular (an extra zero in the spectrum)."""
     n = len(lap)

@@ -132,10 +132,10 @@ def test_certificate_agrees_with_simulation():
         dec = sym_eigen(bundle.z_laplacian)
         psd = psd_simple_zero(bundle.z_laplacian)
         resistance_pd = (
-            cert.resistance_min_eig is None
-            or cert.resistance_min_eig > dec.zero_tol
+            cert.detail.resistance_min_eig is None
+            or cert.detail.resistance_min_eig > dec.zero_tol
         )
-        assert psd == resistance_pd
+        assert psd == resistance_pd == (cert.antagonism_headroom > 1.0)
         sides[psd] += 1
 
         w = dec.eigenvalues
@@ -160,7 +160,7 @@ def test_certificate_agrees_with_simulation():
     assert elapsed < 60.0
     assert sides[True] >= 50 and sides[False] >= 50
     print(
-        f"PASS certificate, resistance test, and simulation agree on 500 instances "
+        f"PASS headroom, resistance test, and simulation agree on 500 instances "
         f"({sides[True]} polarizing / {sides[False]} not) in {elapsed:.1f} s, "
         f"worst defect {worst_ok:.2e}"
     )

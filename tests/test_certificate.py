@@ -1,6 +1,7 @@
-"""The certificate documents: schema 2 by default, the full form on request."""
+"""The certificate documents: schema 3 by default, the full form on request."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,9 +28,8 @@ from gqsbnet.fileio import (
 from support import assert_matches_reference, reference_certificate_dict, reference_certify
 
 SCHEMA_KEYS = [
-    "schema", "gamma", "verdict", "decided_by", "connected", "lambda_min", "lambda_2",
-    "zero_tol", "zero_multiplicity", "forest_size", "resistance_min_eig",
-    "resistance_pd_tol",
+    "schema", "gamma", "verdict", "decided_by", "connected", "antagonism_headroom",
+    "headroom_tol", "same_side_ties",
 ]
 
 # Nodes 0, 1 against 2, 3 around a cycle: balanced, nothing antagonistic
@@ -43,78 +43,91 @@ def _doc(g, b, gamma):
     cert = certify(g, b, gamma)
     doc = certificate_dict(cert)
     assert list(doc) == SCHEMA_KEYS
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["verdict"] == cert.verdict.value
     assert doc["gamma"] == gamma
-    assert doc["lambda_min"] == cert.spectrum[0]
-    assert doc["lambda_2"] == cert.spectrum[1]
-    assert doc["zero_multiplicity"] == cert.zero_multiplicity
-    assert doc["forest_size"] == len(cert.forest_edges)
+    t = cert.antagonism_headroom
+    assert doc["antagonism_headroom"] == (t if t is not None and t < math.inf else None)
+    assert doc["headroom_tol"] == spectral.HEADROOM_TOL
+    assert doc["same_side_ties"] == cert.same_side_ties
     return doc
+
+
+def _with_headroom(monkeypatch, g, b, headroom):
+    """Make ``certify`` read the core of (g, b) with another headroom."""
+    core = dataclasses.replace(partner_core(g, b), headroom=headroom)
+    monkeypatch.setattr(spectral, "partner_core", lambda g, b: core)
 
 
 class TestDecidedBy:
     def test_resistance_pd_polarizes(self, allneg_triangle, allneg_split):
+        # the one same-side tie has weight 1 and resistance 2 through the
+        # partner, so t* = 1 + 1 / (1 * 2)
         doc = _doc(allneg_triangle, allneg_split, 2.0)
         assert doc["verdict"] == "AsymmetricPolarization"
-        assert doc["decided_by"] == "resistance_pd"
+        assert doc["decided_by"] == "headroom"
         assert doc["connected"] is True
-        assert doc["zero_tol"] == pytest.approx(9e-9)
-        assert doc["lambda_min"] == pytest.approx(0.0, abs=1e-12)
-        assert doc["lambda_2"] == pytest.approx(1.0)
-        assert doc["forest_size"] == 1
-        assert doc["resistance_min_eig"] == pytest.approx(2.0)
-        assert doc["resistance_pd_tol"] == pytest.approx(2e-9)
+        assert doc["antagonism_headroom"] == pytest.approx(1.5, rel=1e-14)
+        assert doc["same_side_ties"] == 1
+        full = certificate_dict(certify(allneg_triangle, allneg_split, 2.0), "full")
+        assert full["resistance_min_eig"] == pytest.approx(2.0)
 
     def test_negative_eigenvalue(self, unstable_triangle, allneg_split):
         doc = _doc(unstable_triangle, allneg_split, 2.0)
-        assert (doc["verdict"], doc["decided_by"]) == ("Divergence", "negative_eigenvalue")
-        assert doc["lambda_min"] < -doc["zero_tol"]
-        assert doc["resistance_min_eig"] < 0
+        assert (doc["verdict"], doc["decided_by"]) == ("Divergence", "headroom")
+        assert doc["antagonism_headroom"] == pytest.approx(0.1, rel=1e-14)
+        full = certificate_dict(certify(unstable_triangle, allneg_split, 2.0), "full")
+        assert full["spectrum"][0] < 0 and full["resistance_min_eig"] < 0
 
     def test_connectivity(self):
         g = SignedGraph.from_edge_list(4, [(0, 1, -1.0), (2, 3, -1.0)])
         doc = _doc(g, Bipartition(4, frozenset({0, 2})), 2.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "connectivity")
         assert doc["connected"] is False
+        assert doc["antagonism_headroom"] is None
 
     def test_zero_multiplicity_above_one(self):
         # the antagonistic tie (0, 1) exactly cancels the path 0-2-1 in the
-        # partner network, so (1, -1, 0) joins the all-ones null vector
+        # partner network, so (1, -1, 0) joins the all-ones null vector:
+        # t* = 1, inside the band
         g = SignedGraph.from_edge_list(3, [(0, 1, -0.5), (0, 2, -1.0), (1, 2, -1.0)])
-        doc = _doc(g, Bipartition(3, frozenset({0, 1})), 2.0)
-        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "zero_multiplicity")
-        assert doc["zero_multiplicity"] == 2
-        assert abs(doc["lambda_2"]) <= doc["zero_tol"]
+        b = Bipartition(3, frozenset({0, 1}))
+        doc = _doc(g, b, 2.0)
+        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "headroom")
+        assert abs(doc["antagonism_headroom"] - 1.0) <= 1e-15
+        assert certificate_dict(certify(g, b, 2.0), "full")["zero_multiplicity"] == 2
 
-    def test_resistance_gram_not_positive_definite(self, allneg_triangle, allneg_split):
-        # the Gram test is equivalent to the spectral one, so no network
-        # reaches this branch with a simple zero; give the kept core a Gram
-        # spectrum that fails it
-        core = partner_core(allneg_triangle, allneg_split)
-        core.__dict__["resistance_eigenvalues"] = np.array([-1.0, 4.0])
-        doc = _doc(allneg_triangle, allneg_split, 2.0)
-        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "resistance_pd")
-        assert doc["zero_multiplicity"] == 1
-        assert (doc["resistance_min_eig"], doc["resistance_pd_tol"]) == (-1.0, 4e-9)
+    def test_resistance_gram_not_positive_definite(self, allneg_triangle, allneg_split,
+                                                   monkeypatch):
+        # a Gram that is not positive definite is a headroom at most 1; the
+        # band's edges, given to the kept core
+        tol = spectral.HEADROOM_TOL
+        for t, want in ((1.0 - 2.0 * tol, "Divergence"), (1.0 - tol / 2.0, "Inconclusive"),
+                        (1.0, "Inconclusive"), (1.0 + tol / 2.0, "Inconclusive"),
+                        (1.0 + 2.0 * tol, "AsymmetricPolarization")):
+            _with_headroom(monkeypatch, allneg_triangle, allneg_split, t)
+            doc = _doc(allneg_triangle, allneg_split, 2.0)
+            assert (doc["verdict"], doc["decided_by"]) == (want, "headroom"), t
+            assert doc["antagonism_headroom"] == t
 
     def test_plain_split_and_empty_forest(self, sb_triangle):
-        doc = _doc(sb_triangle, Bipartition(3, frozenset({0, 1})), 1.0)
+        b = Bipartition(3, frozenset({0, 1}))
+        doc = _doc(sb_triangle, b, 1.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Consensus", "plain_split")
-        assert doc["forest_size"] == 0
-        assert doc["resistance_min_eig"] is None
-        assert doc["resistance_pd_tol"] is None
-        assert render_json(doc).endswith('"resistance_pd_tol": null\n}')
+        assert doc["same_side_ties"] == 0
+        assert doc["antagonism_headroom"] is None
+        assert render_json(doc).endswith('"same_side_ties": 0\n}')
+        assert certify(sb_triangle, b, 1.0).antagonism_headroom == math.inf
+        full = certificate_dict(certify(sb_triangle, b, 1.0), "full")
+        assert (full["forest_edges"], full["resistance_min_eig"]) == ([], None)
 
-    def test_no_zero_eigenvalue(self, allneg_triangle, allneg_split, monkeypatch):
-        # zero row sums keep 0 in every partner spectrum, so give a core a
-        # spectrum with none
-        core = dataclasses.replace(partner_core(allneg_triangle, allneg_split),
-                                   eigenvalues=np.array([1.0, 2.0, 3.0]))
-        monkeypatch.setattr(spectral, "partner_core", lambda g, b: core)
+    def test_no_factor_is_inconclusive(self, allneg_triangle, allneg_split, monkeypatch):
+        # a connected network whose grounded L_abs has no Cholesky factor in
+        # double precision has no headroom; give a core none
+        _with_headroom(monkeypatch, allneg_triangle, allneg_split, None)
         doc = _doc(allneg_triangle, allneg_split, 2.0)
-        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "zero_multiplicity")
-        assert doc["zero_multiplicity"] == 0
+        assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "headroom")
+        assert doc["connected"] is True and doc["antagonism_headroom"] is None
 
     def test_unit_coefficient_is_an_exact_compare(self):
         # the plain split needs gamma == 1.0 exactly; the nearest
@@ -123,22 +136,21 @@ class TestDecidedBy:
         for gamma in (1.0 + 1e-15, np.nextafter(1.0, 0.0)):
             doc = _doc(BALANCED_CYCLE, CYCLE_SPLIT, float(gamma))
             assert doc["verdict"] == "AsymmetricPolarization"
-            assert doc["decided_by"] == "resistance_pd"
-            assert doc["forest_size"] == 0
+            assert doc["decided_by"] == "headroom"
+            assert doc["same_side_ties"] == 0
 
 
 class TestDocuments:
     def test_short_spectrum_and_hand_built_certificate(self):
-        for spectrum, lambdas in (((), (None, None)), ((0.5,), (0.5, None)),
-                                  ((0.0, 0.5), (0.0, 0.5))):
+        # a certificate built by hand: an infinite or absent headroom is null
+        for headroom, printed in ((None, None), (math.inf, None), (0.5, 0.5)):
             cert = PolarizationCertificate(
-                connected=True, spectrum=spectrum, zero_multiplicity=0, gamma=2.0,
-                forest_edges=(), resistance=np.zeros((0, 0)), resistance_min_eig=None,
-                verdict=Verdict.INCONCLUSIVE, null_right=np.zeros(0), null_left=np.zeros(0))
+                connected=True, gamma=2.0, verdict=Verdict.INCONCLUSIVE,
+                null_right=np.zeros(0), null_left=np.zeros(0), antagonism_headroom=headroom)
             doc = certificate_dict(cert)
             assert list(doc) == SCHEMA_KEYS
-            assert (doc["lambda_min"], doc["lambda_2"]) == lambdas
-            assert doc["decided_by"] is None and doc["zero_tol"] is None
+            assert doc["antagonism_headroom"] == printed
+            assert doc["decided_by"] is None and doc["same_side_ties"] == 0
 
     def test_unknown_detail_refused(self, allneg_triangle, allneg_split):
         cert = certify(allneg_triangle, allneg_split, 2.0)

@@ -30,7 +30,6 @@ from gqsbnet import (
     Verdict,
     bipartition_from_dominant,
     certify,
-    connected_components,
     dump_network,
     enumerate_gqsb_bipartitions,
     highland_path,
@@ -52,6 +51,7 @@ from gqsbnet import (
 )
 from gqsbnet import fileio
 from gqsbnet.cli import main
+from gqsbnet.operators import _partner
 from gqsbnet.fileio import DETAILS, enumerate_dict, format_float, render_json, start_state
 from support import core_calls, counting_linalg, random_bloc_graph, reference_block_integrate
 
@@ -402,17 +402,15 @@ class TestPipeline:
     def test_report_across_blas_thread_counts(self, tmp_path):
         # bytes are identical for one BLAS build and thread count; across
         # thread counts only the floats computed through BLAS may move, each
-        # within 1e-10 of its field's scale.  On OpenBLAS 0.3.31 at 1 and 2
-        # threads this network's lambda_min, resistance and outcome fields
-        # differ in their last digits
+        # within 1e-10 of its field's scale: the headroom and the outcome
         g, _ = random_bloc_graph(np.random.default_rng(0), 300, 2)
         path = tmp_path / "blocs.txt"
         path.write_text(dump_network(g))
         core = partner_core(g, bipartition_from_dominant(g, (0,)))
         docs = []
         for threads in ("1", "2"):
-            # twice at each count: the partner spectrum and the grounded
-            # solve run at once, and at 2 threads share OpenBLAS's pool
+            # twice at each count: at 2 threads the factorization, the
+            # substitution and the eigh share OpenBLAS's pool
             runs = [subprocess.run(
                 [sys.executable, "-m", "gqsbnet", "report", "--network", str(path),
                  "--dominant", "0", "--dt", "0.005"],
@@ -426,9 +424,7 @@ class TestPipeline:
         cert, outcome = [(first.pop(key), second.pop(key)) for key in ("certificate", "outcome")]
         assert first == second
         assert outcome[0]["kind"] == "AsymmetricPolarization"
-        rho, gram_top = core.eigenvalues[-1], core.resistance_eigenvalues[-1]
-        scales = {"lambda_min": rho, "lambda_2": rho, "zero_tol": rho,
-                  "resistance_min_eig": gram_top, "resistance_pd_tol": gram_top,
+        scales = {"antagonism_headroom": core.headroom, "headroom_tol": 0.0,
                   "v1_value": max(map(abs, first["provenance"]["x0"])),
                   "ratio": abs(outcome[0]["ratio"])}
         scales["v2_value"] = scales["defect"] = scales["v1_value"]
@@ -447,15 +443,15 @@ class TestPipeline:
         g = load_network(allneg_file)
         b = bipartition_from_dominant(g, (0, 1))
         cert = certify(g, b, 2.0)
-        # the report's spectrum is its integrator's eigh, bit for bit, and
-        # lies within rounding of certify's eigvalsh
+        # the report's detail is its integrator's eigh, bit for bit, as is
+        # a library certificate's
         bundle = generalized_laplacian(load_network(allneg_file), b, 2.0)
-        spectrum = report.certificate.spectrum
-        assert spectrum == tuple(map(float, bundle.partner.eigenvalues))
-        rho = max(map(abs, cert.spectrum))
-        assert max(abs(p - q) for p, q in zip(spectrum, cert.spectrum)) <= 1e-12 * rho
+        detail = report.certificate.detail
+        assert detail.spectrum.tobytes() == bundle.partner.eigenvalues.tobytes()
+        assert detail.spectrum.tobytes() == cert.detail.spectrum.tobytes()
         assert report.certificate.verdict is cert.verdict
-        assert np.array_equal(report.certificate.resistance, cert.resistance)
+        assert report.certificate.antagonism_headroom == cert.antagonism_headroom
+        assert np.array_equal(detail.resistance, cert.detail.resistance)
         traj = integrate(bundle, report.x0, dt=0.01)
         assert np.array_equal(report.trajectory.states[-1], traj.states[-1])
 
@@ -662,7 +658,9 @@ class TestCli:
         assert main(["spectrum", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert main(["certify", *argv, "--detail", "full"]) in (0, 2)
-        assert doc["scaled"] == json.loads(capsys.readouterr().out)["spectrum"]
+        # eigvalsh's spectrum beside the full detail's, which is the eigh's
+        full = json.loads(capsys.readouterr().out)["spectrum"]
+        assert np.allclose(doc["scaled"], full, rtol=0.0, atol=1e-12 * max(map(abs, full)))
         g = load_highland(ScenarioConfig("highland", (dominant,)))
         assert np.allclose(doc["repelling"], sym_eigen(repelling_laplacian(g)).eigenvalues,
                            rtol=1e-13, atol=1e-12)
@@ -728,7 +726,7 @@ class TestCli:
                             lambda doc: docs.append(doc) or render(doc))
         assert main(["spectrum", "--network", "highland", "--dominant", "3"]) == 0
         g = load_highland(ScenarioConfig("highland", (3,)))
-        want = partner_core(g, bipartition_from_dominant(g, (3,))).eigenvalues
+        want = _partner(g, bipartition_from_dominant(g, (3,))).eigenvalues
         assert np.array(docs[0]["scaled"]).tobytes() == want.tobytes()
 
     def test_spectrum_scaled(self, allneg_file, capsys):
@@ -743,7 +741,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "AsymmetricPolarization"
-        assert doc["decided_by"] == "resistance_pd"
+        assert doc["decided_by"] == "headroom"
         assert "resistance" not in doc
         code = main(["certify", "--network", allneg_file, "--dominant", "0,1",
                      "--detail", "full"])
@@ -833,8 +831,14 @@ class TestCli:
         path = tmp_path / "huge.txt"
         path.write_text(text)
         for command in ("certify", "report", "spectrum"):
-            assert main([command, "--network", str(path), "--dominant", "0"]) == 1
+            code = main([command, "--network", str(path), "--dominant", "0"])
             got = capsys.readouterr()
+            if command == "certify" and text.startswith("2 1"):
+                # one tie, across the split: no same-side antagonism, so the
+                # headroom is infinite and no weight is summed
+                assert code == 0 and json.loads(got.out)["same_side_ties"] == 0
+                continue
+            assert code == 1
             assert got.out == ""
             assert got.err.startswith("error: entries too large: twice the absolute sum")
             assert got.err.count("\n") == 1
@@ -907,8 +911,9 @@ class TestCli:
                                "leaves the double range\n")
 
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a header naming a million nodes: the dense partner Laplacian
-        # cannot be allocated, which the patch stands in for
+        # a header naming a million nodes: the dense partner Laplacian of the
+        # full detail cannot be allocated, which the patch stands in for (the
+        # verdict, on a disconnected network, needs no dense array)
         path = tmp_path / "wide.txt"
         path.write_text("1000000 1\n0 1 -1\n")
 
@@ -917,7 +922,8 @@ class TestCli:
 
         monkeypatch.setattr(SignedGraph, "adjacency", refuse)
         out = tmp_path / "out"
-        argv = ["certify", "--network", str(path), "--dominant", "0", "--out", str(out)]
+        argv = ["certify", "--network", str(path), "--dominant", "0", "--out", str(out),
+                "--detail", "full"]
         assert main(argv) == 1
         got = capsys.readouterr()
         assert got.out == ""
@@ -927,9 +933,8 @@ class TestCli:
 
     def test_out_of_memory_in_the_grounded_solve_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # certify runs the solve on a thread of its own beside the partner
-        # spectrum, report on this thread after its decomposition; either
-        # way its MemoryError reaches the command
+        # the factorization of the grounded L_abs runs on this thread for
+        # certify and report alike; its MemoryError reaches the command
         g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
         path = tmp_path / "blocs.txt"
         path.write_text(dump_network(g))
@@ -939,7 +944,7 @@ class TestCli:
             threads.append(threading.current_thread())
             raise MemoryError("Unable to allocate the grounded system")
 
-        monkeypatch.setattr(gqsbnet.spectral, "_grounded_solution", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         before = threading.active_count()
         out = tmp_path / "out"
         for command in ("certify", "report"):
@@ -949,7 +954,7 @@ class TestCli:
             assert got == ("", "error: Unable to allocate the grounded system\n")
             assert not out.exists()
         assert threading.active_count() == before
-        assert [thread is threading.main_thread() for thread in threads] == [False, True]
+        assert threads == [threading.main_thread()] * 2
 
     def test_missing_network_exit_one(self, tmp_path, capsys):
         code = main(["classify", "--network", str(tmp_path / "ghost.txt")])
@@ -1009,10 +1014,11 @@ class TestCli:
                 run_pipeline(ScenarioConfig(network, (0, 1), **field))
 
     @pytest.mark.parametrize("network", ["unstable", "disconnected"])
-    def test_default_step_count_checked_without_integration(self, unstable_file, tmp_path,
-                                                            capsys, network):
-        # no --dt: the step count comes from the default step, read off the
-        # partner decomposition the certificate keeps
+    def test_default_step_count_unchecked_without_integration(self, unstable_file, tmp_path,
+                                                              capsys, network):
+        # no --dt and a horizon no default step could cover: a verdict that
+        # does not flow integrates nothing, so no step is taken or counted,
+        # and the report is written with no outcome
         if network == "disconnected":
             path = tmp_path / "split.txt"
             path.write_text("4 2\n0 1 -1\n2 3 -1\n")
@@ -1026,35 +1032,38 @@ class TestCli:
         for argv in (["report"], ["sweep", "--gammas", "2"]):
             code = main([argv[0], "--network", network, "--dominant", "0", *argv[1:],
                          "--tmax", "1e300", "--out", str(out)])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "steps exceeds" in err
-            assert not out.exists()
-        with pytest.raises(TooLarge):
-            run_pipeline(ScenarioConfig(network, (0,), t_max=1e300))
+            assert code == (2 if argv[0] == "report" else 0)
+            assert capsys.readouterr().err == ""
+            name = "report.json" if argv[0] == "report" else "report_gamma_2.json"
+            assert json.loads((out / name).read_text())["outcome"] is None
+        report = run_pipeline(ScenarioConfig(network, (0,), t_max=1e300))
+        assert report.outcome is None and report.trajectory is None
 
-    def test_default_step_check_reads_the_kept_decomposition(self, unstable_file, monkeypatch,
-                                                             capsys):
+    def test_non_flowing_report_makes_no_decomposition(self, unstable_file, monkeypatch,
+                                                       capsys):
+        # the divergent triangle: the core's factorization and M's spectrum,
+        # and no spectrum of the partner
         calls = counting_linalg(monkeypatch)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
-        # the Gram, which is not positive definite, then eigvalsh and no
-        # eigh: the certificate and the step check read that spectrum, and
-        # a divergent flow is not integrated
-        assert calls == core_calls(3, 1, integrating="eigvalsh")
+        assert calls == core_calls(3, 1)
 
     @pytest.mark.parametrize("argv, eighs", [
-        (["certify", "--detail", "full"], 0),
+        (["certify"], 0),
         (["predict"], 0),
         (["spectrum"], 0),
         (["report", "--dt", "0.002"], 1),
         (["sweep", "--dt", "0.002", "--gammas", "1.5,2,3"], 1),
         (["simulate"], 1),
         (["simulate", "--dt", "0.002"], 1),
+        (["certify", "--detail", "full"], 1),
+        (["report", "--detail", "full"], 1),
     ])
     def test_decompositions_per_command(self, argv, eighs, monkeypatch, capsys, tmp_path):
         g = load_highland(ScenarioConfig("highland", (0,)))
-        nf = len(certify(g, bipartition_from_dominant(g, (0,)), 2.0).forest_edges)
+        b = bipartition_from_dominant(g, (0,))
+        ties = certify(g, b, 2.0).same_side_ties
+        forest = len(certify(g, b, 2.0).detail.forest_edges)
         calls = counting_linalg(monkeypatch)
         assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
                      "--out", str(tmp_path / "out")]) == 0
@@ -1063,14 +1072,15 @@ class TestCli:
         elif argv[0] == "simulate":  # the default step reads the eigh's spectrum
             assert calls == [("eigh", (g.n, g.n))] * eighs
         else:
-            # an integrating command makes the Gram first; it is positive
-            # definite, so the core reads its spectrum off the one eigh
-            assert calls == (core_calls(g.n, nf, integrating="eigh") if eighs
-                             else core_calls(g.n, nf))
+            # the core, then the one eigh where the flow runs or the full
+            # detail is printed, and the detail's Gram spectrum
+            want = core_calls(g.n, ties) + [("eigh", (g.n, g.n))] * eighs
+            assert calls == want + [("eigvalsh", (forest, forest))] * ("full" in argv)
 
     def test_report_decomposes_the_partner_once(self, monkeypatch, capsys, tmp_path):
-        # the Gram picks the one decomposition: eigh where the verdict may
-        # flow, which integration then reads, and eigvalsh where it cannot
+        # the verdict picks the decompositions: the core's factorization on a
+        # connected network, then eigh where the verdict flows, which
+        # integration reads, and nothing more where it does not
         rng = np.random.default_rng(5)
         networks = []
         for intra_extra, intra_neg in ((0.3, 0.15), (0.6, 0.9)):
@@ -1085,9 +1095,8 @@ class TestCli:
             cert = certify(g, bipartition_from_dominant(g, (0,)), 2.0)
             flowing = cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             verdicts.add(cert.verdict)
-            roots = len(connected_components(g))
-            expected.append(core_calls(g.n, len(cert.forest_edges), roots,
-                                       integrating="eigh" if flowing else "eigvalsh"))
+            want = core_calls(g.n, cert.same_side_ties) if cert.connected else []
+            expected.append(want + [("eigh", (g.n, g.n))] * flowing)
         assert verdicts == {Verdict.ASYMMETRIC_POLARIZATION, Verdict.DIVERGENCE,
                             Verdict.INCONCLUSIVE}
         calls = counting_linalg(monkeypatch)
@@ -1101,8 +1110,7 @@ class TestCli:
 
     def test_integrating_commands_start_no_thread(self, unstable_file, monkeypatch, capsys,
                                                   tmp_path):
-        # they run the grounded solve on this thread, before the partner's
-        # eigh or eigvalsh; certify still runs it beside eigvalsh
+        # no command starts a thread, certify included
         g, _ = random_bloc_graph(np.random.default_rng(0), 60, 2)
         blocs = tmp_path / "blocs.txt"
         blocs.write_text(dump_network(g))
@@ -1124,11 +1132,11 @@ class TestCli:
         for command in ("report", "simulate"):  # the default step
             codes.add(main([command, "--network", "highland", "--dominant", "0",
                             "--out", out]))
+        for detail in ("summary", "full"):
+            codes.add(main(["certify", "--network", str(blocs), "--dominant", "0",
+                            "--detail", detail]))
         capsys.readouterr()
         assert codes == {0, 2} and started == []
-        assert main(["certify", "--network", str(blocs), "--dominant", "0"]) == 0
-        capsys.readouterr()
-        assert started == ["gqsbnet-grounded-solve"]
 
     def test_provenance_stop_tol_is_the_integrators(self, allneg_file):
         report = run_pipeline(ScenarioConfig(allneg_file, (0, 1), dt=0.01))

@@ -9,25 +9,24 @@ real-rooted polynomial.  So:
 
 - with integer weights, ``certify`` gives the exact verdict;
 - with weights spread over 1e-5..1e6, a definite verdict never contradicts
-  the exact inertia, and an Inconclusive by ``zero_multiplicity`` has an
-  exact eigenvalue besides the structural zero in its zero band;
+  the exact inertia, and an Inconclusive by ``headroom`` has its exact
+  headroom within the band: the same-side ties scaled by 1 - 2 tol leave
+  the partner positive semidefinite and by 1 + 2 tol make it indefinite;
 - on every connected draw, the forest Gram is positive definite exactly
   when the partner Laplacian is positive semidefinite with a simple zero,
   the paper's equivalence, both in exact arithmetic.
 
-Each draw is certified cold and on the route of ``report`` and ``sweep``
-(the grounded solve first, then ``eigh`` where the Gram allows a flowing
-verdict).
+Each draw is certified cold and after the partner's eigendecomposition
+was read, as ``report`` reads it for a flowing verdict.
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gqsbnet import Bipartition, SignedGraph, Verdict, certify, partner_core
+from gqsbnet import (Bipartition, SignedGraph, Verdict, certify, generalized_laplacian,
+                     partner_network, spanning_forest)
+from gqsbnet.spectral import HEADROOM_TOL
 from support import (
-    exact_band_count,
     exact_charpoly,
     exact_gram_positive_definite,
     exact_inertia,
@@ -70,11 +69,20 @@ def _draws(seed, count, weight):
 
 def _certificates(g, b):
     """The certificate at coefficient 2 on a cold graph and on an equal
-    graph whose core was built as ``report`` builds it."""
+    graph whose partner eigendecomposition was read first."""
     cold = certify(g, b, 2.0)
     fresh = SignedGraph.from_arrays(g.n, g.i, g.j, g.w)
-    partner_core(fresh, b, integrating=True)
+    generalized_laplacian(fresh, b, 2.0).partner
     return cold, certify(fresh, b, 2.0)
+
+
+def _exact_inertia_at(g, b, t):
+    """The exact inertia of the partner Laplacian of ``g`` with its
+    same-side antagonistic ties scaled by ``t``."""
+    side = b.mask()
+    tie = (g.w < 0) & (side[g.i] == side[g.j])
+    h = g.reweighted(np.where(tie, g.w * t, g.w))
+    return exact_inertia(exact_charpoly(exact_partner_laplacian(h, b)))
 
 
 def test_integer_weights_give_the_exact_verdict():
@@ -88,7 +96,7 @@ def test_integer_weights_give_the_exact_verdict():
 
 
 def test_spread_weights_never_contradict_the_exact_inertia():
-    decided = {POLAR: 0, DIVERGE: 0, "zero_multiplicity": 0}
+    decided = {POLAR: 0, DIVERGE: 0, "connectivity": 0}
     for g, b in _draws(12, 250, _spread):
         c = exact_charpoly(exact_partner_laplacian(g, b))
         neg, zero, _ = exact_inertia(c)
@@ -97,9 +105,10 @@ def test_spread_weights_never_contradict_the_exact_inertia():
                 assert neg > 0
             elif cert.verdict is POLAR:
                 assert (neg, zero, cert.connected) == (0, 1, True)
-            elif cert.decided_by == "zero_multiplicity":
-                assert exact_band_count(c, Fraction(cert.zero_tol)) >= 2
-            key = "zero_multiplicity" if cert.decided_by == "zero_multiplicity" else cert.verdict
+            elif cert.decided_by == "headroom":
+                assert _exact_inertia_at(g, b, 1.0 - 2.0 * HEADROOM_TOL)[0] == 0
+                assert _exact_inertia_at(g, b, 1.0 + 2.0 * HEADROOM_TOL)[0] > 0
+            key = cert.decided_by if cert.decided_by == "connectivity" else cert.verdict
             if key in decided:
                 decided[key] += 1
     assert all(decided.values()), decided
@@ -113,7 +122,7 @@ def test_gram_criterion_is_the_spectral_one(seed, weight):
             continue
         lap = exact_partner_laplacian(g, b)
         neg, zero, _ = exact_inertia(exact_charpoly(lap))
-        forest = partner_core(g, b).forest_edges
+        forest = spanning_forest(partner_network(g, b)).forest_edges
         assert bool(exact_gram_positive_definite(lap, forest)) == (neg == 0 and zero == 1)
         checked += 1
     assert checked >= 40
