@@ -37,7 +37,7 @@ from .signed_graph import (
     classify,
     enumerate_gqsb_bipartitions,
 )
-from .spectral import HEADROOM_TOL, PolarizationCertificate, certify
+from .spectral import PolarizationCertificate, certify
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -460,7 +460,7 @@ def certificate_dict(cert: PolarizationCertificate, detail: str = "summary") -> 
             "decided_by": cert.decided_by,
             "connected": cert.connected,
             "antagonism_headroom": t if t is not None and t < math.inf else None,
-            "headroom_tol": HEADROOM_TOL,
+            "headroom_tol": cert.headroom_tol,
             "same_side_ties": cert.same_side_ties,
         }
     if detail != "full":

@@ -20,14 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadGamma,
-    DimensionMismatch,
-    NoConvergence,
-    NotGQSB,
-    NotSymmetric,
-    TooLarge,
-)
+from .errors import BadGamma, DimensionMismatch, NoConvergence, NotGQSB, NotSymmetric, TooLarge
 from .signed_graph import Bipartition, SignedGraph, _Columns, _crossing, _trusted, validate_gqsb
 
 _SYMMETRY_RTOL = 1e-12

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, GqsbError, TooLarge
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
@@ -56,10 +56,11 @@ from .signed_graph import (
     connected_components,
 )
 
-# The Inconclusive band: a headroom within this of 1 decides nothing
-# (tests/test_boundary.py gives the measured error it covers).
+# The Inconclusive band's floor: a headroom within this of 1 decides
+# nothing (tests/test_boundary.py gives the measured error it covers);
+# ``_headroom`` widens it where t*'s rounding bound is wider.
 HEADROOM_TOL = 2e-9
-# Rows of each diagonal block of the forward substitution.
+# Rows of each diagonal block of the triangular solves.
 _PANEL = 64
 
 
@@ -145,21 +146,23 @@ def _forest_gram(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray) -> np.nd
     return _in_range(gram, "resistance Gram")
 
 
-def _forward(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution y of the lower-triangular c y = rhs, written over
-    ``rhs``: each ``_PANEL``-row diagonal block by ``np.linalg.solve``
-    after one GEMM with the rows solved above it (numpy has no triangular
-    solve)."""
-    for lo in range(0, c.shape[0], _PANEL):
-        rows = slice(lo, lo + _PANEL)
-        rhs[rows] -= c[rows, :lo] @ rhs[:lo]
-        rhs[rows] = np.linalg.solve(c[rows, rows], rhs[rows])
+def _forward(c: np.ndarray, rhs: np.ndarray, back: bool = False) -> np.ndarray:
+    """The solution y of the lower-triangular c y = rhs, or with ``back``
+    of c^T y = rhs, written over ``rhs``: each ``_PANEL``-row diagonal
+    block by ``np.linalg.solve`` after one GEMM with the rows solved before
+    it (numpy has no triangular solve)."""
+    t, starts = (c.T if back else c), range(0, c.shape[0], _PANEL)
+    for lo in reversed(starts) if back else starts:
+        rows, done = slice(lo, lo + _PANEL), slice(lo + _PANEL, None) if back else slice(0, lo)
+        rhs[rows] -= t[rows, done] @ rhs[done]
+        rhs[rows] = np.linalg.solve(t[rows, rows], rhs[rows])
     return rhs
 
 
-def _headroom(g: SignedGraph, tie: np.ndarray) -> float | None:
+def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     """The antagonism headroom t* of the connected graph ``g`` whose
-    same-side antagonistic ties are the edges ``tie`` (at least one).
+    same-side antagonistic ties are the edges ``tie`` (at least one), and
+    the half-width of its Inconclusive band.
 
     L_abs is built over ``g.adjacency()``, checked as ``sym_eigvals``
     checks its input, scaled by its largest entry (so weights at 10^+-300
@@ -172,11 +175,22 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> float | None:
     a time, so memory stays O(n^2).  Each column of B_A sums to zero, so
     it is orthogonal to what grounding leaves nearly singular (a side held
     on by a weak tie), and rounding there reaches M only squared; forming
-    C^-1 L_A C^-T from L_A itself would not keep that.  None when rounding
-    leaves the grounded L_abs without a factor: a network held together
-    by a tie below about 1e-14 of the largest weight is disconnected in
-    double precision.  Raises TooLarge and NoConvergence as
-    ``sym_eigvals`` does; signals nothing.
+    C^-1 L_A C^-T from L_A itself would not keep that.
+
+    A tie across a weak cut is not orthogonal to it: the cut's conductance
+    is summed into L_abs's diagonal beside strong ties, and rounding loses
+    it to about eps of them.  So the band is the larger of HEADROOM_TOL
+    and a first-order bound on that error.  A perturbation E of L_abs
+    moves mu by x^T E x with x = L_abs^-1 B_A W^1/2 v, v M's top
+    eigenvector, and rounding makes ||E|| about n eps ||L_abs||, at most
+    2 n eps in the scaled units; mu crosses 1/2 where t* crosses 1, so t*
+    within 2 n eps ||L_abs|| ||x||^2 / mu of 1 decides nothing.  ||x||^2 / mu
+    is ||C^-T u||^2 for the unit u = Z v / ||Z v||, one back substitution.
+    t* is None when rounding leaves the grounded L_abs without a factor
+    (a network held together by a tie below about 1e-14 of the largest
+    weight is disconnected in double precision) or the band reaches 2.
+    Raises TooLarge and NoConvergence as ``sym_eigvals`` does; signals
+    nothing.
     """
     n = g.n
     a = g.adjacency()
@@ -189,7 +203,7 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> float | None:
         try:
             c = np.linalg.cholesky(lap[1:, 1:])
         except np.linalg.LinAlgError:
-            return None
+            return None, HEADROOM_TOL
         del a, lap
         few = w.size < n
         m = None if few else np.zeros((n - 1, n - 1))
@@ -206,7 +220,18 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> float | None:
                 for rows in _blocks(n - 1):
                     m[rows] += z[rows] @ z.T
         mu = float(sym_eigvals(m)[-1])
-    return 1.0 / mu - 1.0 if mu > 0.0 else np.inf
+        if not mu > 0.0:
+            return np.inf, HEADROOM_TOL
+        # the top eigenvector of m by one step of inverse iteration from a
+        # start no structure of m is orthogonal to (numpy.random would
+        # import hashlib), as u in C's space; then x = C^-T u
+        m.flat[:: m.shape[0] + 1] -= mu * (1.0 + 1e-8)
+        v = np.linalg.solve(m, np.sin(np.arange(1.0, m.shape[0] + 1.0)))
+        u = z @ v if few else v
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _forward(c, u / np.linalg.norm(u), back=True)
+            band = 4.0 * n * np.finfo(float).eps * float(x @ x)
+    return (1.0 / mu - 1.0, max(HEADROOM_TOL, band)) if band < 2.0 else (None, HEADROOM_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,17 +240,19 @@ class PartnerCore:
     bipartition), computed once.
 
     ``connected`` is the graph's connectivity, ``same_side_ties`` the
-    number of antagonistic ties within a side, and ``headroom`` the
+    number of antagonistic ties within a side, ``headroom`` the
     antagonism headroom t* (inf with no such tie; None on a disconnected
-    graph, where nothing is factored, or where ``_headroom`` finds no
-    factor).  Nothing n x n is kept and no graph, so a core kept on its
-    graph goes with it.
+    graph, where nothing is factored, or where ``_headroom`` gives none)
+    and ``headroom_tol`` the half-width of its Inconclusive band
+    (``_headroom``).  Nothing n x n is kept and no graph, so a core kept
+    on its graph goes with it.
     """
 
     partition: Bipartition
     connected: bool
     headroom: float | None
     same_side_ties: int
+    headroom_tol: float = HEADROOM_TOL
 
 
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
@@ -244,10 +271,9 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
         side = b.mask()
         tie = (g.w < 0) & (side[g.i] == side[g.j])
         connected = len(connected_components(g)) == 1
-        headroom = None
-        if connected:
-            headroom = _headroom(g, tie) if tie.any() else np.inf
-        partner.core = PartnerCore(b, connected, headroom, int(np.count_nonzero(tie)))
+        headroom, tol = (None, HEADROOM_TOL) if not connected else (
+            _headroom(g, tie) if tie.any() else (np.inf, HEADROOM_TOL))
+        partner.core = PartnerCore(b, connected, headroom, int(np.count_nonzero(tie)), tol)
     return partner.core
 
 
@@ -272,14 +298,16 @@ class PolarizationCertificate:
 
     ``decided_by`` names the ``certify`` branch that settled the verdict:
     ``connectivity``, ``headroom`` or ``plain_split``.
-    ``antagonism_headroom`` is the core's t* (``PartnerCore.headroom``)
-    and ``same_side_ties`` counts the same-side antagonistic ties.
+    ``antagonism_headroom`` is the core's t* (``PartnerCore.headroom``),
+    ``headroom_tol`` the half-width of its Inconclusive band, and
+    ``same_side_ties`` counts the same-side antagonistic ties.
     ``null_right`` and ``null_left`` span the flow's stationary direction
     and conserved functional; in gauge coordinates they are the all-ones
     vector and its 1/n scaling.  ``detail`` computes, on first read, the
-    partner's spectrum and forest Gram (``PartnerDetail``) from the
-    ``partner`` the certificate was made on; a certificate built by hand
-    has none.
+    partner's spectrum and forest Gram (``PartnerDetail``) of the
+    ``graph`` and ``partition`` the certificate was made on, and keeps
+    them in the partner kept on that graph; a certificate built by hand
+    has no graph, and its detail raises GqsbError.
     """
 
     connected: bool
@@ -289,12 +317,16 @@ class PolarizationCertificate:
     null_left: np.ndarray
     decided_by: str | None = None
     antagonism_headroom: float | None = None
+    headroom_tol: float = HEADROOM_TOL
     same_side_ties: int = 0
-    partner: object = field(default=None, repr=False)
+    graph: SignedGraph | None = field(default=None, repr=False)
+    partition: Bipartition | None = None
 
     @property
     def detail(self) -> PartnerDetail:
-        partner = self.partner
+        if self.graph is None:
+            raise GqsbError("a certificate built by hand has no partner to detail")
+        partner = _partner(self.graph, self.partition)
         if partner.detail is None:
             dec = partner.eigen
             (i, j, w), kept = _antagonistic_forest(partner.network)
@@ -310,11 +342,11 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     """Classify the long-run behavior of the dominance-scaled flow.
 
     A disconnected network is Inconclusive.  Otherwise the antagonism
-    headroom t* (``partner_core``) decides: above 1 + ``HEADROOM_TOL``
-    the flow polarizes asymmetrically, or, with coefficient 1 and no
-    same-side antagonism, settles into a plain sign-flipped agreement
-    reported as Consensus; below 1 - ``HEADROOM_TOL`` it diverges; in
-    between, or where t* has no value, it is Inconclusive.
+    headroom t* (``partner_core``) decides: above 1 + tol, tol the core's
+    ``headroom_tol``, the flow polarizes asymmetrically, or, with
+    coefficient 1 and no same-side antagonism, settles into a plain
+    sign-flipped agreement reported as Consensus; below 1 - tol it
+    diverges; in between, or where t* has no value, it is Inconclusive.
     ``Verdict.flows`` says which verdicts let the flow run.  No spectrum
     is computed, so the verdict and every field are the same whatever ran
     before on the graph object.
@@ -325,7 +357,7 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
     t = core.headroom
     if not core.connected:
         verdict, decided_by = Verdict.INCONCLUSIVE, "connectivity"
-    elif t is None or abs(t - 1.0) <= HEADROOM_TOL:
+    elif t is None or abs(t - 1.0) <= core.headroom_tol:
         verdict, decided_by = Verdict.INCONCLUSIVE, "headroom"
     elif t < 1.0:
         verdict, decided_by = Verdict.DIVERGENCE, "headroom"
@@ -342,6 +374,8 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
         null_left=_frozen(coord / g.n),
         decided_by=decided_by,
         antagonism_headroom=t,
+        headroom_tol=core.headroom_tol,
         same_side_ties=core.same_side_ties,
-        partner=_partner(g, b),
+        graph=g,
+        partition=b,
     )

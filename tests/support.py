@@ -588,15 +588,18 @@ def core_calls(n, ties):
     """The numpy.linalg calls that build one partner core on a connected
     n-node graph with ``ties`` same-side antagonistic ties: the grounded
     L_abs's ``cholesky``, a ``solve`` per diagonal block of the forward
-    substitution of each n - 1 ties, and the ``eigvalsh`` of M (k square,
-    or n - 1 square with more ties than that).  None without such a tie."""
+    substitution of each n - 1 ties, the ``eigvalsh`` of M (k square, or
+    n - 1 square with more ties than that), the ``solve`` of one step of
+    inverse iteration on M for its top eigenvector, and a ``solve`` per
+    diagonal block, last first, of the back substitution that bounds t*'s
+    rounding error.  None without such a tie."""
     if not ties:
         return []
     size = n - 1
     panels = [("solve", (min(64, size - lo),) * 2) for lo in range(0, size, 64)]
     side = min(ties, size)
     return ([("cholesky", (size, size))] + panels * -(-ties // size)
-            + [("eigvalsh", (side, side))])
+            + [("eigvalsh", (side, side)), ("solve", (side, side))] + panels[::-1])
 
 
 def reference_headroom(g: SignedGraph, b: Bipartition) -> float:

@@ -12,7 +12,9 @@ the opposite.  Each case is certified on a cold graph and after the
 partner's spectrum and eigendecomposition were read, which a certificate
 does not read, so all three agree.
 
-The band is |t* - 1| <= ``HEADROOM_TOL`` = 2e-9.  On this corpus, its
+The band is |t* - 1| <= the certificate's ``headroom_tol``, the larger
+of ``HEADROOM_TOL`` = 2e-9 and a bound on t*'s rounding error; on these
+networks the bound is below 1e-12 and the floor decides.  On this corpus, its
 scaled (1e+-6, 1e+-300) and relabelled variants, at every d below and at
 d = 0, the Cholesky route's t* is within 2.3e-14 relative of the
 reference's, so the band is about 1e5 times the error measured here; it
@@ -29,8 +31,17 @@ that smaller headroom (and within 1e-6 of ``reference_headroom``, whose
 eigh loses digits to the bridge's tiny eigenvalue); from 1e-14 to 1e-17
 the same holds or the grounded L_abs has no Cholesky factor in double
 precision, and then the verdict is Inconclusive with no headroom, never
-a wrong definite one.
+a wrong definite one.  No tie crosses such a bridge, so the band stays at
+its floor.
+
+A same-side antagonistic tie across a weak cut is different: L_abs's
+diagonal sums the cut's conductance beside the strong ties, so rounding
+loses it to about 1e-16 of them, and t* as much relative to the cut.
+``_crossed`` builds such networks with a known exact headroom of 1 +-
+1e-8, 1e-6 and 1e-4, and the band must cover t*'s error there.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +57,8 @@ from gqsbnet import (
     load_highland,
 )
 from gqsbnet.operators import _partner
-from support import random_bloc_graph, reference_headroom
+from gqsbnet.spectral import HEADROOM_TOL
+from support import _exact_solve, random_bloc_graph, reference_headroom
 
 DEFINITE = (1e-3, 1e-5)
 BAND = (1e-7, 1e-8, 1e-9)
@@ -167,6 +179,60 @@ def test_weak_bridge_keeps_the_headroom(seed):
         assert abs(t - halves) <= 1e-12 * halves, eps
         assert abs(t - reference_headroom(g, b)) <= 1e-6 * halves, eps
         assert cert.verdict is (POLAR if halves > 1.0 else DIVERGE)
+        # no tie crosses the cut, so its rounding does not widen the band
+        assert cert.headroom_tol == HEADROOM_TOL
     # the draws at 1e-15 and below reach the unfactored case, or the rule
     # for it is not checked
     assert unfactored
+
+
+def _crossed(a, delta, m=8):
+    """Two complete blocs of m nodes and unit weight on the dominant side,
+    a node on the other side tied to the first bloc alone, and a weak cut
+    between the blocs: a same-side antagonistic tie -a from node 1 to
+    m + 1 beside a cooperative tie c from 2 to m + 2, c set so that the
+    headroom is 1 + delta.  A complete bloc is a conductance of m/2 between
+    any two of its nodes, so the cut's path through c conducts
+    1 / (4/m + 1/c), and t* is that over a.  Returned with the exact
+    headroom of the network as built, a Fraction: one over a times the
+    tie's resistance in L_abs, by exact elimination."""
+    c = float(1 / (1 / (Fraction(a) * (1 + Fraction(delta))) - Fraction(4, m)))
+    pairs = [(base + p, base + q) for base in (0, m) for p in range(m) for q in range(p + 1, m)]
+    edges = [(p, q, 1.0) for p, q in pairs] + [(1, m + 1, -a), (2, m + 2, c), (0, 2 * m, -1.0)]
+    g = SignedGraph.from_edge_list(2 * m + 1, edges)
+    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for p, q, w in edges:
+        w = abs(Fraction(w))
+        lap[p][q] -= w
+        lap[q][p] -= w
+        lap[p][p] += w
+        lap[q][q] += w
+    tie = [Fraction(0)] * (g.n - 1)
+    tie[0], tie[m] = Fraction(1), Fraction(-1)  # nodes 1 and m + 1, grounded at 0
+    x = _exact_solve([row[1:] for row in lap[1:]], [tie])[0]
+    resistance = x[0] - x[m]
+    return g, Bipartition(g.n, frozenset(range(2 * m))), 1 / (Fraction(a) * resistance) - 1
+
+
+# a = 2^-27, 2^-20, 2^-14: about 7e-9, 1e-6 and 6e-5 of the blocs' weight
+@pytest.mark.parametrize("a", [2.0 ** -27, 2.0 ** -20, 2.0 ** -14])
+def test_tie_across_a_weak_cut_widens_the_band(a):
+    # L_abs's diagonal sums the blocs' weight and the cut's, so rounding
+    # loses the cut to about 1e-16 of the blocs' weight, and t* as much
+    # relative to a: about 1e-7 at a = 2^-27, far outside HEADROOM_TOL.
+    # The band covers that error, a definite verdict is right, and a
+    # headroom 1e-4 from 1 is decided at every a here
+    for delta in (1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4):
+        g, b, exact = _crossed(a, delta)
+        assert abs(exact - 1 - Fraction(delta)) <= 1e-6 * abs(delta)
+        for h, c in (_variant(g, b, name, np.random.default_rng(3))
+                     for name in ("1", "1e6", "1e-6", "relabelled")):
+            cert = certify(h, c, 2.0)
+            t, tol = cert.antagonism_headroom, cert.headroom_tol
+            assert abs(Fraction(t) - exact) <= tol, (a, delta)
+            if cert.verdict is INCONCLUSIVE:
+                assert abs(t - 1.0) <= tol and abs(delta) < 1e-4, (a, delta)
+            else:
+                assert cert.verdict is (POLAR if exact > 1 else DIVERGE), (a, delta)
+    # the weakest cut: the errors the band covers exceed 1e-6 there
+    assert certify(*_crossed(2.0 ** -27, -1e-6)[:2], 2.0).verdict is INCONCLUSIVE

@@ -8,6 +8,7 @@ import pytest
 
 from gqsbnet import (
     Bipartition,
+    GqsbError,
     PolarizationCertificate,
     ScenarioConfig,
     SignedGraph,
@@ -18,6 +19,7 @@ from gqsbnet import (
     partner_core,
 )
 from gqsbnet import spectral
+from gqsbnet.spectral import HEADROOM_TOL
 from gqsbnet.fileio import (
     certificate_dict,
     render_json,
@@ -151,6 +153,10 @@ class TestDocuments:
             assert list(doc) == SCHEMA_KEYS
             assert doc["antagonism_headroom"] == printed
             assert doc["decided_by"] is None and doc["same_side_ties"] == 0
+            assert doc["headroom_tol"] == HEADROOM_TOL
+            # it has no graph, so no partner to detail
+            with pytest.raises(GqsbError, match="built by hand"):
+                certificate_dict(cert, "full")
 
     def test_unknown_detail_refused(self, allneg_triangle, allneg_split):
         cert = certify(allneg_triangle, allneg_split, 2.0)

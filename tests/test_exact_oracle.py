@@ -11,7 +11,9 @@ real-rooted polynomial.  So:
 - with weights spread over 1e-5..1e6, a definite verdict never contradicts
   the exact inertia, and an Inconclusive by ``headroom`` has its exact
   headroom within the band: the same-side ties scaled by 1 - 2 tol leave
-  the partner positive semidefinite and by 1 + 2 tol make it indefinite;
+  the partner positive semidefinite and by 1 + 2 tol make it indefinite,
+  tol being the certificate's ``headroom_tol``; some draws are scaled
+  into the band so that this check runs;
 - on every connected draw, the forest Gram is positive definite exactly
   when the partner Laplacian is positive semidefinite with a simple zero,
   the paper's equivalence, both in exact arithmetic.
@@ -76,13 +78,30 @@ def _certificates(g, b):
     return cold, certify(fresh, b, 2.0)
 
 
+def _scaled(g, b, t):
+    """``g`` with its same-side antagonistic ties scaled by ``t``."""
+    side = b.mask()
+    tie = (g.w < 0) & (side[g.i] == side[g.j])
+    return g.reweighted(np.where(tie, g.w * t, g.w))
+
+
 def _exact_inertia_at(g, b, t):
     """The exact inertia of the partner Laplacian of ``g`` with its
     same-side antagonistic ties scaled by ``t``."""
-    side = b.mask()
-    tie = (g.w < 0) & (side[g.i] == side[g.j])
-    h = g.reweighted(np.where(tie, g.w * t, g.w))
-    return exact_inertia(exact_charpoly(exact_partner_laplacian(h, b)))
+    return exact_inertia(exact_charpoly(exact_partner_laplacian(_scaled(g, b, t), b)))
+
+
+def _near_the_band(draws, count):
+    """Each draw, and after each of the first ``count`` whose headroom t*
+    is within 1e+-6 (scaling by it keeps every weight nonzero), that draw with its same-side ties scaled by t* (1 -+ tol/2),
+    whose headroom is 1 +- tol/2 up to t*'s rounding: inside the band."""
+    for g, b in draws:
+        yield g, b
+        t = certify(g, b, 2.0).antagonism_headroom
+        if count and t is not None and 1e-6 < t < 1e6:
+            count -= 1
+            for s in (1.0 - HEADROOM_TOL / 2.0, 1.0 + HEADROOM_TOL / 2.0):
+                yield _scaled(g, b, t * s), b
 
 
 def test_integer_weights_give_the_exact_verdict():
@@ -96,8 +115,9 @@ def test_integer_weights_give_the_exact_verdict():
 
 
 def test_spread_weights_never_contradict_the_exact_inertia():
-    decided = {POLAR: 0, DIVERGE: 0, "connectivity": 0}
-    for g, b in _draws(12, 250, _spread):
+    # each branch is reached, the band's own check too
+    decided = {POLAR: 0, DIVERGE: 0, "connectivity": 0, "headroom": 0}
+    for g, b in _near_the_band(_draws(12, 250, _spread), 10):
         c = exact_charpoly(exact_partner_laplacian(g, b))
         neg, zero, _ = exact_inertia(c)
         for cert in _certificates(g, b):
@@ -106,9 +126,10 @@ def test_spread_weights_never_contradict_the_exact_inertia():
             elif cert.verdict is POLAR:
                 assert (neg, zero, cert.connected) == (0, 1, True)
             elif cert.decided_by == "headroom":
-                assert _exact_inertia_at(g, b, 1.0 - 2.0 * HEADROOM_TOL)[0] == 0
-                assert _exact_inertia_at(g, b, 1.0 + 2.0 * HEADROOM_TOL)[0] > 0
-            key = cert.decided_by if cert.decided_by == "connectivity" else cert.verdict
+                tol = cert.headroom_tol
+                assert _exact_inertia_at(g, b, 1.0 - 2.0 * tol)[0] == 0
+                assert _exact_inertia_at(g, b, 1.0 + 2.0 * tol)[0] > 0
+            key = cert.decided_by if cert.verdict is INCONCLUSIVE else cert.verdict
             if key in decided:
                 decided[key] += 1
     assert all(decided.values()), decided

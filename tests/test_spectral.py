@@ -581,7 +581,8 @@ class TestPartnerCore:
             assert [c for c in calls if c[0] != "solve" and c[1][0] >= n - 1] == [
                 ("cholesky", (n - 1, n - 1))] + [("eigvalsh", (n - 1, n - 1))] * (
                     cert.same_side_ties >= n - 1)
-            assert max(shape[0] for name, shape in calls if name == "solve") <= 64
+            # the panel solves of at most 64 rows, and one of M
+            assert calls == core_calls(n, cert.same_side_ties)
             assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             path = tmp_path / f"net{n}.txt"
             path.write_text(dump_network(g))
@@ -701,7 +702,7 @@ class TestPartnerCore:
         detail = cert.detail
         integrate(generalized_laplacian(g, b, 2.0), np.array([1.0, -0.5, 0.25]), dt=0.01,
                   t_max=1.0)
-        assert calls[3:] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        assert calls[len(core_calls(3, 1)):] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
         want = effective_resistance(partner_laplacian(g, b), detail.forest_edges)
         assert np.array_equal(detail.resistance, want)
         assert detail.zero_multiplicity == 2
@@ -969,8 +970,6 @@ class TestReportRoute:
         rng = np.random.default_rng(29)
         verdicts = set()
         for k, (g, b) in enumerate(_corpus()):
-            if k % 10 and k < 150:  # every tenth random draw, and the named graphs
-                continue
             library = SignedGraph.from_arrays(g.n, g.i, g.j, g.w)
             integrate(generalized_laplacian(library, b, 2.0), rng.uniform(-1.0, 1.0, g.n),
                       dt=1.0, t_max=1.0)
@@ -985,12 +984,12 @@ class TestReportRoute:
                 verdicts.add(cold.verdict.value)
                 for kept in (report.certificate, certify(library, b, gamma)):
                     for key in ("verdict", "decided_by", "connected", "antagonism_headroom",
-                                "same_side_ties"):
+                                "headroom_tol", "same_side_ties"):
                         assert getattr(kept, key) == getattr(cold, key), key
                 # the report integrated, off the one eigh, exactly when the
                 # verdict flows
                 assert (report.trajectory is not None) == cold.verdict.flows
-                made = "eigen" in vars(report.certificate.partner)
+                made = "eigen" in vars(_partner(report.certificate.graph, b))
                 assert made == cold.verdict.flows
         assert {"AsymmetricPolarization", "Divergence", "Consensus", "Inconclusive"} <= verdicts
         assert started == []
