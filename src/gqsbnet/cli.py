@@ -37,7 +37,7 @@ from .fileio import (
     trajectory_to_csv,
     _resolve_network,
 )
-from .operators import (_partner, generalized_laplacian, opposing_laplacian,
+from .operators import (generalized_laplacian, opposing_laplacian, partner_laplacian,
                         repelling_laplacian, sym_eigvals)
 from .signed_graph import bipartition_from_dominant
 from .spectral import certify
@@ -175,7 +175,7 @@ def _cmd_spectrum(args) -> int:
     }
     if b is not None:
         generalized_laplacian(g, b, config.gamma)  # checks the coefficient
-        doc["scaled"] = _partner(g, b).eigenvalues.tolist()
+        doc["scaled"] = sym_eigvals(partner_laplacian(g, b)).tolist()
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
 

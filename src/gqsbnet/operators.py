@@ -8,8 +8,8 @@ the other, while the degree term counts same-subset ties as signed and
 cross-subset ties with flipped sign.  A diagonal coordinate gauge turns the
 resulting flow matrix into a symmetric zero-row-sum Laplacian of a partner
 network whose cross-subset ties are cooperative; spectra are computed there,
-by the checked symmetric eigensolvers defined here: eigenvalues alone, or
-the full deterministic eigendecomposition, each kept in the graph's one
+by the checked symmetric eigensolvers defined here.  The partner's one
+full deterministic eigendecomposition is kept in the graph's one
 ``_Partner``, which every reader that needs no coefficient reads.
 """
 
@@ -409,10 +409,10 @@ def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
 class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
-    and built on first read its read-only ``laplacian``, that Laplacian's
-    ``eigenvalues`` (``sym_eigvals``) and ``eigen`` (``sym_eigen``).
-    ``core`` and ``detail`` are the slots ``spectral`` fills.  Nothing
-    here refers back to the graph, so what is kept on it goes with it."""
+    and built on first read its read-only ``laplacian`` and that
+    Laplacian's one ``eigen`` (``sym_eigen``).  ``core`` and ``detail``
+    are the slots ``spectral`` fills.  Nothing here refers back to the
+    graph, so what is kept on it goes with it."""
 
     def __init__(self, g: SignedGraph, b: Bipartition):
         self.partition = b
@@ -422,10 +422,6 @@ class _Partner:
     @cached_property
     def laplacian(self) -> np.ndarray:
         return _frozen(repelling_laplacian(self.network))
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return sym_eigvals(self.laplacian)
 
     @cached_property
     def eigen(self) -> EigenDecomposition:
@@ -447,6 +443,5 @@ def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
 
 def clear_partner_cache(g: SignedGraph) -> None:
     """Drop what is kept on ``g`` for its partner: the network, the
-    Laplacian, its spectrum and eigendecomposition, the core and the
-    detail."""
+    Laplacian, its eigendecomposition, the core and the detail."""
     vars(g).pop("_partner", None)

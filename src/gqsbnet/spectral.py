@@ -33,7 +33,6 @@ from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
     _blocks,
-    _checked_symmetric,
     _frozen,
     _laplacian_of,
     _max_abs,
@@ -66,7 +65,6 @@ _PANEL = 64
 
 class Verdict(str, enum.Enum):
     ASYMMETRIC_POLARIZATION = "AsymmetricPolarization"
-    NEUTRAL_CONSENSUS = "NeutralConsensus"
     CONSENSUS = "Consensus"
     DIVERGENCE = "Divergence"
     INCONCLUSIVE = "Inconclusive"
@@ -164,18 +162,19 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     same-side antagonistic ties are the edges ``tie`` (at least one), and
     the half-width of its Inconclusive band.
 
-    L_abs is built over ``g.adjacency()``, checked as ``sym_eigvals``
-    checks its input, scaled by its largest entry (so weights at 10^+-300
-    stay representable and t*, a ratio of weights, keeps no unit),
-    grounded at node 0, where it is positive definite on a connected
-    network, and factored as C C^T.  Then Z = C^-1 B_A W^1/2 and
-    M = Z^T Z, whose largest eigenvalue mu gives t* = 1/mu - 1.  With more
-    ties than grounded nodes, mu comes instead from Z Z^T = C^-1 L_A C^-T,
-    which has the same nonzero spectrum, summed over Z's columns n - 1 at
-    a time, so memory stays O(n^2).  Each column of B_A sums to zero, so
-    it is orthogonal to what grounding leaves nearly singular (a side held
-    on by a weak tie), and rounding there reaches M only squared; forming
-    C^-1 L_A C^-T from L_A itself would not keep that.
+    L_abs is built over ``g.adjacency()``, so it is symmetric bit for
+    bit, scaled by its largest entry, which is the largest absolute row
+    sum of the adjacency (so weights at 10^+-300 stay representable and
+    t*, a ratio of weights, keeps no unit), grounded at node 0, where it
+    is positive definite on a connected network, and factored as C C^T.
+    Then Z = C^-1 B_A W^1/2 and M = Z^T Z, whose largest eigenvalue mu
+    gives t* = 1/mu - 1.  With more ties than grounded nodes, mu comes
+    instead from Z Z^T = C^-1 L_A C^-T, which has the same nonzero
+    spectrum, summed over Z's columns n - 1 at a time, so memory stays
+    O(n^2).  Each column of B_A sums to zero, so it is orthogonal to what
+    grounding leaves nearly singular (a side held on by a weak tie), and
+    rounding there reaches M only squared; forming C^-1 L_A C^-T from L_A
+    itself would not keep that.
 
     A tie across a weak cut is not orthogonal to it: the cut's conductance
     is summed into L_abs's diagonal beside strong ties, and rounding loses
@@ -189,13 +188,15 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     t* is None when rounding leaves the grounded L_abs without a factor
     (a network held together by a tie below about 1e-14 of the largest
     weight is disconnected in double precision) or the band reaches 2.
-    Raises TooLarge and NoConvergence as ``sym_eigvals`` does; signals
+    Raises TooLarge when twice an absolute row sum of the adjacency
+    overflows, and NoConvergence as ``sym_eigvals`` does; signals
     nothing.
     """
     n = g.n
     a = g.adjacency()
     np.abs(a, out=a)
-    lap, unit = _checked_symmetric(_laplacian_of(a, _row_sums(a), out=a))
+    sums = _row_sums(a)
+    lap, unit = _laplacian_of(a, sums, out=a), float(sums.max())
     i, j = g.i[tie], g.j[tie]
     with np.errstate(under="ignore"):
         lap /= unit

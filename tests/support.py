@@ -480,7 +480,7 @@ def reference_block_integrate(
 def reference_certify(g, b, gamma):
     """Both certificate documents computed afresh, the oracle for
     ``certificate_dict``: the summary's verdict and headroom from
-    ``reference_headroom`` (the eigh of a dense cooperative Laplacian) and
+    ``reference_headroom`` (a grounded LU solve of the cooperative Laplacian) and
     connectivity, the full document's resistance Gram as the dense product
     of the pseudoinverse with the forest's columns of the full incidence
     matrix.  The Gram's spectrum comes from its own ``sym_eigen``."""
@@ -611,9 +611,12 @@ def reference_headroom(g: SignedGraph, b: Bipartition) -> float:
     Laplacian is L+ - L_A: L+ from its positive ties, L_A = B_A W B_A^T
     from the same-side antagonistic ones.  L+ - t L_A is PSD with L+'s
     kernel exactly when t W^1/2 B_A^T L+^+ B_A W^1/2 <= I, so t* is one
-    over that matrix's largest eigenvalue.  L+^+ comes from numpy's eigh
-    of a dense L+, a route ``certify`` does not take.  Assumes every
-    antagonistic tie joins two nodes of one component of L+."""
+    over that matrix's largest eigenvalue.  Each column of B_A sums to
+    zero on every component of L+, so the matrix is R^T L+g^-1 R, with
+    L+g L+ grounded at the smallest node of each of its components
+    (``reference_components``) and R = B_A W^1/2 without those rows,
+    solved by numpy's LU, a route ``certify`` does not take.  Assumes
+    every antagonistic tie joins two nodes of one component of L+."""
     n, i, j = g.n, g.i, g.j
     side = b.mask()
     w = np.where(side[i] != side[j], -g.w, g.w)
@@ -624,14 +627,16 @@ def reference_headroom(g: SignedGraph, b: Bipartition) -> float:
     np.add.at(plus, (i[pos], j[pos]), -w[pos])
     np.add.at(plus, (j[pos], i[pos]), -w[pos])
     plus[np.diag_indices(n)] = -plus.sum(axis=1)
-    values, vectors = np.linalg.eigh(plus)
-    keep = values > 1e-9 * np.max(np.abs(values))
-    pinv = (vectors[:, keep] / values[keep]) @ vectors[:, keep].T
+    coop = zip(i[pos].tolist(), j[pos].tolist(), w[pos].tolist())
+    roots = {min(c) for c in reference_components(n, coop)}
+    kept = np.array([v for v in range(n) if v not in roots], dtype=np.int64)
     cols = np.arange(neg.size)
     root_w = np.zeros((n, neg.size))
     root_w[i[neg], cols] = np.sqrt(-w[neg])
     root_w[j[neg], cols] = -np.sqrt(-w[neg])
-    return float(1.0 / np.linalg.eigvalsh(root_w.T @ pinv @ root_w)[-1])
+    r = root_w[kept]
+    m = r.T @ np.linalg.solve(plus[np.ix_(kept, kept)], r)
+    return float(1.0 / np.linalg.eigvalsh(m)[-1])
 
 
 def dense_two_bloc(n=400, seed=7):

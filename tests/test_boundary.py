@@ -3,14 +3,15 @@ divergence.
 
 Scaling every same-side antagonistic tie by t keeps the flow polarizing
 for t < t* and makes it diverge for t > t*, where t* is the antagonism
-headroom of ``support.reference_headroom`` (numpy's eigh of the partner's
-cooperative Laplacian, a route ``certify`` does not take).  So a network
-scaled to t*(1 - d) has headroom 1/(1 - d) and polarizes, and one scaled
-to t*(1 + d) has headroom 1/(1 + d) and diverges.  ``certify`` must say
-so outside its Inconclusive band, and inside the band it must never say
-the opposite.  Each case is certified on a cold graph and after the
-partner's spectrum and eigendecomposition were read, which a certificate
-does not read, so all three agree.
+headroom of ``support.reference_headroom`` (numpy's LU solve of the
+partner's grounded cooperative Laplacian, a route ``certify`` does not
+take).  So a network scaled to t*(1 - d) has headroom 1/(1 - d) and
+polarizes, and one scaled to t*(1 + d) has headroom 1/(1 + d) and
+diverges.  ``certify`` must say so outside its Inconclusive band, and
+inside the band it must never say the opposite.  Each case is certified
+on a cold graph and after the partner's eigendecomposition was read,
+directly and through a bundle, which a certificate does not read, so all
+three agree.
 
 The band is |t* - 1| <= the certificate's ``headroom_tol``, the larger
 of ``HEADROOM_TOL`` = 2e-9 and a bound on t*'s rounding error; on these
@@ -27,12 +28,11 @@ and a cut edge changes no resistance within either side of it, so t* is
 the smaller of the two networks' headrooms whatever the bridge's weight.
 The rule pinned below: with a bridge of eps times the largest weight, eps
 from 1e-3 to 1e-13, the verdict is definite and t* is within 1e-12 of
-that smaller headroom (and within 1e-6 of ``reference_headroom``, whose
-eigh loses digits to the bridge's tiny eigenvalue); from 1e-14 to 1e-17
-the same holds or the grounded L_abs has no Cholesky factor in double
-precision, and then the verdict is Inconclusive with no headroom, never
-a wrong definite one.  No tie crosses such a bridge, so the band stays at
-its floor.
+that smaller headroom and of ``reference_headroom``, whose grounded solve
+keeps the bridge's digits; from 1e-14 to 1e-17 the same holds or the
+grounded L_abs has no Cholesky factor in double precision, and then the
+verdict is Inconclusive with no headroom, never a wrong definite one.
+No tie crosses such a bridge, so the band stays at its floor.
 
 A same-side antagonistic tie across a weak cut is different: L_abs's
 diagonal sums the cut's conductance beside the strong ties, so rounding
@@ -100,11 +100,11 @@ def _variant(g, b, name, rng):
 
 def _verdicts(g, b):
     """The verdict on a cold graph, and on equal graphs whose partner
-    spectrum or eigendecomposition was read first."""
-    spectrum, library = (SignedGraph.from_arrays(g.n, g.i, g.j, g.w) for _ in range(2))
-    _partner(spectrum, b).eigenvalues
+    eigendecomposition was read first, kept or through a bundle."""
+    kept, library = (SignedGraph.from_arrays(g.n, g.i, g.j, g.w) for _ in range(2))
+    _partner(kept, b).eigen
     generalized_laplacian(library, b, 2.0).partner
-    return [certify(h, b, 2.0).verdict for h in (g, spectrum, library)]
+    return [certify(h, b, 2.0).verdict for h in (g, kept, library)]
 
 
 def test_corpus_straddles_the_boundary():
@@ -177,7 +177,7 @@ def test_weak_bridge_keeps_the_headroom(seed):
             unfactored += 1
             continue
         assert abs(t - halves) <= 1e-12 * halves, eps
-        assert abs(t - reference_headroom(g, b)) <= 1e-6 * halves, eps
+        assert abs(t - reference_headroom(g, b)) <= 1e-12 * halves, eps
         assert cert.verdict is (POLAR if halves > 1.0 else DIVERGE)
         # no tie crosses the cut, so its rounding does not widen the band
         assert cert.headroom_tol == HEADROOM_TOL

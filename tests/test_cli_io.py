@@ -40,6 +40,7 @@ from gqsbnet import (
     load_state_file,
     loads_network,
     partner_core,
+    partner_laplacian,
     positive_components,
     predict_final,
     repelling_laplacian,
@@ -47,6 +48,7 @@ from gqsbnet import (
     run_pipeline,
     signed_graph,
     sym_eigen,
+    sym_eigvals,
     trajectory_to_csv,
 )
 from gqsbnet import fileio
@@ -726,8 +728,20 @@ class TestCli:
                             lambda doc: docs.append(doc) or render(doc))
         assert main(["spectrum", "--network", "highland", "--dominant", "3"]) == 0
         g = load_highland(ScenarioConfig("highland", (3,)))
-        want = _partner(g, bipartition_from_dominant(g, (3,))).eigenvalues
+        want = sym_eigvals(partner_laplacian(g, bipartition_from_dominant(g, (3,))))
         assert np.array(docs[0]["scaled"]).tobytes() == want.tobytes()
+
+    def test_spectrum_scaled_keeps_no_decomposition(self, capsys, monkeypatch):
+        # the scaled spectrum is computed where it is printed: the partner
+        # keeps its Laplacian and no eigh
+        read = []
+        laplacian = gqsbnet.cli.partner_laplacian
+        monkeypatch.setattr(gqsbnet.cli, "partner_laplacian",
+                            lambda g, b: read.append((g, b)) or laplacian(g, b))
+        assert main(["spectrum", "--network", "highland", "--dominant", "3"]) == 0
+        (g, b), = read
+        kept = vars(_partner(g, b))
+        assert "laplacian" in kept and "eigen" not in kept
 
     def test_spectrum_scaled(self, allneg_file, capsys):
         code = main(["spectrum", "--network", allneg_file,
@@ -839,6 +853,30 @@ class TestCli:
                 assert code == 0 and json.loads(got.out)["same_side_ties"] == 0
                 continue
             assert code == 1
+            assert got.out == ""
+            assert got.err.startswith("error: entries too large: twice the absolute sum")
+            assert got.err.count("\n") == 1
+
+    def test_weights_whose_quadrupled_sums_overflow(self, tmp_path, capsys):
+        # twice each absolute row sum is finite, so certify and predict
+        # answer: the headroom is a ratio of weights, so its verdict and
+        # t* are weight 1's; the partner's eigh checks the Laplacian, whose
+        # row sums are twice the adjacency's, so what reads it refuses
+        path, unit = tmp_path / "big.txt", tmp_path / "unit.txt"
+        path.write_text("3 3\n0 1 -1e307\n0 2 -3e307\n1 2 -3e307\n")
+        unit.write_text(ALLNEG)
+        docs = []
+        for network in (path, unit):
+            assert main(["certify", "--network", str(network), "--dominant", "0,1"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["verdict"] == docs[1]["verdict"] == "AsymmetricPolarization"
+        assert abs(docs[0]["antagonism_headroom"] - docs[1]["antagonism_headroom"]) <= (
+            1e-12 * docs[1]["antagonism_headroom"])
+        assert main(["predict", "--network", str(path), "--dominant", "0,1"]) == 0
+        capsys.readouterr()
+        for argv in (["report"], ["certify", "--detail", "full"]):
+            assert main([*argv, "--network", str(path), "--dominant", "0,1"]) == 1
+            got = capsys.readouterr()
             assert got.out == ""
             assert got.err.startswith("error: entries too large: twice the absolute sum")
             assert got.err.count("\n") == 1

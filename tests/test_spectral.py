@@ -827,9 +827,9 @@ class TestConcurrentCore:
             want = reference_build_core(g, b)
             clear_partner_cache(g)
             assert_same_core(partner_core(g, b), want)
-            # a kept spectrum and decomposition change nothing
+            # a kept decomposition changes nothing
             clear_partner_cache(g)
-            _partner(g, b).eigenvalues
+            _partner(g, b).eigen
             generalized_laplacian(g, b, 2.0).partner
             assert_same_core(partner_core(g, b), want)
             cases += 1
@@ -911,7 +911,7 @@ class TestConcurrentCore:
         want = certify(*dense_two_bloc(120), 2.0)
         g, b = _scaled(dense_two_bloc(120), 1e-310)
         if kept:
-            _partner(g, b).eigenvalues
+            _partner(g, b).eigen
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             cert = certify(g, b, 2.0)
@@ -950,10 +950,10 @@ class TestConcurrentCore:
     @pytest.mark.parametrize("kept", [False, True])
     def test_pair_recorded_in_one_order(self, monkeypatch, kept):
         # the core's calls, in one order, whether or not the partner's
-        # spectrum and decomposition were made first
+        # decomposition was made first
         g, b = dense_two_bloc(60)
         if kept:
-            _partner(g, b).eigenvalues
+            _partner(g, b).eigen
             generalized_laplacian(g, b, 2.0).partner
         calls = counting_linalg(monkeypatch)
         partner_core(g, b)
