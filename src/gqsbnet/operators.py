@@ -55,19 +55,23 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _row_sums(m: np.ndarray) -> np.ndarray:
+def _row_sums(m: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """The absolute row sums of ``m``, or TooLarge, with no warning, when
     twice one of them is not finite: twice the largest bounds the spectral
     radius of the Laplacian of ``m`` and every entry of ``m + m.T``.
-    Summed one row block at a time, each row as a whole."""
+    Summed one row block at a time, each row as a whole.  The refusal
+    names the least row that fails, or with ``order`` (row p is node
+    ``order[p]``, as ``SignedGraph.adjacency`` lays it out) the least
+    such node."""
     sums = np.empty(m.shape[0])
     with np.errstate(over="ignore"):
         for rows in _blocks(m.shape[0]):
             sums[rows] = np.abs(m[rows]).sum(axis=1)
         bad = ~np.isfinite(2.0 * sums)
     if bad.any():
+        row = np.argmax(bad) if order is None else order[bad].min()
         raise TooLarge(f"entries too large: twice the absolute sum of row "
-                       f"{int(np.argmax(bad))} is not finite")
+                       f"{int(row)} is not finite")
     return sums
 
 

@@ -276,16 +276,23 @@ class SignedGraph:
             raise ValueError("reweighted needs one weight per edge")
         return _trusted(self.n, _canonical(self.n, _Columns(self.i, self.j, w)))
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix with zeros off the edge set.
+    def adjacency(self, order: np.ndarray | None = None) -> np.ndarray:
+        """Dense symmetric adjacency matrix with zeros off the edge set;
+        with ``order``, a permutation of the nodes, row and column p are
+        node ``order[p]``'s.
 
         Every dense operator starts here, so a graph above ``_DENSE_CAP``
         nodes raises TooLarge before any n x n array is allocated."""
         if self.n > _DENSE_CAP:
             raise TooLarge(f"dense matrices capped at {_DENSE_CAP} nodes, got {self.n}")
+        i, j = self.i, self.j
+        if order is not None:
+            at = np.empty(self.n, dtype=np.int64)
+            at[order] = np.arange(self.n)
+            i, j = at[i], at[j]
         a = np.zeros((self.n, self.n))
-        a[self.i, self.j] = self.w
-        a[self.j, self.i] = self.w
+        a[i, j] = self.w
+        a[j, i] = self.w
         return a
 
     def __eq__(self, other):

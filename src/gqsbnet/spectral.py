@@ -147,13 +147,15 @@ def _forest_gram(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray) -> np.nd
 def _forward(c: np.ndarray, rhs: np.ndarray, back: bool = False) -> np.ndarray:
     """The solution y of the lower-triangular c y = rhs, or with ``back``
     of c^T y = rhs, written over ``rhs``: each ``_PANEL``-row diagonal
-    block by ``np.linalg.solve`` after one GEMM with the rows solved before
-    it (numpy has no triangular solve)."""
+    block after one GEMM with the rows solved before it, by the inverse of
+    that triangular block (``np.linalg.inv``) and one more GEMM (numpy has
+    no triangular solve, and ``np.linalg.solve`` against many columns
+    costs several times the product)."""
     t, starts = (c.T if back else c), range(0, c.shape[0], _PANEL)
     for lo in reversed(starts) if back else starts:
         rows, done = slice(lo, lo + _PANEL), slice(lo + _PANEL, None) if back else slice(0, lo)
         rhs[rows] -= t[rows, done] @ rhs[done]
-        rhs[rows] = np.linalg.solve(t[rows, rows], rhs[rows])
+        rhs[rows] = np.linalg.inv(t[rows, rows]) @ rhs[rows]
     return rhs
 
 
@@ -162,19 +164,23 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     same-side antagonistic ties are the edges ``tie`` (at least one), and
     the half-width of its Inconclusive band.
 
-    L_abs is built over ``g.adjacency()``, so it is symmetric bit for
-    bit, scaled by its largest entry, which is the largest absolute row
-    sum of the adjacency (so weights at 10^+-300 stay representable and
-    t*, a ratio of weights, keeps no unit), grounded at node 0, where it
-    is positive definite on a connected network, and factored as C C^T.
-    Then Z = C^-1 B_A W^1/2 and M = Z^T Z, whose largest eigenvalue mu
-    gives t* = 1/mu - 1.  With more ties than grounded nodes, mu comes
-    instead from Z Z^T = C^-1 L_A C^-T, which has the same nonzero
-    spectrum, summed over Z's columns n - 1 at a time, so memory stays
-    O(n^2).  Each column of B_A sums to zero, so it is orthogonal to what
-    grounding leaves nearly singular (a side held on by a weak tie), and
-    rounding there reaches M only squared; forming C^-1 L_A C^-T from L_A
-    itself would not keep that.
+    Every column of B_A is zero off the ties' endpoints.  So L_abs is
+    built over ``g.adjacency(order)`` with the other nodes first and the
+    endpoints last, each in ascending order; it is symmetric bit for bit,
+    scaled by its largest entry, which is the largest absolute row sum of
+    the adjacency (so weights at 10^+-300 stay representable and t*, a
+    ratio of weights, keeps no unit), grounded at the first node of that
+    order, where it is positive definite on a connected network, and
+    factored as C C^T.  B_A's grounded rows are zero above the s endpoint
+    rows, and so are those of Z = C^-1 B_A W^1/2, so Z is solved on C's
+    trailing s x s block alone.  M = Z^T Z, whose largest eigenvalue mu
+    gives t* = 1/mu - 1.  With more ties than s, mu comes instead from
+    Z Z^T = C^-1 L_A C^-T, which has the same nonzero spectrum, summed
+    over Z's columns s at a time, so M is min(k, s) square.  Each column
+    of B_A sums to zero, so it is orthogonal to what grounding leaves
+    nearly singular (a side held on by a weak tie), and rounding there
+    reaches M only squared; forming C^-1 L_A C^-T from L_A itself would
+    not keep that.
 
     A tie across a weak cut is not orthogonal to it: the cut's conductance
     is summed into L_abs's diagonal beside strong ties, and rounding loses
@@ -184,7 +190,8 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     eigenvector, and rounding makes ||E|| about n eps ||L_abs||, at most
     2 n eps in the scaled units; mu crosses 1/2 where t* crosses 1, so t*
     within 2 n eps ||L_abs|| ||x||^2 / mu of 1 decides nothing.  ||x||^2 / mu
-    is ||C^-T u||^2 for the unit u = Z v / ||Z v||, one back substitution.
+    is ||C^-T u||^2 for the unit u = Z v / ||Z v||, one back substitution
+    over all n - 1 grounded rows.
     t* is None when rounding leaves the grounded L_abs without a factor
     (a network held together by a tie below about 1e-14 of the largest
     weight is disconnected in double precision) or the band reaches 2.
@@ -193,11 +200,19 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     nothing.
     """
     n = g.n
-    a = g.adjacency()
+    end = np.zeros(n, dtype=bool)
+    end[g.i[tie]] = end[g.j[tie]] = True
+    ends = np.flatnonzero(end)
+    order = np.concatenate((np.flatnonzero(~end), ends))
+    a = g.adjacency(order)
     np.abs(a, out=a)
-    sums = _row_sums(a)
+    sums = _row_sums(a, order)
     lap, unit = _laplacian_of(a, sums, out=a), float(sums.max())
-    i, j = g.i[tie], g.j[tie]
+    # each tie's endpoints as rows of the endpoint block; with every node
+    # an endpoint, the block's first row is the ground's and is dropped
+    i, j = np.searchsorted(ends, g.i[tie]), np.searchsorted(ends, g.j[tie])
+    s = min(ends.size, n - 1)
+    top = n - 1 - s  # the grounded L_abs's first endpoint row
     with np.errstate(under="ignore"):
         lap /= unit
         w = -g.w[tie] / unit
@@ -206,19 +221,19 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
         except np.linalg.LinAlgError:
             return None, HEADROOM_TOL
         del a, lap
-        few = w.size < n
-        m = None if few else np.zeros((n - 1, n - 1))
-        for lo in range(0, w.size, n - 1):  # at most n - 1 ties at a time
-            part = slice(lo, lo + n - 1)
+        few = w.size <= s
+        m = None if few else np.zeros((s, s))
+        for lo in range(0, w.size, s):  # at most s ties at a time
+            part = slice(lo, lo + s)
             root = np.sqrt(w[part])
             cols = np.arange(root.size)
-            rhs = np.zeros((n, root.size))
+            rhs = np.zeros((ends.size, root.size))
             rhs[i[part], cols], rhs[j[part], cols] = root, -root
-            z = _forward(c, rhs[1:])
+            z = _forward(c[top:, top:], rhs[ends.size - s:])
             if few:
                 m = z.T @ z
             else:
-                for rows in _blocks(n - 1):
+                for rows in _blocks(s):
                     m[rows] += z[rows] @ z.T
         mu = float(sym_eigvals(m)[-1])
         if not mu > 0.0:
@@ -228,7 +243,8 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
         # import hashlib), as u in C's space; then x = C^-T u
         m.flat[:: m.shape[0] + 1] -= mu * (1.0 + 1e-8)
         v = np.linalg.solve(m, np.sin(np.arange(1.0, m.shape[0] + 1.0)))
-        u = z @ v if few else v
+        u = np.zeros(n - 1)
+        u[top:] = z @ v if few else v
         with np.errstate(over="ignore", invalid="ignore"):
             x = _forward(c, u / np.linalg.norm(u), back=True)
             band = 4.0 * n * np.finfo(float).eps * float(x @ x)

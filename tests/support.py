@@ -9,10 +9,13 @@ the scalar forms of what the package now does with arrays.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -570,7 +573,7 @@ def assert_matches_reference(cert: PolarizationCertificate, ref: dict):
 
 def counting_linalg(monkeypatch):
     """Record ``(name, input shape)`` of every numpy.linalg ``eigh``,
-    ``eigvalsh``, ``solve`` and ``cholesky`` call from now on."""
+    ``eigvalsh``, ``solve``, ``cholesky`` and ``inv`` call from now on."""
     calls = []
 
     def counted(name, fn):
@@ -579,27 +582,56 @@ def counting_linalg(monkeypatch):
             return fn(a, *args, **kwargs)
         return call
 
-    for name in ("eigh", "eigvalsh", "solve", "cholesky"):
+    for name in ("eigh", "eigvalsh", "solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
 
 
-def core_calls(n, ties):
+def core_calls(n, ties, ends):
     """The numpy.linalg calls that build one partner core on a connected
-    n-node graph with ``ties`` same-side antagonistic ties: the grounded
-    L_abs's ``cholesky``, a ``solve`` per diagonal block of the forward
-    substitution of each n - 1 ties, the ``eigvalsh`` of M (k square, or
-    n - 1 square with more ties than that), the ``solve`` of one step of
-    inverse iteration on M for its top eigenvector, and a ``solve`` per
-    diagonal block, last first, of the back substitution that bounds t*'s
-    rounding error.  None without such a tie."""
+    n-node graph with ``ties`` same-side antagonistic ties between ``ends``
+    endpoints, which leave s = min(ends, n - 1) endpoint rows in the
+    grounded L_abs: its ``cholesky``, an ``inv`` per diagonal block of the
+    forward substitution on the s endpoint rows of each s ties, the
+    ``eigvalsh`` of M (min(ties, s) square), the ``solve`` of one step of
+    inverse iteration on M for its top eigenvector, and an ``inv`` per
+    diagonal block, last first, of the back substitution over all n - 1
+    grounded rows that bounds t*'s rounding error.  None without such a
+    tie."""
     if not ties:
         return []
-    size = n - 1
-    panels = [("solve", (min(64, size - lo),) * 2) for lo in range(0, size, 64)]
-    side = min(ties, size)
-    return ([("cholesky", (size, size))] + panels * -(-ties // size)
-            + [("eigvalsh", (side, side)), ("solve", (side, side))] + panels[::-1])
+    size, s = n - 1, min(ends, n - 1)
+
+    def panels(rows):
+        return [("inv", (min(64, rows - lo),) * 2) for lo in range(0, rows, 64)]
+
+    side = min(ties, s)
+    return ([("cholesky", (size, size))] + panels(s) * -(-ties // s)
+            + [("eigvalsh", (side, side)), ("solve", (side, side))] + panels(size)[::-1])
+
+
+def two_bloc_draw(seed: int, n: int, kind: str) -> tuple[SignedGraph, Bipartition]:
+    """``perfbench/gen.py``'s ``two_bloc(np.random.default_rng(seed), n,
+    kind)`` as a graph and the bipartition of its dominant node's bloc.
+    That is the first draw of ``draw_two_bloc`` with the same arguments,
+    the network it keeps when its eigenvalue oracle gives ``kind``; the
+    oracle is left out, as its connectivity check needs scipy."""
+    gen = sys.modules.get("perfbench_gen")
+    if gen is None:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        gen = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    net = gen.two_bloc(np.random.default_rng(seed), n, kind)
+    g = SignedGraph.from_arrays(net.n, net.i, net.j, net.w)
+    return g, Bipartition(net.n, frozenset(np.flatnonzero(net.side1).tolist()))
+
+
+def tie_endpoints(g: SignedGraph, b: Bipartition) -> int:
+    """The number of nodes that some same-side antagonistic tie of (g, b)
+    touches, counted edge by edge."""
+    return len({v for i, j, w in g.edges if w < 0 and (i in b.v1) == (j in b.v1)
+                for v in (i, j)})
 
 
 def reference_headroom(g: SignedGraph, b: Bipartition) -> float:

@@ -55,7 +55,13 @@ from gqsbnet import fileio
 from gqsbnet.cli import main
 from gqsbnet.operators import _partner
 from gqsbnet.fileio import DETAILS, enumerate_dict, format_float, render_json, start_state
-from support import core_calls, counting_linalg, random_bloc_graph, reference_block_integrate
+from support import (
+    core_calls,
+    counting_linalg,
+    random_bloc_graph,
+    reference_block_integrate,
+    tie_endpoints,
+)
 
 ALLNEG = "3 3\n0 1 -1\n0 2 -3\n1 2 -3\n"
 UNSTABLE = "3 3\n0 1 -5\n0 2 -1\n1 2 -1\n"
@@ -1084,7 +1090,7 @@ class TestCli:
         calls = counting_linalg(monkeypatch)
         assert main(["report", "--network", unstable_file, "--dominant", "0,1"]) == 2
         capsys.readouterr()
-        assert calls == core_calls(3, 1)
+        assert calls == core_calls(3, 1, 2)
 
     @pytest.mark.parametrize("argv, eighs", [
         (["certify"], 0),
@@ -1112,7 +1118,7 @@ class TestCli:
         else:
             # the core, then the one eigh where the flow runs or the full
             # detail is printed, and the detail's Gram spectrum
-            want = core_calls(g.n, ties) + [("eigh", (g.n, g.n))] * eighs
+            want = core_calls(g.n, ties, tie_endpoints(g, b)) + [("eigh", (g.n, g.n))] * eighs
             assert calls == want + [("eigvalsh", (forest, forest))] * ("full" in argv)
 
     def test_report_decomposes_the_partner_once(self, monkeypatch, capsys, tmp_path):
@@ -1130,10 +1136,11 @@ class TestCli:
         expected, verdicts = [], set()
         for network in networks:
             g = load_network(network)
-            cert = certify(g, bipartition_from_dominant(g, (0,)), 2.0)
+            b = bipartition_from_dominant(g, (0,))
+            cert = certify(g, b, 2.0)
             flowing = cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             verdicts.add(cert.verdict)
-            want = core_calls(g.n, cert.same_side_ties) if cert.connected else []
+            want = core_calls(g.n, cert.same_side_ties, tie_endpoints(g, b)) if cert.connected else []
             expected.append(want + [("eigh", (g.n, g.n))] * flowing)
         assert verdicts == {Verdict.ASYMMETRIC_POLARIZATION, Verdict.DIVERGENCE,
                             Verdict.INCONCLUSIVE}

@@ -55,6 +55,9 @@ from support import (
     reference_certificate_dict,
     reference_certify,
     reference_forest_gram,
+    reference_headroom,
+    tie_endpoints,
+    two_bloc_draw,
 )
 
 
@@ -561,10 +564,10 @@ class TestPartnerCore:
             bundle = generalized_laplacian(g, b, gamma)
             predict_final(bundle, x0)
             if gamma == 1.5:  # certify and predict_final need no spectrum
-                assert calls == core_calls(g.n, _ties(g, b))
+                assert calls == core_calls(g.n, _ties(g, b), tie_endpoints(g, b))
             integrate(bundle, x0, dt=0.002, t_max=1.0)
         assert 0 < _ties(g, b) < g.n
-        assert calls == core_calls(g.n, _ties(g, b)) + [("eigh", (g.n, g.n))]
+        assert calls == core_calls(g.n, _ties(g, b), tie_endpoints(g, b)) + [("eigh", (g.n, g.n))]
 
     def test_cold_certify_makes_one_factorization(self, monkeypatch, tmp_path):
         # one cholesky of the grounded L_abs and no n x n spectrum or solve,
@@ -578,11 +581,12 @@ class TestPartnerCore:
             cert = certify(g, b, 2.0)
             n = g.n
             assert calls.count(("cholesky", (n - 1, n - 1))) == 1
+            side = min(cert.same_side_ties, tie_endpoints(g, b))
             assert [c for c in calls if c[0] != "solve" and c[1][0] >= n - 1] == [
                 ("cholesky", (n - 1, n - 1))] + [("eigvalsh", (n - 1, n - 1))] * (
-                    cert.same_side_ties >= n - 1)
+                    side >= n - 1)
             # the panel solves of at most 64 rows, and one of M
-            assert calls == core_calls(n, cert.same_side_ties)
+            assert calls == core_calls(n, cert.same_side_ties, tie_endpoints(g, b))
             assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             path = tmp_path / f"net{n}.txt"
             path.write_text(dump_network(g))
@@ -638,7 +642,7 @@ class TestPartnerCore:
             assert twin == allneg_triangle
             partner_core(twin, allneg_split)
             generalized_laplacian(twin, allneg_split, 2.0).partner
-        assert calls == 3 * (core_calls(3, 1) + [("eigh", (3, 3))])
+        assert calls == 3 * (core_calls(3, 1, 2) + [("eigh", (3, 3))])
 
     def test_bundle_reads_the_kept_decomposition(self, allneg_triangle, allneg_split,
                                                  monkeypatch):
@@ -696,13 +700,13 @@ class TestPartnerCore:
         b = Bipartition(3, frozenset({0, 1}))
         calls = counting_linalg(monkeypatch)
         cert = certify(g, b, 2.0)
-        assert calls == core_calls(3, 1)
+        assert calls == core_calls(3, 1, 2)
         assert (cert.verdict, cert.decided_by) == (Verdict.INCONCLUSIVE, "headroom")
         assert abs(cert.antagonism_headroom - 1.0) <= 1e-15
         detail = cert.detail
         integrate(generalized_laplacian(g, b, 2.0), np.array([1.0, -0.5, 0.25]), dt=0.01,
                   t_max=1.0)
-        assert calls[len(core_calls(3, 1)):] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        assert calls[len(core_calls(3, 1, 2)):] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
         want = effective_resistance(partner_laplacian(g, b), detail.forest_edges)
         assert np.array_equal(detail.resistance, want)
         assert detail.zero_multiplicity == 2
@@ -748,6 +752,90 @@ class TestPartnerCore:
         bundle, _ = _partner_pieces(allneg_triangle, allneg_split, 2.0)
         with pytest.raises(DimensionMismatch):
             effective_resistance(bundle.z_laplacian, ((0, 3, -1.0),))
+
+
+def _paired_blocs(extra=0):
+    """Two 6-node cooperative paths, nodes 0-5 and 6-11, tied node to node
+    across, with weak same-side antagonism that touches every node:
+    (0, 3), (1, 4), (2, 5) and the same on the second bloc.  With
+    ``extra``, that many more nodes, each tied to node 0 and against
+    node 7, which no same-side tie touches.  Seeded weights, so no
+    symmetry of the network hides a misplaced row."""
+    n = 12 + extra
+    rng = np.random.default_rng(5)
+    edges = [(k, k + 1, 3.0) for k in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10)]
+    edges += [(k, k + 6, -2.0) for k in range(6)]
+    edges += [(k, k + 3, -0.2) for k in (0, 1, 2, 6, 7, 8)]
+    edges += [e for v in range(12, n) for e in ((0, v, 3.0), (7, v, -2.0))]
+    edges = [(i, j, w * float(rng.uniform(0.5, 1.5))) for i, j, w in edges]
+    return SignedGraph(n, edges), Bipartition(n, frozenset(range(6)) | set(range(12, n)))
+
+
+def _hostile_clique():
+    """A 60-node two-bloc network, nodes 0-29 and 30-59, each bloc a
+    cooperative path with chords, the blocs tied by -2; inside the first
+    bloc an antagonistic 12-clique on every other node from 4, 66 ties
+    between 12 endpoints."""
+    rng = np.random.default_rng(12)
+    edges = {}
+    for lo in (0, 30):
+        for k in range(lo, lo + 29):
+            edges[(k, k + 1)] = float(rng.uniform(5.0, 15.0))
+        for _ in range(20):
+            a, c = sorted(rng.choice(np.arange(lo, lo + 30), 2, replace=False).tolist())
+            edges.setdefault((a, c), float(rng.uniform(5.0, 15.0)))
+    for k in range(30):
+        edges[(k, 30 + (7 * k) % 30)] = -2.0
+    clique = range(4, 28, 2)
+    for a in clique:
+        for c in clique:
+            if a < c:
+                edges[(a, c)] = -float(rng.uniform(0.01, 0.05))
+    g = SignedGraph(60, [(a, c, w) for (a, c), w in edges.items()])
+    return g, Bipartition(60, frozenset(range(30)))
+
+
+class TestEndpointOrder:
+    """The core orders L_abs with the same-side tie endpoints last and
+    solves on their rows alone: each shape the order branches on gives
+    the oracle's headroom and verdict, and relabelling changes nothing."""
+
+    @pytest.mark.parametrize("shape, ties, ends", [
+        ("every node an endpoint", 6, 12),
+        ("one other node", 6, 12),
+        ("more ties than endpoints", 66, 12),
+    ])
+    def test_shape_matches_the_oracle(self, shape, ties, ends, monkeypatch):
+        g, b = {"every node an endpoint": _paired_blocs(),
+                "one other node": _paired_blocs(1),
+                "more ties than endpoints": _hostile_clique()}[shape]
+        assert (_ties(g, b), tie_endpoints(g, b)) == (ties, ends)
+        calls = counting_linalg(monkeypatch)
+        cert = certify(g, b, 2.0)
+        # M is min(ties, s) square, s = min(ends, n - 1) endpoint rows
+        assert calls == core_calls(g.n, ties, ends)
+        want = reference_headroom(g, b)
+        assert abs(cert.antagonism_headroom - want) <= 1e-12 * want
+        assert cert.verdict.value == reference_certify(g, b, 2.0)["summary"]["verdict"]
+        assert abs(want - 1.0) > 0.1
+
+    @pytest.mark.parametrize("kind", ["AsymmetricPolarization", "Divergence", "Inconclusive"])
+    def test_relabelling_keeps_the_certificate(self, kind):
+        # draw_two_bloc(default_rng(3), 120, kind) keeps its first draw
+        g, b = two_bloc_draw(3, 120, kind)
+        perm = np.random.default_rng(4).permutation(g.n)
+        h = SignedGraph.from_arrays(g.n, perm[g.i], perm[g.j], g.w)
+        hb = Bipartition(g.n, frozenset(int(perm[v]) for v in b.v1))
+        got, want = certify(h, hb, 2.0), certify(g, b, 2.0)
+        assert got.verdict == want.verdict
+        assert got.verdict.value == kind
+        assert got.headroom_tol == want.headroom_tol
+        assert got.same_side_ties == want.same_side_ties
+        if kind == "Inconclusive":  # disconnected: nothing is factored
+            assert got.antagonism_headroom is want.antagonism_headroom is None
+        else:
+            t = want.antagonism_headroom
+            assert abs(got.antagonism_headroom - t) <= 1e-12 * t
 
 
 def _few_ties(n):
@@ -957,7 +1045,7 @@ class TestConcurrentCore:
             generalized_laplacian(g, b, 2.0).partner
         calls = counting_linalg(monkeypatch)
         partner_core(g, b)
-        assert calls == core_calls(g.n, _ties(g, b))
+        assert calls == core_calls(g.n, _ties(g, b), tie_endpoints(g, b))
 
 
 class TestReportRoute:
