@@ -68,8 +68,9 @@ _FLAGS = {
     "tmax": dict(type=float, default=ScenarioConfig.t_max),
     "stride": dict(type=_stride, default=1),
     "detail": dict(choices=DETAILS, default=DETAILS[0],
-                   help="certificate detail: the verdict and its headroom (summary) "
-                        "or the partner spectrum, forest and resistance Gram (full)"),
+                   help="certificate detail: the verdict and its headroom (summary), "
+                        "or that plus each same-side tie's own headroom and the null "
+                        "vectors (full)"),
 }
 
 

@@ -447,37 +447,30 @@ def certificate_dict(cert: PolarizationCertificate, detail: str = "summary") -> 
     it, and the antagonism headroom beside the Inconclusive band's
     half-width, with no array (a headroom that is infinite, with no
     same-side tie, or absent, on a disconnected network, is null).
-    ``"full"`` gives the schema-less document that embeds the partner
-    spectrum, the forest, its resistance Gram and the null vectors, which
-    it computes (``PolarizationCertificate.detail``).
+    ``"full"`` gives the same document followed by ``ties``, each
+    same-side tie as ``[i, j, t_e]`` with its own headroom t_e (null where
+    nothing was factored or t_e is not finite), and the null vectors; it
+    computes nothing the certificate does not hold.
     """
-    if detail == "summary":
-        t = cert.antagonism_headroom
-        return {
-            "schema": 3,
-            "gamma": cert.gamma,
-            "verdict": cert.verdict.value,
-            "decided_by": cert.decided_by,
-            "connected": cert.connected,
-            "antagonism_headroom": t if t is not None and t < math.inf else None,
-            "headroom_tol": cert.headroom_tol,
-            "same_side_ties": cert.same_side_ties,
-        }
-    if detail != "full":
+    if detail not in DETAILS:
         raise ValueError(f"detail must be one of {', '.join(DETAILS)}, got {detail!r}")
-    partner = cert.detail
-    return {
+    t = cert.antagonism_headroom
+    doc = {
+        "schema": 3,
         "gamma": cert.gamma,
-        "connected": cert.connected,
         "verdict": cert.verdict.value,
-        "spectrum": partner.spectrum.tolist(),
-        "zero_multiplicity": partner.zero_multiplicity,
-        "forest_edges": [[i, j, w] for i, j, w in partner.forest_edges],
-        "resistance": partner.resistance.tolist(),
-        "resistance_min_eig": partner.resistance_min_eig,
-        "null_right": cert.null_right.tolist(),
-        "null_left": cert.null_left.tolist(),
+        "decided_by": cert.decided_by,
+        "connected": cert.connected,
+        "antagonism_headroom": t if t is not None and t < math.inf else None,
+        "headroom_tol": cert.headroom_tol,
+        "same_side_ties": cert.same_side_ties,
     }
+    if detail == "full":
+        doc["ties"] = [[int(i), int(j), float(e) if math.isfinite(e) else None]
+                       for (i, j), e in zip(cert.tie_ends, cert.tie_headroom)]
+        doc["null_right"] = cert.null_right.tolist()
+        doc["null_left"] = cert.null_left.tolist()
+    return doc
 
 
 def outcome_dict(outcome: OutcomeReport | None) -> dict | None:

@@ -414,14 +414,14 @@ class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
     and built on first read its read-only ``laplacian`` and that
-    Laplacian's one ``eigen`` (``sym_eigen``).  ``core`` and ``detail``
-    are the slots ``spectral`` fills.  Nothing here refers back to the
-    graph, so what is kept on it goes with it."""
+    Laplacian's one ``eigen`` (``sym_eigen``).  ``core`` is the slot
+    ``spectral`` fills.  Nothing here refers back to the graph, so what is
+    kept on it goes with it."""
 
     def __init__(self, g: SignedGraph, b: Bipartition):
         self.partition = b
         self.network = partner_network(g, b)
-        self.core = self.detail = None
+        self.core = None
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -447,5 +447,5 @@ def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
 
 def clear_partner_cache(g: SignedGraph) -> None:
     """Drop what is kept on ``g`` for its partner: the network, the
-    Laplacian, its eigendecomposition, the core and the detail."""
+    Laplacian, its eigendecomposition and the core."""
     vars(g).pop("_partner", None)

@@ -16,19 +16,20 @@ factors L_abs once, by Cholesky, and computes no spectrum of L.
 The headroom does not depend on the dominance coefficient, so it is
 computed once per (graph, bipartition) (``partner_core``) and kept in the
 partner that ``operators`` keeps on the graph; a certificate adds only the
-coefficient's verdict and null vectors.  The partner's spectrum and its
-forest's resistance Gram are computed only where they are printed
-(``PolarizationCertificate.detail``).
+coefficient's verdict and null vectors.  The same factor gives each tie's
+own headroom t_e = 1 / M_ee - 1, which the full certificate document
+prints; t* <= min t_e, since lambda_max(M) is at least M's largest
+diagonal entry.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GqsbError, TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
@@ -49,9 +50,7 @@ from .signed_graph import (
     Bipartition,
     Edge,
     SignedGraph,
-    _antagonistic_forest,
     _node_id,
-    _triples,
     connected_components,
 )
 
@@ -159,10 +158,11 @@ def _forward(c: np.ndarray, rhs: np.ndarray, back: bool = False) -> np.ndarray:
     return rhs
 
 
-def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
+def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.ndarray | None]:
     """The antagonism headroom t* of the connected graph ``g`` whose
-    same-side antagonistic ties are the edges ``tie`` (at least one), and
-    the half-width of its Inconclusive band.
+    same-side antagonistic ties are the edges ``tie`` (at least one), the
+    half-width of its Inconclusive band, and each tie's own headroom
+    t_e = 1 / M_ee - 1, in the order of the edges.
 
     Every column of B_A is zero off the ties' endpoints.  So L_abs is
     built over ``g.adjacency(order)`` with the other nodes first and the
@@ -180,7 +180,9 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     of B_A sums to zero, so it is orthogonal to what grounding leaves
     nearly singular (a side held on by a weak tie), and rounding there
     reaches M only squared; forming C^-1 L_A C^-T from L_A itself would
-    not keep that.
+    not keep that.  M's diagonal, M_ee = w_e R_abs,e, is Z's squared
+    column norms: with at most s ties, ``m``'s diagonal, copied before the
+    inverse iteration shifts it; otherwise each s ties' column norms.
 
     A tie across a weak cut is not orthogonal to it: the cut's conductance
     is summed into L_abs's diagonal beside strong ties, and rounding loses
@@ -194,7 +196,8 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
     over all n - 1 grounded rows.
     t* is None when rounding leaves the grounded L_abs without a factor
     (a network held together by a tie below about 1e-14 of the largest
-    weight is disconnected in double precision) or the band reaches 2.
+    weight is disconnected in double precision), and so is t_e, or when
+    the band reaches 2.
     Raises TooLarge when twice an absolute row sum of the adjacency
     overflows, and NoConvergence as ``sym_eigvals`` does; signals
     nothing.
@@ -219,10 +222,10 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
         try:
             c = np.linalg.cholesky(lap[1:, 1:])
         except np.linalg.LinAlgError:
-            return None, HEADROOM_TOL
+            return None, HEADROOM_TOL, None
         del a, lap
         few = w.size <= s
-        m = None if few else np.zeros((s, s))
+        m, diag = None if few else np.zeros((s, s)), []
         for lo in range(0, w.size, s):  # at most s ties at a time
             part = slice(lo, lo + s)
             root = np.sqrt(w[part])
@@ -235,9 +238,12 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
             else:
                 for rows in _blocks(s):
                     m[rows] += z[rows] @ z.T
+            diag.append(m.diagonal().copy() if few else np.einsum("ij,ij->j", z, z))
+        with np.errstate(over="ignore", divide="ignore"):  # an M_ee below 1e-308
+            own = 1.0 / np.concatenate(diag) - 1.0
         mu = float(sym_eigvals(m)[-1])
         if not mu > 0.0:
-            return np.inf, HEADROOM_TOL
+            return np.inf, HEADROOM_TOL, own
         # the top eigenvector of m by one step of inverse iteration from a
         # start no structure of m is orthogonal to (numpy.random would
         # import hashlib), as u in C's space; then x = C^-T u
@@ -248,7 +254,9 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float]:
         with np.errstate(over="ignore", invalid="ignore"):
             x = _forward(c, u / np.linalg.norm(u), back=True)
             band = 4.0 * n * np.finfo(float).eps * float(x @ x)
-    return (1.0 / mu - 1.0, max(HEADROOM_TOL, band)) if band < 2.0 else (None, HEADROOM_TOL)
+    if not band < 2.0:
+        return None, HEADROOM_TOL, own
+    return 1.0 / mu - 1.0, max(HEADROOM_TOL, band), own
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +269,19 @@ class PartnerCore:
     antagonism headroom t* (inf with no such tie; None on a disconnected
     graph, where nothing is factored, or where ``_headroom`` gives none)
     and ``headroom_tol`` the half-width of its Inconclusive band
-    (``_headroom``).  Nothing n x n is kept and no graph, so a core kept
-    on its graph goes with it.
+    (``_headroom``).  ``tie_ends`` holds those ties' endpoints, one row
+    each in the graph's canonical edge order, and ``tie_headroom`` each
+    tie's own headroom t_e = 1 / (w_e R_abs,e) - 1 (NaN where nothing was
+    factored), both read-only.  Nothing n-sized is kept and no graph, so a
+    core kept on its graph goes with it.
     """
 
     partition: Bipartition
     connected: bool
     headroom: float | None
     same_side_ties: int
+    tie_ends: np.ndarray
+    tie_headroom: np.ndarray
     headroom_tol: float = HEADROOM_TOL
 
 
@@ -288,25 +301,13 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
         side = b.mask()
         tie = (g.w < 0) & (side[g.i] == side[g.j])
         connected = len(connected_components(g)) == 1
-        headroom, tol = (None, HEADROOM_TOL) if not connected else (
-            _headroom(g, tie) if tie.any() else (np.inf, HEADROOM_TOL))
-        partner.core = PartnerCore(b, connected, headroom, int(np.count_nonzero(tie)), tol)
+        headroom, tol, own = (None, HEADROOM_TOL, None) if not connected else (
+            _headroom(g, tie) if tie.any() else (np.inf, HEADROOM_TOL, None))
+        ends = np.column_stack((g.i[tie], g.j[tie]))
+        own = np.full(len(ends), np.nan) if own is None else own
+        partner.core = PartnerCore(b, connected, headroom, len(ends), _frozen(ends),
+                                   _frozen(own), tol)
     return partner.core
-
-
-@dataclass(frozen=True, eq=False)
-class PartnerDetail:
-    """What ``--detail full`` prints of the partner: its ascending
-    ``spectrum`` and ``zero_multiplicity``, its antagonistic forest, that
-    forest's resistance Gram read off the pseudoinverse, and the Gram's
-    smallest eigenvalue (None with no forest).  All from the partner's one
-    eigendecomposition, the one integration reads."""
-
-    spectrum: np.ndarray
-    zero_multiplicity: int
-    forest_edges: tuple[Edge, ...]
-    resistance: np.ndarray
-    resistance_min_eig: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,11 +321,9 @@ class PolarizationCertificate:
     ``same_side_ties`` counts the same-side antagonistic ties.
     ``null_right`` and ``null_left`` span the flow's stationary direction
     and conserved functional; in gauge coordinates they are the all-ones
-    vector and its 1/n scaling.  ``detail`` computes, on first read, the
-    partner's spectrum and forest Gram (``PartnerDetail``) of the
-    ``graph`` and ``partition`` the certificate was made on, and keeps
-    them in the partner kept on that graph; a certificate built by hand
-    has no graph, and its detail raises GqsbError.
+    vector and its 1/n scaling.  ``tie_ends`` and ``tie_headroom`` are
+    the core's: each same-side tie's endpoints and own headroom t_e, which
+    bounds t* from above.
     """
 
     connected: bool
@@ -336,23 +335,8 @@ class PolarizationCertificate:
     antagonism_headroom: float | None = None
     headroom_tol: float = HEADROOM_TOL
     same_side_ties: int = 0
-    graph: SignedGraph | None = field(default=None, repr=False)
-    partition: Bipartition | None = None
-
-    @property
-    def detail(self) -> PartnerDetail:
-        if self.graph is None:
-            raise GqsbError("a certificate built by hand has no partner to detail")
-        partner = _partner(self.graph, self.partition)
-        if partner.detail is None:
-            dec = partner.eigen
-            (i, j, w), kept = _antagonistic_forest(partner.network)
-            a, b = i[kept], j[kept]
-            gram = _frozen(_forest_gram(dec, a, b) if a.size else np.zeros((0, 0)))
-            partner.detail = PartnerDetail(
-                dec.eigenvalues, dec.zero_count, _triples(a, b, w[kept]), gram,
-                float(sym_eigvals(gram)[0]) if a.size else None)
-        return partner.detail
+    tie_ends: np.ndarray | tuple = ()
+    tie_headroom: np.ndarray | tuple = ()
 
 
 def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertificate:
@@ -393,6 +377,6 @@ def certify(g: SignedGraph, b: Bipartition, gamma: float) -> PolarizationCertifi
         antagonism_headroom=t,
         headroom_tol=core.headroom_tol,
         same_side_ties=core.same_side_ties,
-        graph=g,
-        partition=b,
+        tie_ends=core.tie_ends,
+        tie_headroom=core.tie_headroom,
     )

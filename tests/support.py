@@ -39,12 +39,12 @@ from gqsbnet import (
     connected_components,
     default_step,
     generalized_laplacian,
-    incidence_matrix,
-    pseudoinverse,
+    effective_resistance,
+    partner_laplacian,
+    partner_network,
+    repelling_laplacian,
     spanning_forest,
-    sym_eigen,
     validate_gqsb,
-    z_transform_network,
 )
 from gqsbnet.dynamics import (STOP_TOL, _BLOCK_FLOATS, _horizon_steps, _rk4_factor,
                               _state_vector, _trajectory)
@@ -484,18 +484,10 @@ def reference_certify(g, b, gamma):
     """Both certificate documents computed afresh, the oracle for
     ``certificate_dict``: the summary's verdict and headroom from
     ``reference_headroom`` (a grounded LU solve of the cooperative Laplacian) and
-    connectivity, the full document's resistance Gram as the dense product
-    of the pseudoinverse with the forest's columns of the full incidence
-    matrix.  The Gram's spectrum comes from its own ``sym_eigen``."""
+    connectivity; the full document adds each same-side tie's own headroom
+    from ``reference_tie_headroom`` (the pseudoinverse of the Laplacian of
+    |w|) and the null vectors."""
     bundle = generalized_laplacian(g, b, gamma)
-    partner = z_transform_network(bundle)
-    dec = spanning_forest(partner)
-    inc = incidence_matrix(partner, dec)
-    nf = len(dec.forest_edges)
-    eig = sym_eigen(bundle.z_laplacian)
-    block = inc.matrix[:, :nf]
-    resistance = block.T @ pseudoinverse(bundle.z_laplacian) @ block
-    resistance = (resistance + resistance.T) / 2.0
     connected = len(connected_components(g)) == 1
     ties = sum(1 for i, j, w in g.edges if w < 0 and (i in b.v1) == (j in b.v1))
     t = reference_headroom(g, b) if connected else None
@@ -517,56 +509,65 @@ def reference_certify(g, b, gamma):
         "headroom_tol": HEADROOM_TOL, "same_side_ties": ties,
     }
     full = {
-        "gamma": bundle.gamma, "connected": connected, "verdict": verdict.value,
-        "spectrum": list(eig.eigenvalues), "zero_multiplicity": eig.zero_count,
-        "forest_edges": [[i, j, w] for i, j, w in dec.forest_edges],
-        "resistance": [list(row) for row in resistance],
-        "resistance_min_eig": float(sym_eigen(resistance).eigenvalues[0]) if nf else None,
+        **summary, "ties": reference_tie_headroom(g, b),
         "null_right": list(null_right), "null_left": list(bundle.coord_gauge / g.n),
     }
     return {"summary": summary, "full": full}
 
 
+def reference_tie_headroom(g: SignedGraph, b: Bipartition) -> list:
+    """Each same-side antagonistic tie of (g, b), in canonical order, as
+    ``[i, j, t_e]``: its own headroom t_e = 1 / (|w_e| R_abs,e) - 1, with
+    R_abs,e the diagonal of ``effective_resistance`` (a dense
+    pseudoinverse) on the Laplacian of |w|, every weight over the largest
+    first.  t_e is None on a disconnected network."""
+    side = b.mask()
+    ties = tuple((i, j, w) for i, j, w in g.edges if w < 0 and side[i] == side[j])
+    if not ties or len(connected_components(g)) > 1:
+        return [[i, j, None] for i, j, _ in ties]
+    unit = float(np.max(np.abs(g.w)))
+    lap = repelling_laplacian(g.reweighted(np.abs(g.w) / unit))
+    r = np.diag(effective_resistance(lap, ties))
+    return [[i, j, float(1.0 / (-w / unit * r_e) - 1.0)] for (i, j, w), r_e in zip(ties, r)]
+
+
 def reference_certificate_dict(cert: PolarizationCertificate) -> dict:
-    """The full certificate document as it was before schema 2, read off
-    the certificate's fields and ``detail``: the oracle for
-    ``certificate_dict(cert, detail="full")``."""
-    detail = cert.detail
-    return {
-        "gamma": cert.gamma,
-        "connected": cert.connected,
-        "verdict": cert.verdict.value,
-        "spectrum": list(detail.spectrum),
-        "zero_multiplicity": detail.zero_multiplicity,
-        "forest_edges": [[i, j, w] for i, j, w in detail.forest_edges],
-        "resistance": [list(row) for row in detail.resistance],
-        "resistance_min_eig": detail.resistance_min_eig,
-        "null_right": list(cert.null_right),
-        "null_left": list(cert.null_left),
-    }
+    """The full certificate document read off the certificate's fields:
+    the summary, each same-side tie as ``[i, j, t_e]`` from ``tie_ends``
+    and ``tie_headroom`` (a t_e that is NaN or infinite as None), then
+    the null vectors; the oracle for ``certificate_dict(cert, detail="full")``."""
+    ties = [[i, j, t if math.isfinite(t) else None]
+            for (i, j), t in zip(cert.tie_ends.tolist(), cert.tie_headroom.tolist())]
+    return {**certificate_dict(cert), "ties": ties, "null_right": list(cert.null_right),
+            "null_left": list(cert.null_left)}
+
+
+def assert_tie_headroom(got, want, rtol: float = 1e-10):
+    """Two tie lists ``[i, j, t_e]`` agree: the same ties in the same
+    order, a t_e None in both or in neither, and 1 + t_e = 1 / M_ee within
+    ``rtol`` relative (t_e itself is 0 on a bridge)."""
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (*_, t), (*_, u) in zip(got, want):
+        assert (t is None) == (u is None), (t, u)
+        assert u is None or abs(t - u) <= rtol * (1.0 + u), (t, u)
 
 
 def assert_matches_reference(cert: PolarizationCertificate, ref: dict):
     """Compare a certificate's two documents with ``reference_certify``'s.
-    The headroom agrees within 1e-10 relative, the spectrum within 1e-12
-    of the spectral radius and the resistance Gram within 1e-10 of its
-    largest entry; every other entry (verdict, criterion, connectivity,
-    counts, forest, null vectors) is exact.  Two algorithms cannot agree
-    on the noise digits of a structural zero, so the floats are not
-    compared bit for bit."""
+    The headroom agrees within 1e-10 relative and each tie's t_e as
+    ``assert_tie_headroom`` checks; every other entry (verdict,
+    criterion, connectivity, counts, tie endpoints, null vectors) is
+    exact.  Two algorithms cannot agree on the last digits of a ratio of
+    resistances, so those floats are not compared bit for bit."""
     for detail, want in ref.items():
         got = certificate_dict(cert, detail)
         assert list(got) == list(want)
         for key, value in want.items():
-            if key in ("antagonism_headroom", "spectrum", "resistance", "resistance_min_eig"):
+            if key == "antagonism_headroom":
                 assert (got[key] is None) == (value is None), key
-                if value is None:
-                    continue
-                scale = float(np.max(np.abs(want["resistance"] if key.startswith("res")
-                                            else value), initial=0.0))
-                assert np.shape(got[key]) == np.shape(value), key
-                rtol = 1e-12 if key == "spectrum" else 1e-10
-                assert np.allclose(got[key], value, rtol=0.0, atol=rtol * scale), key
+                assert value is None or abs(got[key] - value) <= 1e-10 * abs(value), key
+            elif key == "ties":
+                assert_tie_headroom(got[key], value)
             else:
                 assert got[key] == value, key
 
@@ -712,6 +713,15 @@ def reference_grounded_gram(g: SignedGraph, b: Bipartition) -> np.ndarray:
     return z.T @ z
 
 
+def partner_forest_gram(g: SignedGraph, b: Bipartition):
+    """The partner's antagonistic forest and that forest's resistance Gram
+    through the partner Laplacian, by the public functions alone: the
+    criterion the headroom replaced, kept as an oracle beside the
+    partner's spectrum (``bundle.partner.eigenvalues``)."""
+    forest = spanning_forest(partner_network(g, b)).forest_edges
+    return forest, effective_resistance(partner_laplacian(g, b), forest)
+
+
 def reference_forest_gram(pinv, a, b):
     """The forest Gram read off a pseudoinverse as a whole: B^T P B by
     the two column differences, then symmetrized.  The bits the blocked
@@ -731,17 +741,29 @@ def reference_build_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     t = None
     if connected:
         t = reference_headroom(g, b) if ties else math.inf
-    return PartnerCore(b, connected, t, ties)
+    rows = reference_tie_headroom(g, b)
+    ends = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    own = np.array([np.nan if row[2] is None else row[2] for row in rows])
+    return PartnerCore(b, connected, t, ties, ends, own)
 
 
 def assert_same_core(got: PartnerCore, want: PartnerCore, rtol: float = 1e-10):
-    """Every field equal, the headroom within ``rtol`` relative."""
+    """Every field equal, the headroom within ``rtol`` relative and each
+    tie's own headroom as ``assert_tie_headroom`` checks, NaN (nothing
+    factored) in both or in neither."""
     assert got.partition == want.partition
     assert (got.connected, got.same_side_ties) == (want.connected, want.same_side_ties)
     if want.headroom is None or want.headroom == math.inf:
         assert got.headroom == want.headroom
     else:
         assert abs(got.headroom - want.headroom) <= rtol * want.headroom
+    assert got.tie_ends.dtype == np.int64
+
+    def listed(core):
+        return [[i, j, None if np.isnan(t) else t]
+                for (i, j), t in zip(core.tie_ends.tolist(), core.tie_headroom.tolist())]
+
+    assert_tie_headroom(listed(got), listed(want), rtol)
 
 
 def _reference_id(v):

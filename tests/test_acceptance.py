@@ -28,8 +28,10 @@ from gqsbnet import (
     repelling_laplacian,
     run_pipeline,
     sym_eigen,
+    sym_eigvals,
 )
 from support import (
+    partner_forest_gram,
     random_bloc_graph,
     random_gqsb_instance,
     random_sb_instance,
@@ -131,10 +133,8 @@ def test_certificate_agrees_with_simulation():
         bundle = generalized_laplacian(g, b, 2.0)
         dec = sym_eigen(bundle.z_laplacian)
         psd = psd_simple_zero(bundle.z_laplacian)
-        resistance_pd = (
-            cert.detail.resistance_min_eig is None
-            or cert.detail.resistance_min_eig > dec.zero_tol
-        )
+        forest, gram = partner_forest_gram(g, b)
+        resistance_pd = not forest or float(sym_eigvals(gram)[0]) > dec.zero_tol
         assert psd == resistance_pd == (cert.antagonism_headroom > 1.0)
         sides[psd] += 1
 

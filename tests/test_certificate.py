@@ -1,4 +1,6 @@
-"""The certificate documents: schema 3 by default, the full form on request."""
+"""The certificate documents: schema 3 by default, the full form (the
+same document with each same-side tie's own headroom and the null
+vectors) on request."""
 
 import dataclasses
 import math
@@ -8,15 +10,16 @@ import pytest
 
 from gqsbnet import (
     Bipartition,
-    GqsbError,
     PolarizationCertificate,
     ScenarioConfig,
     SignedGraph,
     Verdict,
     bipartition_from_dominant,
     certify,
+    generalized_laplacian,
     load_highland,
     partner_core,
+    sym_eigvals,
 )
 from gqsbnet import spectral
 from gqsbnet.spectral import HEADROOM_TOL
@@ -27,7 +30,8 @@ from gqsbnet.fileio import (
     report_to_json,
     run_sweep,
 )
-from support import assert_matches_reference, reference_certificate_dict, reference_certify
+from support import (assert_matches_reference, partner_forest_gram, reference_certificate_dict,
+                     reference_certify)
 
 SCHEMA_KEYS = [
     "schema", "gamma", "verdict", "decided_by", "connected", "antagonism_headroom",
@@ -72,14 +76,19 @@ class TestDecidedBy:
         assert doc["antagonism_headroom"] == pytest.approx(1.5, rel=1e-14)
         assert doc["same_side_ties"] == 1
         full = certificate_dict(certify(allneg_triangle, allneg_split, 2.0), "full")
-        assert full["resistance_min_eig"] == pytest.approx(2.0)
+        assert full["ties"] == [[0, 1, pytest.approx(1.5, rel=1e-14)]]
+        forest, gram = partner_forest_gram(allneg_triangle, allneg_split)
+        assert forest == ((0, 1, -1.0),) and float(sym_eigvals(gram)[0]) == pytest.approx(2.0)
 
     def test_negative_eigenvalue(self, unstable_triangle, allneg_split):
         doc = _doc(unstable_triangle, allneg_split, 2.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Divergence", "headroom")
         assert doc["antagonism_headroom"] == pytest.approx(0.1, rel=1e-14)
         full = certificate_dict(certify(unstable_triangle, allneg_split, 2.0), "full")
-        assert full["spectrum"][0] < 0 and full["resistance_min_eig"] < 0
+        assert full["ties"] == [[0, 1, pytest.approx(0.1, rel=1e-14)]]
+        spectrum = generalized_laplacian(unstable_triangle, allneg_split, 2.0).partner.eigenvalues
+        gram = partner_forest_gram(unstable_triangle, allneg_split)[1]
+        assert spectrum[0] < 0 and sym_eigvals(gram)[0] < 0
 
     def test_connectivity(self):
         g = SignedGraph.from_edge_list(4, [(0, 1, -1.0), (2, 3, -1.0)])
@@ -97,7 +106,7 @@ class TestDecidedBy:
         doc = _doc(g, b, 2.0)
         assert (doc["verdict"], doc["decided_by"]) == ("Inconclusive", "headroom")
         assert abs(doc["antagonism_headroom"] - 1.0) <= 1e-15
-        assert certificate_dict(certify(g, b, 2.0), "full")["zero_multiplicity"] == 2
+        assert generalized_laplacian(g, b, 2.0).partner.zero_count == 2
 
     def test_resistance_gram_not_positive_definite(self, allneg_triangle, allneg_split,
                                                    monkeypatch):
@@ -121,7 +130,7 @@ class TestDecidedBy:
         assert render_json(doc).endswith('"same_side_ties": 0\n}')
         assert certify(sb_triangle, b, 1.0).antagonism_headroom == math.inf
         full = certificate_dict(certify(sb_triangle, b, 1.0), "full")
-        assert (full["forest_edges"], full["resistance_min_eig"]) == ([], None)
+        assert full["ties"] == [] and partner_forest_gram(sb_triangle, b)[0] == ()
 
     def test_no_factor_is_inconclusive(self, allneg_triangle, allneg_split, monkeypatch):
         # a connected network whose grounded L_abs has no Cholesky factor in
@@ -154,9 +163,9 @@ class TestDocuments:
             assert doc["antagonism_headroom"] == printed
             assert doc["decided_by"] is None and doc["same_side_ties"] == 0
             assert doc["headroom_tol"] == HEADROOM_TOL
-            # it has no graph, so no partner to detail
-            with pytest.raises(GqsbError, match="built by hand"):
-                certificate_dict(cert, "full")
+            # the full document reads only the certificate: no ties
+            full = certificate_dict(cert, "full")
+            assert full == {**doc, "ties": [], "null_right": [], "null_left": []}
 
     def test_unknown_detail_refused(self, allneg_triangle, allneg_split):
         cert = certify(allneg_triangle, allneg_split, 2.0)
@@ -175,7 +184,7 @@ class TestDocuments:
             full = certificate_dict(cert, detail="full")
             assert render_json(full) == render_json(reference_certificate_dict(cert))
             # the whole report at full detail is the summary report with the
-            # old certificate document in place
+            # full certificate document in place
             doc = report_dict(report)
             assert doc["certificate"] == certificate_dict(cert)
             doc["certificate"] = reference_certificate_dict(cert)

@@ -54,7 +54,8 @@ from gqsbnet import (
 from gqsbnet import fileio
 from gqsbnet.cli import main
 from gqsbnet.operators import _partner
-from gqsbnet.fileio import DETAILS, enumerate_dict, format_float, render_json, start_state
+from gqsbnet.fileio import (DETAILS, certificate_dict, enumerate_dict, format_float, render_json,
+                            start_state)
 from support import (
     core_calls,
     counting_linalg,
@@ -451,15 +452,14 @@ class TestPipeline:
         g = load_network(allneg_file)
         b = bipartition_from_dominant(g, (0, 1))
         cert = certify(g, b, 2.0)
-        # the report's detail is its integrator's eigh, bit for bit, as is
-        # a library certificate's
+        # the report's full certificate is a library certificate's, bit for
+        # bit, ties and all
         bundle = generalized_laplacian(load_network(allneg_file), b, 2.0)
-        detail = report.certificate.detail
-        assert detail.spectrum.tobytes() == bundle.partner.eigenvalues.tobytes()
-        assert detail.spectrum.tobytes() == cert.detail.spectrum.tobytes()
         assert report.certificate.verdict is cert.verdict
         assert report.certificate.antagonism_headroom == cert.antagonism_headroom
-        assert np.array_equal(detail.resistance, cert.detail.resistance)
+        assert report.certificate.tie_headroom.tobytes() == cert.tie_headroom.tobytes()
+        assert render_json(certificate_dict(report.certificate, "full")) == render_json(
+            certificate_dict(cert, "full"))
         traj = integrate(bundle, report.x0, dt=0.01)
         assert np.array_equal(report.trajectory.states[-1], traj.states[-1])
 
@@ -666,10 +666,13 @@ class TestCli:
         assert main(["spectrum", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert main(["certify", *argv, "--detail", "full"]) in (0, 2)
-        # eigvalsh's spectrum beside the full detail's, which is the eigh's
-        full = json.loads(capsys.readouterr().out)["spectrum"]
-        assert np.allclose(doc["scaled"], full, rtol=0.0, atol=1e-12 * max(map(abs, full)))
+        cert = json.loads(capsys.readouterr().out)
+        assert len(cert["ties"]) == cert["same_side_ties"]
         g = load_highland(ScenarioConfig("highland", (dominant,)))
+        # eigvalsh's spectrum beside the partner's eigh
+        full = generalized_laplacian(g, bipartition_from_dominant(g, (dominant,)),
+                                     2.0).partner.eigenvalues
+        assert np.allclose(doc["scaled"], full, rtol=0.0, atol=1e-12 * max(map(abs, full)))
         assert np.allclose(doc["repelling"], sym_eigen(repelling_laplacian(g)).eigenvalues,
                            rtol=1e-13, atol=1e-12)
 
@@ -768,7 +771,9 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "AsymmetricPolarization"
-        assert np.allclose(doc["resistance"], [[2.0]], atol=1e-9)
+        assert "resistance" not in doc
+        # the one tie's own headroom: weight 1, resistance 0.4 through |w|
+        assert doc["ties"] == [[0, 1, pytest.approx(1.5, rel=1e-14)]]
 
     def test_certify_divergent_exit_two(self, unstable_file, capsys):
         code = main(["certify", "--network", unstable_file, "--dominant", "0,1"])
@@ -880,12 +885,20 @@ class TestCli:
             1e-12 * docs[1]["antagonism_headroom"])
         assert main(["predict", "--network", str(path), "--dominant", "0,1"]) == 0
         capsys.readouterr()
-        for argv in (["report"], ["certify", "--detail", "full"]):
-            assert main([*argv, "--network", str(path), "--dominant", "0,1"]) == 1
-            got = capsys.readouterr()
-            assert got.out == ""
-            assert got.err.startswith("error: entries too large: twice the absolute sum")
-            assert got.err.count("\n") == 1
+        # the full certificate reads the same factor: each tie's own
+        # headroom is the one at weight 1
+        ties = []
+        for network in (path, unit):
+            assert main(["certify", "--network", str(network), "--dominant", "0,1",
+                         "--detail", "full"]) == 0
+            ties.append(json.loads(capsys.readouterr().out)["ties"])
+        assert ties[0][0][:2] == ties[1][0][:2] == [0, 1]
+        assert abs(ties[0][0][2] - ties[1][0][2]) <= 1e-12 * ties[1][0][2]
+        assert main(["report", "--network", str(path), "--dominant", "0,1"]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("error: entries too large: twice the absolute sum")
+        assert got.err.count("\n") == 1
 
     @pytest.mark.parametrize("gamma", ["1e-300", "1.7e308"])
     def test_gauge_beyond_the_double_range_too_large(self, capsys, gamma):
@@ -955,9 +968,8 @@ class TestCli:
                                "leaves the double range\n")
 
     def test_out_of_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # a header naming a million nodes: the dense partner Laplacian of the
-        # full detail cannot be allocated, which the patch stands in for (the
-        # verdict, on a disconnected network, needs no dense array)
+        # a header naming a million nodes: the dense Laplacians of the
+        # spectra cannot be allocated, which the patch stands in for
         path = tmp_path / "wide.txt"
         path.write_text("1000000 1\n0 1 -1\n")
 
@@ -966,8 +978,7 @@ class TestCli:
 
         monkeypatch.setattr(SignedGraph, "adjacency", refuse)
         out = tmp_path / "out"
-        argv = ["certify", "--network", str(path), "--dominant", "0", "--out", str(out),
-                "--detail", "full"]
+        argv = ["spectrum", "--network", str(path), "--dominant", "0", "--out", str(out)]
         assert main(argv) == 1
         got = capsys.readouterr()
         assert got.out == ""
@@ -1100,14 +1111,13 @@ class TestCli:
         (["sweep", "--dt", "0.002", "--gammas", "1.5,2,3"], 1),
         (["simulate"], 1),
         (["simulate", "--dt", "0.002"], 1),
-        (["certify", "--detail", "full"], 1),
+        (["certify", "--detail", "full"], 0),
         (["report", "--detail", "full"], 1),
     ])
     def test_decompositions_per_command(self, argv, eighs, monkeypatch, capsys, tmp_path):
         g = load_highland(ScenarioConfig("highland", (0,)))
         b = bipartition_from_dominant(g, (0,))
         ties = certify(g, b, 2.0).same_side_ties
-        forest = len(certify(g, b, 2.0).detail.forest_edges)
         calls = counting_linalg(monkeypatch)
         assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
                      "--out", str(tmp_path / "out")]) == 0
@@ -1116,10 +1126,10 @@ class TestCli:
         elif argv[0] == "simulate":  # the default step reads the eigh's spectrum
             assert calls == [("eigh", (g.n, g.n))] * eighs
         else:
-            # the core, then the one eigh where the flow runs or the full
-            # detail is printed, and the detail's Gram spectrum
+            # the core, then the one eigh where the flow runs; the full
+            # document reads the core alone
             want = core_calls(g.n, ties, tie_endpoints(g, b)) + [("eigh", (g.n, g.n))] * eighs
-            assert calls == want + [("eigvalsh", (forest, forest))] * ("full" in argv)
+            assert calls == want
 
     def test_report_decomposes_the_partner_once(self, monkeypatch, capsys, tmp_path):
         # the verdict picks the decompositions: the core's factorization on a
@@ -1297,7 +1307,8 @@ class TestCli:
                 sweep_bytes = (out / f"report_gamma_{tag}.json").read_bytes()
                 assert sweep_bytes == (single / "report.json").read_bytes()
                 doc = json.loads(sweep_bytes)
-                assert ("schema" in doc["certificate"]) == (not detail)
+                assert doc["certificate"]["schema"] == 3
+                assert ("ties" in doc["certificate"]) == bool(detail)
 
     def test_sweep_reads_start_state_once(self, allneg_file, tmp_path, monkeypatch):
         x0 = tmp_path / "x0.txt"

@@ -24,7 +24,8 @@ from gqsbnet import (
     loads_network,
 )
 from gqsbnet.fileio import certificate_dict, render_json
-from support import random_gqsb_instance, random_signed_graph
+from support import (assert_tie_headroom, partner_forest_gram, random_gqsb_instance,
+                     random_signed_graph)
 
 DRAWS = 40
 
@@ -51,8 +52,17 @@ def _same_headroom(cert, base, rtol=1e-10):
         assert abs(t - want) <= rtol * want
 
 
-# t* is a ratio of weights, so it has no unit: from 10**-300 to 10**300
-# the certificate is the one at scale 1
+def _ties(cert, relabel=None):
+    """The full document's ``[i, j, t_e]`` rows, each tie's endpoints
+    mapped through ``relabel`` (low first) and the rows sorted."""
+    rows = certificate_dict(cert, "full")["ties"]
+    if relabel is not None:
+        rows = sorted([*sorted((int(relabel[i]), int(relabel[j]))), t] for i, j, t in rows)
+    return rows
+
+
+# t* and each tie's own headroom t_e are ratios of weights, so they have
+# no unit: from 10**-300 to 10**300 the certificate is the one at scale 1
 @pytest.mark.parametrize("k", [*range(-6, 7), -155, 155, -200, 200, -250, 250, -300, 300])
 def test_weight_scaling(k):
     scale = 10.0 ** k
@@ -61,23 +71,26 @@ def test_weight_scaling(k):
         base = certify(g, b, gamma)
         cert = certify(g.reweighted(g.w * scale), b, gamma)
         _same_headroom(cert, base)
+        assert_tie_headroom(_ties(cert), _ties(base))
         decided.add((base.verdict, base.decided_by))
     assert {(Verdict.ASYMMETRIC_POLARIZATION, "headroom"), (Verdict.DIVERGENCE, "headroom"),
             (Verdict.CONSENSUS, "plain_split")} <= decided
 
 
 def test_weight_scaling_below_the_double_range():
-    # at 1e-310 the weights are subnormal: t* keeps 11 digits and every
-    # draw certifies as at scale 1, while the resistances, which scale as
-    # 1/w, pass 1.8e308, so the full detail of a draw with a forest is
-    # refused
+    # at 1e-310 the weights are subnormal: t* and every t_e keep 11 digits
+    # and every draw certifies as at scale 1, in both documents, while the
+    # resistances, which scale as 1/w, pass 1.8e308, so the forest Gram of
+    # a draw with a forest is refused
     refused = []
     for _, g, b, gamma in _draws(101):
         base = certify(g, b, gamma)
-        cert = certify(g.reweighted(g.w * 1e-310), b, gamma)
+        h = g.reweighted(g.w * 1e-310)
+        cert = certify(h, b, gamma)
         _same_headroom(cert, base, 1e-11)
+        assert_tie_headroom(_ties(cert), _ties(base), 1e-11)
         try:
-            cert.detail
+            partner_forest_gram(h, b)
         except TooLarge:
             refused.append(base.same_side_ties)
         else:
@@ -93,11 +106,14 @@ def test_node_relabelling():
         base = certify(g, b, gamma)
         cert = certify(h, c, gamma)
         _same_headroom(cert, base)
-        radius = max(abs(base.detail.spectrum[0]), abs(base.detail.spectrum[-1]))
-        assert np.allclose(cert.detail.spectrum, base.detail.spectrum, rtol=0.0,
+        # the tie rows are permuted into the canonical order, each t_e kept
+        assert_tie_headroom(_ties(cert), _ties(base, perm))
+        spectra = [generalized_laplacian(*pair, gamma).partner for pair in ((g, b), (h, c))]
+        radius = max(abs(spectra[0].eigenvalues[0]), abs(spectra[0].eigenvalues[-1]))
+        assert np.allclose(spectra[1].eigenvalues, spectra[0].eigenvalues, rtol=0.0,
                            atol=1e-9 * radius)
-        assert cert.detail.zero_multiplicity == base.detail.zero_multiplicity
-        assert len(cert.detail.forest_edges) == len(base.detail.forest_edges)
+        assert spectra[1].zero_count == spectra[0].zero_count
+        assert len(partner_forest_gram(h, c)[0]) == len(partner_forest_gram(g, b)[0])
 
 
 def test_edge_order_shuffle():

@@ -46,9 +46,11 @@ from gqsbnet.operators import _partner
 from support import (
     assert_matches_reference,
     assert_same_core,
+    assert_tie_headroom,
     core_calls,
     counting_linalg,
     dense_two_bloc,
+    partner_forest_gram,
     random_bloc_graph,
     random_gqsb_instance,
     reference_build_core,
@@ -56,6 +58,7 @@ from support import (
     reference_certify,
     reference_forest_gram,
     reference_headroom,
+    reference_tie_headroom,
     tie_endpoints,
     two_bloc_draw,
 )
@@ -429,12 +432,15 @@ class TestCertify:
         assert cert.gamma == 2.0
         assert abs(cert.antagonism_headroom - 1.5) <= 1e-14
         assert cert.same_side_ties == 1
-        detail = cert.detail
-        assert np.allclose(detail.spectrum, [0.0, 1.0, 9.0], atol=1e-9)
-        assert detail.zero_multiplicity == 1
-        assert detail.forest_edges == ((0, 1, -1.0),)
-        assert np.allclose(detail.resistance, [[2.0]], atol=1e-9)
-        assert abs(detail.resistance_min_eig - 2.0) <= 1e-9
+        # the one tie (0, 1) alone: weight 1, resistance 0.4 through |w|
+        assert cert.tie_ends.tolist() == [[0, 1]]
+        assert abs(cert.tie_headroom[0] - 1.5) <= 1e-14
+        dec = generalized_laplacian(allneg_triangle, allneg_split, 2.0).partner
+        assert np.allclose(dec.eigenvalues, [0.0, 1.0, 9.0], atol=1e-9)
+        assert dec.zero_count == 1
+        forest, gram = partner_forest_gram(allneg_triangle, allneg_split)
+        assert forest == ((0, 1, -1.0),)
+        assert np.allclose(gram, [[2.0]], atol=1e-9)
         assert np.array_equal(cert.null_right, np.array([-2.0, -2.0, 1.0]))
         assert np.allclose(cert.null_left, [-1 / 6, -1 / 6, 1 / 3], atol=1e-15)
 
@@ -463,9 +469,12 @@ class TestCertify:
         cert = certify(sb_triangle, Bipartition(3, frozenset({0, 1})), 1.0)
         assert cert.verdict is Verdict.CONSENSUS
         assert (cert.antagonism_headroom, cert.same_side_ties) == (math.inf, 0)
-        assert cert.detail.resistance_min_eig is None
-        assert cert.detail.forest_edges == ()
-        assert np.allclose(cert.detail.spectrum, [0.0, 5.0, 9.0], atol=1e-9)
+        assert cert.tie_ends.shape == (0, 2) and cert.tie_headroom.shape == (0,)
+        b = Bipartition(3, frozenset({0, 1}))
+        forest, gram = partner_forest_gram(sb_triangle, b)
+        assert forest == () and gram.shape == (0, 0)
+        spectrum = generalized_laplacian(sb_triangle, b, 1.0).partner.eigenvalues
+        assert np.allclose(spectrum, [0.0, 5.0, 9.0], atol=1e-9)
 
     def test_balanced_scaled_coefficient_polarizes(self, sb_triangle):
         cert = certify(sb_triangle, Bipartition(3, frozenset({0, 1})), 2.0)
@@ -475,8 +484,10 @@ class TestCertify:
         cert = certify(unstable_triangle, allneg_split, 2.0)
         assert cert.verdict is Verdict.DIVERGENCE
         assert abs(cert.antagonism_headroom - 0.1) <= 1e-14
-        assert cert.detail.spectrum[0] < -1e-6
-        assert cert.detail.resistance_min_eig < 0
+        assert abs(cert.tie_headroom[0] - 0.1) <= 1e-14
+        dec = generalized_laplacian(unstable_triangle, allneg_split, 2.0).partner
+        assert dec.eigenvalues[0] < -1e-6
+        assert sym_eigvals(partner_forest_gram(unstable_triangle, allneg_split)[1])[0] < 0
 
     def test_disconnected_is_inconclusive(self):
         g = SignedGraph.from_edge_list(4, [(0, 1, -1.0), (2, 3, -1.0)])
@@ -490,13 +501,20 @@ class TestCertify:
             certify(sb_triangle, Bipartition(3, frozenset({0, 2})), 2.0)
 
     def test_resistance_read_only(self, allneg_triangle, allneg_split):
+        # the ties and their headrooms, 1 / (w_e R_abs,e) - 1, are the kept
+        # core's arrays, shared by every certificate, so none may be written
         cert = certify(allneg_triangle, allneg_split, 2.0)
+        core = partner_core(allneg_triangle, allneg_split)
+        assert cert.tie_ends is core.tie_ends and cert.tie_headroom is core.tie_headroom
         with pytest.raises(ValueError):
-            cert.detail.resistance[0, 0] = 0.0
+            cert.tie_headroom[0] = 0.0
+        with pytest.raises(ValueError):
+            cert.tie_ends[0, 0] = 2
 
     def test_resistance_criterion_matches_spectral_one(self):
         # the headroom, the partner spectrum and the forest Gram must agree
-        # on every random instance, all of them far from the boundary
+        # on every random instance, all of them far from the boundary; t*
+        # is at most every tie's own headroom
         rng = np.random.default_rng(61)
         hits = {True: 0, False: 0}
         for _ in range(150):
@@ -508,10 +526,13 @@ class TestCertify:
             hits[psd] += 1
             assert cert.connected
             assert psd == (cert.antagonism_headroom > 1.0)
-            detail = cert.detail
+            # 1 + t* <= 1 + t_e for every tie, within rounding
+            assert 1.0 + cert.antagonism_headroom <= (
+                1.0 + np.min(cert.tie_headroom, initial=math.inf)) * (1.0 + 1e-12)
+            forest, gram = partner_forest_gram(g, b)
             pd_resistance = (
-                detail.resistance_min_eig is None
-                or detail.resistance_min_eig > default_zero_tol(detail.spectrum)
+                not forest
+                or float(sym_eigvals(gram)[0]) > default_zero_tol(bundle.partner.eigenvalues)
             )
             assert psd == pd_resistance
             if psd:
@@ -655,28 +676,35 @@ class TestPartnerCore:
         assert partner_core(allneg_triangle, allneg_split) is core
         assert calls == [("eigh", (3, 3))]  # the core needed no spectrum
         assert np.array_equal(sym_eigen(bundle.z_laplacian).eigenvectors, dec.eigenvectors)
-        # the detail reads the same decomposition, and only the Gram's
-        # spectrum is new
-        assert cert.detail.spectrum is dec.eigenvalues
-        assert calls[1:] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
+        # the full document reads the kept core and no decomposition
+        assert certificate_dict(cert, "full")["ties"] == [[0, 1, cert.tie_headroom[0]]]
+        assert calls[1:] == [("eigh", (3, 3))]
 
     def test_empty_forest_has_empty_resistance_spectrum(self, sb_triangle):
         b = Bipartition(3, frozenset({0, 1}))
-        detail = certify(sb_triangle, b, 2.0).detail
-        assert detail.forest_edges == ()
-        assert detail.resistance.shape == (0, 0)
-        assert detail.resistance_min_eig is None
-        assert partner_core(sb_triangle, b).headroom == math.inf
+        forest, gram = partner_forest_gram(sb_triangle, b)
+        assert forest == () and gram.shape == (0, 0)
+        core = partner_core(sb_triangle, b)
+        assert core.headroom == math.inf
+        assert core.tie_ends.shape == (0, 2) and core.tie_headroom.shape == (0,)
+        assert certificate_dict(certify(sb_triangle, b, 2.0), "full")["ties"] == []
 
     def test_kept_core_holds_no_operator(self, allneg_triangle, allneg_split):
+        # only the read-only tie arrays, one row per same-side tie: nothing
+        # n-sized (one tie on three nodes)
         core = partner_core(allneg_triangle, allneg_split)
         certify(allneg_triangle, allneg_split, 2.0)
-        assert [name for name, value in vars(core).items()
-                if isinstance(value, np.ndarray)] == []
+        arrays = {name: value for name, value in vars(core).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["tie_ends", "tie_headroom"]
+        assert core.same_side_ties == 1
+        for value in arrays.values():
+            assert len(value) == core.same_side_ties and not value.flags.writeable
 
     def test_disconnected_grounds_every_component(self, monkeypatch):
-        # two all-negative triangles: nothing is factored; the detail's Gram
-        # comes off the pseudoinverse, one block per component
+        # two all-negative triangles: nothing is factored, so no tie has a
+        # headroom; the forest Gram comes off the pseudoinverse, one block
+        # per component
         tri = [(0, 1, -1.0), (0, 2, -3.0), (1, 2, -3.0)]
         g = SignedGraph(6, tri + [(i + 3, j + 3, 2.0 * w) for i, j, w in tri])
         b = Bipartition(6, frozenset({0, 1, 3, 4}))
@@ -686,16 +714,17 @@ class TestPartnerCore:
         assert (core.connected, core.headroom, core.same_side_ties) == (False, None, 2)
         cert = certify(g, b, 2.0)
         assert cert.decided_by == "connectivity"
-        detail = cert.detail
-        want = effective_resistance(partner_laplacian(g, b), detail.forest_edges)
-        assert np.allclose(detail.resistance, want, rtol=0, atol=1e-12)
-        assert np.allclose(detail.resistance, np.diag([2.0, 1.0]), rtol=0, atol=1e-12)
+        assert certificate_dict(cert, "full")["ties"] == [[0, 1, None], [3, 4, None]]
+        assert np.isnan(cert.tie_headroom).all() and calls == []
+        forest, gram = partner_forest_gram(g, b)
+        assert forest == ((0, 1, -1.0), (3, 4, -2.0))
+        assert np.allclose(gram, np.diag([2.0, 1.0]), rtol=0, atol=1e-12)
 
     def test_extra_zero_takes_the_pseudoinverse(self, monkeypatch):
         # the tie (0, 1) cancels the path 0-2-1 in the partner network: a
-        # second zero, t* = 1.  L_abs factors as anywhere else, and the
-        # detail's Gram is read off the pseudoinverse of the partner's one
-        # eigh, which the integrator reads too
+        # second zero, t* = 1.  L_abs factors as anywhere else, the one
+        # tie's own headroom is t*, and the full document adds no
+        # decomposition; the integrator's one eigh has the two zeros
         g = SignedGraph.from_edge_list(3, [(0, 1, -0.5), (0, 2, -1.0), (1, 2, -1.0)])
         b = Bipartition(3, frozenset({0, 1}))
         calls = counting_linalg(monkeypatch)
@@ -703,13 +732,14 @@ class TestPartnerCore:
         assert calls == core_calls(3, 1, 2)
         assert (cert.verdict, cert.decided_by) == (Verdict.INCONCLUSIVE, "headroom")
         assert abs(cert.antagonism_headroom - 1.0) <= 1e-15
-        detail = cert.detail
-        integrate(generalized_laplacian(g, b, 2.0), np.array([1.0, -0.5, 0.25]), dt=0.01,
-                  t_max=1.0)
-        assert calls[len(core_calls(3, 1, 2)):] == [("eigh", (3, 3)), ("eigvalsh", (1, 1))]
-        want = effective_resistance(partner_laplacian(g, b), detail.forest_edges)
-        assert np.array_equal(detail.resistance, want)
-        assert detail.zero_multiplicity == 2
+        assert certificate_dict(cert, "full")["ties"] == [[0, 1, cert.antagonism_headroom]]
+        bundle = generalized_laplacian(g, b, 2.0)
+        integrate(bundle, np.array([1.0, -0.5, 0.25]), dt=0.01, t_max=1.0)
+        assert calls[len(core_calls(3, 1, 2)):] == [("eigh", (3, 3))]
+        assert bundle.partner.zero_count == 2
+        # the forest's one column is the second zero's direction
+        forest, gram = partner_forest_gram(g, b)
+        assert forest == ((0, 1, -0.5),) and abs(gram[0, 0]) <= 1e-12
 
     def test_near_boundary_verdicts_match_reference(self):
         # scale the same-side antagonism of random networks to just either
@@ -903,8 +933,8 @@ class TestConcurrentCore:
     is now one sequential route that starts no thread; these cases keep
     what the concurrent build was held to: the values of a reference
     build, whatever the interpreter's switch interval or the threads to
-    be had, errors that reach ``certify`` with nothing kept, the detail's
-    Gram formed once, the double range refused with no warning, no
+    be had, errors that reach ``certify`` with nothing kept, M formed
+    once, the double range refused with no warning, no
     dependence on the caller's floating-point error state, silence at an
     extra zero, and one order of LAPACK calls."""
 
@@ -977,25 +1007,36 @@ class TestConcurrentCore:
         assert _partner(g, b).core is None
 
     def test_gram_formed_once(self, monkeypatch):
-        # the detail's Gram, one that underflows: formed once per partner,
-        # whatever number of certificates and coefficients read it
-        forms = []
-        form = spectral._forest_gram
+        # M = Z^T Z, whose diagonal gives the ties' own headrooms, on a
+        # graph whose forest Gram underflows: formed once per partner,
+        # whatever number of certificates, coefficients and full documents
+        # read it; the forest Gram is never formed
+        forms = {"_headroom": [], "_forest_gram": []}
 
-        def recorded(*args):
-            forms.append(args)
-            return form(*args)
+        def recording(name):
+            form = getattr(spectral, name)
 
-        monkeypatch.setattr(spectral, "_forest_gram", recorded)
+            def recorded(*args):
+                forms[name].append(args)
+                return form(*args)
+
+            return recorded
+
+        for name in forms:
+            monkeypatch.setattr(spectral, name, recording(name))
         g, b = _scaled(dense_two_bloc(120), 1e305)
-        details = {certify(g, b, gamma).detail for gamma in (1.0, 2.0, 3.5)}
-        assert len(forms) == 1 and len(details) == 1
-        assert np.isfinite(details.pop().resistance).all()
+        certs = [certify(g, b, gamma) for gamma in (1.0, 2.0, 3.5)]
+        docs = [certificate_dict(cert, "full")["ties"] for cert in certs]
+        assert (len(forms["_headroom"]), forms["_forest_gram"]) == (1, [])
+        assert len({id(cert.tie_headroom) for cert in certs}) == 1
+        assert docs[0] == docs[1] == docs[2] and all(t is not None for *_, t in docs[0])
+        assert_tie_headroom(docs[0], reference_tie_headroom(g, b))
 
     @pytest.mark.parametrize("kept", [False, True])
     def test_gram_beyond_the_double_range_is_too_large(self, kept):
-        # resistances above 1.8e308: the verdict is the one at scale 1,
-        # since t* has no unit, and the detail is TooLarge; no warning
+        # resistances above 1.8e308: the verdict and every tie's own
+        # headroom are the ones at scale 1, since neither has a unit, while
+        # the forest Gram is TooLarge; no warning
         want = certify(*dense_two_bloc(120), 2.0)
         g, b = _scaled(dense_two_bloc(120), 1e-310)
         if kept:
@@ -1003,12 +1044,14 @@ class TestConcurrentCore:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             cert = certify(g, b, 2.0)
+            full = certificate_dict(cert, "full")
             with pytest.raises(TooLarge, match="pseudoinverse"):
-                cert.detail
+                partner_forest_gram(g, b)
         assert seen == []
         assert (cert.verdict, cert.decided_by) == (want.verdict, want.decided_by)
         assert abs(cert.antagonism_headroom - want.antagonism_headroom) <= (
             1e-10 * want.antagonism_headroom)
+        assert_tie_headroom(full["ties"], certificate_dict(want, "full")["ties"])
 
     def test_caller_error_state_changes_nothing(self, monkeypatch):
         # the route ignores underflow and cannot overflow, so a caller that
@@ -1029,11 +1072,14 @@ class TestConcurrentCore:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             cert = certify(g, b, 2.0)
-            detail = cert.detail
+            full = certificate_dict(cert, "full")
+            dec = generalized_laplacian(g, b, 2.0).partner
+            gram = partner_forest_gram(g, b)[1]
         assert seen == [] and started == []
         assert (cert.verdict, cert.decided_by) == (Verdict.INCONCLUSIVE, "headroom")
         assert abs(cert.antagonism_headroom - 1.0) <= 1e-14
-        assert detail.zero_multiplicity == 2 and np.isfinite(detail.resistance_min_eig)
+        assert full["ties"] == [[0, 1, cert.antagonism_headroom]]
+        assert dec.zero_count == 2 and np.isfinite(gram).all()
 
     @pytest.mark.parametrize("kept", [False, True])
     def test_pair_recorded_in_one_order(self, monkeypatch, kept):
@@ -1055,6 +1101,7 @@ class TestReportRoute:
 
     def test_route_matches_a_cold_certify(self, monkeypatch, tmp_path):
         started = _record_threads(monkeypatch)
+        calls = counting_linalg(monkeypatch)
         rng = np.random.default_rng(29)
         verdicts = set()
         for k, (g, b) in enumerate(_corpus()):
@@ -1067,6 +1114,7 @@ class TestReportRoute:
             dt = 0.01 / g.n / float(np.max(np.abs(g.w)))
             config = ScenarioConfig(str(path), tuple(sorted(b.v1)), dt=dt, t_max=dt)
             gammas = (1.0, 2.0, 3.5)
+            mark = len(calls)
             for gamma, report in zip(gammas, run_sweep(config, gammas)):
                 cold = certify(g, b, gamma)
                 verdicts.add(cold.verdict.value)
@@ -1074,10 +1122,89 @@ class TestReportRoute:
                     for key in ("verdict", "decided_by", "connected", "antagonism_headroom",
                                 "headroom_tol", "same_side_ties"):
                         assert getattr(kept, key) == getattr(cold, key), key
-                # the report integrated, off the one eigh, exactly when the
-                # verdict flows
+                # the report integrated exactly when the verdict flows
                 assert (report.trajectory is not None) == cold.verdict.flows
-                made = "eigen" in vars(_partner(report.certificate.graph, b))
-                assert made == cold.verdict.flows
+            # off the partner's one eigh, made for the sweep where it flows
+            # (t* decides, so the verdict flows at every coefficient or none)
+            eighs = [c for c in calls[mark:] if c[0] == "eigh"]
+            assert eighs == [("eigh", (g.n, g.n))] * cold.verdict.flows
         assert {"AsymmetricPolarization", "Divergence", "Consensus", "Inconclusive"} <= verdicts
         assert started == []
+
+
+def _all_negative_clique(n, spread=1.0):
+    """All-negative K_n with weights from 1 to 1 + 2 ``spread``, node 0
+    alone on its side: the other n - 1 nodes hold (n - 1)(n - 2) / 2
+    same-side ties, more than their n - 1 endpoint rows once n >= 5."""
+    edges = [(i, j, -(1.0 + spread * ((i + j) % 3))) for i in range(n) for j in range(i + 1, n)]
+    return SignedGraph(n, edges), Bipartition(n, frozenset({0}))
+
+
+class TestTieHeadroom:
+    """Each same-side tie's own headroom t_e = 1 / M_ee - 1, where
+    M_ee = w_e R_abs,e is M's diagonal, from the factor that gives t*:
+    the headroom of that tie alone, which bounds t* from above."""
+
+    @pytest.mark.parametrize("kind", ["AsymmetricPolarization", "Divergence", "Inconclusive"])
+    def test_matches_the_resistance_route(self, kind):
+        # fewer ties than endpoint rows: M's diagonal before the shift
+        for seed in range(3):
+            g, b = two_bloc_draw(seed, 120, kind)
+            cert = certify(g, b, 2.0)
+            assert 0 < cert.same_side_ties <= tie_endpoints(g, b)
+            ties = certificate_dict(cert, "full")["ties"]
+            assert_tie_headroom(ties, reference_tie_headroom(g, b))
+            if kind == "Inconclusive":  # disconnected: nothing factored
+                assert all(t is None for *_, t in ties)
+            else:
+                assert 1.0 + cert.antagonism_headroom <= (
+                    1.0 + min(t for *_, t in ties)) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_more_ties_than_endpoint_rows(self, n, monkeypatch):
+        # M summed s ties at a time: t_e from each chunk's column norms, in
+        # the ties' canonical order; no solve beyond the core's own
+        g, b = _all_negative_clique(n)
+        calls = counting_linalg(monkeypatch)
+        cert = certify(g, b, 2.0)
+        assert cert.same_side_ties > n - 1
+        assert calls == core_calls(n, cert.same_side_ties, n - 1)
+        ties = certificate_dict(cert, "full")["ties"]
+        assert [row[:2] for row in ties] == [[i, j] for i, j, _ in g.edges if i]
+        assert_tie_headroom(ties, reference_tie_headroom(g, b))
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_headroom_below_every_tie(self, n):
+        # lambda_max(M) >= max M_ee, so t* <= min t_e.  On the unit cliques
+        # t_e = n / 2 - 1 and t* = 1 / (n - 1): every tie alone leaves the
+        # flow polarizing (t_e > 1) while all of them together make it
+        # diverge (t* < 1), so t_e > 1 proves nothing
+        g, b = _all_negative_clique(n, spread=0.0)
+        cert = certify(g, b, 2.0)
+        assert cert.verdict is Verdict.DIVERGENCE
+        assert np.allclose(cert.tie_headroom, n / 2.0 - 1.0, rtol=1e-13, atol=0.0)
+        assert abs(cert.antagonism_headroom - 1.0 / (n - 1)) <= 1e-13
+        for spread in (0.0, 1.0):
+            cert = certify(*_all_negative_clique(n, spread), 2.0)
+            assert cert.antagonism_headroom <= min(cert.tie_headroom)
+
+    def test_one_tie_is_the_headroom(self, allneg_triangle, allneg_split,
+                                     unstable_triangle):
+        # with one same-side tie M is 1 x 1, so t_e = t*
+        for g in (allneg_triangle, unstable_triangle, *_extra_zero_triangle()[:1]):
+            cert = certify(g, allneg_split, 2.0)
+            assert cert.tie_headroom.tolist() == [cert.antagonism_headroom]
+
+    def test_infinite_tie_headroom_is_null(self):
+        # a tie 1e-320 of the others: its M_ee is subnormal, 1 / M_ee
+        # overflows with no warning, and the document prints null
+        g = SignedGraph(4, [(0, 1, -1e-320), (1, 2, -1.0), (0, 3, -1.0), (1, 3, -1.0),
+                            (2, 3, -1.0)])
+        b = Bipartition(4, frozenset({0, 1, 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(g, b, 2.0)
+            ties = certificate_dict(cert, "full")["ties"]
+        assert cert.tie_headroom[0] == math.inf
+        assert ties[0] == [0, 1, None] and ties[1][:2] == [1, 2]
+        assert abs(ties[1][2] - cert.antagonism_headroom) <= 1e-12
