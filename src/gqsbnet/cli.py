@@ -54,13 +54,13 @@ def _stride(text: str) -> int:
 
 
 _NODES = "dominant group as 'i,j,...' node list"
-# Every flag beyond --network, --weights and --out; "dominant?" and
-# "gamma?" are spectrum's, where --gamma is read only with --dominant.
+# Every flag beyond --network, --weights and --out; "dominant?" is
+# spectrum's, which reads no coefficient: its scaled spectrum is the
+# partner's, the same at every one.
 _FLAGS = {
     "dominant": dict(required=True, help=_NODES),
     "dominant?": dict(default=None, help=_NODES + "; adds the scaled spectrum"),
     "gamma": dict(type=float, default=ScenarioConfig.gamma),
-    "gamma?": dict(type=float, default=None, help="needs --dominant"),
     "gammas": dict(required=True, help="comma-separated coefficients"),
     "x0": dict(default=None, help="start-state file"),
     "seed": dict(type=int, default=ScenarioConfig.seed),
@@ -109,13 +109,11 @@ def _config(args, gamma=None) -> ScenarioConfig:
         weights = _parse_list(args.weights, "weights")
         if len(weights) != 3:
             raise ValueError("--weights needs three values")
-    if gamma is None:
-        gamma = ScenarioConfig.gamma if args.gamma is None else args.gamma
     return ScenarioConfig(
         network_path=args.network,
         dominant_nodes=_parse_list("0" if args.dominant is None else args.dominant,
                                    "dominant", int, "integer node ids"),
-        gamma=gamma,
+        gamma=args.gamma if gamma is None else gamma,
         weights=weights, x0_path=args.x0, seed=args.seed, dt=args.dt, t_max=args.tmax,
     )
 
@@ -134,8 +132,7 @@ def _scenario(args):
     """The command's scenario, its network, and the bipartition of its
     ``--dominant`` group (None when the flag is absent)."""
     config = _config(args)
-    if args.dominant is not None:
-        _warn_gamma(config.gamma)
+    _warn_gamma(config.gamma)
     g, _, _ = _resolve_network(config)
     if args.dominant is None:
         return config, g, None
@@ -167,15 +164,12 @@ def _cmd_bipartitions(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.gamma is not None and args.dominant is None:
-        raise ValueError("--gamma applies only with --dominant")
-    config, g, b = _scenario(args)
+    _, g, b = _scenario(args)
     doc = {
         "repelling": sym_eigvals(repelling_laplacian(g)).tolist(),
         "opposing": sym_eigvals(opposing_laplacian(g)).tolist(),
     }
     if b is not None:
-        generalized_laplacian(g, b, config.gamma)  # checks the coefficient
         doc["scaled"] = sym_eigvals(partner_laplacian(g, b)).tolist()
     _emit(args, {"spectrum.json": render_json(doc) + "\n"})
     return 0
@@ -242,7 +236,7 @@ _START = ("dominant", "gamma", "x0", "seed")
 _COMMANDS = {
     "classify": (_cmd_classify, "balance class of the network", ()),
     "bipartitions": (_cmd_bipartitions, "all antagonistic bipartitions", ()),
-    "spectrum": (_cmd_spectrum, "classic and scaled spectra", ("dominant?", "gamma?")),
+    "spectrum": (_cmd_spectrum, "classic and scaled spectra", ("dominant?",)),
     "certify": (_cmd_certify, "polarization certificate", ("dominant", "gamma", "detail")),
     "simulate": (_cmd_simulate, "integrate the flow", (*_START, "dt", "tmax", "stride")),
     "predict": (_cmd_predict, "closed-form final state", _START),

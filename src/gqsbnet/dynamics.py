@@ -21,6 +21,8 @@ from .spectral import certify
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
 STOP_TOL = 1e-10
+# Time horizon of a run (integrate's and a scenario's default).
+T_MAX = 1000.0
 # Agreement within which assess reads a final state's pattern.
 _OUTCOME_TOL = 1e-6
 
@@ -146,7 +148,7 @@ def integrate(
     bundle: OperatorBundle,
     x0,
     dt: float | None = None,
-    t_max: float = 1000.0,
+    t_max: float = T_MAX,
     stop_tol: float = STOP_TOL,
     record_every: int | None = None,
 ) -> Trajectory:

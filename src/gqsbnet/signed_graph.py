@@ -496,22 +496,16 @@ def _scan_forest(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _antagonistic_forest(g: SignedGraph) -> tuple[_Columns, np.ndarray]:
-    """The antagonistic edges of g as columns in canonical order, and which
-    of them the forest of ``spanning_forest`` keeps."""
-    neg = ~(g.w > 0)
-    edges = _Columns(g.i[neg], g.j[neg], g.w[neg])
-    return edges, _scan_forest(g.n, edges.i, edges.j)
-
-
 def spanning_forest(g: SignedGraph) -> SignDecomposition:
     """Split edges by sign and forest the antagonistic subgraph.
 
-    Edges are scanned in canonical order, so the forest is deterministic;
-    the leftover antagonistic edges each close a cycle in the forest.
+    The antagonistic edges are scanned in canonical order
+    (``_scan_forest``), so the forest is deterministic; the leftover
+    antagonistic edges each close a cycle in the forest.
     """
     pos = g.w > 0
-    (i, j, w), kept = _antagonistic_forest(g)
+    i, j, w = g.i[~pos], g.j[~pos], g.w[~pos]
+    kept = _scan_forest(g.n, i, j)
     return SignDecomposition(
         _triples(g.i[pos], g.j[pos], g.w[pos]),
         _triples(i, j, w),
@@ -547,10 +541,10 @@ def validate_gqsb(g: SignedGraph, b: Bipartition) -> bool:
     return bool(np.all(g.w[_crossing(g, b)] < 0))
 
 
-def _no_antagonism_within(g: SignedGraph, side: np.ndarray) -> bool:
-    """True when no antagonistic edge has both ends on one side of the
-    boolean node mask ``side``."""
-    return not np.any((g.w < 0) & (side[g.i] == side[g.j]))
+def _same_side_ties(g: SignedGraph, side: np.ndarray) -> np.ndarray:
+    """Which edges of g, in canonical order, are antagonistic ties with
+    both ends on one side of the boolean node mask ``side``."""
+    return (g.w < 0) & (side[g.i] == side[g.j])
 
 
 def is_structurally_balanced(g: SignedGraph) -> Bipartition | None:
@@ -562,7 +556,7 @@ def is_structurally_balanced(g: SignedGraph) -> Bipartition | None:
     first, else None.
     """
     b = is_qsb(g)
-    if b is None or not _no_antagonism_within(g, b.mask()):
+    if b is None or _same_side_ties(g, b.mask()).any():
         return None
     return b
 
@@ -617,7 +611,7 @@ def classify(g: SignedGraph) -> str:
     p = _cooperative_count(g)
     if p == 2:
         # node 0's component is the one labelled 0
-        return SB if _no_antagonism_within(g, g.cooperative_labels == 0) else QSB
+        return QSB if _same_side_ties(g, g.cooperative_labels == 0).any() else SB
     return GQSB if p > 2 else UNBALANCED
 
 

@@ -51,6 +51,7 @@ from .signed_graph import (
     Edge,
     SignedGraph,
     _node_id,
+    _same_side_ties,
     connected_components,
 )
 
@@ -197,7 +198,8 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
     t* is None when rounding leaves the grounded L_abs without a factor
     (a network held together by a tie below about 1e-14 of the largest
     weight is disconnected in double precision), and so is t_e, or when
-    the band reaches 2.
+    the band reaches 2.  t* is infinite where mu is subnormal (a lone tie
+    below about 1e-308 of the largest weight) and 1 / mu overflows.
     Raises TooLarge when twice an absolute row sum of the adjacency
     overflows, and NoConvergence as ``sym_eigvals`` does; signals
     nothing.
@@ -246,8 +248,12 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
             return np.inf, HEADROOM_TOL, own
         # the top eigenvector of m by one step of inverse iteration from a
         # start no structure of m is orthogonal to (numpy.random would
-        # import hashlib), as u in C's space; then x = C^-T u
-        m.flat[:: m.shape[0] + 1] -= mu * (1.0 + 1e-8)
+        # import hashlib), as u in C's space; then x = C^-T u.  m and the
+        # shift are first scaled by a power of two, which is exact, so that
+        # a subnormal mu keeps the shift's digits and does not cancel m
+        e = np.frexp(mu)[1]
+        np.ldexp(m, -e, out=m)
+        m.flat[:: m.shape[0] + 1] -= np.ldexp(mu, -e) * (1.0 + 1e-8)
         v = np.linalg.solve(m, np.sin(np.arange(1.0, m.shape[0] + 1.0)))
         u = np.zeros(n - 1)
         u[top:] = z @ v if few else v
@@ -288,7 +294,9 @@ class PartnerCore:
 def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """The coefficient-free part of the certificate for (g, b): one
     Cholesky factorization of the grounded L_abs (``_headroom``) on a
-    connected network with same-side antagonism, none otherwise.
+    connected network with same-side antagonism, none otherwise.  The
+    same-side ties are ``signed_graph._same_side_ties``, the mask that
+    classification reads too.
 
     Kept in the partner kept on ``g`` (one per graph object, see
     ``operators._partner``), so certificates and predictions at any
@@ -298,8 +306,7 @@ def partner_core(g: SignedGraph, b: Bipartition) -> PartnerCore:
     """
     partner = _partner(g, b)
     if partner.core is None:
-        side = b.mask()
-        tie = (g.w < 0) & (side[g.i] == side[g.j])
+        tie = _same_side_ties(g, b.mask())
         connected = len(connected_components(g)) == 1
         headroom, tol, own = (None, HEADROOM_TOL, None) if not connected else (
             _headroom(g, tie) if tie.any() else (np.inf, HEADROOM_TOL, None))

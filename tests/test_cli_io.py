@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,26 @@ class TestPipeline:
         assert report.outcome is None
         assert '"outcome": null' in report_to_json(report)
 
+    @pytest.mark.parametrize("text, verdict, built", [
+        (ALLNEG, Verdict.ASYMMETRIC_POLARIZATION, 3),
+        (UNSTABLE, Verdict.DIVERGENCE, 0),
+        ("4 3\n0 1 -1\n0 2 -3\n1 2 -3\n", Verdict.INCONCLUSIVE, 0),  # node 3 isolated
+    ], ids=["polarizing", "divergent", "disconnected"])
+    def test_sweep_builds_a_bundle_only_where_the_flow_runs(self, tmp_path, monkeypatch,
+                                                            text, verdict, built):
+        # certify checks the coefficient, so a verdict that stops the flow
+        # needs no bundle
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        calls = []
+        bundle = fileio.generalized_laplacian
+        monkeypatch.setattr(fileio, "generalized_laplacian",
+                            lambda *args: calls.append(args) or bundle(*args))
+        reports = list(fileio.run_sweep(ScenarioConfig(str(path), (0, 1), dt=0.01),
+                                        [1.5, 2.0, 3.0]))
+        assert [r.certificate.verdict for r in reports] == [verdict] * 3
+        assert [gamma for *_, gamma in calls] == [1.5, 2.0, 3.0][:built]
+
     def test_byte_determinism(self, allneg_file):
         config = ScenarioConfig(allneg_file, (0, 1), gamma=2.0, dt=0.01, seed=7)
         first = report_to_json(run_pipeline(config))
@@ -600,7 +621,7 @@ class TestSerialization:
 OPTIONS = {
     "classify": set(),
     "bipartitions": set(),
-    "spectrum": {"--dominant", "--gamma"},
+    "spectrum": {"--dominant"},
     "certify": {"--dominant", "--gamma", "--detail"},
     "simulate": {"--dominant", "--gamma", "--x0", "--seed", "--dt", "--tmax", "--stride"},
     "predict": {"--dominant", "--gamma", "--x0", "--seed"},
@@ -624,6 +645,7 @@ class TestCli:
         ["predict", "--tmax", "5"],
         ["predict", "--stride", "2"],
         ["sweep", "--gammas", "2", "--stride", "2"],
+        ["spectrum", "--gamma", "3"],
     ])
     def test_unread_flags_are_usage_errors(self, allneg_file, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -726,9 +748,10 @@ class TestCli:
 
     @pytest.mark.parametrize("gamma", ["3", "2", "-5", "nan"])
     def test_spectrum_gamma_needs_dominant(self, capsys, gamma):
-        # without --dominant there is no scaled spectrum to read it
+        # spectrum reads no coefficient, with --dominant or without it
         assert main(["spectrum", "--network", "highland", f"--gamma={gamma}"]) == 1
-        assert capsys.readouterr() == ("", "error: --gamma applies only with --dominant\n")
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --gamma" in err
 
     def test_spectrum_scaled_is_the_core_spectrum(self, capsys, monkeypatch):
         docs = []
@@ -753,8 +776,7 @@ class TestCli:
         assert "laplacian" in kept and "eigen" not in kept
 
     def test_spectrum_scaled(self, allneg_file, capsys):
-        code = main(["spectrum", "--network", allneg_file,
-                     "--dominant", "0,1", "--gamma", "2"])
+        code = main(["spectrum", "--network", allneg_file, "--dominant", "0,1"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert np.allclose(doc["scaled"], [0.0, 1.0, 9.0], atol=1e-9)
@@ -899,6 +921,35 @@ class TestCli:
         assert got.out == ""
         assert got.err.startswith("error: entries too large: twice the absolute sum")
         assert got.err.count("\n") == 1
+
+    def test_subnormal_lone_tie_answers(self, tmp_path, capsys):
+        # the one same-side tie is 1e-320 of the others, so M's one entry
+        # is subnormal: t* overflows to infinity (null) and the flow
+        # polarizes, with no warning; predict's limit does not read t*, so
+        # it is the 1e-300 triangle's
+        tiny, small = tmp_path / "tiny.txt", tmp_path / "small.txt"
+        tiny.write_text("3 3\n0 1 -1e-320\n0 2 -1\n1 2 -1\n")
+        small.write_text("3 3\n0 1 -1e-300\n0 2 -1\n1 2 -1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for detail in ("summary", "full"):
+                assert main(["certify", "--network", str(tiny), "--dominant", "0,1",
+                             "--detail", detail]) == 0
+                out, err = capsys.readouterr()
+                doc = json.loads(out)
+                assert err == "" and doc["verdict"] == "AsymmetricPolarization"
+                assert doc["antagonism_headroom"] is None
+                assert doc.get("ties", [[0, 1, None]]) == [[0, 1, None]]
+            assert main(["report", "--network", str(tiny), "--dominant", "0,1"]) == 0
+            out, err = capsys.readouterr()
+            doc = json.loads(out)
+            assert err == "" and doc["certificate"]["antagonism_headroom"] is None
+            assert doc["outcome"]["kind"] == "AsymmetricPolarization"
+            predicted = []
+            for network in (tiny, small):
+                assert main(["predict", "--network", str(network), "--dominant", "0,1"]) == 0
+                predicted.append(capsys.readouterr())
+        assert predicted[0] == predicted[1] and predicted[0].err == ""
 
     @pytest.mark.parametrize("gamma", ["1e-300", "1.7e308"])
     def test_gauge_beyond_the_double_range_too_large(self, capsys, gamma):

@@ -1208,3 +1208,17 @@ class TestTieHeadroom:
         assert cert.tie_headroom[0] == math.inf
         assert ties[0] == [0, 1, None] and ties[1][:2] == [1, 2]
         assert abs(ties[1][2] - cert.antagonism_headroom) <= 1e-12
+
+    def test_lone_subnormal_tie_polarizes(self):
+        # the only tie 1e-320 of the others: mu, M's one entry, is
+        # subnormal, and the inverse iteration's shift keeps its digits,
+        # so t* = 1 / mu - 1 overflows to infinity with no warning
+        g = SignedGraph(3, [(0, 1, -1e-320), (0, 2, -1.0), (1, 2, -1.0)])
+        b = Bipartition(3, frozenset({0, 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(g, b, 2.0)
+            doc = certificate_dict(cert, "full")
+        assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
+        assert cert.antagonism_headroom == math.inf and cert.tie_headroom.tolist() == [math.inf]
+        assert doc["antagonism_headroom"] is None and doc["ties"] == [[0, 1, None]]
