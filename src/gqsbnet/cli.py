@@ -15,10 +15,10 @@ failing command writes nothing.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
-from .dynamics import OutcomeKind, assess, integrate, predict_final
 from .errors import GqsbError
 from .fileio import (
     DEFAULT_HIGHLAND_WEIGHTS,
@@ -37,10 +37,11 @@ from .fileio import (
     trajectory_to_csv,
     _resolve_network,
 )
-from .operators import (generalized_laplacian, opposing_laplacian, partner_laplacian,
-                        repelling_laplacian, sym_eigvals)
 from .signed_graph import bipartition_from_dominant
-from .spectral import certify
+
+# A handler imports dynamics, operators and spectral itself, so classify
+# and bipartitions load none of them, spectrum no spectral and certify no
+# dynamics.
 
 
 def _stride(text: str) -> int:
@@ -164,6 +165,8 @@ def _cmd_bipartitions(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .operators import opposing_laplacian, partner_laplacian, repelling_laplacian, sym_eigvals
+
     _, g, b = _scenario(args)
     doc = {
         "repelling": sym_eigvals(repelling_laplacian(g)).tolist(),
@@ -176,6 +179,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .spectral import certify
+
     config, g, b = _scenario(args)
     cert = certify(g, b, config.gamma)
     _emit(args, {"certificate.json": render_json(certificate_dict(cert, args.detail)) + "\n"})
@@ -183,6 +188,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .dynamics import OutcomeKind, assess, integrate
+    from .operators import generalized_laplacian
+
     config, g, b = _scenario(args)
     bundle = generalized_laplacian(g, b, config.gamma)
     traj = integrate(bundle, start_state(config, g.n), dt=config.dt, t_max=config.t_max)
@@ -195,6 +203,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .dynamics import predict_final
+    from .operators import generalized_laplacian
+
     config, g, b = _scenario(args)
     final = predict_final(generalized_laplacian(g, b, config.gamma), start_state(config, g.n))
     _emit(args, {"final_state.json": render_json({"x_final": final.tolist()}) + "\n"})
@@ -262,7 +273,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and ``python -m gqsbnet``: ``main``, then exit.
+
+    The process ends once the command's output is written, so the
+    objects its imports made are frozen first: the collector's passes at
+    interpreter exit then skip them, and refcounting still frees them.
+    Exit stays ``sys.exit``, so ``atexit`` runs and a failed flush of
+    stdout is still reported.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._defaults import T_MAX
 from .errors import BadIndex, BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
 from .operators import OperatorBundle, _real_array
 from .signed_graph import Bipartition
@@ -21,8 +22,6 @@ from .spectral import certify
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
 STOP_TOL = 1e-10
-# Time horizon of a run (integrate's and a scenario's default).
-T_MAX = 1000.0
 # Agreement within which assess reads a final state's pattern.
 _OUTCOME_TOL = 1e-6
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 import os
 import re
@@ -19,14 +18,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (STOP_TOL, T_MAX, OutcomeReport, Trajectory, _horizon_steps,
-                       _is_count, assess, integrate)
+from ._defaults import T_MAX
 from .errors import BadState, GqsbError, MissingDataset, ParseError
-from .operators import generalized_laplacian
 from .signed_graph import (
     Bipartition,
     SignedGraph,
@@ -37,7 +35,13 @@ from .signed_graph import (
     classify,
     enumerate_gqsb_bipartitions,
 )
-from .spectral import PolarizationCertificate, certify
+
+if TYPE_CHECKING:
+    from .dynamics import OutcomeReport, Trajectory
+    from .spectral import PolarizationCertificate
+
+# dynamics, operators, spectral and json are imported where they are used,
+# so a command that never certifies or integrates never loads them
 
 DATA_DIR_ENV = "GQSB_DATA_DIR"
 HIGHLAND_FILENAME = "highland_tribes.txt"
@@ -174,7 +178,7 @@ def loads_network(text: str | bytes, name: str = "<string>") -> SignedGraph:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
     text = text.removeprefix(b"\xef\xbb\xbf")
-    if (text.isascii() and text.count(b"\r") == text.count(b"\r\n")
+    if (text.isascii() and (b"\r" not in text or text.count(b"\r") == text.count(b"\r\n"))
             and not any(c in text for c in _OTHER_BREAKS)):
         g = _loads_bulk(text, name)
         if g is not None:
@@ -325,6 +329,10 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     needs the partner spectrum, is taken and its step count checked only
     where the flow is integrated.
     """
+    from .dynamics import STOP_TOL, _horizon_steps, assess, integrate
+    from .operators import generalized_laplacian
+    from .spectral import certify
+
     _horizon_steps(config.t_max, config.dt)
     g, label, data = _resolve_network(config)
     # imported here, the one place that hashes: OpenSSL costs every other command
@@ -401,6 +409,8 @@ def _json_string(text: str) -> str:
     surrogate (an undecodable path byte) becomes a \\udcXX escape."""
     if text.isidentifier():  # letters, digits and underscores: nothing to escape
         return f'"{text}"'
+    import json
+
     return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace").decode()
 
 
@@ -422,6 +432,8 @@ def render_json(obj, indent: int = 0) -> str:
         types = set(map(type, obj))
         if all(issubclass(t, (float, np.floating)) for t in types):
             return "[" + _float_row(obj) + "]"
+        if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+            return "[" + ", ".join(map(str, map(int, obj))) + "]"
         if not any(issubclass(t, (dict, list, tuple)) for t in types):
             return "[" + ", ".join(render_json(v, indent + 1) for v in obj) + "]"
         rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in obj)
@@ -515,6 +527,8 @@ def trajectory_to_csv(traj: Trajectory, stride: int = 1) -> str:
     ``stride``, an integer of at least 1 (not a bool), thins the recorded
     samples; the final sample always stays.
     """
+    from .dynamics import _is_count
+
     if not _is_count(stride):
         raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
     n = traj.states.shape[1]

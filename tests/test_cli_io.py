@@ -1,6 +1,8 @@
 import argparse
 import functools
+import gc
 import hashlib
+import importlib
 import importlib.metadata
 import inspect
 import io
@@ -415,8 +417,8 @@ class TestPipeline:
         path = tmp_path / "net.txt"
         path.write_text(text)
         calls = []
-        bundle = fileio.generalized_laplacian
-        monkeypatch.setattr(fileio, "generalized_laplacian",
+        bundle = gqsbnet.operators.generalized_laplacian
+        monkeypatch.setattr(gqsbnet.operators, "generalized_laplacian",
                             lambda *args: calls.append(args) or bundle(*args))
         reports = list(fileio.run_sweep(ScenarioConfig(str(path), (0, 1), dt=0.01),
                                         [1.5, 2.0, 3.0]))
@@ -553,6 +555,26 @@ class TestSerialization:
             assert render_json(row) == expected
         assert render_json(values) == "[0, 4.94065645841247e-324, 0.1, 1e-05, 1e+16, " \
             "0.333333333333333, -2.5e-300, 1.23456789012346e+17]"
+
+    def test_render_json_int_rows_in_bulk(self):
+        class Loud(int):
+            def __str__(self):
+                return "loud"
+
+        big = 2 ** 63 + 5
+        rows = {
+            "[0, -1, 3, -9223372036854775808]": [0, -1, np.int64(3), np.int64(-2 ** 63)],
+            f"[{big}, -{big}, 18446744073709551615]": [big, -big, np.uint64(2 ** 64 - 1)],
+            "[7, -2]": [Loud(7), np.int8(-2)],
+            # a bool among ints keeps its JSON spelling
+            "[1, true, 2, false]": [1, True, np.int64(2), False],
+            "[true, false]": [True, False],
+            "[1, true, 3]": [np.int64(1), np.bool_(True), 3],
+        }
+        for expected, row in rows.items():
+            assert render_json(row) == expected
+            assert render_json(tuple(row)) == expected
+        assert render_json({"v": [[3, 1], [-2]]}) == '{\n  "v": [\n    [3, 1],\n    [-2]\n  ]\n}'
 
     def test_render_json_mixed_rows_unchanged(self):
         assert render_json([1, True, 2.5, np.int64(3), np.bool_(False), -0.0]) == \
@@ -767,8 +789,8 @@ class TestCli:
         # the scaled spectrum is computed where it is printed: the partner
         # keeps its Laplacian and no eigh
         read = []
-        laplacian = gqsbnet.cli.partner_laplacian
-        monkeypatch.setattr(gqsbnet.cli, "partner_laplacian",
+        laplacian = gqsbnet.operators.partner_laplacian
+        monkeypatch.setattr(gqsbnet.operators, "partner_laplacian",
                             lambda g, b: read.append((g, b)) or laplacian(g, b))
         assert main(["spectrum", "--network", "highland", "--dominant", "3"]) == 0
         (g, b), = read
@@ -1533,7 +1555,7 @@ class TestCli:
         saved = json.loads((out / "report.json").read_bytes())
         assert saved == doc
 
-    def test_console_script_installed(self, allneg_file, tmp_path):
+    def test_console_script_installed(self, allneg_file, unstable_file, tmp_path):
         target = _declared_console_script("gqsbnet")
         assert target == "gqsbnet.cli:entry"
         # Make the child import the gqsbnet under test, ahead of any other copy.
@@ -1551,14 +1573,17 @@ class TestCli:
         exe = shutil.which("gqsbnet")
         good = ["classify", "--network", allneg_file]
         bad = ["classify", "--network", str(tmp_path / "ghost.txt")]
-        for args, status in ((good, 0), (bad, 1)):
+        divergent = ["certify", "--network", unstable_file, "--dominant", "0,1"]
+        for args, status, (key, value) in ((good, 0, ("classification", "GQSB")),
+                                           (bad, 1, (None, None)),
+                                           (divergent, 2, ("verdict", "Divergence"))):
             proc = subprocess.run([sys.executable, "-c", wrapper, *args], env=env,
                                   cwd=tmp_path, capture_output=True)
             origin, _, err = proc.stderr.decode().partition("\n")
             assert Path(origin).resolve() == Path(gqsbnet.__file__).resolve(), err
             assert proc.returncode == status, err
-            if status == 0:
-                assert json.loads(proc.stdout)["classification"] == "GQSB"
+            if key is not None:
+                assert json.loads(proc.stdout)[key] == value
             else:
                 assert "error:" in err
             if exe is not None:
@@ -1586,6 +1611,78 @@ class TestCli:
                                   capture_output=True)
             assert (proc.returncode, proc.stderr) == (0, b"False False False\n"), argv
 
+    def test_commands_load_only_the_modules_they_run(self, allneg_file):
+        # classify and bipartitions build no operator, spectrum certifies
+        # nothing and certify integrates nothing; what a command does not
+        # run it does not import
+        boot = (
+            "import sys\n"
+            "from gqsbnet import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "names = ('operators', 'spectral', 'dynamics')\n"
+            "print(*(f'gqsbnet.{name}' in sys.modules for name in names), file=sys.stderr)\n"
+        )
+        for argv, loaded in ((["classify", "--network", "highland"], b"False False False"),
+                             (["bipartitions", "--network", allneg_file], b"False False False"),
+                             (["spectrum", "--network", allneg_file, "--dominant", "0,1"],
+                              b"True False False"),
+                             (["certify", "--network", allneg_file, "--dominant", "0,1"],
+                              b"True True False"),
+                             (["predict", "--network", allneg_file, "--dominant", "0,1"],
+                              b"True True True")):
+            proc = subprocess.run([sys.executable, "-c", boot, *argv], env=_child_env(),
+                                  capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, loaded + b"\n"), argv
+
+    def test_public_names_resolve_to_their_modules(self):
+        # the names the package exported when it imported every module at
+        # once, by the module that defines each; each resolves on first use
+        homes = {
+            "errors": "BadGamma BadIndex BadPartition BadState BadStep DimensionMismatch "
+                      "DuplicateEdge GqsbError MissingDataset NoConvergence NonFiniteWeight "
+                      "NotGQSB NotPolarizing NotSymmetric ParseError SelfLoop TooLarge "
+                      "ZeroWeight",
+            "signed_graph": "GQSB QSB SB UNBALANCED Bipartition IncidenceMatrix NeighborSets "
+                            "SignDecomposition SignedGraph bipartition_from_dominant "
+                            "chromatic_number classify condense_positive_components "
+                            "connected_components enumerate_gqsb_bipartitions "
+                            "incidence_matrix is_qsb is_structurally_balanced neighbor_sets "
+                            "positive_components spanning_forest subgraph_by_sign "
+                            "validate_gqsb",
+            "operators": "EigenDecomposition OperatorBundle default_zero_tol gauge_matrices "
+                         "generalized_adjacency generalized_degree generalized_laplacian "
+                         "opposing_laplacian partner_laplacian partner_network "
+                         "repelling_laplacian sym_eigen sym_eigvals z_transform_network",
+            "spectral": "PartnerCore PolarizationCertificate Verdict certify "
+                        "clear_partner_cache effective_resistance partner_core pseudoinverse "
+                        "psd_simple_zero",
+            "dynamics": "DIVERGENCE_LIMIT OutcomeKind OutcomeReport Termination Trajectory "
+                        "assess closed_form_state default_step integrate predict_final",
+            "fileio": "DATA_DIR_ENV Report ScenarioConfig dump_network highland_path "
+                      "load_highland load_network load_state_file loads_network "
+                      "report_to_json run_pipeline trajectory_to_csv",
+        }
+        names = {name: home for home, text in homes.items() for name in text.split()}
+        assert len(names) == 86
+        assert sorted(gqsbnet.__all__) == sorted([*homes, *names])
+        for name in gqsbnet.__all__:
+            module = importlib.import_module(f"gqsbnet.{names.get(name, name)}")
+            assert getattr(gqsbnet, name) is (module if name in homes else vars(module)[name])
+        assert set(gqsbnet.__all__) <= set(dir(gqsbnet))
+        with pytest.raises(AttributeError, match="no attribute 'absent'"):
+            gqsbnet.absent
+
+    def test_main_leaves_the_collector_alone(self, allneg_file, unstable_file, capsys):
+        # only entry(), on its way out of the process, freezes the heap
+        before = gc.isenabled(), gc.get_freeze_count()
+        for argv, status in ((["classify", "--network", allneg_file], 0),
+                             (["report", "--network", allneg_file, "--dominant", "0,1",
+                               "--dt", "0.01"], 0),
+                             (["certify", "--network", unstable_file, "--dominant", "0,1"], 2),
+                             (["classify", "--network", allneg_file + ".ghost"], 1)):
+            assert main(argv) == status
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+
 
 
 class TestReportsAgainstBlockSearch:
@@ -1597,7 +1694,7 @@ class TestReportsAgainstBlockSearch:
     def _assert_same_bytes(monkeypatch, run):
         real = run()
         with monkeypatch.context() as patch:
-            patch.setattr(fileio, "integrate", reference_block_integrate)
+            patch.setattr(gqsbnet.dynamics, "integrate", reference_block_integrate)
             ref = run()
         assert len(real) == len(ref)
         integrated = 0
