@@ -75,14 +75,21 @@ _FLAGS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand's name and help, and the
+    flags of the one argparse will run, the first argument that is not
+    an option (the top level takes only -h), so ``--help`` and usage
+    errors read as with every subcommand built."""
     top = argparse.ArgumentParser(prog="gqsbnet")
     # a flag a command lacks keeps its default here, so every handler and
     # _config read the same namespace
     top.set_defaults(**{k: spec.get("default") for k, spec in _FLAGS.items() if k[-1] != "?"})
     sub = top.add_subparsers(dest="command", required=True)
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != chosen:
+            continue
         p.add_argument("--network", required=True,
                        help=f"edge-list file, or '{HIGHLAND_SENTINEL}' for the bundled dataset")
         p.add_argument("--weights", default=None,
@@ -259,8 +266,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract reserves 2 for
         # Inconclusive/Divergence verdicts, so usage problems map to 1.

@@ -11,7 +11,10 @@ leaves.  Scaling those ties by t keeps L positive semidefinite with a
 simple zero exactly for t < t*, and t* = 1 / lambda_max(M) - 1 with
 M = W^1/2 B_A^T L_abs^+ B_A W^1/2 (Zelazo and Buerger, CDC 2014, for one
 tie; Chen, Khong and Georgiou, ACC 2016, for many).  So a certificate
-factors L_abs once, by Cholesky, and computes no spectrum of L.
+factors L_abs once, by Cholesky, and computes no spectrum of L, nor of
+M: lambda_max(M) is the top Ritz value of Lanczos, proved by one more
+Cholesky factor, of M's shift just above it (Rump, BIT 46, 2006), and
+only where that proof fails does M's full spectrum decide.
 
 The headroom does not depend on the dominance coefficient, so it is
 computed once per (graph, bipartition) (``partner_core``) and kept in the
@@ -34,6 +37,7 @@ from .operators import (
     EigenDecomposition,
     _gauge_diagonals,
     _blocks,
+    _checked_symmetric,
     _frozen,
     _laplacian_of,
     _max_abs,
@@ -61,6 +65,13 @@ from .signed_graph import (
 HEADROOM_TOL = 2e-9
 # Rows of each diagonal block of the triangular solves.
 _PANEL = 64
+# Lanczos on M stops once its top Ritz value's residual estimate is this
+# share of it, and gives up after this many steps.
+_RITZ_TOL = 1e-12
+_LANCZOS_STEPS = 128
+# The proof's relative shift above the top Ritz value (``_proof``).
+_PROOF_SHIFT = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class Verdict(str, enum.Enum):
@@ -144,19 +155,121 @@ def _forest_gram(dec: EigenDecomposition, a: np.ndarray, b: np.ndarray) -> np.nd
     return _in_range(gram, "resistance Gram")
 
 
-def _forward(c: np.ndarray, rhs: np.ndarray, back: bool = False) -> np.ndarray:
+def _inverses(c: np.ndarray) -> list[np.ndarray]:
+    """The inverse of each ``_PANEL``-row diagonal block of the
+    lower-triangular ``c``, by ``np.linalg.inv`` (numpy has no triangular
+    solve), formed once for every substitution through ``c``: each costs
+    about a hundred single-vector substitutions through its block."""
+    return [np.linalg.inv(c[lo:lo + _PANEL, lo:lo + _PANEL]) for lo in range(0, c.shape[0], _PANEL)]
+
+
+def _forward(c: np.ndarray, inverses: list[np.ndarray], rhs: np.ndarray,
+             back: bool = False) -> np.ndarray:
     """The solution y of the lower-triangular c y = rhs, or with ``back``
     of c^T y = rhs, written over ``rhs``: each ``_PANEL``-row diagonal
-    block after one GEMM with the rows solved before it, by the inverse of
-    that triangular block (``np.linalg.inv``) and one more GEMM (numpy has
-    no triangular solve, and ``np.linalg.solve`` against many columns
-    costs several times the product)."""
-    t, starts = (c.T if back else c), range(0, c.shape[0], _PANEL)
-    for lo in reversed(starts) if back else starts:
+    block after one GEMM with the rows solved before it, by that block's
+    inverse from ``_inverses(c)`` (transposed with ``back``) and one more
+    GEMM (``np.linalg.solve`` against many columns costs several times
+    the product)."""
+    t = c.T if back else c
+    blocks = list(zip(range(0, c.shape[0], _PANEL), inverses))
+    for lo, inverse in reversed(blocks) if back else blocks:
         rows, done = slice(lo, lo + _PANEL), slice(lo + _PANEL, None) if back else slice(0, lo)
         rhs[rows] -= t[rows, done] @ rhs[done]
-        rhs[rows] = np.linalg.inv(t[rows, rows]) @ rhs[rows]
+        rhs[rows] = (inverse.T if back else inverse) @ rhs[rows]
     return rhs
+
+
+def _split_factor(grounded: np.ndarray, top: int):
+    """The Cholesky factor of ``grounded`` split at row ``top``: C11 of
+    the leading block with its ``_inverses``, C21^T = C11^-1 B solved
+    over a copy of the upper off-diagonal block B, and C22 of the Schur
+    complement D - C21 C21^T, formed by one GEMM beside D, so
+    ``grounded`` is left as it was.  None where either factor fails or
+    has a pivot within (rows) eps of zero, the rounding bound of a pivot
+    of a matrix whose entries are at most 1: there rounding all but
+    disconnects the network, whether a factor exists turns on the sign
+    of rounding, which the split and the whole factorization round
+    differently, and the caller factors the whole block, as it did
+    before the split."""
+    off = grounded[:top, top:].copy()
+    try:
+        lead = np.linalg.cholesky(grounded[:top, :top])
+        inverses = _inverses(lead)
+        _forward(lead, inverses, off)
+        schur = off.T @ off
+        np.subtract(grounded[top:, top:], schur, out=schur)
+        tail = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return None
+    floor = np.sqrt(grounded.shape[0] * _EPS)
+    if not min(lead.diagonal().min(), tail.diagonal().min()) > floor:
+        return None
+    return lead, inverses, off, tail
+
+
+def _top_ritz(m: np.ndarray, start: np.ndarray) -> float | None:
+    """The largest Ritz value of the symmetric ``m`` by Lanczos from
+    ``start``, with full reorthogonalization (Gram-Schmidt twice against
+    every earlier vector), once its residual estimate beta |y_last| is
+    within ``_RITZ_TOL`` of it; None when ``_LANCZOS_STEPS`` steps do not
+    get it there.  A Ritz value is a Rayleigh quotient, so it is at most
+    lambda_max(m) up to rounding; a start orthogonal to the top
+    eigenvector finds another one, which only the caller's proof catches.
+    The tridiagonal's top eigenpair comes from ``np.linalg.eigh`` from
+    the second step on."""
+    basis = np.empty((min(m.shape[0], _LANCZOS_STEPS), m.shape[0]))
+    basis[0] = start / np.linalg.norm(start)
+    t = np.zeros((basis.shape[0], basis.shape[0]))
+    for k in range(basis.shape[0]):
+        r = m @ basis[k]
+        done = basis[: k + 1]
+        c = done @ r
+        r -= c @ done
+        r -= (done @ r) @ done
+        t[k, k] = c[k]
+        beta = float(np.linalg.norm(r))
+        if k:
+            values, vectors = np.linalg.eigh(t[: k + 1, : k + 1])
+            theta, last = float(values[-1]), float(vectors[-1, -1])
+        else:
+            theta, last = float(c[0]), 1.0
+        if beta * abs(last) <= _RITZ_TOL * theta:
+            return theta
+        if k + 1 < basis.shape[0]:
+            t[k, k + 1] = t[k + 1, k] = beta
+            basis[k + 1] = r / beta
+    return None
+
+
+def _proof(m: np.ndarray, theta: float) -> np.ndarray | None:
+    """The Cholesky factor F of theta (1 + _PROOF_SHIFT) I - m, formed in
+    place over ``m``, or None, with ``m`` as it was, where numpy finds
+    none or the bound below is not within HEADROOM_TOL / 4 of theta.
+
+    A factor that completes makes that matrix plus an error E positive
+    semidefinite, with ||E|| at most gamma_(d+1) times its trace
+    (Demmel, 1989; Rump, BIT 46, 2006), gamma_j = j eps / (1 - j eps).
+    So lambda_max(m) < theta (1 + _PROOF_SHIFT) + ||E||, and with
+    theta <= lambda_max(m) the proof pins mu within HEADROOM_TOL / 4
+    relative: t* = 1/theta - 1 overstates M's by at most (1 + t*) / 4
+    HEADROOM_TOL, half the band where t* is near 1, so a t* outside the
+    band is on M's side of 1.  The diagonal is formed with one rounding
+    of theta's size each, far inside that margin."""
+    d = m.shape[0]
+    diag = m.diagonal().copy()
+    shift = theta * (1.0 + _PROOF_SHIFT)
+    rounding = (d + 1) * _EPS / (1.0 - (d + 1) * _EPS) * float(d * shift - diag.sum())
+    if not shift - theta + rounding <= theta * HEADROOM_TOL / 4.0:
+        return None
+    np.negative(m, out=m)
+    m.flat[:: d + 1] += shift
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        np.negative(m, out=m)
+        m.flat[:: d + 1] = diag
+        return None
 
 
 def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.ndarray | None]:
@@ -172,18 +285,33 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
     the adjacency (so weights at 10^+-300 stay representable and t*, a
     ratio of weights, keeps no unit), grounded at the first node of that
     order, where it is positive definite on a connected network, and
-    factored as C C^T.  B_A's grounded rows are zero above the s endpoint
-    rows, and so are those of Z = C^-1 B_A W^1/2, so Z is solved on C's
-    trailing s x s block alone.  M = Z^T Z, whose largest eigenvalue mu
-    gives t* = 1/mu - 1.  With more ties than s, mu comes instead from
+    factored as C C^T in two blocks split at the s endpoint rows
+    (``_split_factor``): the leading block's factor C11, the off-diagonal
+    C21^T = C11^-1 B by ``_forward``, and the factor C22 of the
+    endpoints' Schur complement, formed by one GEMM; or, where a pivot of
+    that split is within rounding of zero, by one ``np.linalg.cholesky``
+    of the whole grounded L_abs.  B_A's grounded rows are zero
+    above the endpoint rows, and so are those of Z = C^-1 B_A W^1/2, so Z
+    is solved on C22 alone.  M = Z^T Z, whose largest eigenvalue mu gives
+    t* = 1/mu - 1.  With more ties than s, mu comes instead from
     Z Z^T = C^-1 L_A C^-T, which has the same nonzero spectrum, summed
     over Z's columns s at a time, so M is min(k, s) square.  Each column
     of B_A sums to zero, so it is orthogonal to what grounding leaves
     nearly singular (a side held on by a weak tie), and rounding there
     reaches M only squared; forming C^-1 L_A C^-T from L_A itself would
     not keep that.  M's diagonal, M_ee = w_e R_abs,e, is Z's squared
-    column norms: with at most s ties, ``m``'s diagonal, copied before the
-    inverse iteration shifts it; otherwise each s ties' column norms.
+    column norms: with at most s ties, ``m``'s diagonal, copied before M
+    is scaled; otherwise each s ties' column norms.
+
+    M is checked as ``sym_eigvals`` checks its input, then scaled by the
+    power of two that puts its largest diagonal entry in [1/2, 1), which
+    is exact, so that a subnormal mu keeps its digits.  mu is the top
+    Ritz value theta of Lanczos on M from a sine start no structure of M
+    is orthogonal to (``_top_ritz``; numpy.random would import hashlib),
+    proved by a Cholesky factor F of theta (1 + delta) I - M (``_proof``).
+    Where Lanczos does not settle within ``_LANCZOS_STEPS`` or the proof
+    fails, mu is ``sym_eigvals``'s, as it was before the proof, and the
+    one step of inverse iteration below solves M - mu (1 + 1e-8) I by LU.
 
     A tie across a weak cut is not orthogonal to it: the cut's conductance
     is summed into L_abs's diagonal beside strong ties, and rounding loses
@@ -194,15 +322,17 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
     2 n eps in the scaled units; mu crosses 1/2 where t* crosses 1, so t*
     within 2 n eps ||L_abs|| ||x||^2 / mu of 1 decides nothing.  ||x||^2 / mu
     is ||C^-T u||^2 for the unit u = Z v / ||Z v||, one back substitution
-    over all n - 1 grounded rows.
+    through C22 and then C11.  v is one step of inverse iteration from
+    the sine vector: two substitutions through F on a proven mu.
     t* is None when rounding leaves the grounded L_abs without a factor
     (a network held together by a tie below about 1e-14 of the largest
     weight is disconnected in double precision), and so is t_e, or when
     the band reaches 2.  t* is infinite where mu is subnormal (a lone tie
     below about 1e-308 of the largest weight) and 1 / mu overflows.
     Raises TooLarge when twice an absolute row sum of the adjacency
-    overflows, and NoConvergence as ``sym_eigvals`` does; signals
-    nothing.
+    overflows, NotSymmetric as ``sym_eigvals`` does on M, and
+    NoConvergence only on the fallback, where ``sym_eigvals``'s trace or
+    Frobenius invariant fails; signals nothing.
     """
     n = g.n
     end = np.zeros(n, dtype=bool)
@@ -213,6 +343,7 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
     np.abs(a, out=a)
     sums = _row_sums(a, order)
     lap, unit = _laplacian_of(a, sums, out=a), float(sums.max())
+    del a
     # each tie's endpoints as rows of the endpoint block; with every node
     # an endpoint, the block's first row is the ground's and is dropped
     i, j = np.searchsorted(ends, g.i[tie]), np.searchsorted(ends, g.j[tie])
@@ -221,11 +352,18 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
     with np.errstate(under="ignore"):
         lap /= unit
         w = -g.w[tie] / unit
-        try:
-            c = np.linalg.cholesky(lap[1:, 1:])
-        except np.linalg.LinAlgError:
-            return None, HEADROOM_TOL, None
-        del a, lap
+        grounded = lap[1:, 1:]
+        factor = _split_factor(grounded, top) if top else None
+        if factor is None:
+            try:
+                whole = np.linalg.cholesky(grounded)
+            except np.linalg.LinAlgError:
+                return None, HEADROOM_TOL, None
+            lead = whole[:top, :top]
+            factor = lead, _inverses(lead), whole[top:, :top].T, whole[top:, top:]
+        lead, lead_inverses, off, c = factor
+        del lap, grounded, factor
+        inverses = _inverses(c)
         few = w.size <= s
         m, diag = None if few else np.zeros((s, s)), []
         for lo in range(0, w.size, s):  # at most s ties at a time
@@ -234,32 +372,46 @@ def _headroom(g: SignedGraph, tie: np.ndarray) -> tuple[float | None, float, np.
             cols = np.arange(root.size)
             rhs = np.zeros((ends.size, root.size))
             rhs[i[part], cols], rhs[j[part], cols] = root, -root
-            z = _forward(c[top:, top:], rhs[ends.size - s:])
+            z = _forward(c, inverses, rhs[ends.size - s:])
             if few:
                 m = z.T @ z
             else:
                 for rows in _blocks(s):
                     m[rows] += z[rows] @ z.T
             diag.append(m.diagonal().copy() if few else np.einsum("ij,ij->j", z, z))
+            if not few:  # freed before the next chunk's right-hand sides
+                del rhs, z
         with np.errstate(over="ignore", divide="ignore"):  # an M_ee below 1e-308
             own = 1.0 / np.concatenate(diag) - 1.0
-        mu = float(sym_eigvals(m)[-1])
+        m = _checked_symmetric(m)[0]
+        peak = float(m.diagonal().max())
+        if not peak > 0.0:  # M is PSD, so a zero diagonal makes it zero
+            return np.inf, HEADROOM_TOL, own
+        e = np.frexp(peak)[1]
+        np.ldexp(m, -e, out=m)
+        start = np.sin(np.arange(1.0, m.shape[0] + 1.0))
+        theta = _top_ritz(m, start)
+        f = None if theta is None else _proof(m, theta)
+        if f is None:
+            theta = float(sym_eigvals(m)[-1])
+            m.flat[:: m.shape[0] + 1] -= theta * (1.0 + 1e-8)
+            v = np.linalg.solve(m, start)
+        else:
+            del m  # only the factor is read from here on
+            f_inverses = _inverses(f)
+            v = _forward(f, f_inverses, _forward(f, f_inverses, start), back=True)
+        mu = float(np.ldexp(theta, e))
         if not mu > 0.0:
             return np.inf, HEADROOM_TOL, own
-        # the top eigenvector of m by one step of inverse iteration from a
-        # start no structure of m is orthogonal to (numpy.random would
-        # import hashlib), as u in C's space; then x = C^-T u.  m and the
-        # shift are first scaled by a power of two, which is exact, so that
-        # a subnormal mu keeps the shift's digits and does not cancel m
-        e = np.frexp(mu)[1]
-        np.ldexp(m, -e, out=m)
-        m.flat[:: m.shape[0] + 1] -= np.ldexp(mu, -e) * (1.0 + 1e-8)
-        v = np.linalg.solve(m, np.sin(np.arange(1.0, m.shape[0] + 1.0)))
-        u = np.zeros(n - 1)
-        u[top:] = z @ v if few else v
+        # v as u in C's space, then x = C^-T u, through C22 and then C11
+        u = z @ v if few else v
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _forward(c, u / np.linalg.norm(u), back=True)
-            band = 4.0 * n * np.finfo(float).eps * float(x @ x)
+            x = _forward(c, inverses, u / np.linalg.norm(u), back=True)
+            band = float(x @ x)
+            if top:
+                rest = _forward(lead, lead_inverses, -(off @ x), back=True)
+                band += float(rest @ rest)
+            band *= 4.0 * n * _EPS
     if not band < 2.0:
         return None, HEADROOM_TOL, own
     return 1.0 / mu - 1.0, max(HEADROOM_TOL, band), own

@@ -655,12 +655,16 @@ OPTIONS = {
 
 class TestCli:
     def test_option_sets(self):
-        top = gqsbnet.cli._parser()
-        sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(OPTIONS)
-        for name, parser in sub.choices.items():
-            found = {s for a in parser._actions for s in a.option_strings}
-            assert found == {"-h", "--help", "--network", "--weights", "--out"} | OPTIONS[name]
+        # the parser built for a command registers every subcommand and
+        # adds flags to that command's alone
+        for command in OPTIONS:
+            top = gqsbnet.cli._parser([command, "--network", "highland"])
+            sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+            assert set(sub.choices) == set(OPTIONS)
+            for name, parser in sub.choices.items():
+                found = {s for a in parser._actions for s in a.option_strings}
+                want = {"--network", "--weights", "--out"} | OPTIONS[name]
+                assert found == {"-h", "--help"} | (want if name == command else set())
 
     @pytest.mark.parametrize("argv", [
         ["predict", "--dt", "1"],

@@ -41,6 +41,7 @@ from support import (
     random_gqsb_instance,
     random_sb_instance,
     reference_bundle,
+    tie_endpoints,
 )
 
 
@@ -442,10 +443,12 @@ class TestOneAdjacencyPerPartition:
                 readers[k % len(readers)](generalized_laplacian(g, b, gamma))
             assert len(builds) == 1
             square = [name for name, shape in calls if shape == (n, n)]
-            # every spectrum reader reads the one eigh, and the core makes
-            # one factorization, none on a disconnected draw
+            # every spectrum reader reads the one eigh, and the core's
+            # calls are made once, none on a disconnected draw
             assert square == ["eigh"]
-            assert [name for name, _ in calls].count("cholesky") <= 1
+            core = partner_core(g, b)
+            want = core_calls(n, core.same_side_ties, tie_endpoints(g, b)) if core.connected else []
+            assert [c for c in calls if c != ("eigh", (n, n))] == want
             twin = SignedGraph(n, g.edges)  # an equal graph starts cold
             calls.clear()
             integrate(generalized_laplacian(twin, b, 2.0), x0)

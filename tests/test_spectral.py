@@ -591,9 +591,11 @@ class TestPartnerCore:
         assert calls == core_calls(g.n, _ties(g, b), tie_endpoints(g, b)) + [("eigh", (g.n, g.n))]
 
     def test_cold_certify_makes_one_factorization(self, monkeypatch, tmp_path):
-        # one cholesky of the grounded L_abs and no n x n spectrum or solve,
-        # with fewer ties than nodes and with more; none when disconnected;
-        # and a polarizing report adds the partner's one eigh
+        # one cholesky factor of the grounded L_abs, split at its s endpoint
+        # rows, and the one of M's shift that proves its top Ritz value; no
+        # spectrum but Lanczos's tridiagonal ones and no solve, with fewer
+        # ties than nodes and with more; none when disconnected; and a
+        # polarizing report adds the partner's one eigh
         started = _record_threads(monkeypatch)
         calls = counting_linalg(monkeypatch)
         for g, b in (dense_two_bloc(150), _scaled(dense_two_bloc(90), 1.0),
@@ -601,12 +603,13 @@ class TestPartnerCore:
             calls.clear()
             cert = certify(g, b, 2.0)
             n = g.n
-            assert calls.count(("cholesky", (n - 1, n - 1))) == 1
-            side = min(cert.same_side_ties, tie_endpoints(g, b))
-            assert [c for c in calls if c[0] != "solve" and c[1][0] >= n - 1] == [
-                ("cholesky", (n - 1, n - 1))] + [("eigvalsh", (n - 1, n - 1))] * (
-                    side >= n - 1)
-            # the panel solves of at most 64 rows, and one of M
+            s = min(tie_endpoints(g, b), n - 1)
+            side = min(cert.same_side_ties, s)
+            assert [c for c in calls if c[0] == "cholesky"] == (
+                [("cholesky", (n - 1 - s, n - 1 - s))] * (s < n - 1)
+                + [("cholesky", (s, s)), ("cholesky", (side, side))])
+            assert [c for c in calls if c[0] in ("eigvalsh", "solve")] == []
+            # the panel solves of at most 64 rows
             assert calls == core_calls(n, cert.same_side_ties, tie_endpoints(g, b))
             assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             path = tmp_path / f"net{n}.txt"
@@ -637,7 +640,8 @@ class TestPartnerCore:
         assert cores() == 4
         assert partner_core(allneg_triangle, allneg_split) is not first
         assert cores() == 5  # the second bipartition replaced the first
-        assert [name for name, _ in calls].count("eigh") == 0
+        # no spectrum of the network or of M (one tie: M is 1 x 1)
+        assert [c for c in calls if c[0] == "eigh" and c[1][0] in (3, 1)] == []
 
     def test_core_goes_with_its_graph(self):
         # no fixture: pytest would hold the graph until teardown
@@ -735,7 +739,7 @@ class TestPartnerCore:
         assert certificate_dict(cert, "full")["ties"] == [[0, 1, cert.antagonism_headroom]]
         bundle = generalized_laplacian(g, b, 2.0)
         integrate(bundle, np.array([1.0, -0.5, 0.25]), dt=0.01, t_max=1.0)
-        assert calls[len(core_calls(3, 1, 2)):] == [("eigh", (3, 3))]
+        assert calls == core_calls(3, 1, 2) + [("eigh", (3, 3))]
         assert bundle.partner.zero_count == 2
         # the forest's one column is the second zero's direction
         forest, gram = partner_forest_gram(g, b)
@@ -995,12 +999,14 @@ class TestConcurrentCore:
         assert certify(g, b, 2.0).verdict is Verdict.ASYMMETRIC_POLARIZATION
 
     def test_spectrum_error_wins(self, monkeypatch):
-        # M's spectrum fails its checks: that error reaches certify
+        # Lanczos does not settle in one step, so mu comes from M's full
+        # spectrum, which fails its checks: that error reaches certify
         g, b = dense_two_bloc(60)
 
         def diverge(matrix):
             raise NoConvergence("the spectrum failed")
 
+        monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 1)
         monkeypatch.setattr(spectral, "sym_eigvals", diverge)
         with pytest.raises(NoConvergence, match="the spectrum failed"):
             certify(g, b, 2.0)
@@ -1125,9 +1131,11 @@ class TestReportRoute:
                 # the report integrated exactly when the verdict flows
                 assert (report.trajectory is not None) == cold.verdict.flows
             # off the partner's one eigh, made for the sweep where it flows
-            # (t* decides, so the verdict flows at every coefficient or none)
-            eighs = [c for c in calls[mark:] if c[0] == "eigh"]
-            assert eighs == [("eigh", (g.n, g.n))] * cold.verdict.flows
+            # (t* decides, so the verdict flows at every coefficient or none);
+            # every smaller eigh is a Lanczos step's, on its tridiagonal
+            eighs = [k for name, (k, _) in calls[mark:] if name == "eigh"]
+            assert [k for k in eighs if k == g.n] == [g.n] * cold.verdict.flows
+            assert max([k for k in eighs if k != g.n], default=0) <= min(spectral._LANCZOS_STEPS, g.n - 1)
         assert {"AsymmetricPolarization", "Divergence", "Consensus", "Inconclusive"} <= verdicts
         assert started == []
 
