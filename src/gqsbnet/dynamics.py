@@ -4,6 +4,16 @@ Opinions follow the linear flow x' = -L x with the scaled Laplacian.  The
 gauge-weighted total opinion is conserved exactly by the integrator, so the
 flow's limit, when it exists, is the projection of the start state onto the
 stationary direction along that functional.
+
+The flow is gauge-similar to the partner Laplacian, and a run only ever
+propagates one start vector.  So ``integrate`` takes its modes from Lanczos
+on the partner from that vector, over the edge arrays (Ritz pairs, Saad,
+SIAM J. Numer. Anal. 29, 1992; Hochbruck and Lubich, SIAM J. Numer.
+Anal. 34, 1997), as a band on the start's two sides, so that every
+coefficient of a sweep reads one basis; ``default_step`` reads the
+spectral radius off Lanczos's extreme Ritz values.  Neither forms an
+n x n array.  The partner's full eigendecomposition is read only by
+``closed_form_state`` and where Lanczos does not settle within its cap.
 """
 
 from __future__ import annotations
@@ -15,9 +25,9 @@ import numpy as np
 
 from ._defaults import T_MAX
 from .errors import BadIndex, BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
-from .operators import OperatorBundle, _real_array
+from .operators import OperatorBundle, _partner, _real_array, default_zero_tol
 from .signed_graph import Bipartition
-from .spectral import certify
+from .spectral import _EPS, certify, lanczos, lanczos_steps
 
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
@@ -86,19 +96,60 @@ def _state_vector(bundle: OperatorBundle, x0) -> np.ndarray:
 
 def default_step(bundle: OperatorBundle) -> float:
     """Conservative default step: 1e-3 over the spectral radius of the
-    gauge partner Laplacian (1e-3 outright for an edgeless network), read
-    off the partner's one eigendecomposition, which ``integrate`` reads."""
+    gauge partner Laplacian (1e-3 outright for an edgeless network).
+
+    The radius is the larger magnitude of the two extreme Ritz values of
+    ``lanczos`` on the partner scaled by a power of two
+    (``_Partner.scaled``) from a sine start, once both their residual
+    estimates are within ``_RADIUS_TOL`` of it; where that takes more than
+    ``_KRYLOV_STEPS`` steps, it is read off the partner's one
+    eigendecomposition.  With weights near the largest double the radius
+    passes the double range; the step then lies below it, and the default
+    horizon's step count is TooLarge.  The radius is free of the
+    coefficient, so it is kept on the partner (``_Partner.radius``) for
+    every bundle on (graph, bipartition)."""
+    partner = _partner(bundle.graph, bundle.partition)
+    if partner.radius is None:
+        partner.radius = _radius(partner, bundle)
+    radius, e = partner.radius
+    # scaled back after the division, so a radius past the double range
+    # gives a step below it, not zero
+    return float(np.ldexp(1e-3 / radius, -e)) if radius > 0 else 1e-3
+
+
+def _radius(partner, bundle: OperatorBundle) -> tuple[float, int]:
+    """``default_step``'s spectral radius over 2^e, and e."""
+    product, e = partner.scaled
+
+    def settled(t, tail):
+        values, vectors = np.linalg.eigh(t)
+        radius = max(-float(values[0]), float(values[-1]))
+        ends = float(tail[0, 0]) * np.abs(vectors[-1, [0, -1]])
+        return radius if (ends <= _RADIUS_TOL * radius).all() else None
+
+    found = lanczos(product, np.sin(np.arange(1.0, bundle.n + 1.0)), _KRYLOV_STEPS, settled)
+    if found is not None:
+        return found[0], e
     w = bundle.partner.eigenvalues
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    return 1e-3 / radius if radius > 0 else 1e-3
+    return (float(np.max(np.abs(w))) if w.size else 0.0), 0
 
 
 # Cap on the floats in one block array of integrate (64 KiB).
 _BLOCK_FLOATS = 1 << 13
 # Modes whose velocity integrate's run bound keeps apart from the tail's.
 _HEAD = 4
-# integrate's rounding slack, in units of (n + 1) * eps * G * ||d||_2.
+# integrate's rounding slack, in units of (n + 1) * eps * G * ||d||_2; the
+# Krylov modes' error, at most as much again, is added to it.
 _SLACK = 16.0
+# Lanczos vectors integrate and default_step process before they read the
+# partner's eigendecomposition instead; integrate tests its stop rule
+# every _CHECK steps of its band, since each test makes one eigh of the
+# projection.
+_KRYLOV_STEPS = 512
+_CHECK = 16
+# default_step's Lanczos stops at residual estimates within this share of
+# the radius.
+_RADIUS_TOL = 1e-12
 # Step indices are int64; the last block reaches one past the last step.
 _MAX_STEPS = int(np.iinfo(np.int64).max) - 1
 
@@ -137,6 +188,121 @@ def _horizon_steps(t_max, dt) -> int | None:
     return max(1, int(np.ceil(span)))
 
 
+class _Flow:
+    """Band Lanczos on a partner from one start state, kept on the partner
+    (``_Partner.flow``) so that a sweep's coefficients share it.
+
+    In gauge coordinates the start less its level is -(1/gamma) u_1 + u_2,
+    u_1 and u_2 the start on side one and on side two, each less its mean
+    (L 1 = 0, so they may be taken apart).  So every coefficient's Krylov
+    space lies in the block Krylov space of (u_1, u_2), which
+    ``lanczos_steps`` builds on ``_Partner.scaled``, each product less its
+    mean, so the basis keeps out of the stationary mode that integrate
+    carries exactly.  Checkpoints, every ``_CHECK`` band steps (``_CHECK``
+    times the number of starts processed vectors) and at the last, keep
+    the projection's eigenpairs and its coupling to the
+    vectors after; a coefficient reads them in order and settles on the
+    first that passes its own test, so its modes do not depend on what
+    ran before it.  Nothing here refers to the graph."""
+
+    def __init__(self, product, x: np.ndarray, side: np.ndarray):
+        self.key = x.tobytes()
+        parts = [np.where(mask, x, 0.0) for mask in (side, ~side)]
+        starts = [u - u.mean() for u in parts]
+        starts = [u for u in starts if u.any()]
+
+        def projected(v):
+            out = product(v)
+            out -= out.mean()
+            return out
+
+        self.steps = lanczos_steps(projected, np.array(starts), _KRYLOV_STEPS)
+        self.t = self.basis = None  # the projection and the processed vectors so far
+        # (theta, first and last rows of its eigenvectors, tail) at each
+        # checkpoint, and the latest checkpoint's eigenvectors
+        self.checkpoints, self.latest = [], None
+        self.done = False
+
+    def __iter__(self):
+        """Each checkpoint's (theta, s_first, s_last, tail), those kept
+        first, then new ones as the run goes on; s_first and s_last are
+        the first and last b rows of the eigenvectors S of the projection
+        (``vectors`` gives S whole)."""
+        yield from self.checkpoints
+        while not self.done:  # the run's last step says it is the last
+            self.t, tail, self.basis, self.done = next(self.steps)
+            if self.done or not self.t.shape[0] % (_CHECK * tail.shape[0]):
+                theta, vectors = np.linalg.eigh(self.t)
+                self.latest = vectors
+                self.checkpoints.append((theta, vectors[: tail.shape[0]],
+                                         vectors[-tail.shape[1]:], tail.copy()))
+                yield self.checkpoints[-1]
+
+    def vectors(self, p: int) -> np.ndarray:
+        """The eigenvectors of the projection on the first p vectors, as
+        its checkpoint found them: the same input to the same eigh."""
+        if self.latest.shape[0] == p:
+            return self.latest
+        return np.linalg.eigh(self.t[:p, :p])[1]
+
+
+def _krylov_modes(bundle: OperatorBundle, x: np.ndarray, r: np.ndarray, dt: float,
+                  steps: int, stop_tol: float, big: float):
+    """Ritz pairs of the partner for integrating from ``x`` (``r``: its
+    gauge coordinates less their level), from the ``_Flow`` kept for
+    ``x`` on the partner (one is started, replacing any other, when none
+    is): the values, the map from mode coefficients to gauge coordinates,
+    ``r``'s coefficients, the zero tolerance and the error below; None
+    where no checkpoint within ``_KRYLOV_STEPS`` vectors passes.
+
+    With p vectors Q, the Ritz vectors S^T Q and values theta, k RK4
+    steps give the modes c_k = R(-dt theta)^k c_0, c_0 = S^T Q r, and the
+    velocity modes d_k = theta c_k, while L applied to the state they
+    make departs from that velocity by ||tail S_b c_k||, S_b the last b
+    rows of S (beta_m |e_m^T S c_k| with one start): Saad's a-posteriori
+    error of the propagated vector.  It is taken relative to ||d_k|| on
+    steps 1, 2, 2, 3, 4, 6, 8, ... (2^(j/2) rounded up) up to the
+    horizon, where the flow may still be moving (G ||d_k|| above
+    ``stop_tol``, G = ``big``) and the ratio is finite, and the first
+    checkpoint whose largest is within the run search's rounding slack,
+    ``_SLACK`` (n + 1) eps, is taken.  The error is returned in units of
+    (n + 1) eps, so that the slack gains it.  Ritz values are read in the
+    scaled units and scaled back by 2^e, exactly."""
+    partner = _partner(bundle.graph, bundle.partition)
+    product, e = partner.scaled
+    flow = partner.flow
+    if flow is None or flow.key != x.tobytes():
+        partner.flow = flow = None  # freed before the next one is built
+        partner.flow = flow = _Flow(product, x, bundle.partition.mask())
+    n = r.size
+    tol = _SLACK * (n + 1) * _EPS
+    grid = np.ceil(np.exp2(np.arange(2.0 * np.log2(steps) + 1.0) / 2.0))
+    grid = np.append(grid[grid < steps], float(steps))
+    for theta, first, final, tail in flow:
+        b = tail.shape[0]
+        if theta.size < b:  # the start's b vectors are not all processed
+            continue
+        lam = np.ldexp(theta, e)
+        coeff0 = (flow.basis[:b] @ r) @ first
+        # each Ritz pair's coupling to the vectors after; a zero mode whose
+        # coupling is within the zero tolerance too is stationary to
+        # rounding, and carried as the eigh route carries its zero modes
+        couple = tail @ final
+        zero = default_zero_tol(theta)
+        moving = (np.abs(theta) > zero) | (np.linalg.norm(couple, axis=0) > zero)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            c = _rk4_factor(-dt * lam) ** grid[:, None] * coeff0
+            speed = np.linalg.norm(c * theta, axis=1)
+            error = np.linalg.norm((c * moving) @ couple.T, axis=1) / speed
+            live = (big * np.ldexp(speed, e) > stop_tol) & np.isfinite(error)
+        error = float(np.max(error[live], initial=0.0))
+        if error <= tol:
+            s, basis = flow.vectors(lam.size), flow.basis[: lam.size]
+            return lam, lambda coeff: (coeff @ s.T) @ basis, coeff0, \
+                default_zero_tol(lam), error / ((n + 1) * _EPS)
+    return None
+
+
 def _trajectory(times: np.ndarray, states: np.ndarray, status: Termination) -> Trajectory:
     times.setflags(write=False)
     states.setflags(write=False)
@@ -162,7 +328,12 @@ def integrate(
 
     The flow is gauge-similar to the partner Laplacian V diag(lambda) V^T,
     so k RK4 steps act on the partner's modes as the k-th powers of the
-    stability polynomial at -dt * lambda.  Steps are searched in blocks
+    stability polynomial at -dt * lambda.  The modes are Ritz pairs of
+    band Lanczos on the partner from the start's two sides, over the edge
+    arrays (``_krylov_modes``; no n x n array), or the partner's
+    eigenpairs (``bundle.partner``) where Lanczos does not settle within
+    ``_KRYLOV_STEPS`` vectors; the search below runs alike on either.
+    Steps are searched in blocks
     from those powers, with no per-step loop.  Norm bounds on the modes
     only clear steps: a run of whole blocks that they prove moving and
     calm from its two ends is skipped, and the run doubles while they
@@ -192,7 +363,6 @@ def integrate(
         square = float(gauge @ gauge)
     if not square < np.inf or (np.abs(gauge) < np.finfo(float).tiny).any():
         raise TooLarge(f"coordinate gauge past the double range at coefficient {bundle.gamma:g}")
-    dec = bundle.partner
     if dt is None:
         dt = default_step(bundle)
         steps = _horizon_steps(t_max, dt)
@@ -200,26 +370,36 @@ def integrate(
     if record_every is None:
         record_every = max(1, steps // 2048)
 
-    lam = dec.eigenvalues
-    vecs = dec.eigenvectors
     total = float(gauge @ x)
     normal = gauge / square
     y = gauge * x
     level = float(y.mean())
-    coeff0 = vecs.T @ (y - level)
+    n = bundle.n
+    big = float(np.max(1.0 / np.abs(gauge)))
+    low = float(np.min(1.0 / np.abs(gauge))) / np.sqrt(n)
+    r = y - level
+    if not r.any():  # the start is stationary: no mode moves
+        return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
+    modes = _krylov_modes(bundle, x, r, dt, steps, stop_tol, big)
+    if modes is None:  # Lanczos did not settle within its cap
+        dec = bundle.partner
+        vecs = dec.eigenvectors
+        modes = (dec.eigenvalues, lambda coeff: coeff @ vecs.T, vecs.T @ r, dec.zero_tol, 0.0)
+    # the eigenvalues or Ritz values, the map from mode coefficients to
+    # gauge coordinates, the start's coefficients
+    lam, nodes, coeff0, zero_tol, error = modes
     # with the gauge near its limit (gamma above about 1e307) the velocity
     # may pass the double range, where the state does not: such a state moves
     with np.errstate(over="ignore"):
-        speed = float(np.max(np.abs(((coeff0 * lam) @ vecs.T) / gauge)))
+        speed = float(np.max(np.abs(nodes(coeff0 * lam) / gauge)))
     if speed <= stop_tol:
         return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
     with np.errstate(over="ignore"):  # a step this large diverges at once
         factor = _rk4_factor(-dt * lam)
-    n = bundle.n
     block = max(1, _BLOCK_FLOATS // n)
 
     def form(coeff):  # node-space states of the steps with modes ``coeff``
-        xs = (coeff @ vecs.T + level) / gauge
+        xs = (nodes(coeff) + level) / gauge
         xs -= (xs @ gauge - total)[:, None] * normal
         return xs
 
@@ -227,24 +407,25 @@ def integrate(
     # orthonormal, so with G = max|1/g| its largest entry lies between
     # low * ||d|| and G * ||d||, and within G * ||d_tail|| of the head's.
     # The computed velocity departs from V d / g by the GEMM's rounding
-    # (below n * eps/2 * ||V_i|| * ||d|| per entry), by eigh's V being
-    # orthonormal only to O(n * eps), and by the rounding of the head, the
-    # norms and the divisions (a few eps each); slack * ||d|| bounds the
-    # sum with room to spare.  A state with modes c has no entry above
-    # ceiling(||c||), twice the bound before and after the projection.
-    big = float(np.max(1.0 / np.abs(gauge)))
-    low = float(np.min(1.0 / np.abs(gauge))) / np.sqrt(n)
-    slack = _SLACK * (n + 1) * np.finfo(float).eps * big
+    # (below n * eps/2 * ||V_i|| * ||d|| per entry), by V being orthonormal
+    # only to O(n * eps), and by the rounding of the head, the norms and
+    # the divisions (a few eps each); slack * ||d|| bounds the sum with
+    # room to spare.  Ritz pairs depart from the flow by their error
+    # besides, which the slack gains.  A state with modes c has no entry
+    # above ceiling(||c||), twice the bound before and after the projection.
+    slack = (_SLACK + error) * (n + 1) * _EPS * big
 
     def ceiling(c):
         a = big * (c + abs(level))
         return 2.0 * (a + np.max(np.abs(normal)) * (np.sum(np.abs(gauge)) * a + abs(total)))
 
     # The head: the _HEAD slowest-fading modes, zero modes last.
-    key = np.where(np.abs(lam) > dec.zero_tol, -np.abs(factor), np.inf)
+    key = np.where(np.abs(lam) > zero_tol, -np.abs(factor), np.inf)
     head = np.argsort(key, kind="stable")[:_HEAD]
-    tail = np.delete(np.arange(n), head)
-    head_rows = vecs[:, head].T / gauge
+    tail = np.delete(np.arange(lam.size), head)
+    pick = np.zeros((head.size, lam.size))
+    pick[np.arange(head.size), head] = 1.0
+    head_rows = nodes(pick) / gauge
 
     def clear(a, b):
         """Whether the bounds prove every step a..b moving and calm.
@@ -286,11 +467,12 @@ def integrate(
                 coeff = factor ** k[:, None] * coeff0
                 xs = form(coeff)
                 diverged = ~(np.max(np.abs(xs), axis=1) <= DIVERGENCE_LIMIT)
-                velocity = ((coeff * lam) @ vecs.T) / gauge
-                settled = (np.max(np.abs(velocity), axis=1) <= stop_tol) & (k < steps)
+                speed = np.max(np.abs(nodes(coeff * lam) / gauge), axis=1)
+                settled = (speed <= stop_tol) & (k < steps)
             stop = diverged | settled
             if stop.any() or j == blocks - 1:
                 break
+            del xs  # before the next block's is formed
             j += 1
     last = int(np.argmax(stop)) if stop.any() else k.size - 1
     status = Termination.MAX_TIME

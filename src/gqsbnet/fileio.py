@@ -320,14 +320,15 @@ def run_sweep(config: ScenarioConfig, gammas) -> Iterator[Report]:
     checked, and every report shares them read-only.
     The gauge partner does not depend on the coefficient, so every
     certificate reads one partner core (``spectral.partner_core``), and
-    every integration one eigendecomposition of the partner, made only
-    when the verdict lets the flow run; a verdict that does not makes no
-    n x n decomposition and builds no bundle: ``certify`` has checked the
-    coefficient, and a dominant group's split always passes the GQSB
-    check, so a bundle adds no check.  The time horizon and a given step
-    are checked before the network is loaded; the default step, which
-    needs the partner spectrum, is taken and its step count checked only
-    where the flow is integrated.
+    every integration one Lanczos basis of the start state on the
+    partner (``dynamics._krylov_modes``), built only when the verdict
+    lets the flow run; a verdict that does not integrates nothing and
+    builds no bundle: ``certify`` has checked the coefficient, and a
+    dominant group's split always passes the GQSB check, so a bundle adds
+    no check.  The time horizon and a given step are checked before the
+    network is loaded; the default step, which needs the partner's
+    spectral radius, is taken and its step count checked only where the
+    flow is integrated.
     """
     from .dynamics import STOP_TOL, _horizon_steps, assess, integrate
     from .operators import generalized_laplacian

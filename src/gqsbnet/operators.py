@@ -8,9 +8,13 @@ the other, while the degree term counts same-subset ties as signed and
 cross-subset ties with flipped sign.  A diagonal coordinate gauge turns the
 resulting flow matrix into a symmetric zero-row-sum Laplacian of a partner
 network whose cross-subset ties are cooperative; spectra are computed there,
-by the checked symmetric eigensolvers defined here.  The partner's one
-full deterministic eigendecomposition is kept in the graph's one
-``_Partner``, which every reader that needs no coefficient reads.
+by the checked symmetric eigensolvers defined here.  What every reader that
+needs no coefficient reads is kept in the graph's one ``_Partner``: the
+partner network, its Laplacian as a product over the edge arrays
+(``laplacian_product``, O(n + m) and no n x n array), which integration
+reads, and built only where a reader asks for it the dense Laplacian and
+its one full deterministic eigendecomposition, which the closed form,
+``spectrum --dominant`` and integration's fallback read.
 """
 
 from __future__ import annotations
@@ -73,6 +77,22 @@ def _row_sums(m: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
         raise TooLarge(f"entries too large: twice the absolute sum of row "
                        f"{int(row)} is not finite")
     return sums
+
+
+def laplacian_product(g: SignedGraph, w: np.ndarray):
+    """The product x -> L x with the Laplacian of the weight column ``w``
+    over ``g``'s edges (``w[e]`` on edge ``(g.i[e], g.j[e])``), forming no
+    matrix: each edge adds w (x_i - x_j) to row i and takes it from row j,
+    summed by two ``np.bincount`` calls, O(n + m).  With ``g.w`` it is
+    ``repelling_laplacian(g) @ x`` up to rounding."""
+    i, j, n = g.i, g.j, g.n
+
+    def product(x: np.ndarray) -> np.ndarray:
+        t = w * (x[i] - x[j])
+        # as floats also with no edge, where bincount counts in integers
+        return np.subtract(np.bincount(i, t, n), np.bincount(j, t, n), dtype=float)
+
+    return product
 
 
 def _laplacian_of(a: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
@@ -365,9 +385,10 @@ class OperatorBundle:
 
     @cached_property
     def partner(self) -> EigenDecomposition:
-        """Full eigendecomposition of ``z_laplacian``, which integration and
-        the closed form read: the one kept on the graph for this
-        bipartition, built on first read and shared by every coefficient."""
+        """Full eigendecomposition of ``z_laplacian``, which the closed form
+        reads, and integration where Lanczos does not settle: the one kept
+        on the graph for this bipartition, built on first read and shared
+        by every coefficient."""
         return _partner(self.graph, self.partition).eigen
 
 
@@ -413,15 +434,35 @@ def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
 class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
-    and built on first read its read-only ``laplacian`` and that
-    Laplacian's one ``eigen`` (``sym_eigen``).  ``core`` is the slot
-    ``spectral`` fills.  Nothing here refers back to the graph, so what is
-    kept on it goes with it."""
+    and built on first read its ``scaled`` product, its read-only
+    ``laplacian`` and that Laplacian's one ``eigen`` (``sym_eigen``).
+    ``core`` is the slot ``spectral`` fills; ``radius`` (the default
+    step's) and ``flow`` (the Lanczos basis of the last start state
+    integrated) are the ones ``dynamics`` fills.
+    Nothing here refers back to the graph, so what is kept on it goes
+    with it."""
 
     def __init__(self, g: SignedGraph, b: Bipartition):
         self.partition = b
         self.network = partner_network(g, b)
-        self.core = None
+        self.core = self.radius = self.flow = None
+
+    @cached_property
+    def scaled(self):
+        """The partner Laplacian over 2**e as a ``laplacian_product``, and
+        e: 2**e is the power of two at or just above the largest absolute
+        row sum of the partner's adjacency, so the scaled spectrum lies in
+        [-2, 2] and its Ritz values keep their digits at any scale of the
+        weights, as ``spectral._headroom`` scales L_abs.  The weights are
+        first scaled by the power of two above the largest of them, so no
+        row sum overflows; both scalings are exact where no weight falls
+        into the subnormal range."""
+        net = self.network
+        e = int(np.frexp(np.max(np.abs(net.w), initial=0.0))[1])
+        unit = np.abs(np.ldexp(net.w, -e))
+        sums = np.bincount(net.i, unit, net.n) + np.bincount(net.j, unit, net.n)
+        e += int(np.frexp(np.max(sums, initial=0.0))[1])
+        return laplacian_product(net, np.ldexp(net.w, -e)), e
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -446,6 +487,7 @@ def _partner(g: SignedGraph, b: Bipartition) -> _Partner:
 
 
 def clear_partner_cache(g: SignedGraph) -> None:
-    """Drop what is kept on ``g`` for its partner: the network, the
-    Laplacian, its eigendecomposition and the core."""
+    """Drop what is kept on ``g`` for its partner: the network, its scaled
+    product, the Laplacian, its eigendecomposition, the core, the default
+    step's radius and the integrator's Lanczos basis."""
     vars(g).pop("_partner", None)

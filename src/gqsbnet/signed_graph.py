@@ -208,7 +208,8 @@ class SignedGraph:
     immutable, compare equal when ``n`` and the edges are equal, and hash
     accordingly.  Values derived from the edges (``edges``,
     ``cooperative_labels``, and for one bipartition the partner that
-    ``operators`` keeps: network, Laplacian, eigendecomposition and core)
+    ``operators`` keeps: network, Laplacian, eigendecomposition, core and
+    the integrator's Lanczos basis)
     are kept on the instance; pickles and copies carry none.
     """
 

@@ -69,6 +69,9 @@ _PANEL = 64
 # share of it, and gives up after this many steps.
 _RITZ_TOL = 1e-12
 _LANCZOS_STEPS = 128
+# Processed vectors ``lanczos_steps`` first sets rows aside for, before it
+# doubles them.
+_BASIS_ROWS = 64
 # The proof's relative shift above the top Ritz value (``_proof``).
 _PROOF_SHIFT = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -208,38 +211,107 @@ def _split_factor(grounded: np.ndarray, top: int):
     return lead, inverses, off, tail
 
 
+def lanczos_steps(product, start: np.ndarray, cap: int):
+    """Lanczos on the symmetric operator ``product`` (a callable
+    v -> A v) from ``start``: one vector, or b of them as rows, which
+    makes it band Lanczos (Ruhe, Math. Comp. 33, 1979), whose basis spans
+    the block Krylov space of all of them.  Full reorthogonalization
+    (Gram-Schmidt twice against every vector so far); at most ``cap``
+    vectors are processed, and at most the start's length.
+
+    A generator: after vector k (from 0) is processed it yields
+    ``(t, tail, basis, last)``, with p = k + 1: t = Q^T A Q, the p x p
+    projection on the processed vectors Q (``basis``, one per row), whose
+    eigenpairs are the Ritz pairs (theta, and S^T Q for the vectors S);
+    ``tail``, the b x min(b, p) block that couples the last of them to
+    the b vectors after, so that A Q = Q t + (those b vectors) tail, in
+    the last columns; and ``last``, whether no vector follows.  With one
+    start, t is tridiagonal and ``tail`` is [[beta]].  The arrays hold
+    ``_BASIS_ROWS`` processed vectors and the b after them, and double the
+    processed part when full, so a run that stops early holds no more
+    than it used; a yielded view keeps its values.  A start
+    row that the ones before it span (within n eps of its norm) is
+    dropped; a zero first row is not allowed.  A residual that vanishes
+    adds no vector (the space is invariant), nor with more than one start
+    one within n eps of its product's norm (invariant to rounding: two
+    passes of Gram-Schmidt cannot make such a residual orthogonal, and
+    the band, unlike one start, may go on past it); a run whose vectors
+    are all processed ends."""
+    rows = np.atleast_2d(start)
+    n = rows.shape[1]
+    kept = [rows[0] / np.linalg.norm(rows[0])]
+    for row in rows[1:]:
+        q = np.array(kept)
+        v = row - (q @ row) @ q
+        v -= (q @ v) @ q
+        size = float(np.linalg.norm(v))
+        if size > n * _EPS * float(np.linalg.norm(row)):
+            kept.append(v / size)
+    b = len(kept)
+    # room for _BASIS_ROWS processed vectors and the b after them, doubled
+    # in the processed part when full
+    basis = np.empty((min(n, _BASIS_ROWS + b), n))
+    basis[:b] = kept
+    h = np.zeros((basis.shape[0] + b,) * 2)
+    vectors, size = b, min(n, cap)
+    for k in range(size):
+        if k == vectors:
+            return
+        r = product(basis[k])
+        # with more than one start, a residual within rounding of the
+        # product spans nothing new
+        floor = n * _EPS * float(np.linalg.norm(r)) if b > 1 else 0.0
+        done = basis[:vectors]
+        c = done @ r
+        r -= c @ done
+        r -= (done @ r) @ done
+        h[k, k:vectors] = h[k:vectors, k] = c[k:vectors]
+        beta = float(np.linalg.norm(r))
+        h[vectors, k] = h[k, vectors] = beta
+        if k + 1 < size and vectors < n and beta > floor:
+            if vectors == basis.shape[0]:
+                grown = np.empty((min(n, 2 * vectors - b), n))
+                grown[:vectors] = basis
+                wider = np.zeros((grown.shape[0] + b,) * 2)
+                wider[: h.shape[0], : h.shape[0]] = h
+                basis, h = grown, wider
+            basis[vectors] = r / beta
+            vectors += 1
+        p = k + 1
+        yield h[:p, :p], h[p: p + b, max(0, p - b): p], basis[:p], p == min(size, vectors)
+
+
+def lanczos(product, start: np.ndarray, cap: int, settled):
+    """``lanczos_steps`` until the stop rule ``settled(t, tail)``, called
+    after each processed vector, returns something other than None;
+    returns that and the basis, or None when no step settles."""
+    for t, tail, basis, _ in lanczos_steps(product, start, cap):
+        found = settled(t, tail)
+        if found is not None:
+            return found, basis
+    return None
+
+
 def _top_ritz(m: np.ndarray, start: np.ndarray) -> float | None:
-    """The largest Ritz value of the symmetric ``m`` by Lanczos from
-    ``start``, with full reorthogonalization (Gram-Schmidt twice against
-    every earlier vector), once its residual estimate beta |y_last| is
-    within ``_RITZ_TOL`` of it; None when ``_LANCZOS_STEPS`` steps do not
-    get it there.  A Ritz value is a Rayleigh quotient, so it is at most
+    """The largest Ritz value of the symmetric ``m`` by ``lanczos`` from
+    ``start``, once its residual estimate beta |y_last| is within
+    ``_RITZ_TOL`` of it; None when ``_LANCZOS_STEPS`` steps do not get it
+    there.  A Ritz value is a Rayleigh quotient, so it is at most
     lambda_max(m) up to rounding; a start orthogonal to the top
     eigenvector finds another one, which only the caller's proof catches.
     The tridiagonal's top eigenpair comes from ``np.linalg.eigh`` from
     the second step on."""
-    basis = np.empty((min(m.shape[0], _LANCZOS_STEPS), m.shape[0]))
-    basis[0] = start / np.linalg.norm(start)
-    t = np.zeros((basis.shape[0], basis.shape[0]))
-    for k in range(basis.shape[0]):
-        r = m @ basis[k]
-        done = basis[: k + 1]
-        c = done @ r
-        r -= c @ done
-        r -= (done @ r) @ done
-        t[k, k] = c[k]
-        beta = float(np.linalg.norm(r))
-        if k:
-            values, vectors = np.linalg.eigh(t[: k + 1, : k + 1])
+
+    def settled(t, tail):
+        if t.shape[0] > 1:
+            values, vectors = np.linalg.eigh(t)
             theta, last = float(values[-1]), float(vectors[-1, -1])
         else:
-            theta, last = float(c[0]), 1.0
-        if beta * abs(last) <= _RITZ_TOL * theta:
-            return theta
-        if k + 1 < basis.shape[0]:
-            t[k, k + 1] = t[k + 1, k] = beta
-            basis[k + 1] = r / beta
-    return None
+            theta, last = float(t[0, 0]), 1.0
+        return theta if float(tail[0, 0]) * abs(last) <= _RITZ_TOL * theta else None
+
+    found = lanczos(m.__matmul__, start, _LANCZOS_STEPS, settled)
+    return None if found is None else found[0]
 
 
 def _proof(m: np.ndarray, theta: float) -> np.ndarray | None:

@@ -913,14 +913,21 @@ class TestCli:
                 continue
             assert code == 1
             assert got.out == ""
-            assert got.err.startswith("error: entries too large: twice the absolute sum")
+            if command == "report" and text.startswith("2 1"):
+                # the flow runs on the scaled partner, whose radius 2e308
+                # leaves a default step below the double range: the
+                # absolute default horizon is what refuses
+                assert got.err.startswith("error: t_max / dt = inf steps exceeds")
+            else:
+                assert got.err.startswith("error: entries too large: twice the absolute sum")
             assert got.err.count("\n") == 1
 
     def test_weights_whose_quadrupled_sums_overflow(self, tmp_path, capsys):
         # twice each absolute row sum is finite, so certify and predict
         # answer: the headroom is a ratio of weights, so its verdict and
-        # t* are weight 1's; the partner's eigh checks the Laplacian, whose
-        # row sums are twice the adjacency's, so what reads it refuses
+        # t* are weight 1's; the flow runs on the partner scaled by a power
+        # of two, so simulate and report answer at a given stable step,
+        # while the absolute default horizon refuses the default step
         path, unit = tmp_path / "big.txt", tmp_path / "unit.txt"
         path.write_text("3 3\n0 1 -1e307\n0 2 -3e307\n1 2 -3e307\n")
         unit.write_text(ALLNEG)
@@ -945,8 +952,18 @@ class TestCli:
         assert main(["report", "--network", str(path), "--dominant", "0,1"]) == 1
         got = capsys.readouterr()
         assert got.out == ""
-        assert got.err.startswith("error: entries too large: twice the absolute sum")
+        assert got.err.startswith("error: t_max / dt = inf steps exceeds")
         assert got.err.count("\n") == 1
+        # the partner's radius is 9e307: 400 steps of 2.5e-308 are stable
+        timing = ["--dt", "2.5e-308", "--tmax", "1e-305"]
+        assert main(["report", "--network", str(path), "--dominant", "0,1", *timing]) == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert outcome["kind"] == "AsymmetricPolarization"
+        assert outcome["ratio"] == pytest.approx(-2.0, rel=1e-9)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--network", str(path), "--dominant", "0,1", *timing,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "outcome.json").read_text())["kind"] == "AsymmetricPolarization"
 
     def test_subnormal_lone_tie_answers(self, tmp_path, capsys):
         # the one same-side tie is 1e-320 of the others, so M's one entry
@@ -1180,7 +1197,7 @@ class TestCli:
         capsys.readouterr()
         assert calls == core_calls(3, 1, 2)
 
-    @pytest.mark.parametrize("argv, eighs", [
+    @pytest.mark.parametrize("argv, integrates", [
         (["certify"], 0),
         (["predict"], 0),
         (["spectrum"], 0),
@@ -1191,27 +1208,31 @@ class TestCli:
         (["certify", "--detail", "full"], 0),
         (["report", "--detail", "full"], 1),
     ])
-    def test_decompositions_per_command(self, argv, eighs, monkeypatch, capsys, tmp_path):
+    def test_decompositions_per_command(self, argv, integrates, monkeypatch, capsys,
+                                        tmp_path):
+        # no command decomposes the partner Laplacian but spectrum, which
+        # prints eigenvalues: the default step and integration read only
+        # Lanczos's tridiagonals, kept apart here
         g = load_highland(ScenarioConfig("highland", (0,)))
         b = bipartition_from_dominant(g, (0,))
         ties = certify(g, b, 2.0).same_side_ties
-        calls = counting_linalg(monkeypatch)
+        lanczos = counting_linalg(monkeypatch)
+        calls = counting_linalg(monkeypatch, skip="gqsbnet.dynamics")
         assert main([argv[0], "--network", "highland", "--dominant", "0", *argv[1:],
                      "--out", str(tmp_path / "out")]) == 0
+        assert (len(lanczos) > len(calls)) == integrates
         if argv[0] == "spectrum":  # three eigenvalue lists and no certificate
             assert calls == [("eigvalsh", (g.n, g.n))] * 3
-        elif argv[0] == "simulate":  # the default step reads the eigh's spectrum
-            assert calls == [("eigh", (g.n, g.n))] * eighs
-        else:
-            # the core, then the one eigh where the flow runs; the full
-            # document reads the core alone
-            want = core_calls(g.n, ties, tie_endpoints(g, b)) + [("eigh", (g.n, g.n))] * eighs
-            assert calls == want
+        elif argv[0] == "simulate":
+            assert calls == []
+        else:  # the core; the full document reads the core alone
+            assert calls == core_calls(g.n, ties, tie_endpoints(g, b))
 
-    def test_report_decomposes_the_partner_once(self, monkeypatch, capsys, tmp_path):
+    def test_report_decomposes_the_partner_never(self, monkeypatch, capsys, tmp_path):
         # the verdict picks the decompositions: the core's factorization on a
-        # connected network, then eigh where the verdict flows, which
-        # integration reads, and nothing more where it does not
+        # connected network, and nothing more; where the verdict flows,
+        # integration reads Lanczos's tridiagonals (not recorded here) and
+        # no eigh of the partner
         rng = np.random.default_rng(5)
         networks = []
         for intra_extra, intra_neg in ((0.3, 0.15), (0.6, 0.9)):
@@ -1220,7 +1241,7 @@ class TestCli:
             networks[-1].write_text(dump_network(g))
         networks.append(tmp_path / "apart.txt")
         networks[-1].write_text("4 2\n0 1 -1\n2 3 -1\n")
-        expected, verdicts = [], set()
+        expected, verdicts, flows = [], set(), 0
         for network in networks:
             g = load_network(network)
             b = bipartition_from_dominant(g, (0,))
@@ -1228,10 +1249,12 @@ class TestCli:
             flowing = cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
             verdicts.add(cert.verdict)
             want = core_calls(g.n, cert.same_side_ties, tie_endpoints(g, b)) if cert.connected else []
-            expected.append(want + [("eigh", (g.n, g.n))] * flowing)
+            expected.append(want)
+            flows += flowing
         assert verdicts == {Verdict.ASYMMETRIC_POLARIZATION, Verdict.DIVERGENCE,
                             Verdict.INCONCLUSIVE}
-        calls = counting_linalg(monkeypatch)
+        assert flows
+        calls = counting_linalg(monkeypatch, skip="gqsbnet.dynamics")
         for network, want in zip(networks, expected):
             for argv in (["report"], ["sweep", "--gammas", "1.5,2,3"]):
                 calls.clear()
@@ -1689,26 +1712,59 @@ class TestCli:
 
 
 
+def _assert_close(got, want, path="report"):
+    """Two parsed JSON documents alike but for numbers, which agree within
+    1e-12 of the larger of 1 and the expected value (an integral float
+    renders as an integer)."""
+    number = (int, float)
+    if isinstance(want, number) and not isinstance(want, bool):
+        assert isinstance(got, number) and not isinstance(got, bool), path
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (path, got, want)
+        return
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, f"{path}[{k}]")
+    else:
+        assert got == want, path
+
+
 class TestReportsAgainstBlockSearch:
     """Report bytes depend on the integrator only through its stop, its
-    termination and its final state: the node-space block search, kept in
-    the tests as an oracle, gives the same bytes."""
+    termination and its final state: on the partner's eigendecomposition
+    (Lanczos capped and its modes refused), the node-space block search,
+    kept in the tests as an oracle, gives the same bytes; on the Krylov
+    modes the same documents, with every number within 1e-12 of its
+    scale."""
 
     @staticmethod
     def _assert_same_bytes(monkeypatch, run):
         real = run()
         with monkeypatch.context() as patch:
+            patch.setattr(gqsbnet.dynamics, "_KRYLOV_STEPS", 1)
+            patch.setattr(gqsbnet.dynamics, "_krylov_modes", lambda *args: None)
+            exact = run()
             patch.setattr(gqsbnet.dynamics, "integrate", reference_block_integrate)
             ref = run()
-        assert len(real) == len(ref)
+        assert len(real) == len(exact) == len(ref)
         integrated = 0
-        for got, want in zip(real, ref):
+        for got, eigh, want in zip(real, exact, ref):
             for detail in DETAILS:
-                assert report_to_json(got, detail) == report_to_json(want, detail)
+                assert report_to_json(eigh, detail) == report_to_json(want, detail)
+                _assert_close(json.loads(report_to_json(got, detail)),
+                              json.loads(report_to_json(want, detail)))
             if want.trajectory is not None:
                 integrated += 1
-                last = trajectory_to_csv(got.trajectory).splitlines()[-1]
-                assert last == trajectory_to_csv(want.trajectory).splitlines()[-1]
+                last = trajectory_to_csv(want.trajectory).splitlines()[-1]
+                assert trajectory_to_csv(eigh.trajectory).splitlines()[-1] == last
+                row = trajectory_to_csv(got.trajectory).splitlines()[-1]
+                _assert_close([float(v) for v in row.split(",")],
+                              [float(v) for v in last.split(",")])
         assert integrated
 
     def test_highland(self, monkeypatch):

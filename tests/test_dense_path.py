@@ -19,7 +19,9 @@ from gqsbnet import (
     classify,
     clear_partner_cache,
     enumerate_gqsb_bipartitions,
+    default_step,
     generalized_laplacian,
+    integrate,
     load_highland,
     opposing_laplacian,
     partner_core,
@@ -101,6 +103,23 @@ class TestPeaks:
         clear_partner_cache(g)
         assert _peak(lambda: partner_core(g, b)) < 3.75
         assert "laplacian" not in vars(_partner(g, b))
+
+    @pytest.mark.parametrize("multiple", [None, 500.0])
+    def test_cold_flowing_integrate_forms_no_square_array(self, bloc400, multiple):
+        # no partner Laplacian and no eigh of it, at the default step and
+        # at half the largest step RK4 keeps stable, so below one n x n
+        # array: the partner network and its scaled weights (4258 edges,
+        # about 0.1), the band's basis (128 vectors and the 2 after them,
+        # 0.33, beside the 66 rows it grew from while it copies them) and
+        # its projection (0.1), the step blocks of 8192 floats (0.05
+        # each); measured 0.85 and 0.79
+        g, b = bloc400
+        clear_partner_cache(g)
+        bundle = generalized_laplacian(g, b, 2.0)
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, g.n)
+        dt = None if multiple is None else multiple * default_step(bundle)
+        assert _peak(lambda: integrate(bundle, x0, dt=dt)) < 1.0
+        assert not {"laplacian", "eigen"} & set(vars(_partner(g, b)))
 
     def test_bundle_adjacency_holds_one_array(self, bloc400):
         g, b = bloc400
