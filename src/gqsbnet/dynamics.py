@@ -10,10 +10,13 @@ propagates one start vector.  So ``integrate`` takes its modes from Lanczos
 on the partner from that vector, over the edge arrays (Ritz pairs, Saad,
 SIAM J. Numer. Anal. 29, 1992; Hochbruck and Lubich, SIAM J. Numer.
 Anal. 34, 1997), as a band on the start's two sides, so that every
-coefficient of a sweep reads one basis; ``default_step`` reads the
-spectral radius off Lanczos's extreme Ritz values.  Neither forms an
-n x n array.  The partner's full eigendecomposition is read only by
-``closed_form_state`` and where Lanczos does not settle within its cap.
+coefficient of a sweep reads one basis; a mode that RK4 grows takes its
+Ritz vector's Rayleigh quotient to one rounding as its value, since the
+steps carry that value's rounding into the state.  ``default_step``
+reads the spectral radius off Lanczos's extreme Ritz values.  Neither
+forms an n x n array.  The partner's full eigendecomposition is read
+only by ``closed_form_state`` and where Lanczos does not settle within
+its cap.
 """
 
 from __future__ import annotations
@@ -25,9 +28,16 @@ import numpy as np
 
 from ._defaults import T_MAX
 from .errors import BadIndex, BadState, BadStep, DimensionMismatch, NotPolarizing, TooLarge
-from .operators import OperatorBundle, _partner, _real_array, default_zero_tol
+from .operators import (
+    OperatorBundle,
+    _partner,
+    _real_array,
+    default_zero_tol,
+    laplacian_form,
+    laplacian_product,
+)
 from .signed_graph import Bipartition
-from .spectral import _EPS, certify, lanczos, lanczos_steps
+from .spectral import _EPS, _RITZ_TOL, band_matrix, certify, lanczos, lanczos_steps
 
 DIVERGENCE_LIMIT = 1e12
 # Velocity below which a run counts as settled (integrate's default).
@@ -101,8 +111,8 @@ def default_step(bundle: OperatorBundle) -> float:
     The radius is the larger magnitude of the two extreme Ritz values of
     ``lanczos`` on the partner scaled by a power of two
     (``_Partner.scaled``) from a sine start, once both their residual
-    estimates are within ``_RADIUS_TOL`` of it; where that takes more than
-    ``_KRYLOV_STEPS`` steps, it is read off the partner's one
+    estimates are within ``spectral._RITZ_TOL`` of it; where that takes
+    more than ``_KRYLOV_STEPS`` steps, it is read off the partner's one
     eigendecomposition.  With weights near the largest double the radius
     passes the double range; the step then lies below it, and the default
     horizon's step count is TooLarge.  The radius is free of the
@@ -119,14 +129,15 @@ def default_step(bundle: OperatorBundle) -> float:
 
 def _radius(partner, bundle: OperatorBundle) -> tuple[float, int]:
     """``default_step``'s spectral radius over 2^e, and e."""
-    product, e = partner.scaled
+    w, e = partner.scaled
 
     def settled(t, tail):
-        values, vectors = np.linalg.eigh(t)
+        values, vectors = np.linalg.eigh(band_matrix(t))
         radius = max(-float(values[0]), float(values[-1]))
         ends = float(tail[0, 0]) * np.abs(vectors[-1, [0, -1]])
-        return radius if (ends <= _RADIUS_TOL * radius).all() else None
+        return radius if (ends <= _RITZ_TOL * radius).all() else None
 
+    product = laplacian_product(partner.network, w)
     found = lanczos(product, np.sin(np.arange(1.0, bundle.n + 1.0)), _KRYLOV_STEPS, settled)
     if found is not None:
         return found[0], e
@@ -147,9 +158,6 @@ _SLACK = 16.0
 # projection.
 _KRYLOV_STEPS = 512
 _CHECK = 16
-# default_step's Lanczos stops at residual estimates within this share of
-# the radius.
-_RADIUS_TOL = 1e-12
 # Step indices are int64; the last block reaches one past the last step.
 _MAX_STEPS = int(np.iinfo(np.int64).max) - 1
 
@@ -217,7 +225,8 @@ class _Flow:
             return out
 
         self.steps = lanczos_steps(projected, np.array(starts), _KRYLOV_STEPS)
-        self.t = self.basis = None  # the projection and the processed vectors so far
+        # the projection, in band storage, and the processed vectors so far
+        self.t = self.basis = None
         # (theta, first and last rows of its eigenvectors, tail) at each
         # checkpoint, and the latest checkpoint's eigenvectors
         self.checkpoints, self.latest = [], None
@@ -232,10 +241,11 @@ class _Flow:
         while not self.done:  # the run's last step says it is the last
             self.t, tail, self.basis, self.done = next(self.steps)
             if self.done or not self.t.shape[0] % (_CHECK * tail.shape[0]):
-                theta, vectors = np.linalg.eigh(self.t)
+                theta, vectors = np.linalg.eigh(band_matrix(self.t))
                 self.latest = vectors
-                self.checkpoints.append((theta, vectors[: tail.shape[0]],
-                                         vectors[-tail.shape[1]:], tail.copy()))
+                # copies, so that only the latest checkpoint keeps S whole
+                self.checkpoints.append((theta, vectors[: tail.shape[0]].copy(),
+                                         vectors[-tail.shape[1]:].copy(), tail))
                 yield self.checkpoints[-1]
 
     def vectors(self, p: int) -> np.ndarray:
@@ -243,7 +253,7 @@ class _Flow:
         its checkpoint found them: the same input to the same eigh."""
         if self.latest.shape[0] == p:
             return self.latest
-        return np.linalg.eigh(self.t[:p, :p])[1]
+        return np.linalg.eigh(band_matrix(self.t[:p]))[1]
 
 
 def _krylov_modes(bundle: OperatorBundle, x: np.ndarray, r: np.ndarray, dt: float,
@@ -267,12 +277,21 @@ def _krylov_modes(bundle: OperatorBundle, x: np.ndarray, r: np.ndarray, dt: floa
     checkpoint whose largest is within the run search's rounding slack,
     ``_SLACK`` (n + 1) eps, is taken.  The error is returned in units of
     (n + 1) eps, so that the slack gains it.  Ritz values are read in the
-    scaled units and scaled back by 2^e, exactly."""
+    scaled units and scaled back by 2^e, exactly.
+
+    k steps carry a growing mode's value's rounding into the state k-fold
+    (eps times the radius in the value is about 1e-12 of the state after
+    growth by 1e12 where the radius is 200 times the growth rate), so the
+    value of each of the ``_HEAD`` modes that RK4 grows fastest at ``dt``,
+    where it grows, is its Ritz vector's Rayleigh quotient on the edges to
+    one rounding (``laplacian_form``), the same quantity in exact
+    arithmetic."""
     partner = _partner(bundle.graph, bundle.partition)
-    product, e = partner.scaled
+    w, e = partner.scaled
     flow = partner.flow
     if flow is None or flow.key != x.tobytes():
         partner.flow = flow = None  # freed before the next one is built
+        product = laplacian_product(partner.network, w)
         partner.flow = flow = _Flow(product, x, bundle.partition.mask())
     n = r.size
     tol = _SLACK * (n + 1) * _EPS
@@ -298,6 +317,18 @@ def _krylov_modes(bundle: OperatorBundle, x: np.ndarray, r: np.ndarray, dt: floa
         error = float(np.max(error[live], initial=0.0))
         if error <= tol:
             s, basis = flow.vectors(lam.size), flow.basis[: lam.size]
+            # the growing modes among the _HEAD that grow fastest: a mode
+            # that grows slower than those falls behind them in the state
+            with np.errstate(over="ignore"):
+                size = np.abs(_rk4_factor(-dt * lam))
+            grow = np.argsort(-size, kind="stable")[:_HEAD]
+            grow = grow[size[grow] > 1.0]
+            if grow.size:
+                theta = theta.copy()  # the checkpoint's stays as found
+                for j in grow:
+                    z = s[:, j] @ basis
+                    theta[j] = laplacian_form(partner.network, w, z) / float(z @ z)
+                lam = np.ldexp(theta, e)
             return lam, lambda coeff: (coeff @ s.T) @ basis, coeff0, \
                 default_zero_tol(lam), error / ((n + 1) * _EPS)
     return None
@@ -382,6 +413,8 @@ def integrate(
         return _trajectory(np.zeros(1), x[None, :].copy(), Termination.CONVERGED)
     modes = _krylov_modes(bundle, x, r, dt, steps, stop_tol, big)
     if modes is None:  # Lanczos did not settle within its cap
+        # its basis is dropped before the eigendecomposition is built
+        _partner(bundle.graph, bundle.partition).flow = None
         dec = bundle.partner
         vecs = dec.eigenvectors
         modes = (dec.eigenvalues, lambda coeff: coeff @ vecs.T, vecs.T @ r, dec.zero_tol, 0.0)

@@ -11,14 +11,16 @@ network whose cross-subset ties are cooperative; spectra are computed there,
 by the checked symmetric eigensolvers defined here.  What every reader that
 needs no coefficient reads is kept in the graph's one ``_Partner``: the
 partner network, its Laplacian as a product over the edge arrays
-(``laplacian_product``, O(n + m) and no n x n array), which integration
-reads, and built only where a reader asks for it the dense Laplacian and
+(``laplacian_product``, O(n + m) and no n x n array, with its quadratic
+form to one rounding, ``laplacian_form``), which integration reads, and
+built only where a reader asks for it the dense Laplacian and
 its one full deterministic eigendecomposition, which the closed form,
 ``spectrum --dominant`` and integration's fallback read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,6 +95,36 @@ def laplacian_product(g: SignedGraph, w: np.ndarray):
         return np.subtract(np.bincount(i, t, n), np.bincount(j, t, n), dtype=float)
 
     return product
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as hi + lo exactly (Dekker's split, Numer. Math. 18, 1971),
+    for entries below about 1e300 in magnitude."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def laplacian_form(g: SignedGraph, w: np.ndarray, z: np.ndarray) -> float:
+    """z^T L z for the Laplacian of the weight column ``w`` over ``g``'s
+    edges, the sum of w (z_i - z_j)^2, to about one rounding of the
+    result: each difference, square and term is carried as an exact
+    double-double (Knuth's two-sum, ``_two_product``) and the terms are
+    summed by ``math.fsum``.  A plain sum is off by eps times the terms'
+    absolute sum, which on a mode of a repelling network (a negative
+    value) can pass the value itself.  Entries of ``z`` and ``w`` at most
+    1 in magnitude keep every product exact."""
+    a, b = z[g.i], -z[g.j]
+    d = a + b
+    v = d - a
+    low = (a - (d - v)) + (b - v)  # d + low is z_i - z_j exactly
+    square, square_low = _two_product(d, d)
+    square_low += 2.0 * d * low  # low^2 is below eps^2 d^2
+    hi, lo = _two_product(w, square)
+    lo += w * square_low
+    return math.fsum(np.concatenate([hi, lo]).tolist())
 
 
 def _laplacian_of(a: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
@@ -434,7 +466,7 @@ def z_transform_network(bundle: OperatorBundle) -> SignedGraph:
 class _Partner:
     """What is kept on a graph for one bipartition, since the partner is
     free of the coefficient: the ``partition``, the partner ``network``,
-    and built on first read its ``scaled`` product, its read-only
+    and built on first read its ``scaled`` weights, its read-only
     ``laplacian`` and that Laplacian's one ``eigen`` (``sym_eigen``).
     ``core`` is the slot ``spectral`` fills; ``radius`` (the default
     step's) and ``flow`` (the Lanczos basis of the last start state
@@ -449,11 +481,13 @@ class _Partner:
 
     @cached_property
     def scaled(self):
-        """The partner Laplacian over 2**e as a ``laplacian_product``, and
-        e: 2**e is the power of two at or just above the largest absolute
-        row sum of the partner's adjacency, so the scaled spectrum lies in
-        [-2, 2] and its Ritz values keep their digits at any scale of the
-        weights, as ``spectral._headroom`` scales L_abs.  The weights are
+        """The partner's weight column over 2**e, whose ``laplacian_product``
+        is the partner Laplacian over 2**e, and e: 2**e is the power of two
+        at or just above the largest absolute row sum of the partner's
+        adjacency, so the scaled spectrum lies in [-2, 2], every weight is
+        at most 1 (as ``laplacian_form`` needs) and the Ritz values keep
+        their digits at any scale of the weights, as
+        ``spectral._headroom`` scales L_abs.  The weights are
         first scaled by the power of two above the largest of them, so no
         row sum overflows; both scalings are exact where no weight falls
         into the subnormal range."""
@@ -462,7 +496,7 @@ class _Partner:
         unit = np.abs(np.ldexp(net.w, -e))
         sums = np.bincount(net.i, unit, net.n) + np.bincount(net.j, unit, net.n)
         e += int(np.frexp(np.max(sums, initial=0.0))[1])
-        return laplacian_product(net, np.ldexp(net.w, -e)), e
+        return np.ldexp(net.w, -e), e
 
     @cached_property
     def laplacian(self) -> np.ndarray:

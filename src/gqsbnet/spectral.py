@@ -66,7 +66,8 @@ HEADROOM_TOL = 2e-9
 # Rows of each diagonal block of the triangular solves.
 _PANEL = 64
 # Lanczos on M stops once its top Ritz value's residual estimate is this
-# share of it, and gives up after this many steps.
+# share of it (``dynamics.default_step``'s, once both extreme ones are),
+# and gives up after this many steps.
 _RITZ_TOL = 1e-12
 _LANCZOS_STEPS = 128
 # Processed vectors ``lanczos_steps`` first sets rows aside for, before it
@@ -220,15 +221,17 @@ def lanczos_steps(product, start: np.ndarray, cap: int):
     vectors are processed, and at most the start's length.
 
     A generator: after vector k (from 0) is processed it yields
-    ``(t, tail, basis, last)``, with p = k + 1: t = Q^T A Q, the p x p
-    projection on the processed vectors Q (``basis``, one per row), whose
-    eigenpairs are the Ritz pairs (theta, and S^T Q for the vectors S);
-    ``tail``, the b x min(b, p) block that couples the last of them to
-    the b vectors after, so that A Q = Q t + (those b vectors) tail, in
-    the last columns; and ``last``, whether no vector follows.  With one
-    start, t is tridiagonal and ``tail`` is [[beta]].  The arrays hold
-    ``_BASIS_ROWS`` processed vectors and the b after them, and double the
-    processed part when full, so a run that stops early holds no more
+    ``(t, tail, basis, last)``, with p = k + 1: t, the p x p projection
+    Q^T A Q on the processed vectors Q (``basis``, one per row), whose
+    eigenpairs are the Ritz pairs (theta, and S^T Q for the vectors S),
+    in band storage, p x (b + 1) with t[i, d] its entry (i, i + d)
+    (``band_matrix`` forms it); ``tail``, the b x min(b, p) block that
+    couples the last of them to the b vectors after, so that
+    A Q = Q t + (those b vectors) tail, in the last columns; and
+    ``last``, whether no vector follows.  With one start, t is
+    tridiagonal and ``tail`` is [[beta]].  The basis holds
+    ``_BASIS_ROWS`` processed vectors and the b after them, and doubles
+    the processed part when full, so a run that stops early holds no more
     than it used; a yielded view keeps its values.  A start
     row that the ones before it span (within n eps of its norm) is
     dropped; a zero first row is not allowed.  A residual that vanishes
@@ -252,8 +255,8 @@ def lanczos_steps(product, start: np.ndarray, cap: int):
     # in the processed part when full
     basis = np.empty((min(n, _BASIS_ROWS + b), n))
     basis[:b] = kept
-    h = np.zeros((basis.shape[0] + b,) * 2)
     vectors, size = b, min(n, cap)
+    band = np.zeros((size, b + 1))
     for k in range(size):
         if k == vectors:
             return
@@ -265,20 +268,35 @@ def lanczos_steps(product, start: np.ndarray, cap: int):
         c = done @ r
         r -= c @ done
         r -= (done @ r) @ done
-        h[k, k:vectors] = h[k:vectors, k] = c[k:vectors]
+        band[k, : vectors - k] = c[k:vectors]
         beta = float(np.linalg.norm(r))
-        h[vectors, k] = h[k, vectors] = beta
+        band[k, vectors - k] = beta
         if k + 1 < size and vectors < n and beta > floor:
             if vectors == basis.shape[0]:
                 grown = np.empty((min(n, 2 * vectors - b), n))
                 grown[:vectors] = basis
-                wider = np.zeros((grown.shape[0] + b,) * 2)
-                wider[: h.shape[0], : h.shape[0]] = h
-                basis, h = grown, wider
+                basis = grown
             basis[vectors] = r / beta
             vectors += 1
         p = k + 1
-        yield h[:p, :p], h[p: p + b, max(0, p - b): p], basis[:p], p == min(size, vectors)
+        # its entries (p + i, col) for the last columns col below p, those
+        # within the band (p + i - col at most b)
+        tail = np.zeros((b, min(b, p)))
+        for j, col in enumerate(range(max(0, p - b), p)):
+            for i in range(min(b, col + b + 1 - p)):
+                tail[i, j] = band[col, p + i - col]
+        yield band[:p], tail, basis[:p], p == min(size, vectors)
+
+
+def band_matrix(band: np.ndarray) -> np.ndarray:
+    """The symmetric p x p matrix whose entry (i, i + d) is band[i, d],
+    p the band's rows; entries past column p - 1 are left out."""
+    p, width = band.shape
+    t = np.zeros((p, p))
+    for d in range(min(width, p)):
+        i = np.arange(p - d)
+        t[i, i + d] = t[i + d, i] = band[: p - d, d]
+    return t
 
 
 def lanczos(product, start: np.ndarray, cap: int, settled):
@@ -304,7 +322,7 @@ def _top_ritz(m: np.ndarray, start: np.ndarray) -> float | None:
 
     def settled(t, tail):
         if t.shape[0] > 1:
-            values, vectors = np.linalg.eigh(t)
+            values, vectors = np.linalg.eigh(band_matrix(t))
             theta, last = float(values[-1]), float(vectors[-1, -1])
         else:
             theta, last = float(t[0, 0]), 1.0

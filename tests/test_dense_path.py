@@ -105,21 +105,31 @@ class TestPeaks:
         assert "laplacian" not in vars(_partner(g, b))
 
     @pytest.mark.parametrize("multiple", [None, 500.0])
-    def test_cold_flowing_integrate_forms_no_square_array(self, bloc400, multiple):
+    def test_cold_flowing_integrate_builds_no_partner_laplacian(self, bloc400, multiple):
         # no partner Laplacian and no eigh of it, at the default step and
-        # at half the largest step RK4 keeps stable, so below one n x n
-        # array: the partner network and its scaled weights (4258 edges,
-        # about 0.1), the band's basis (128 vectors and the 2 after them,
-        # 0.33, beside the 66 rows it grew from while it copies them) and
-        # its projection (0.1), the step blocks of 8192 floats (0.05
-        # each); measured 0.85 and 0.79
+        # at half the largest step RK4 keeps stable
         g, b = bloc400
         clear_partner_cache(g)
         bundle = generalized_laplacian(g, b, 2.0)
         x0 = np.random.default_rng(3).uniform(-1.0, 1.0, g.n)
         dt = None if multiple is None else multiple * default_step(bundle)
-        assert _peak(lambda: integrate(bundle, x0, dt=dt)) < 1.0
+        integrate(bundle, x0, dt=dt)
         assert not {"laplacian", "eigen"} & set(vars(_partner(g, b)))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "measured 0.72 at both steps: the band's basis keeps 130 rows for its "
+        "96 processed vectors and the 2 after them (0.33) and copies the 66 it "
+        "grew from (0.17); the partner network and its scaled weights hold "
+        "0.07, and the products' edge temporaries and the search's step blocks "
+        "the rest.  The basis alone is 0.24 at 96 vectors"))
+    @pytest.mark.parametrize("multiple", [None, 500.0])
+    def test_cold_flowing_integrate_peaks_below_a_quarter(self, bloc400, multiple):
+        g, b = bloc400
+        clear_partner_cache(g)
+        bundle = generalized_laplacian(g, b, 2.0)
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, g.n)
+        dt = None if multiple is None else multiple * default_step(bundle)
+        assert _peak(lambda: integrate(bundle, x0, dt=dt)) < 0.25
 
     def test_bundle_adjacency_holds_one_array(self, bloc400):
         g, b = bloc400

@@ -5,10 +5,11 @@ edge arrays, and ``default_step`` its radius from Lanczos's extreme Ritz
 values; the eigh route stays in the tests as the oracle
 (``tests/support.py::reference_block_integrate``, which reads
 ``bundle.partner``).  The gate: the same stop step and termination, the
-final state within 1e-12 of its scale (1e-11 on a run that diverges, see
-``test_dynamics._assert_matches_block_search``), and the default step
-within 1e-14 relative.
+final state within 1e-12 of its scale, and the default step within 1e-14
+relative.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -55,9 +56,52 @@ def _assert_matches_eigh(bundle, x0, dt=None, t_max=1000.0):
     assert got.terminated is ref.terminated
     assert np.array_equal(got.times, ref.times)  # the same stop step
     scale = max(float(np.max(np.abs(ref.states[-1]))), float(np.max(np.abs(x0))))
-    rtol = 1e-11 if ref.terminated is Termination.DIVERGED else 1e-12
-    assert np.max(np.abs(got.states[-1] - ref.states[-1])) <= rtol * scale
+    assert np.max(np.abs(got.states[-1] - ref.states[-1])) <= 1e-12 * scale
     return ref.terminated
+
+
+# (case, run) of test_small_corpora whose run the eigh route itself does
+# not give to 1e-12 (test_the_oracle_misses_a_long_divergence)
+_LONG_DIVERGENCE = (9, 0)
+
+
+def _small_corpus(allneg_triangle, allneg_split, unstable_triangle):
+    """(graph, bipartition, coefficient, start) for the worked triangle,
+    the unstable one and 30 random GQSB draws."""
+    cases = [(allneg_triangle, allneg_split), (unstable_triangle, allneg_split)]
+    rng = np.random.default_rng(31)
+    cases += [random_gqsb_instance(rng) for _ in range(30)]
+    return [(g, b, float(rng.uniform(0.5, 3.0)), rng.uniform(-1.0, 1.0, g.n)) for g, b in cases]
+
+
+def _exact_rk4(bundle, x0, dt, k):
+    """The state after k RK4 steps of size dt from x0, in 50-digit decimal
+    arithmetic on the partner Laplacian that ``bundle.partner``
+    decomposes, from the gauge coordinates less their mean, as integrate
+    takes them; for small graphs (a Python matrix power)."""
+    lap = _partner(bundle.graph, bundle.partition).laplacian
+    gauge = bundle.coord_gauge
+    n = bundle.n
+
+    def times(x, y):
+        return [[sum(x[i][m] * y[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = [[Decimal(-dt) * Decimal(float(v)) for v in row] for row in lap]
+        eye = [[Decimal(int(i == j)) for j in range(n)] for i in range(n)]
+        step = eye
+        for q in (4, 3, 2, 1):  # R(A) = I + A (I + A/2 (I + A/3 (I + A/4)))
+            step = [[eye[i][j] + v / q for j, v in enumerate(row)]
+                    for i, row in enumerate(times(a, step))]
+        y = [Decimal(float(v)) for v in gauge * np.asarray(x0, dtype=float)]
+        level = sum(y) / n
+        r = [[v - level] for v in y]
+        while k:
+            if k & 1:
+                r = [[sum(step[i][m] * r[m][0] for m in range(n))] for i in range(n)]
+            step, k = times(step, step), k >> 1
+        return np.array([float((r[i][0] + level) / Decimal(float(gauge[i]))) for i in range(n)])
 
 
 def _cold(g, b, gamma):
@@ -75,19 +119,53 @@ class TestAgainstTheEighRoute:
             kind = _assert_matches_eigh(_cold(g, b, gamma), x0)
             assert kind is Termination.CONVERGED
 
-    def test_small_corpora(self, allneg_triangle, allneg_split, unstable_triangle):
+    @pytest.mark.parametrize("case, run", [
+        pytest.param(case, run, marks=pytest.mark.xfail(strict=True, reason=(
+            "13 316 steps of growth to 1e12: each route's RK4 factor, rounded on "
+            "its own, is raised to that power, and the eigh route lands 1.7e-12 "
+            "of the scale from the exact RK4 state, the Krylov route 1.3e-12 on "
+            "the other side (test_the_oracle_misses_a_long_divergence)")))
+        if (case, run) == _LONG_DIVERGENCE else (case, run)
+        for case in range(32) for run in range(2)])
+    def test_small_corpora(self, case, run, allneg_triangle, allneg_split, unstable_triangle):
         # the worked triangle, the unstable one and random GQSB draws, at
-        # the default step and at half the stable limit
-        cases = [(allneg_triangle, allneg_split), (unstable_triangle, allneg_split)]
-        rng = np.random.default_rng(31)
-        cases += [random_gqsb_instance(rng) for _ in range(30)]
+        # 500 default steps and at the default step
+        g, b, gamma, x0 = _small_corpus(allneg_triangle, allneg_split, unstable_triangle)[case]
+        bundle = _cold(g, b, gamma)
+        if run == 0:
+            _assert_matches_eigh(bundle, x0, 500.0 * default_step(bundle))
+        else:
+            _assert_matches_eigh(bundle, x0, t_max=100.0)
+
+    def test_small_corpora_settle_and_diverge(self, allneg_triangle, allneg_split,
+                                              unstable_triangle):
         seen = set()
-        for g, b in cases:
-            bundle = _cold(g, b, float(rng.uniform(0.5, 3.0)))
-            x0 = rng.uniform(-1.0, 1.0, g.n)
-            seen.add(_assert_matches_eigh(bundle, x0, 500.0 * default_step(bundle)))
-            seen.add(_assert_matches_eigh(bundle, x0, t_max=100.0))
+        for g, b, gamma, x0 in _small_corpus(allneg_triangle, allneg_split, unstable_triangle):
+            bundle = _cold(g, b, gamma)
+            seen.add(integrate(bundle, x0, 500.0 * default_step(bundle)).terminated)
+            seen.add(integrate(bundle, x0, t_max=100.0).terminated)
         assert {Termination.CONVERGED, Termination.DIVERGED} <= seen
+
+    def test_the_oracle_misses_a_long_divergence(self, allneg_triangle, allneg_split,
+                                                 unstable_triangle):
+        # on the run test_small_corpora cannot hold to 1e-12, the eigh route
+        # itself is farther than that from the exact RK4 state, computed in
+        # 50-digit decimal arithmetic on the partner Laplacian it decomposes:
+        # its factor's rounding, a third of an ulp, is raised to the 13 316th
+        # power.  The Krylov route's value is its Rayleigh quotient to one
+        # rounding, so only its own factor's rounding is left.
+        case, _ = _LONG_DIVERGENCE
+        g, b, gamma, x0 = _small_corpus(allneg_triangle, allneg_split, unstable_triangle)[case]
+        bundle = _cold(g, b, gamma)
+        dt = 500.0 * default_step(bundle)
+        ref = reference_block_integrate(bundle, x0, dt, 1000.0, record_every=10 ** 6)
+        k = round(ref.times[-1] / dt)
+        assert ref.terminated is Termination.DIVERGED and k == 13316
+        exact = _exact_rk4(bundle, x0, dt, k)
+        scale = float(np.max(np.abs(exact)))
+        assert np.max(np.abs(ref.states[-1] - exact)) > 1e-12 * scale
+        got = integrate(bundle, x0, dt, 1000.0, record_every=10 ** 6)
+        assert got.terminated is Termination.DIVERGED and got.times[-1] == ref.times[-1]
 
     def test_dense_two_bloc(self):
         g, b = dense_two_bloc(200)
@@ -139,8 +217,7 @@ class TestSimulate:
         rows = [np.array([float(v) for v in line.split(",")]) for line in (got[-1], want[-1])]
         assert rows[0][0] == rows[1][0]  # the same time
         scale = float(np.max(np.abs(rows[1][1:])))
-        rtol = 1e-11 if kind == "Divergence" else 1e-12
-        assert np.max(np.abs(rows[0] - rows[1])) <= rtol * max(scale, 1.0)
+        assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12 * max(scale, 1.0)
         assert (scale > dynamics.DIVERGENCE_LIMIT) == (kind == "Divergence")
 
 

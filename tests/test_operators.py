@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gqsbnet import (
     z_transform_network,
 )
 from gqsbnet import operators
+from gqsbnet.operators import laplacian_form, laplacian_product
 from gqsbnet.fileio import run_sweep
 from support import (
     core_calls,
@@ -251,6 +253,42 @@ class TestPartnerNetwork:
     def test_bipartition_of_another_node_count(self, allneg_triangle):
         with pytest.raises(BadIndex, match="node count"):
             partner_network(allneg_triangle, Bipartition(4, frozenset({0, 1})))
+
+
+class TestEdgeOperators:
+    def test_product_matches_the_dense_laplacian(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            g, b = random_gqsb_instance(rng)
+            net = partner_network(g, b)
+            x = rng.standard_normal(g.n)
+            want = repelling_laplacian(net) @ x
+            got = laplacian_product(net, net.w)(x)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_form_to_one_rounding(self):
+        # against the exact rational sum of w (z_i - z_j)^2, with weights
+        # and entries below 1 as the integrator passes them
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            g, b = random_gqsb_instance(rng)
+            net = partner_network(g, b)
+            w = net.w / 4.0
+            z = rng.standard_normal(g.n)
+            z /= np.linalg.norm(z)
+            exact = sum(Fraction(float(c)) * (Fraction(float(z[i])) - Fraction(float(z[j]))) ** 2
+                        for i, j, c in zip(net.i, net.j, w))
+            got = laplacian_form(net, w, z)
+            assert abs(Fraction(got) - exact) <= Fraction(float(np.spacing(abs(float(exact)))))
+
+    def test_form_keeps_a_cancelling_sum(self):
+        # terms of about 0.01 and -0.01 about a value of -2e-16, where a
+        # plain sum's rounding is eps times the terms
+        g = SignedGraph.from_edge_list(3, [(0, 1, 1.0), (1, 2, -1.0)])
+        z = np.array([0.0, 0.1, 0.2 + 1e-15])
+        f = [Fraction(float(v)) for v in z]
+        exact = (f[0] - f[1]) ** 2 - (f[1] - f[2]) ** 2
+        assert laplacian_form(g, g.w, z) == float(exact) < 0
 
 
 ARRAYS = ("adjacency", "degree", "laplacian", "scale_gauge", "sign_gauge",

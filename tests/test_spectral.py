@@ -1240,3 +1240,34 @@ class TestTieHeadroom:
         assert cert.verdict is Verdict.ASYMMETRIC_POLARIZATION
         assert cert.antagonism_headroom == math.inf and cert.tie_headroom.tolist() == [math.inf]
         assert doc["antagonism_headroom"] is None and doc["ties"] == [[0, 1, None]]
+
+
+class TestLanczosSteps:
+    @pytest.mark.parametrize("starts", [1, 2, 3])
+    def test_band_projection_and_tail(self, starts):
+        # t, read from its band storage, is Q^T A Q, and A Q^T departs from
+        # Q^T t only in its last columns, by the next vectors times tail;
+        # the basis doubles its rows past 64 processed vectors
+        rng = np.random.default_rng(starts)
+        a = rng.standard_normal((90, 90))
+        a = a + a.T
+        size = np.linalg.norm(a, 2)
+        seen = 0
+        for t, tail, basis, last in spectral.lanczos_steps(
+                a.__matmul__, rng.standard_normal((starts, 90)), 80):
+            p = basis.shape[0]
+            dense = spectral.band_matrix(t)
+            assert t.shape == (p, starts + 1)
+            assert np.allclose(dense, basis @ a @ basis.T, rtol=0.0, atol=1e-12 * size)
+            assert np.allclose(basis @ basis.T, np.eye(p), rtol=0.0, atol=1e-12)
+            residual = a @ basis.T - basis.T @ dense
+            width = tail.shape[1]
+            assert np.max(np.abs(residual[:, : p - width]), initial=0.0) <= 1e-12 * size
+            assert abs(np.linalg.norm(residual[:, p - width:]) - np.linalg.norm(tail)) <= (
+                1e-12 * size)
+            seen += 1
+        assert seen == 80 and last  # the cap ends the run
+
+    def test_band_matrix_leaves_out_what_passes_the_corner(self):
+        band = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert np.array_equal(spectral.band_matrix(band), [[1.0, 2.0], [2.0, 4.0]])
